@@ -1,0 +1,150 @@
+"""Byte-level golden corpus for the cover builders and the exact solves.
+
+Each test hashes a fixed corpus of outputs and compares the sha256 digest
+with a value recorded from a known-good tree.  The corpora run through the
+fiber-product, induced-cover, composition and refinement builders and the
+exact solves behind every vaut, so a refactor of those kernels that changes
+a single sheet label, table word or report line fails here.  To regenerate
+after a deliberate output change, print ``_digest(...)`` for the corpus and
+say why in the change log.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from covertower.characteristic import shipped_automorphisms
+from covertower.cli import main
+from covertower.covers import (
+    SurfaceCover,
+    compose_covers,
+    double_cover_from_signs,
+    enumerate_covers,
+    identity_perm,
+    trivial_cover,
+)
+from covertower.documents import cover_document, dumps_canonical, vaut_document
+from covertower.vauts import restrict_vaut, vaut_compose, vaut_from_automorphism
+from covertower.verify import SUITES
+
+from test_covers import A1_SWAP_MARKING
+
+GOLDEN = {
+    "fiber_product": (
+        "5662064fae0711e653c8c4f51c469115"
+        "cbcad53ca6c5dabb8908e4daee238246"
+    ),
+    "char_refine": (
+        "6515e8c2f2f2b0e7066c89527fa8287f"
+        "4456c6b04f692282933c0b9430b59da2"
+    ),
+    "vauts": (
+        "2a30094aa5d29b6df3c1c4117a2292e6"
+        "ff7eb086000566ac445ff4d9723bd902"
+    ),
+    "compose": (
+        "9dbb6a744523cdcb90cb86a29b0fc6fb"
+        "b5dc820eab8b03c2cbe5e6f071da5556"
+    ),
+    "enumerate": (
+        "fbdf208aa79ab5d770726a83c4e4bfc7"
+        "9a3ea3980200288a3a8915aaf121210d"
+    ),
+    "verify": (
+        "781177879ac46a94101070d1e1b24df8"
+        "f1ce5dd137d85c28279217cecbcf0b82"
+    ),
+}
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return f"exit {code}\n{captured.out}\n{captured.err}"
+
+
+def _cover_files(tmp_path, covers):
+    paths = []
+    for k, cover in enumerate(covers):
+        path = tmp_path / f"cover{k}.json"
+        path.write_text(dumps_canonical(cover_document(cover)), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def _low_covers():
+    return [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+
+
+def _shipped_vauts():
+    return [vaut_from_automorphism(a) for a in shipped_automorphisms(2)]
+
+
+def test_fiber_product_documents(tmp_path, capsys):
+    paths = _cover_files(tmp_path, _low_covers()[::24])
+    chunks = [_cli(capsys, "fiber-product", a, b) for a in paths for b in paths]
+    assert _digest(chunks) == GOLDEN["fiber_product"]
+
+
+def test_char_refine_documents(tmp_path, capsys):
+    paths = _cover_files(tmp_path, enumerate_covers(2, 2) + enumerate_covers(2, 3)[:1])
+    chunks = [_cli(capsys, "char-refine", "--cover", p) for p in paths[:-1]]
+    # a degree-3 refinement outgrows a budget of 40 sheets: exit 3 with the hint
+    chunks.append(_cli(capsys, "char-refine", "--cover", paths[-1], "--budget", "40"))
+    assert _digest(chunks) == GOLDEN["char_refine"]
+
+
+def test_restricted_and_composed_vauts():
+    vauts = _shipped_vauts()
+    chunks = []
+    for k, cover in enumerate(enumerate_covers(2, 2)):
+        v = vauts[k % len(vauts)]
+        restricted = restrict_vaut(v, cover)
+        chunks.append(dumps_canonical(vaut_document(restricted)))
+        w = vauts[(k + 1) % len(vauts)]
+        chunks.append(dumps_canonical(vaut_document(vaut_compose(restricted, w))))
+    assert _digest(chunks) == GOLDEN["vauts"]
+
+
+def _compose_chunk(comp) -> str:
+    return json.dumps(
+        [comp.cover.perms, comp.to_bottom.sheet_map, comp.states],
+        separators=(",", ":"),
+    )
+
+
+def test_compose_covers_results():
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    cyc, swp, ident3 = (1, 2, 0), (0, 2, 1), identity_perm(3)
+    tops = [trivial_cover(3), *enumerate_covers(3, 2)]
+    tops.append(SurfaceCover(3, 3, (swp, cyc, cyc, swp, ident3, ident3)))
+    chunks = [_compose_chunk(compose_covers(t, bottom, A1_SWAP_MARKING)) for t in tops]
+    assert _digest(chunks) == GOLDEN["compose"]
+
+
+def test_enumerate_stream(capsys):
+    chunks = [
+        _cli(capsys, "enumerate", "--genus", "2", "--degree", str(d)) for d in (1, 2, 3)
+    ]
+    assert _digest(chunks) == GOLDEN["enumerate"]
+
+
+def test_verify_reports(capsys):
+    chunks = [
+        _cli(capsys, "verify", "--suite", suite, "--max-degree", "2") for suite in SUITES
+    ]
+    assert _digest(chunks) == GOLDEN["verify"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_corpus_is_pinned(name):
+    assert len(GOLDEN[name]) == 64
