@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .covers import (
     SurfaceCover,
+    _pointed_orbit,
     enumerate_covers,
     identity_perm,
     nontree_edges,
@@ -182,31 +183,17 @@ def characteristic_refinement(
     family: list[SurfaceCover] = []
     for deg in range(2, d + 1):
         family.extend(enumerate_covers(cover.genus, deg, budget=limit))
-    n = generator_count(cover.genus)
-    start = (0,) * len(family)
-    label = {start: 0}
-    states = [start]
-    head = 0
-    while head < len(states):
-        state = states[head]
-        head += 1
-        for i in range(n):
-            for perms in (
-                tuple(c.perms[i][s] for c, s in zip(family, state)),
-                tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
-            ):
-                if perms not in label:
-                    if len(states) >= limit:
-                        raise SearchBudgetExceeded(
-                            f"characteristic refinement exceeded {limit} sheets; "
-                            "raise COVERTOWER_BUDGET or pass a larger budget"
-                        )
-                    label[perms] = len(states)
-                    states.append(perms)
-    perm_rows = []
-    for i in range(n):
-        p = [0] * len(states)
-        for k, state in enumerate(states):
-            p[k] = label[tuple(c.perms[i][s] for c, s in zip(family, state))]
-        perm_rows.append(tuple(p))
-    return SurfaceCover(cover.genus, len(states), tuple(perm_rows)).canonical()
+    orbit = _pointed_orbit(
+        generator_count(cover.genus),
+        lambda i, state: tuple(c.perms[i][s] for c, s in zip(family, state)),
+        lambda i, state: tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
+        budget=limit,
+        start=(0,) * len(family),
+    )
+    if orbit is None:
+        raise SearchBudgetExceeded(
+            f"characteristic refinement exceeded {limit} sheets; "
+            "raise COVERTOWER_BUDGET or pass a larger budget"
+        )
+    states, perms = orbit
+    return SurfaceCover(cover.genus, len(states), perms).canonical()

@@ -378,6 +378,34 @@ def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Pointed orbits of product actions
+
+def _pointed_orbit(n: int, forward, backward, budget: int | None = None, start=(0, 0)):
+    """Orbit of a start state under a generator action, with its coset table.
+
+    forward(i, state) and backward(i, state) move a state along generator i
+    and its inverse.  States are labeled in discovery order: each state in
+    turn explores generator i forward, then backward, for i = 0..n-1.
+    Returns (states, perms) with perms[i][k] the label of forward(i,
+    states[k]), or None when the orbit has more than budget states.
+    """
+    label = {start: 0}
+    states = [start]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for state in states:  # the walk appends to states as it discovers them
+        for i in range(n):
+            image = forward(i, state)
+            for step in (image, backward(i, state)):
+                if step not in label:
+                    if budget is not None and len(states) >= budget:
+                        return None
+                    label[step] = len(states)
+                    states.append(step)
+            rows[i].append(label[image])
+    return states, tuple(tuple(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # Arrows, fiber products, induced covers
 
 @dataclass(frozen=True)
@@ -438,34 +466,21 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     """Pointed component of the diagonal action on sheet pairs.
 
     The result's stabilizer is the intersection of the two stabilizers.
-    Sheets are labeled in breadth-first discovery order, so the cover is
-    canonical by construction.
+    Sheets are labeled in the discovery order of the pair walk from (0, 0),
+    which tries each generator forward, then backward, in index order.  That
+    is not the canonical order, which tries every generator forward before
+    any inverse; call canonical() for the canonical labeling.
     """
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
-    n = generator_count(first.genus)
-    start = (0, 0)
-    label = {start: 0}
-    states = [start]
-    head = 0
-    while head < len(states):
-        s, t = states[head]
-        head += 1
-        for i in range(n):
-            for step in (
-                (first.perms[i][s], second.perms[i][t]),
-                (first.inverse_perms[i][s], second.inverse_perms[i][t]),
-            ):
-                if step not in label:
-                    label[step] = len(states)
-                    states.append(step)
-    perms = []
-    for i in range(n):
-        p = [0] * len(states)
-        for k, (s, t) in enumerate(states):
-            p[k] = label[(first.perms[i][s], second.perms[i][t])]
-        perms.append(tuple(p))
-    cover = SurfaceCover(first.genus, len(states), tuple(perms))
+    p, q = first.perms, second.perms
+    p_inv, q_inv = first.inverse_perms, second.inverse_perms
+    states, perms = _pointed_orbit(
+        generator_count(first.genus),
+        lambda i, pair: (p[i][pair[0]], q[i][pair[1]]),
+        lambda i, pair: (p_inv[i][pair[0]], q_inv[i][pair[1]]),
+    )
+    cover = SurfaceCover(first.genus, len(states), perms)
     to_first = CoverArrow(cover, first, tuple(s for s, _ in states))
     to_second = CoverArrow(cover, second, tuple(t for _, t in states))
     return FiberProduct(cover, to_first, to_second)
@@ -495,43 +510,25 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     """
     if outer.genus != target.genus:
         raise BaseMismatch("outer and target covers have different base surfaces")
-    n = generator_count(outer.genus)
     tree, _ = tree_data(outer)
     index = {e: k for k, e in enumerate(nontree_edges(outer))}
 
-    def forward(i: int, t: int, s: int) -> tuple[int, int]:
-        edge = (i, t)
+    def forward(i: int, state) -> tuple[int, int]:
+        t, s = state
         t2 = outer.perms[i][t]
-        if edge in tree:
+        if (i, t) in tree:
             return t2, s
-        return t2, target.act(table[index[edge]], s)
+        return t2, target.act(table[index[(i, t)]], s)
 
-    def backward(i: int, t: int, s: int) -> tuple[int, int]:
+    def backward(i: int, state) -> tuple[int, int]:
+        t, s = state
         t2 = outer.inverse_perms[i][t]
-        edge = (i, t2)
-        if edge in tree:
+        if (i, t2) in tree:
             return t2, s
-        return t2, target.act(inverse_word(table[index[edge]]), s)
+        return t2, target.act(inverse_word(table[index[(i, t2)]]), s)
 
-    start = (0, 0)
-    label = {start: 0}
-    states = [start]
-    head = 0
-    while head < len(states):
-        t, s = states[head]
-        head += 1
-        for i in range(n):
-            for step in (forward(i, t, s), backward(i, t, s)):
-                if step not in label:
-                    label[step] = len(states)
-                    states.append(step)
-    perms = []
-    for i in range(n):
-        p = [0] * len(states)
-        for k, (t, s) in enumerate(states):
-            p[k] = label[forward(i, t, s)]
-        perms.append(tuple(p))
-    cover = SurfaceCover(outer.genus, len(states), tuple(perms))
+    states, perms = _pointed_orbit(generator_count(outer.genus), forward, backward)
+    cover = SurfaceCover(outer.genus, len(states), perms)
     to_outer = CoverArrow(cover, outer, tuple(t for t, _ in states))
     return InducedCover(cover, tuple(states), to_outer)
 
@@ -573,60 +570,45 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
     if missing:
         raise InvalidIdentification(f"identification missing edges {missing}")
 
-    tree, _ = tree_data(bottom)
-    # Accumulated identification word along the tree path into each sheet.
-    path_word: list[Word | None] = [None] * bottom.degree
-    path_word[0] = ()
-    order = [0]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        for i in range(n):
-            t = bottom.perms[i][s]
-            if (i, s) in tree and path_word[t] is None:
-                path_word[t] = free_reduce(path_word[s] + tuple(ident[(i, s)]))
-                order.append(t)
-            u = bottom.inverse_perms[i][s]
-            if (i, u) in tree and path_word[u] is None:
-                path_word[u] = free_reduce(path_word[s] + inverse_word(ident[(i, u)]))
-                order.append(u)
+    def spell(word) -> Word:
+        """Identification words along the lift of a base path from sheet 0."""
+        out: list[int] = []
+        s = 0
+        for letter in word:
+            i = abs(letter) - 1
+            if letter > 0:
+                out += ident[(i, s)]
+                s = bottom.perms[i][s]
+            else:
+                s = bottom.inverse_perms[i][s]
+                out += inverse_word(ident[(i, s)])
+        return free_reduce(out)
 
-    def loop_word(i: int, s: int) -> Word:
-        t = bottom.perms[i][s]
-        return free_reduce(path_word[s] + tuple(ident[(i, s)]) + inverse_word(path_word[t]))
+    loop_words = {
+        (i, s): spell(schreier_loop(bottom, (i, s)))
+        for i in range(n)
+        for s in range(bottom.degree)
+    }
+    _check_marking_surjective(top, loop_words.values())
 
-    _check_marking_surjective(top, bottom, loop_word)
+    def forward(i: int, state) -> tuple[int, int]:
+        s, z = state
+        return bottom.perms[i][s], top.act(loop_words[(i, s)], z)
 
-    start = (0, 0)
-    label = {start: 0}
-    states = [start]
-    head = 0
-    while head < len(states):
-        s, z = states[head]
-        head += 1
-        for i in range(n):
-            fwd = (bottom.perms[i][s], top.act(loop_word(i, s), z))
-            u = bottom.inverse_perms[i][s]
-            bwd = (u, top.act(inverse_word(loop_word(i, u)), z))
-            for step in (fwd, bwd):
-                if step not in label:
-                    label[step] = len(states)
-                    states.append(step)
+    def backward(i: int, state) -> tuple[int, int]:
+        s, z = state
+        u = bottom.inverse_perms[i][s]
+        return u, top.act(inverse_word(loop_words[(i, u)]), z)
+
+    states, perms = _pointed_orbit(n, forward, backward)
     expected = bottom.degree * top.degree
     if len(states) != expected:
         raise InvalidIdentification(
             f"composite has {len(states)} sheets, expected {expected}; "
             "identification words do not generate the covering surface group"
         )
-    perms = []
-    for i in range(n):
-        p = [0] * len(states)
-        for k, (s, z) in enumerate(states):
-            p[k] = label[(bottom.perms[i][s], top.act(loop_word(i, s), z))]
-        perms.append(tuple(p))
     try:
-        cover = SurfaceCover(bottom.genus, len(states), tuple(perms))
+        cover = SurfaceCover(bottom.genus, len(states), perms)
     except RelatorNotTrivial as exc:
         raise InvalidIdentification(
             "identification words do not kill the lifted relator"
@@ -635,7 +617,7 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
     return ComposedCover(cover, to_bottom, tuple(states))
 
 
-def _check_marking_surjective(top: SurfaceCover, bottom: SurfaceCover, loop_word) -> None:
+def _check_marking_surjective(top: SurfaceCover, loop_words) -> None:
     """Necessary homology check on the identification words.
 
     The Schreier loops generate the covering surface group, so their
@@ -645,11 +627,7 @@ def _check_marking_surjective(top: SurfaceCover, bottom: SurfaceCover, loop_word
     from .exact_linalg import smith_normal_form
     from .surface import abelianized
 
-    rows = [
-        list(abelianized(loop_word(i, s), top.genus))
-        for i in range(generator_count(bottom.genus))
-        for s in range(bottom.degree)
-    ]
+    rows = [list(abelianized(w, top.genus)) for w in loop_words]
     divisors, _, _ = smith_normal_form(rows)
     n = generator_count(top.genus)
     if len(divisors) != n or any(e != 1 for e in divisors):

@@ -6,6 +6,7 @@ its matrix, and basis changes act by right multiplication.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -111,130 +112,75 @@ def smith_normal_form(mat):
     return divisors, v, vinv
 
 
-def rational_rank(mat) -> int:
-    m = len(mat)
-    if m == 0:
-        return 0
-    n = len(mat[0])
-    a = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
+def _rref(rows, n: int) -> list[int]:
+    """Gauss-Jordan elimination in place on rows of Fractions.
+
+    Pivots are taken in the first n columns only; later columns (augmented
+    right-hand sides) are carried along.  Returns the pivot column of each
+    leading row, in order.
+    """
+    pivots: list[int] = []
     for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        lead = rows[rank] = [x * inv for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != 0:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, lead)]
+        pivots.append(col)
+    return pivots
+
+
+def rational_rank(mat) -> int:
+    n = len(mat[0]) if mat else 0
+    return len(_rref([[Fraction(x) for x in row] for row in mat], n))
 
 
 def rational_nullspace(mat, n_cols: int | None = None):
     """Basis of the right nullspace {x : mat @ x = 0}, as Fraction columns."""
-    m = len(mat)
-    n = n_cols if n_cols is not None else (len(mat[0]) if m else 0)
+    n = n_cols if n_cols is not None else (len(mat[0]) if mat else 0)
     a = [[Fraction(x) for x in row] for row in mat]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = _rref(a, n)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for c in free:
+    for c in range(n):
+        if c in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][c]
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[c]
         basis.append(vec)
     return basis
 
 
-def solve_exact(mat, rhs):
-    """Solve mat @ x = rhs over the rationals; None if inconsistent.
-
-    mat is m x n with full column rank expected for a unique solution; when
-    the solution is underdetermined the free variables are set to zero.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(mat, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = a[r][n]
-    return x
-
-
 def solve_exact_many(mat, rhs_columns):
-    """Solve mat @ x = rhs for several right-hand sides with one elimination.
+    """Solve mat @ x = rhs over the rationals for several right-hand sides.
 
-    Same conventions as solve_exact; returns one solution per column, None
-    in the slots whose system is inconsistent.
+    One elimination serves every column.  Free variables of an
+    underdetermined system are set to zero; a slot is None when its system
+    is inconsistent.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    n = len(mat[0]) if mat else 0
     a = [
         [Fraction(x) for x in row] + [Fraction(col[i]) for col in rhs_columns]
         for i, row in enumerate(mat)
     ]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = _rref(a, n)
     solutions = []
-    for j in range(len(rhs_columns)):
-        cidx = n + j
-        if any(a[i][cidx] != 0 for i in range(rank, m)):
+    for j in range(n, n + len(rhs_columns)):
+        if any(row[j] != 0 for row in a[len(pivots):]):
             solutions.append(None)
             continue
         x = [Fraction(0)] * n
-        for r, c in enumerate(pivots):
-            x[c] = a[r][cidx]
+        for row, c in zip(a, pivots):
+            x[c] = row[j]
         solutions.append(x)
     return solutions
 
@@ -254,14 +200,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, x):
     return [sum(r * v for r, v in zip(row, x)) for row in a]
-
-
-def is_unimodular(mat) -> bool:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        return False
-    divisors, _, _ = smith_normal_form(mat)
-    return len(divisors) == n and all(e == 1 for e in divisors)
 
 
 def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
@@ -293,13 +231,9 @@ def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
             if all(x > 0 for x in vec) or all(x < 0 for x in vec):
                 if vec[0] < 0:
                     vec = [-x for x in vec]
-                denom_lcm = 1
-                for x in vec:
-                    denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+                denom_lcm = math.lcm(*(x.denominator for x in vec))
                 ints = [int(x * denom_lcm) for x in vec]
-                g = 0
-                for x in ints:
-                    g = _gcd(g, x)
+                g = math.gcd(*ints)
                 ints = [x // g for x in ints]
                 full = [0] * n_vars
                 for c, val in zip(combo, ints):
@@ -309,9 +243,3 @@ def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
     rays.sort()
     return rays
 
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a

@@ -21,8 +21,6 @@ from .errors import ComplexMismatch, DimensionMismatch
 from .exact_linalg import smith_normal_form
 from .surface import generator_count, surface_relator
 
-GLOBAL_SIGN = 1
-
 
 class CoverComplex:
     """Lifted cell structure with rotation system and homology data."""
@@ -230,7 +228,6 @@ class CoverComplex:
         if any(e != 1 for e in divisors):
             raise ComplexMismatch("face lattice is not primitive; homology has torsion")
         # Fundamental cycles: the unique cycle with a single nontree coordinate.
-        tree, _ = tree_data(cover)
         fundamental = []
         for (i, s) in nontree:
             chain = self._fundamental_cycle(i, s)
@@ -315,7 +312,7 @@ class CoverComplex:
                         total += 1
                     elif in1 and not in2:
                         total -= 1
-        return GLOBAL_SIGN * total
+        return total
 
     def _vertex_strands(self, chain, v: int, offset: int):
         """Strands of a cycle through vertex v as (arrive, depart) positions.

@@ -17,17 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .surface import generator_count
-
-
-def symplectic_product(u, v) -> int:
-    """Standard symplectic form in the interleaved a1,b1,a2,b2,... basis."""
-    if len(u) != len(v) or len(u) % 2 != 0:
-        raise DimensionMismatch("vectors must share an even length")
-    total = 0
-    for k in range(0, len(u), 2):
-        total += u[k] * v[k + 1] - u[k + 1] * v[k]
-    return total
+from .surface import generator_count, symplectic_product
 
 
 def transvection(curve, x, sign: int = 1):

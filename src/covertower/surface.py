@@ -103,14 +103,21 @@ def abelianized(word, genus: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def symplectic_product(u, v) -> int:
+    """Standard symplectic form in the interleaved a1,b1,a2,b2,... basis."""
+    if len(u) != len(v) or len(u) % 2 != 0:
+        raise DimensionMismatch("vectors must share an even length")
+    total = 0
+    for k in range(0, len(u), 2):
+        total += u[k] * v[k + 1] - u[k + 1] * v[k]
+    return total
+
+
 def standard_symplectic(genus: int) -> list[list[int]]:
     """Intersection numbers of the standard one-handle loops, as a matrix."""
     n = generator_count(genus)
-    mat = [[0] * n for _ in range(n)]
-    for k in range(genus):
-        mat[2 * k][2 * k + 1] = 1
-        mat[2 * k + 1][2 * k] = -1
-    return mat
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    return [[symplectic_product(u, v) for v in units] for u in units]
 
 
 def word_to_text(word) -> str:

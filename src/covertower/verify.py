@@ -175,6 +175,21 @@ def _random_boundary(cx, rng):
     return chain
 
 
+def _pi_witness(cx, c1, c2, moved1, moved2):
+    """Cycles of the first failing check, or None when all hold.
+
+    Boundary moves must keep the pairing and the class, and a cycle must
+    pair to zero with itself.
+    """
+    if cx.intersection(moved1, moved2) != cx.intersection(c1, c2) or (
+        cx.class_coordinates(moved1) != cx.class_coordinates(c1)
+    ):
+        return c1, c2, moved1, moved2
+    if cx.intersection(c1, c1) != 0:
+        return c1, c1, c1, c1
+    return None
+
+
 def _pi_one(cover: SurfaceCover, seed: int):
     cx = surface_complex(cover)
     rng = random.Random(f"{seed}:{cover.genus}:{cover.perms}")
@@ -185,24 +200,12 @@ def _pi_one(cover: SurfaceCover, seed: int):
         p2 = _random_boundary(cx, rng)
         moved1 = [a + b for a, b in zip(c1, p1)]
         moved2 = [a + b for a, b in zip(c2, p2)]
-        if cx.intersection(moved1, moved2) != cx.intersection(c1, c2) or (
-            cx.class_coordinates(moved1) != cx.class_coordinates(c1)
-        ):
-            return {
-                "cover": cover_document(cover),
-                "c1": cycle_document(cycle_element(cover, c1)),
-                "c2": cycle_document(cycle_element(cover, c2)),
-                "moved1": cycle_document(cycle_element(cover, moved1)),
-                "moved2": cycle_document(cycle_element(cover, moved2)),
-            }
-        if cx.intersection(c1, c1) != 0:
-            return {
-                "cover": cover_document(cover),
-                "c1": cycle_document(cycle_element(cover, c1)),
-                "c2": cycle_document(cycle_element(cover, c1)),
-                "moved1": cycle_document(cycle_element(cover, c1)),
-                "moved2": cycle_document(cycle_element(cover, c1)),
-            }
+        witness = _pi_witness(cx, c1, c2, moved1, moved2)
+        if witness is not None:
+            data = {"cover": cover_document(cover)}
+            for key, chain in zip(("c1", "c2", "moved1", "moved2"), witness):
+                data[key] = cycle_document(cycle_element(cover, chain))
+            return data
     return None
 
 
@@ -214,16 +217,8 @@ def suite_pairing_invariance(genus: int, max_degree: int, seed: int, jobs: int):
 
 def _replay_pairing_invariance(data) -> bool:
     cover = parse_cover(data["cover"])
-    cx = surface_complex(cover)
-    c1 = parse_cycle(data["c1"]).payload
-    c2 = parse_cycle(data["c2"]).payload
-    m1 = parse_cycle(data["moved1"]).payload
-    m2 = parse_cycle(data["moved2"]).payload
-    return (
-        cx.intersection(m1, m2) == cx.intersection(c1, c2)
-        and cx.class_coordinates(m1) == cx.class_coordinates(c1)
-        and cx.intersection(c1, c1) == 0
-    )
+    cycles = [parse_cycle(data[key]).payload for key in ("c1", "c2", "moved1", "moved2")]
+    return _pi_witness(surface_complex(cover), *cycles) is None
 
 
 # -- vaut-laws
@@ -250,81 +245,80 @@ def _law_pool(genus: int, max_degree: int):
     return vauts, elements, covers
 
 
+def _identity_law(e) -> bool:
+    return limit_equal(vaut_act(identity_vaut(e.base_genus), e), e)
+
+
+def _inverse_law(v, e) -> bool:
+    return limit_equal(vaut_act(v, vaut_act(vaut_inverse(v), e)), e)
+
+
+def _independence_law(v, e, fine) -> bool:
+    return limit_equal(vaut_act(v, fine), vaut_act(v, e))
+
+
+def _composition_law(v1, v2, e) -> bool:
+    return limit_equal(vaut_act(vaut_compose(v1, v2), e), vaut_act(v1, vaut_act(v2, e)))
+
+
+# Law name -> (check, counterexample field of each argument); fields named
+# vaut* hold vauts, the others limit elements.
+_LAWS = {
+    "identity": (_identity_law, ("element",)),
+    "inverse": (_inverse_law, ("vaut", "element")),
+    "representative-independence": (_independence_law, ("vaut", "element", "fine")),
+    "composition": (_composition_law, ("vaut1", "vaut2", "element")),
+}
+
+
+def _law_failure(law: str, args):
+    """Counterexample data when the law fails on args, else None."""
+    check, fields = _LAWS[law]
+    if check(*args):
+        return None
+    data = {"law": law}
+    for field, value in zip(fields, args):
+        dump = vaut_document if field.startswith("vaut") else element_document
+        data[field] = dump(value)
+    return data
+
+
 def suite_vaut_laws(genus: int, max_degree: int, seed: int, jobs: int):
     suite = "vaut-laws"
     vauts, elements, covers = _law_pool(genus, max_degree)
-    ident = identity_vaut(genus)
-    lines = []
-    for e in elements:
-        if not limit_equal(vaut_act(ident, e), e):
-            data = {"law": "identity", "element": element_document(e)}
-            return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-    lines.append(f"identity law: {len(elements)} elements")
-    for v in vauts:
-        e = elements[0]
-        if not limit_equal(vaut_act(v, vaut_act(vaut_inverse(v), e)), e):
-            data = {
-                "law": "inverse",
-                "vaut": vaut_document(v),
-                "element": element_document(e),
-            }
-            return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-    lines.append(f"inverse law: {len(vauts)} vauts")
-    for v in vauts[:4]:
-        for cover in covers[:2]:
-            arrow = factors_through(cover, trivial_cover(genus))
-            e = elements[0]
-            fine = lift_element(e, arrow)
-            if not limit_equal(vaut_act(v, fine), vaut_act(v, e)):
-                data = {
-                    "law": "representative-independence",
-                    "vaut": vaut_document(v),
-                    "element": element_document(e),
-                    "fine": element_document(fine),
-                }
-                return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-    lines.append("representative independence: checked")
+    e = elements[0]
     rng = random.Random(seed)
     triples = [
         (rng.randrange(len(vauts)), rng.randrange(len(vauts)), rng.randrange(len(elements)))
         for _ in range(20)
     ]
-    for vi, wi, ei in triples:
-        v1, v2, e = vauts[vi], vauts[wi], elements[ei]
-        if not limit_equal(vaut_act(vaut_compose(v1, v2), e), vaut_act(v1, vaut_act(v2, e))):
-            data = {
-                "law": "composition",
-                "vaut1": vaut_document(v1),
-                "vaut2": vaut_document(v2),
-                "element": element_document(e),
-            }
-            return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-    lines.append("composition functoriality: 20 seeded triples")
+    base = trivial_cover(genus)
+    fines = [lift_element(e, factors_through(cover, base)) for cover in covers[:2]]
+    stages = (
+        ("identity", [(x,) for x in elements], f"identity law: {len(elements)} elements"),
+        ("inverse", [(v, e) for v in vauts], f"inverse law: {len(vauts)} vauts"),
+        ("representative-independence", [(v, e, f) for v in vauts[:4] for f in fines],
+         "representative independence: checked"),
+        ("composition", [(vauts[a], vauts[b], elements[c]) for a, b, c in triples],
+         "composition functoriality: 20 seeded triples"),
+    )
+    lines = []
+    for law, cases, line in stages:
+        for args in cases:
+            data = _law_failure(law, args)
+            if data is not None:
+                return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
+        lines.append(line)
     return SuiteResult(suite, True, tuple(lines))
 
 
 def _replay_vaut_laws(data) -> bool:
     law = data.get("law")
-    if law == "identity":
-        e = parse_element(data["element"])
-        return limit_equal(vaut_act(identity_vaut(e.base_genus), e), e)
-    if law == "inverse":
-        v = parse_vaut(data["vaut"])
-        e = parse_element(data["element"])
-        return limit_equal(vaut_act(v, vaut_act(vaut_inverse(v), e)), e)
-    if law == "representative-independence":
-        v = parse_vaut(data["vaut"])
-        e = parse_element(data["element"])
-        fine = parse_element(data["fine"])
-        return limit_equal(vaut_act(v, fine), vaut_act(v, e))
-    if law == "composition":
-        v1 = parse_vaut(data["vaut1"])
-        v2 = parse_vaut(data["vaut2"])
-        e = parse_element(data["element"])
-        return limit_equal(
-            vaut_act(vaut_compose(v1, v2), e), vaut_act(v1, vaut_act(v2, e))
-        )
-    raise DocumentError(f"unknown vaut law {law!r}")
+    if not isinstance(law, str) or law not in _LAWS:
+        raise DocumentError(f"unknown vaut law {law!r}")
+    check, fields = _LAWS[law]
+    args = [(parse_vaut if f.startswith("vaut") else parse_element)(data[f]) for f in fields]
+    return check(*args)
 
 
 # -- theorem3 (normalized-pairing invariance; the suite name is part of the CLI)

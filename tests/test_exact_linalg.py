@@ -7,18 +7,25 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from covertower.exact_linalg import (
     extreme_rays,
-    is_unimodular,
     mat_mul,
     mat_vec,
     rational_nullspace,
     rational_rank,
     smith_normal_form,
-    solve_exact,
+    solve_exact_many,
 )
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+# Matrices with no rows or no columns, as (matrix, rows, cols).
+EMPTY_MATRICES = [([], 0, 0), ([], 0, 3), ([[], [], []], 3, 0)]
+
+
+def solve_one(mat, rhs):
+    return solve_exact_many(mat, [rhs])[0]
 
 
 def test_smith_divisors_match_sympy():
@@ -57,6 +64,8 @@ def test_rational_rank_matches_sympy():
     for trial in range(25):
         mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert rational_rank(mat) == sympy.Matrix(mat).rank()
+    for mat, rows, cols in EMPTY_MATRICES:
+        assert rational_rank(mat) == sympy.zeros(rows, cols).rank() == 0
 
 
 def test_nullspace_matches_sympy_dimension():
@@ -70,6 +79,11 @@ def test_nullspace_matches_sympy_dimension():
         for vec in basis:
             image = [sum(Fraction(a) * x for a, x in zip(row, vec)) for row in mat]
             assert all(entry == 0 for entry in image)
+    for mat, rows, cols in EMPTY_MATRICES:
+        basis = rational_nullspace(mat, cols)
+        assert len(basis) == cols - sympy.zeros(rows, cols).rank()
+        # with no equations the nullspace is the whole space, in unit vectors
+        assert basis == [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
 
 
 def test_solve_exact_round_trip():
@@ -80,7 +94,7 @@ def test_solve_exact_round_trip():
         mat = random_matrix(rng, n, n)
         x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         rhs = [sum(Fraction(a) * xi for a, xi in zip(row, x)) for row in mat]
-        got = solve_exact(mat, rhs)
+        got = solve_one(mat, rhs)
         if sympy.Matrix(mat).rank() < n:
             # singular systems may still be consistent; any returned solution must work
             if got is not None:
@@ -90,15 +104,16 @@ def test_solve_exact_round_trip():
         assert got == x
         solved += 1
     assert solved > 10
+    assert solve_one([], []) == []
+    assert solve_one([[], []], [0, 0]) == []
 
 
 def test_solve_exact_inconsistent():
-    assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_one([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_one([[], []], [0, 1]) is None
 
 
 def test_solve_exact_many_matches_single():
-    from covertower.exact_linalg import solve_exact_many
-
     rng = random.Random(37)
     for trial in range(15):
         m = rng.randint(1, 5)
@@ -106,15 +121,19 @@ def test_solve_exact_many_matches_single():
         mat = random_matrix(rng, m, n)
         cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(4)]
         batched = solve_exact_many(mat, cols)
+        assert len(batched) == len(cols)
+        rank = sympy.Matrix(mat).rank()
         for col, got in zip(cols, batched):
-            assert got == solve_exact(mat, col)
-
-
-def test_is_unimodular():
-    assert is_unimodular([[1, 0], [0, 1]])
-    assert is_unimodular([[2, 1], [1, 1]])
-    assert not is_unimodular([[2, 0], [0, 1]])
-    assert not is_unimodular([[1, 1], [1, 1]])
+            assert got == solve_one(mat, col)
+            consistent = sympy.Matrix(mat).row_join(sympy.Matrix(col)).rank() == rank
+            assert (got is not None) == consistent
+            if got is not None:
+                image = [sum(Fraction(a) * xi for a, xi in zip(row, got)) for row in mat]
+                assert image == col
+    for mat, rows, cols in EMPTY_MATRICES:
+        rhs = [[0] * rows, [1] * rows]
+        assert solve_exact_many(mat, rhs) == [solve_one(mat, col) for col in rhs]
+        assert solve_exact_many(mat, []) == []
 
 
 def test_extreme_rays_quadrant():

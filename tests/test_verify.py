@@ -3,7 +3,12 @@ import json
 import pytest
 
 from covertower.characteristic import shipped_automorphisms
-from covertower.covers import double_cover_from_signs, enumerate_covers
+from covertower.covers import (
+    double_cover_from_signs,
+    enumerate_covers,
+    factors_through,
+    trivial_cover,
+)
 from covertower.documents import (
     DocumentError,
     counterexample_document,
@@ -15,8 +20,8 @@ from covertower.documents import (
     vaut_document,
 )
 from covertower.homology import surface_complex
-from covertower.limits import base_class_element, cycle_element
-from covertower.vauts import vaut_from_automorphism
+from covertower.limits import base_class_element, cycle_element, lift_element
+from covertower.vauts import restrict_vaut, vaut_from_automorphism
 from covertower.verify import SUITES, replay_counterexample, run_suite
 
 
@@ -81,6 +86,36 @@ def test_replay_vaut_laws():
     assert replay_counterexample("vaut-laws", data)
     with pytest.raises(DocumentError):
         replay_counterexample("vaut-laws", {"law": "mystery"})
+
+    auts = {a.name: vaut_from_automorphism(a) for a in shipped_automorphisms(2)}
+    twist = auts["twist_b1_along_a1"]
+    swap = auts["handle_swap"]
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    restricted = restrict_vaut(swap, cover)
+    for v in (twist, swap, restricted):
+        data = {"law": "inverse", "vaut": vaut_document(v), "element": element_document(e)}
+        assert replay_counterexample("vaut-laws", data)
+
+    fine = lift_element(e, factors_through(cover, trivial_cover(2)))
+    data = {
+        "law": "representative-independence",
+        "vaut": vaut_document(twist),
+        "element": element_document(e),
+        "fine": element_document(fine),
+    }
+    assert replay_counterexample("vaut-laws", data)
+    # a "fine" representative of a different class: the law genuinely fails
+    other = cycle_element(cover, surface_complex(cover).transfer((0, 1, 0, 0)))
+    assert not replay_counterexample("vaut-laws", dict(data, fine=element_document(other)))
+
+    for v1, v2 in ((twist, swap), (swap, restricted)):
+        data = {
+            "law": "composition",
+            "vaut1": vaut_document(v1),
+            "vaut2": vaut_document(v2),
+            "element": element_document(e),
+        }
+        assert replay_counterexample("vaut-laws", data)
 
 
 def test_replay_theorem3_detects_orientation_reversal():
