@@ -25,7 +25,6 @@ from .documents import (
     parse_cover,
     parse_cycle,
     parse_element,
-    parse_rational,
     parse_vaut,
     rational_str,
     vaut_document,
@@ -33,7 +32,6 @@ from .documents import (
 )
 from .homology import surface_complex
 from .limits import (
-    LimitElement,
     base_class_element,
     cycle_element,
     lift_element,
@@ -42,7 +40,6 @@ from .limits import (
 )
 from .surface import generator_count, standard_symplectic
 from .vauts import (
-    TwoArrowVaut,
     identity_vaut,
     pairing_preserved,
     restrict_vaut,
