@@ -15,7 +15,7 @@ from .covers import SurfaceCover, nontree_edges, schreier_loop, tree_data
 from .errors import CovertowerError
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
-from .surface import Word, free_reduce, inverse_word
+from .surface import Word, free_reduce, generator_count, inverse_word
 from .traintrack import LiftedTrack, Switch, TrainTrack
 from .vauts import TwoArrowVaut
 from .characteristic import SurfaceAutomorphism
@@ -44,14 +44,19 @@ def _word_out(word) -> list[int]:
     return [int(x) for x in word]
 
 
-def _word_in(data) -> Word:
+def _word_in(data, genus: int, field: str) -> Word:
     try:
         word = tuple(int(x) for x in data)
     except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad word {data!r}") from exc
-    if any(x == 0 for x in word):
-        raise DocumentError("word letters are nonzero signed integers")
+        raise DocumentError(f"{field}: bad word {data!r}") from exc
+    n = generator_count(genus)
+    if any(not 0 < abs(x) <= n for x in word):
+        raise DocumentError(f"{field}: letters must be nonzero, at most {n} in size")
     return word
+
+
+def _words_in(data, genus: int, field: str) -> tuple[Word, ...]:
+    return tuple(_word_in(w, genus, f"{field}[{k}]") for k, w in enumerate(data))
 
 
 def rational_str(value) -> str:
@@ -114,9 +119,12 @@ def parse_cycle(doc) -> LimitElement:
     cx = surface_complex(cover)
     chain = cx.zero_chain()
     try:
-        for i, s, coeff in doc["edges"]:
-            chain[cx.edge_index(int(i) - 1, int(s) - 1)] += int(coeff)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        for k, (i, s, coeff) in enumerate(doc["edges"]):
+            i, s = int(i), int(s)
+            if not (0 < i <= cx.n_generators and 0 < s <= cover.degree):
+                raise DocumentError(f"edges[{k}]: generator {i} or sheet {s} out of range")
+            chain[cx.edge_index(i - 1, s - 1)] += int(coeff)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad cycle document: {exc}") from exc
     return cycle_element(cover, chain)
 
@@ -143,7 +151,7 @@ def parse_track(doc) -> TrainTrack:
     _expect(doc, "track")
     try:
         genus = int(doc["genus"])
-        words = tuple(_word_in(w) for w in doc["branch_words"])
+        words = _words_in(doc["branch_words"], genus, "branch_words")
         switches = tuple(
             Switch(
                 tuple((int(b) - 1, int(end)) for b, end in sw["side_a"]),
@@ -266,8 +274,8 @@ def parse_vaut(doc) -> TwoArrowVaut:
     ident = doc.get("identification")
     if isinstance(ident, dict):
         try:
-            fwd = tuple(_word_in(w) for w in ident["fwd"])
-            bwd = tuple(_word_in(w) for w in ident["bwd"])
+            fwd = _words_in(ident["fwd"], left.genus, "identification.fwd")
+            bwd = _words_in(ident["bwd"], left.genus, "identification.bwd")
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"bad identification tables: {exc}") from exc
     elif isinstance(ident, list):
@@ -310,11 +318,11 @@ def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
         return tuple(
             SurfaceAutomorphism(
                 genus,
-                tuple(_word_in(w) for w in item["images"]),
-                tuple(_word_in(w) for w in item["inverse_images"]),
+                _words_in(item["images"], genus, f"items[{j}].images"),
+                _words_in(item["inverse_images"], genus, f"items[{j}].inverse_images"),
                 str(item.get("name", "")),
             )
-            for item in items
+            for j, item in enumerate(items)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad automorphisms document: {exc}") from exc

@@ -115,9 +115,8 @@ def smith_normal_form(mat):
 def _rref(rows, n: int) -> list[int]:
     """Gauss-Jordan elimination in place on rows of Fractions.
 
-    Pivots are taken in the first n columns only; later columns (augmented
-    right-hand sides) are carried along.  Returns the pivot column of each
-    leading row, in order.
+    Pivots are taken in the first n columns.  Returns the pivot column of
+    each leading row, in order.
     """
     pivots: list[int] = []
     for col in range(n):
@@ -158,31 +157,6 @@ def rational_nullspace(mat, n_cols: int | None = None):
             vec[pc] = -row[c]
         basis.append(vec)
     return basis
-
-
-def solve_exact_many(mat, rhs_columns):
-    """Solve mat @ x = rhs over the rationals for several right-hand sides.
-
-    One elimination serves every column.  Free variables of an
-    underdetermined system are set to zero; a slot is None when its system
-    is inconsistent.
-    """
-    n = len(mat[0]) if mat else 0
-    a = [
-        [Fraction(x) for x in row] + [Fraction(col[i]) for col in rhs_columns]
-        for i, row in enumerate(mat)
-    ]
-    pivots = _rref(a, n)
-    solutions = []
-    for j in range(n, n + len(rhs_columns)):
-        if any(row[j] != 0 for row in a[len(pivots):]):
-            solutions.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for row, c in zip(a, pivots):
-            x[c] = row[j]
-        solutions.append(x)
-    return solutions
 
 
 def mat_mul(a, b):

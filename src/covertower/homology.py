@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .covers import SurfaceCover, nontree_edges, tree_data
+from .covers import SurfaceCover, nontree_edges, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
-from .exact_linalg import smith_normal_form
+from .exact_linalg import mat_mul, smith_normal_form
 from .surface import generator_count, surface_relator
 
 
@@ -215,9 +215,6 @@ class CoverComplex:
             return self._homology
         cover = self.cover
         nontree = nontree_edges(cover)
-        nt_index = {
-            self.edge_index(i, s): k for k, (i, s) in enumerate(nontree)
-        }
         r = len(nontree)
         face_rows = []
         for face in self.faces:
@@ -227,11 +224,9 @@ class CoverComplex:
         rank = len(divisors)
         if any(e != 1 for e in divisors):
             raise ComplexMismatch("face lattice is not primitive; homology has torsion")
-        # Fundamental cycles: the unique cycle with a single nontree coordinate.
-        fundamental = []
-        for (i, s) in nontree:
-            chain = self._fundamental_cycle(i, s)
-            fundamental.append(chain)
+        # Fundamental cycles: the chain of each Schreier loop, the unique
+        # cycle with a single nontree coordinate.
+        fundamental = [self.word_path_chain(schreier_loop(cover, e), 0) for e in nontree]
         basis = []
         for j in range(rank, r):
             chain = self.zero_chain()
@@ -243,22 +238,12 @@ class CoverComplex:
             basis.append(chain)
         self._homology = {
             "nontree": nontree,
-            "nt_index": nt_index,
             "rank": rank,
             "v": v,
             "vinv": vinv,
-            "fundamental": fundamental,
             "basis": basis,
         }
         return self._homology
-
-    def _fundamental_cycle(self, gen: int, sheet: int):
-        _, words = tree_data(self.cover)
-        head = self.cover.perms[gen][sheet]
-        chain = self.word_path_chain(words[sheet], 0)
-        chain[self.edge_index(gen, sheet)] += 1
-        back = self.word_path_chain(words[head], 0)
-        return [x - y for x, y in zip(chain, back)]
 
     def homology_rank(self) -> int:
         data = self._homology_data()
@@ -280,6 +265,22 @@ class CoverComplex:
         r = len(nontree)
         y = [sum(x[k] * v[k][j] for k in range(r)) for j in range(data["rank"], r)]
         return tuple(y)
+
+    def loop_map(self, images):
+        """Matrix of the homology map that sends each Schreier loop to a class.
+
+        images[k] holds the class coordinates, on the target surface, of the
+        image of the loop through nontree edge k.  The class of that loop is
+        row k of V[:, rank:], and Vinv[rank:] is a left inverse of that
+        block, so a map X with V[:, rank:] @ X = images can only be
+        Vinv[rank:] @ images, an integer matrix.  Returns X, or None when no
+        linear map sends the loops to these classes.
+        """
+        data = self._homology_data()
+        rank = data["rank"]
+        x = mat_mul(data["vinv"][rank:], images)
+        loops = [row[rank:] for row in data["v"]]
+        return x if mat_mul(loops, x) == [list(row) for row in images] else None
 
     # -- intersection pairing
 

@@ -144,11 +144,6 @@ class LiftedTrack:
     def branch_index(self, b: int, s: int) -> int:
         return b * self.cover.degree + s
 
-    def branch_endpoints(self, b: int, s: int):
-        """Lifted switches at the two ends of lifted branch (b, s)."""
-        sw0, sw1 = self.base.branch_ends[b]
-        return (sw0, s), (sw1, self.cover.act(self.base.branch_words[b], s))
-
     def lifted_switch_sides(self, k: int, s: int):
         """Half-branches of the lifted switch (k, s), both sides.
 

@@ -30,7 +30,7 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
-from .exact_linalg import solve_exact_many
+from .exact_linalg import mat_mul
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
 from .surface import Word, free_reduce, inverse_word
@@ -67,26 +67,11 @@ def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
     return free_reduce(out)
 
 
-def _loop_class_matrix(cover: SurfaceCover):
-    """Rows: homology coordinates of each Schreier generator's loop."""
-    cx = surface_complex(cover)
-    return [
-        list(cx.class_coordinates(cx.word_path_chain(schreier_loop(cover, e), 0)))
-        for e in nontree_edges(cover)
-    ]
-
-
-def _image_class_matrix(cover: SurfaceCover, words):
-    cx = surface_complex(cover)
-    return [list(cx.class_coordinates(cx.word_path_chain(w, 0))) for w in words]
-
-
-def _induced_matrix(a, f, columns: int):
-    """Solve a @ x = f for every column at once; None when inconsistent."""
-    x_cols = solve_exact_many(a, [[row[j] for row in f] for j in range(columns)])
-    if any(col is None for col in x_cols):
-        return None
-    return [[x_cols[j][i] for j in range(columns)] for i in range(columns)]
+def _homology_map(source: SurfaceCover, target: SurfaceCover, table):
+    """Map a table of Schreier-generator images induces on homology, or None."""
+    cx = surface_complex(target)
+    images = [cx.class_coordinates(cx.word_path_chain(w, 0)) for w in table]
+    return surface_complex(source).loop_map(images)
 
 
 @dataclass(frozen=True)
@@ -129,32 +114,16 @@ class TwoArrowVaut:
                 raise InvalidAutomorphism(
                     "backward image does not lie in the left stabilizer"
                 )
-        t = 2 * self.left.total_genus
-        x = _induced_matrix(
-            _loop_class_matrix(self.left), _image_class_matrix(self.right, fwd), t
-        )
-        y = _induced_matrix(
-            _loop_class_matrix(self.right), _image_class_matrix(self.left, bwd), t
-        )
+        x = _homology_map(self.left, self.right, fwd)
+        y = _homology_map(self.right, self.left, bwd)
         if x is None or y is None:
             raise InvalidAutomorphism(
                 "identification does not induce a linear map on homology"
             )
-        for matrix in (x, y):
-            for row in matrix:
-                for entry in row:
-                    if entry.denominator != 1:
-                        raise InvalidAutomorphism(
-                            "induced homology map is not integral"
-                        )
-        for a, b in ((x, y), (y, x)):
-            for i in range(t):
-                for j in range(t):
-                    prod = sum(a[i][k] * b[k][j] for k in range(t))
-                    if prod != (1 if i == j else 0):
-                        raise InvalidAutomorphism(
-                            "identification is not invertible on homology"
-                        )
+        # square matrices: a one-sided inverse is two-sided
+        t = len(x)
+        if mat_mul(x, y) != [[int(i == j) for j in range(t)] for i in range(t)]:
+            raise InvalidAutomorphism("identification is not invertible on homology")
 
     @property
     def base_genus(self) -> int:

@@ -30,6 +30,7 @@ from .documents import (
     vaut_document,
     DocumentError,
 )
+from .errors import CovertowerError
 from .homology import surface_complex
 from .limits import (
     base_class_element,
@@ -103,8 +104,18 @@ def suite_riemann_hurwitz(genus: int, max_degree: int, seed: int, jobs: int):
     return _sweep("riemann-hurwitz", _rh_one, genus, max_degree, jobs)
 
 
+def _field(data, key: str, parse):
+    """Parse one counterexample field; a missing or malformed one is named."""
+    if key not in data:
+        raise DocumentError(f"counterexample data lacks the {key!r} field")
+    try:
+        return parse(data[key])
+    except (CovertowerError, ValueError) as exc:
+        raise DocumentError(f"counterexample field {key!r}: {exc}") from exc
+
+
 def _replay_riemann_hurwitz(data) -> bool:
-    cover = parse_cover(data["cover"])
+    cover = _field(data, "cover", parse_cover)
     return surface_complex(cover).genus == cover.total_genus
 
 
@@ -147,7 +158,7 @@ def suite_transfer_scaling(genus: int, max_degree: int, seed: int, jobs: int):
 
 
 def _replay_transfer_scaling(data) -> bool:
-    return _ts_one(parse_cover(data["cover"])) is None
+    return _ts_one(_field(data, "cover", parse_cover)) is None
 
 
 # -- pairing-invariance
@@ -213,8 +224,10 @@ def suite_pairing_invariance(genus: int, max_degree: int, seed: int, jobs: int):
 
 
 def _replay_pairing_invariance(data) -> bool:
-    cover = parse_cover(data["cover"])
-    cycles = [parse_cycle(data[key]).payload for key in ("c1", "c2", "moved1", "moved2")]
+    cover = _field(data, "cover", parse_cover)
+    cycles = [
+        _field(data, key, parse_cycle).payload for key in ("c1", "c2", "moved1", "moved2")
+    ]
     return _pi_witness(surface_complex(cover), *cycles) is None
 
 
@@ -314,7 +327,10 @@ def _replay_vaut_laws(data) -> bool:
     if not isinstance(law, str) or law not in _LAWS:
         raise DocumentError(f"unknown vaut law {law!r}")
     check, fields = _LAWS[law]
-    args = [(parse_vaut if f.startswith("vaut") else parse_element)(data[f]) for f in fields]
+    args = [
+        _field(data, f, parse_vaut if f.startswith("vaut") else parse_element)
+        for f in fields
+    ]
     return check(*args)
 
 
@@ -378,9 +394,10 @@ def suite_theorem3(genus: int, max_degree: int, seed: int, jobs: int):
 
 def _replay_theorem3(data) -> bool:
     if data.get("what") == "vaut-preservation":
-        v = parse_vaut(data["vaut"])
-        return pairing_preserved(v, parse_element(data["e1"]), parse_element(data["e2"]))
-    cover = parse_cover(data["cover"])
+        v = _field(data, "vaut", parse_vaut)
+        e1, e2 = (_field(data, key, parse_element) for key in ("e1", "e2"))
+        return pairing_preserved(v, e1, e2)
+    cover = _field(data, "cover", parse_cover)
     return _t3_one(cover, cover.genus) is None
 
 

@@ -174,6 +174,48 @@ def test_verify_replay_exit_codes(tmp_path, capsys):
     assert "reproduces" in out
 
 
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_verify_replay_missing_field_exit_2(tmp_path, capsys):
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    for data in ({}, {"cover": 5}, {"cover": {"genus": 2}}):
+        doc = counterexample_document("riemann-hurwitz", data)
+        path = write_doc(tmp_path, "rh.json", doc)
+        code, err = run_err(capsys, "verify", "--replay", path)
+        assert code == 2
+        assert "'cover'" in err and "Traceback" not in err
+    holds = counterexample_document("riemann-hurwitz", {"cover": cover_document(cover)})
+    code, _ = run(capsys, "verify", "--replay", write_doc(tmp_path, "ok.json", holds))
+    assert code == 0
+    vaut = counterexample_document("theorem3", {"what": "vaut-preservation", "e1": {}})
+    code, err = run_err(capsys, "verify", "--replay", write_doc(tmp_path, "t3.json", vaut))
+    assert code == 2
+    assert "'vaut'" in err
+
+
+def test_out_of_range_word_letters_exit_2(tmp_path, capsys):
+    doc = vaut_document(identity_vaut(2))
+    doc["identification"]["fwd"][0] = [9]
+    vp = write_doc(tmp_path, "vaut.json", doc)
+    ep = write_doc(tmp_path, "elem.json", element_document(base_class_element(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "vaut-act", "--vaut", vp, "--elem", ep)
+    assert code == 2
+    assert "identification.fwd[0]" in err
+
+    doc = track_document(three_branch_example())
+    doc["branch_words"][0] = [9]
+    track = write_doc(tmp_path, "track.json", doc)
+    cover = write_doc(
+        tmp_path, "cover.json", cover_document(double_cover_from_signs(2, (1, 0, 0, 0)))
+    )
+    code, err = run_err(capsys, "lift-track", "--track", track, "--cover", cover)
+    assert code == 2
+    assert "branch_words[0]" in err
+
+
 def test_bad_documents_exit_2(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")

@@ -110,6 +110,23 @@ def test_cycle_document_rejects_open_chains():
         parse_cycle(doc)
 
 
+def test_cycle_document_rejects_out_of_range_edges():
+    # generator 0 or sheet 3 used to wrap around to another edge of the
+    # degree-2 cover and parse silently as a different cycle
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    doc = cycle_document(cycle_element(cover, surface_complex(cover).transfer((1, 0, 0, 0))))
+    for edges, bad in (
+        ([[0, 1, 1], [0, 2, 1]], 0),
+        ([[1, 3, 1]], 0),
+        ([[1, 1, 1], [1, 2, 1], [2, 3, 1]], 2),
+        ([[5, 1, 1]], 0),
+        ([[1, 0, 1]], 0),
+    ):
+        doc["edges"] = edges
+        with pytest.raises(DocumentError, match=rf"edges\[{bad}\]"):
+            parse_cycle(doc)
+
+
 def test_track_round_trip():
     track = three_branch_example()
     doc = track_document(track)

@@ -12,7 +12,6 @@ from covertower.exact_linalg import (
     rational_nullspace,
     rational_rank,
     smith_normal_form,
-    solve_exact_many,
 )
 
 
@@ -22,10 +21,6 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
 
 # Matrices with no rows or no columns, as (matrix, rows, cols).
 EMPTY_MATRICES = [([], 0, 0), ([], 0, 3), ([[], [], []], 3, 0)]
-
-
-def solve_one(mat, rhs):
-    return solve_exact_many(mat, [rhs])[0]
 
 
 def test_smith_divisors_match_sympy():
@@ -84,56 +79,6 @@ def test_nullspace_matches_sympy_dimension():
         assert len(basis) == cols - sympy.zeros(rows, cols).rank()
         # with no equations the nullspace is the whole space, in unit vectors
         assert basis == [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-
-
-def test_solve_exact_round_trip():
-    rng = random.Random(23)
-    solved = 0
-    for trial in range(40):
-        n = rng.randint(1, 5)
-        mat = random_matrix(rng, n, n)
-        x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        rhs = [sum(Fraction(a) * xi for a, xi in zip(row, x)) for row in mat]
-        got = solve_one(mat, rhs)
-        if sympy.Matrix(mat).rank() < n:
-            # singular systems may still be consistent; any returned solution must work
-            if got is not None:
-                image = [sum(Fraction(a) * xi for a, xi in zip(row, got)) for row in mat]
-                assert image == rhs
-            continue
-        assert got == x
-        solved += 1
-    assert solved > 10
-    assert solve_one([], []) == []
-    assert solve_one([[], []], [0, 0]) == []
-
-
-def test_solve_exact_inconsistent():
-    assert solve_one([[1, 1], [1, 1]], [0, 1]) is None
-    assert solve_one([[], []], [0, 1]) is None
-
-
-def test_solve_exact_many_matches_single():
-    rng = random.Random(37)
-    for trial in range(15):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        mat = random_matrix(rng, m, n)
-        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(4)]
-        batched = solve_exact_many(mat, cols)
-        assert len(batched) == len(cols)
-        rank = sympy.Matrix(mat).rank()
-        for col, got in zip(cols, batched):
-            assert got == solve_one(mat, col)
-            consistent = sympy.Matrix(mat).row_join(sympy.Matrix(col)).rank() == rank
-            assert (got is not None) == consistent
-            if got is not None:
-                image = [sum(Fraction(a) * xi for a, xi in zip(row, got)) for row in mat]
-                assert image == col
-    for mat, rows, cols in EMPTY_MATRICES:
-        rhs = [[0] * rows, [1] * rows]
-        assert solve_exact_many(mat, rhs) == [solve_one(mat, col) for col in rhs]
-        assert solve_exact_many(mat, []) == []
 
 
 def test_extreme_rays_quadrant():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
@@ -91,8 +92,66 @@ def test_rejects_homologically_singular_tables():
     cover = trivial_cover(2)
     squash = ((1,),) * 4
     ident = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
-    with pytest.raises(InvalidAutomorphism):
+    with pytest.raises(InvalidAutomorphism, match="not invertible on homology"):
         TwoArrowVaut(cover, cover, squash, ident)
+
+
+def test_rejects_tables_without_a_linear_homology_map():
+    # sending two Schreier loops to the same loop breaks a face relation
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    ident = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
+    fwd = (ident[0], ident[0]) + ident[2:]
+    with pytest.raises(InvalidAutomorphism, match="does not induce a linear map"):
+        TwoArrowVaut(cover, cover, fwd, ident)
+
+
+def _sympy_loop_map(source, target, table):
+    """Solve A @ X = F over the rationals with sympy; None when inconsistent.
+
+    Row k of A holds the class of Schreier loop k of the source, row k of F
+    the class of its table image on the target.
+    """
+    src, dst = surface_complex(source), surface_complex(target)
+    a = sympy.Matrix([
+        src.class_coordinates(src.word_path_chain(schreier_loop(source, e), 0))
+        for e in nontree_edges(source)
+    ])
+    f = sympy.Matrix([dst.class_coordinates(dst.word_path_chain(w, 0)) for w in table])
+    try:
+        x, params = a.gauss_jordan_solve(f)
+    except ValueError:
+        return None
+    assert params.shape[0] == 0  # the loop classes span homology: X is unique
+    return x.tolist()
+
+
+def test_loop_map_matches_sympy_solve():
+    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    covers = enumerate_covers(2, 2)
+    rng = random.Random(41)
+    vauts = [restrict_vaut(v, rng.choice(covers)) for v in shipped for _ in range(2)]
+    vauts += [vaut_compose(rng.choice(shipped), rng.choice(vauts)) for _ in range(6)]
+    vauts += [vaut_compose(rng.choice(vauts), rng.choice(shipped)) for _ in range(6)]
+    cases = []
+    for v in vauts:
+        assert max(v.left.degree, v.right.degree) <= 2
+        cases += [(v.left, v.right, v.fwd), (v.right, v.left, v.bwd)]
+    for _ in range(24):
+        cover = rng.choice(covers)
+        loops = [schreier_loop(cover, e) for e in nontree_edges(cover)]
+        table = list(loops)
+        for _ in range(rng.randint(1, 2)):
+            table[rng.randrange(len(table))] = rng.choice(loops) + rng.choice(loops)
+        cases.append((cover, cover, table))
+    found = set()
+    for source, target, table in cases:
+        dst = surface_complex(target)
+        images = [dst.class_coordinates(dst.word_path_chain(w, 0)) for w in table]
+        got = surface_complex(source).loop_map(images)
+        want = _sympy_loop_map(source, target, table)
+        assert got == want
+        found.add(got is None)
+    assert found == {True, False}
 
 
 def test_rejects_mismatched_covers():
