@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characteristic import (
@@ -180,6 +181,21 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covertower",
@@ -188,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="all pointed covers of one degree, as JSON lines")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_int_at_least(2), required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -240,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "riemann-hurwitz", "transfer-scaling", "pairing-invariance",
         "vaut-laws", "theorem3",
     ])
-    p.add_argument("--genus", type=int, default=2)
+    p.add_argument("--genus", type=_int_at_least(2), default=2)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -249,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("orbit", help="transvection orbit density experiment")
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--targets", type=int, default=256)
+    p.add_argument("--steps", type=_int_at_least(0), default=100_000)
+    p.add_argument("--targets", type=_int_at_least(1), default=256)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_orbit)
 
@@ -261,7 +277,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `covertower enumerate ... | head`
+        # does.  Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ independent computation rather than a definition.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .covers import SurfaceCover, nontree_edges, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
@@ -31,6 +32,8 @@ class CoverComplex:
         self.n_generators = generator_count(g)
         self.n_vertices = d
         self.n_edges = self.n_generators * d
+        self._tails = list(range(d)) * self.n_generators
+        self._heads = [t for perm in cover.perms for t in perm]
         self.rotation = self._build_rotation()
         self.rotation_position = {}
         for v, darts in enumerate(self.rotation):
@@ -48,13 +51,7 @@ class CoverComplex:
         return divmod(e, self.cover.degree)
 
     def edge_ends(self, e: int) -> tuple[int, int]:
-        i, s = self.edge_of_index(e)
-        return s, self.cover.perms[i][s]
-
-    def dart_tail(self, dart: int) -> int:
-        e, rev = divmod(dart, 2)
-        tail, head = self.edge_ends(e)
-        return head if rev else tail
+        return self._tails[e], self._heads[e]
 
     # -- cell structure
 
@@ -144,7 +141,7 @@ class CoverComplex:
             first_gen = [dart for dart, letter in zip(face, word) if letter == 1]
             if len(first_gen) != 1:
                 raise ComplexMismatch("face does not cross a1 exactly once")
-            marks.add(self.dart_tail(first_gen[0]))
+            marks.add(self._tails[first_gen[0] // 2])
         if len(marks) != d:
             raise ComplexMismatch("faces are not separated by their a1 edges")
 
@@ -155,15 +152,14 @@ class CoverComplex:
 
     def chain_boundary(self, chain):
         out = [0] * self.n_vertices
-        for e, coeff in enumerate(chain):
+        for coeff, tail, head in zip(chain, self._tails, self._heads):
             if coeff:
-                tail, head = self.edge_ends(e)
                 out[head] += coeff
                 out[tail] -= coeff
         return out
 
     def is_cycle(self, chain) -> bool:
-        return all(x == 0 for x in self.chain_boundary(chain))
+        return not any(self.chain_boundary(chain))
 
     def face_boundary_chain(self, face):
         chain = self.zero_chain()
@@ -176,23 +172,14 @@ class CoverComplex:
         """Sum of all lifts of each base generator loop, as a cycle."""
         if len(base_class) != self.n_generators:
             raise DimensionMismatch("base class has wrong length")
-        chain = self.zero_chain()
-        for i, coeff in enumerate(base_class):
-            if coeff:
-                for s in range(self.cover.degree):
-                    chain[self.edge_index(i, s)] = coeff
-        return chain
+        return [coeff for coeff in base_class for _ in range(self.cover.degree)]
 
     def pushforward(self, chain):
         """Image of a cover chain in the base: forget the sheet of every edge."""
         if len(chain) != self.n_edges:
             raise DimensionMismatch("chain has wrong length")
-        out = [0] * self.n_generators
-        for e, coeff in enumerate(chain):
-            if coeff:
-                i, _ = self.edge_of_index(e)
-                out[i] += coeff
-        return out
+        d = self.cover.degree
+        return [sum(chain[e : e + d]) for e in range(0, self.n_edges, d)]
 
     def word_path_chain(self, word, sheet: int):
         """Edge chain of the lift of a base path word starting at a sheet."""
@@ -245,10 +232,6 @@ class CoverComplex:
         }
         return self._homology
 
-    def homology_rank(self) -> int:
-        data = self._homology_data()
-        return len(data["basis"])
-
     def homology_basis(self):
         return [list(c) for c in self._homology_data()["basis"]]
 
@@ -287,71 +270,41 @@ class CoverComplex:
     def intersection(self, chain1, chain2) -> int:
         """Signed crossing count of two cycles, pushing the second off the first.
 
-        Both cycles are split into strands through each vertex: arriving ends
-        are matched to departing ends in rotation order.  The second cycle's
-        ends are nudged a quarter slot (later for departures, earlier for
-        arrivals), which is the parallel-copy shift; crossings then only
-        happen between strand chords inside vertices, counted with the sign
-        of the rotation order.
+        Let phi_c(v, p) be the net outflow of a chain c at position p of the
+        rotation at vertex v: c[e] for the forward dart 2e, -c[e] for the
+        reverse dart 2e+1.  Then
+
+            intersection(x, y) = -sum_e x_e*y_e
+                                 - sum_v sum_{p' < p} phi_x(v, p')*phi_y(v, p).
+
+        This is the closed form of the strand count that the tests keep as
+        the oracle: split both cycles into strands through each vertex and
+        push y's ends a quarter slot off x's (departures later, arrivals
+        earlier).  A chord of x from an arrival at a to a departure at b
+        meets y's departures minus arrivals inside it, that is
+        S(b) - S(a) - phi_y(a) + dep_y(a) - arr_y(b), S(p) the sum of phi_y
+        before p.  As y is balanced at v, this holds for chords that wrap
+        too, so no matching of ends matters.  Over x's chords it sums to
+        sum_p S(p)*phi_x(p) - sum_p arr_y(p)*phi_x(p); the second sum is
+        max(-y_e, 0)*x_e at the tail of e plus max(y_e, 0)*(-x_e) at its
+        head, -x_e*y_e per edge.  Both cycles are balanced and
+        sum_p phi_x*phi_y = 2*sum_e x_e*y_e, so moving the running sum onto
+        phi_x gives the form above.
         """
         for chain in (chain1, chain2):
             if len(chain) != self.n_edges:
                 raise ComplexMismatch("chain has wrong length")
             if not self.is_cycle(chain):
                 raise ComplexMismatch("chain is not a cycle")
-        total = 0
-        m = 4 * len(self.rotation[0])
-        for v in range(self.n_vertices):
-            strands1 = self._vertex_strands(chain1, v, 0)
-            strands2 = self._vertex_strands(chain2, v, 1)
-            for x1, x2 in strands1:
-                arc = (x2 - x1) % m
-                for y1, y2 in strands2:
-                    in1 = (y1 - x1) % m < arc
-                    in2 = (y2 - x1) % m < arc
-                    if in2 and not in1:
-                        total += 1
-                    elif in1 and not in2:
-                        total -= 1
+        out1 = [f for c in chain1 for f in (c, -c)]
+        out2 = [f for c in chain2 for f in (c, -c)]
+        total = -sum(map(mul, chain1, chain2))
+        for ring in self.rotation:
+            run = 0
+            for dart in ring:
+                total -= run * out2[dart]
+                run += out1[dart]
         return total
-
-    def _vertex_strands(self, chain, v: int, offset: int):
-        """Strands of a cycle through vertex v as (arrive, depart) positions.
-
-        offset 0 keeps ends on integer rotation slots; offset 1 shifts
-        departures +1/4 and arrivals -1/4 slot, producing the parallel copy.
-        """
-        arrive = []
-        depart = []
-        ring = self.rotation[v]
-        for pos, dart in enumerate(ring):
-            e, rev = divmod(dart, 2)
-            coeff = chain[e]
-            if coeff == 0:
-                continue
-            # Forward dart at its tail: traversals leave v along it (count
-            # +coeff); its reverse appears at the head vertex where forward
-            # traversals arrive.
-            if rev == 0:
-                leaving, arriving = max(coeff, 0), max(-coeff, 0)
-            else:
-                leaving, arriving = max(-coeff, 0), max(coeff, 0)
-            for _ in range(leaving):
-                depart.append(4 * pos + offset)
-            for _ in range(arriving):
-                arrive.append(4 * pos - offset)
-        arrive.sort()
-        depart.sort()
-        if len(arrive) != len(depart):
-            raise ComplexMismatch("cycle has unbalanced ends at a vertex")
-        return list(zip(arrive, depart))
-
-    def pairing_matrix(self):
-        basis = self._homology_data()["basis"]
-        return [
-            [self.intersection(b1, b2) for b2 in basis]
-            for b1 in basis
-        ]
 
 
 @lru_cache(maxsize=None)
@@ -363,12 +316,8 @@ def surface_complex(cover: SurfaceCover) -> CoverComplex:
 
 def transfer_along_arrow(arrow, chain):
     """Pull a chain on the arrow's target back to the full preimage chain."""
-    src = surface_complex(arrow.source)
     dst = surface_complex(arrow.target)
     if len(chain) != dst.n_edges:
         raise DimensionMismatch("chain does not fit the arrow's target")
-    out = src.zero_chain()
-    for e in range(src.n_edges):
-        i, s = src.edge_of_index(e)
-        out[e] = chain[dst.edge_index(i, arrow.sheet_map[s])]
-    return out
+    d = dst.cover.degree
+    return [chain[i + t] for i in range(0, dst.n_edges, d) for t in arrow.sheet_map]

@@ -33,7 +33,7 @@ from .errors import (
 from .exact_linalg import mat_mul
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
-from .surface import Word, free_reduce, inverse_word
+from .surface import Word, free_reduce, generator_count, inverse_word
 
 __all__ = [
     "TwoArrowVaut",
@@ -96,6 +96,13 @@ class TwoArrowVaut:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:
             raise GenusMismatch("the two arrows have different total surfaces")
+        n = generator_count(self.left.genus)
+        for name, table in (("fwd", self.fwd), ("bwd", self.bwd)):
+            for k, w in enumerate(table):
+                if any(not 0 < abs(x) <= n for x in w):
+                    raise InvalidAutomorphism(
+                        f"{name}[{k}]: letters must be nonzero, at most {n} in size"
+                    )
         fwd = tuple(free_reduce(w) for w in self.fwd)
         bwd = tuple(free_reduce(w) for w in self.bwd)
         object.__setattr__(self, "fwd", fwd)

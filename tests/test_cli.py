@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from covertower.characteristic import mod2_homology_cover
 from covertower.cli import main
@@ -233,3 +239,36 @@ def test_orbit_report(capsys):
     assert code == 0
     assert out.startswith("# seed\t0")
     assert "steps\torbit_size\tcovering_radius" in out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("enumerate", "--genus", "1", "--degree", "2"), "--genus"),
+        (("verify", "--suite", "riemann-hurwitz", "--genus", "0"), "--genus"),
+        (("orbit", "--steps", "-5"), "--steps"),
+        (("orbit", "--targets", "0"), "--targets"),
+    ],
+)
+def test_numeric_options_are_range_checked(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from covertower.cli import main; sys.exit(main())",
+         "enumerate", "--genus", "2", "--degree", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # no reader is left, so the first write breaks the pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

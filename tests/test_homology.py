@@ -3,11 +3,14 @@ import random
 import pytest
 import sympy
 
+from covertower.characteristic import mod2_homology_cover
 from covertower.covers import (
     double_cover_from_signs,
     enumerate_covers,
     factors_through,
     fiber_product,
+    nontree_edges,
+    schreier_loop,
     trivial_cover,
 )
 from covertower.errors import ComplexMismatch
@@ -39,6 +42,61 @@ def random_cycle(cx, rng):
         cls = [0, 0, 0, 0]
         cls[gen] = rng.randint(-2, 2)
         chain = [x + y for x, y in zip(chain, cx.transfer(cls))]
+    return chain
+
+
+def vertex_strands(cx, chain, v, offset):
+    """Strands of a cycle through vertex v as (arrive, depart) positions.
+
+    Ends sit at 4*position in the rotation; offset 1 shifts departures +1/4
+    and arrivals -1/4 slot, producing the parallel copy.
+    """
+    arrive = []
+    depart = []
+    for pos, dart in enumerate(cx.rotation[v]):
+        e, rev = divmod(dart, 2)
+        coeff = chain[e]
+        # traversals leave v along a forward dart at its tail, and arrive
+        # along the reverse dart at the head
+        leaving, arriving = max(coeff, 0), max(-coeff, 0)
+        if rev:
+            leaving, arriving = arriving, leaving
+        depart += [4 * pos + offset] * leaving
+        arrive += [4 * pos - offset] * arriving
+    assert len(arrive) == len(depart), "cycle has unbalanced ends at a vertex"
+    return list(zip(sorted(arrive), sorted(depart)))
+
+
+def strand_intersection(cx, chain1, chain2):
+    """Oracle for CoverComplex.intersection: count chord crossings directly.
+
+    Both cycles are split into strands through each vertex, arriving ends
+    matched to departing ends in rotation order; the second cycle is the
+    pushed-off copy.  Each strand of the second cycle that enters a chord
+    of the first counts +1 and each that leaves it counts -1.
+    """
+    assert cx.is_cycle(chain1) and cx.is_cycle(chain2)
+    total = 0
+    m = 4 * len(cx.rotation[0])
+    for v in range(cx.n_vertices):
+        for x1, x2 in vertex_strands(cx, chain1, v, 0):
+            arc = (x2 - x1) % m
+            for y1, y2 in vertex_strands(cx, chain2, v, 1):
+                total += ((y2 - x1) % m < arc) - ((y1 - x1) % m < arc)
+    return total
+
+
+def random_loop_cycle(cx, rng):
+    """Schreier loops, lifted generators and face boundaries, random weights."""
+    cover = cx.cover
+    chain = list(cx.zero_chain())
+    loops = nontree_edges(cover)
+    parts = [cx.word_path_chain(schreier_loop(cover, e), 0) for e in rng.sample(loops, 2)]
+    parts += [cx.face_boundary_chain(f) for f in rng.sample(cx.faces, min(2, len(cx.faces)))]
+    parts.append(cx.transfer([rng.randint(-1, 1) for _ in range(cx.n_generators)]))
+    for part in parts:
+        c = rng.randint(-2, 2)
+        chain = [x + c * y for x, y in zip(chain, part)]
     return chain
 
 
@@ -80,7 +138,7 @@ def test_genus_matches_degree_formula():
 def test_homology_rank():
     for cover in enumerate_covers(2, 2):
         cx = CoverComplex(cover)
-        assert cx.homology_rank() == 2 * cx.genus == 6
+        assert len(cx.homology_basis()) == 2 * cx.genus == 6
 
 
 def test_rank_against_sympy_boundaries():
@@ -91,7 +149,7 @@ def test_rank_against_sympy_boundaries():
         cx = CoverComplex(cover)
         d2, d1 = boundary_matrices(cx)
         cycles = cx.n_edges - d1.rank()
-        assert cx.homology_rank() == cycles - d2.rank()
+        assert len(cx.homology_basis()) == cycles - d2.rank()
         # closed orientable surface homology is torsion free
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -99,9 +157,14 @@ def test_rank_against_sympy_boundaries():
         assert all(abs(e) == 1 for e in divisors)
 
 
+def pairing_matrix(cx):
+    basis = cx.homology_basis()
+    return [[cx.intersection(b1, b2) for b2 in basis] for b1 in basis]
+
+
 def test_base_pairing_is_standard_symplectic():
     cx = CoverComplex(trivial_cover(2))
-    assert [list(row) for row in cx.pairing_matrix()] == standard_symplectic(2)
+    assert pairing_matrix(cx) == standard_symplectic(2)
 
 
 def test_pairing_calibration_a1_b1():
@@ -118,7 +181,7 @@ def test_pairing_calibration_a1_b1():
 def test_pairing_matrix_unimodular_and_skew():
     for cover in enumerate_covers(2, 2)[:6]:
         cx = CoverComplex(cover)
-        mat = [list(row) for row in cx.pairing_matrix()]
+        mat = pairing_matrix(cx)
         assert abs(sympy.Matrix(mat).det()) == 1
         n = len(mat)
         for i in range(n):
@@ -225,6 +288,26 @@ def test_intersection_antisymmetric_and_bilinear():
         assert cx.intersection(c1, summed) == cx.intersection(c1, c2) + cx.intersection(
             c1, c3
         )
+
+
+def test_intersection_matches_strand_oracle():
+    rng = random.Random(47)
+    covers = [cover for d in (1, 2) for cover in enumerate_covers(2, d)]
+    covers += rng.sample(enumerate_covers(2, 3), 40)
+    covers += rng.sample(enumerate_covers(2, 4), 30)
+    plan = [(cover, 12) for cover in covers] + [(mod2_homology_cover(2), 24)]
+    pairs = nonzero = 0
+    for cover, count in plan:
+        cx = surface_complex(cover)
+        for _ in range(count):
+            c1 = random_loop_cycle(cx, rng)
+            c2 = random_loop_cycle(cx, rng)
+            value = cx.intersection(c1, c2)
+            assert value == strand_intersection(cx, c1, c2)
+            pairs += 1
+            nonzero += value != 0
+    assert pairs >= 1000
+    assert nonzero > pairs // 4
 
 
 def test_surface_complex_cache_and_validation():

@@ -88,6 +88,14 @@ def test_rejects_nonstabilizing_words():
         TwoArrowVaut(cover, cover, ((1,),) * k, ((1,),) * k)
 
 
+def test_rejects_out_of_range_table_letters():
+    v = identity_vaut(2)
+    with pytest.raises(InvalidAutomorphism, match=r"fwd\[0\]"):
+        TwoArrowVaut(v.left, v.right, ((9,),) + v.fwd[1:], v.bwd)
+    with pytest.raises(InvalidAutomorphism, match=r"bwd\[2\]"):
+        TwoArrowVaut(v.left, v.right, v.fwd, v.bwd[:2] + ((0, 1),) + v.bwd[3:])
+
+
 def test_rejects_homologically_singular_tables():
     cover = trivial_cover(2)
     squash = ((1,),) * 4
