@@ -16,7 +16,6 @@ from .covers import (
     _pointed_orbit,
     enumerate_covers,
     identity_perm,
-    nontree_edges,
     schreier_loop,
     search_budget,
     trivial_cover,
@@ -143,7 +142,7 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
     for aut in automorphisms:
         if aut.genus != cover.genus:
             raise InvalidAutomorphism("automorphism is for a different genus")
-    loops = [schreier_loop(cover, e) for e in nontree_edges(cover)]
+    loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
     ident = identity_perm(cover.degree)
     for loop in loops:
         if cover.word_permutation(loop) != ident:

@@ -80,12 +80,28 @@ class SurfaceCover:
                 raise BadDegree(f"{p} is not a permutation of 0..{d - 1}")
         if self.word_permutation(surface_relator(g)) != identity_perm(d):
             raise RelatorNotTrivial("surface relator does not act as the identity")
-        if len(_bfs_order(self.perms, d)) != d:
+        order, _, _ = _schreier_walk(self)
+        if len(order) != d:
             raise NotTransitive("permutation action is not transitive on sheets")
 
     @cached_property
     def inverse_perms(self) -> tuple[Perm, ...]:
         return tuple(perm_inverse(p) for p in self.perms)
+
+    @cached_property
+    def schreier(self) -> "SchreierTransversal":
+        """Schreier transversal of the basepoint stabilizer, built on first use.
+
+        Validation runs the same walk but keeps nothing: the enumeration
+        cache holds every cover it finds, and few are ever asked for their
+        stabilizer.
+        """
+        order, tree, words = _schreier_walk(self)
+        in_tree = set(tree)
+        edges = itertools.product(range(len(self.perms)), range(self.degree))
+        nontree = tuple(e for e in edges if e not in in_tree)
+        index = {e: k for k, e in enumerate(nontree)}
+        return SchreierTransversal(tuple(order), tuple(tree), tuple(words), nontree, index)
 
     @property
     def total_genus(self) -> int:
@@ -114,10 +130,11 @@ class SurfaceCover:
         return self.act(word, 0) == 0
 
     def is_canonical(self) -> bool:
-        return _bfs_order(self.perms, self.degree) == list(range(self.degree))
+        order, _, _ = _schreier_walk(self)
+        return order == list(range(self.degree))
 
     def canonical(self) -> "SurfaceCover":
-        order = _bfs_order(self.perms, self.degree)
+        order, _, _ = _schreier_walk(self)
         if order == list(range(self.degree)):
             return self
         new_of_old = [0] * self.degree
@@ -135,31 +152,52 @@ class SurfaceCover:
         return SurfaceCover(self.genus, self.degree, tuple(perms))
 
 
-def _bfs_order(perms: tuple[Perm, ...], degree: int) -> list[int]:
-    """Sheets in breadth-first discovery order from sheet 0.
+@dataclass(frozen=True)
+class SchreierTransversal:
+    """Breadth-first spanning tree of the Schreier graph from sheet 0.
 
-    Exploration order at each sheet: positive generators by index, then
-    inverse generators by index.  Stops at the reachable component.
+    order lists the sheets in discovery order; tree holds the edges
+    (generator index, source sheet) that discovered them; words[s] is the
+    tree word from sheet 0 to sheet s.  The edges outside the tree, in
+    (generator, sheet) order, index the Schreier generators of the basepoint
+    stabilizer, 2*g*d - d + 1 of them; index maps each to its position.
     """
-    inv = [perm_inverse(p) for p in perms]
-    seen = [False] * degree
-    seen[0] = True
+
+    order: tuple[int, ...]
+    tree: tuple[tuple[int, int], ...]
+    words: tuple[Word, ...]
+    nontree: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+
+
+def _schreier_walk(cover: SurfaceCover):
+    """Walk the Schreier graph from sheet 0 in canonical order.
+
+    Each sheet in turn tries the positive generators by index, then the
+    inverse generators by index.  Returns the order, tree and words of
+    SchreierTransversal as lists, words[s] None for a sheet not reached: the
+    walk stops at the reachable component, so a short order means the action
+    is not transitive.
+    """
+    d = cover.degree
+    words: list[Word | None] = [None] * d
+    words[0] = ()
     order = [0]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        for p in perms:
+    tree: list[tuple[int, int]] = []
+    for s in order:  # the walk appends to order as it discovers sheets
+        for i, p in enumerate(cover.perms):
             t = p[s]
-            if not seen[t]:
-                seen[t] = True
+            if words[t] is None:
+                words[t] = words[s] + (i + 1,)
+                tree.append((i, s))
                 order.append(t)
-        for p in inv:
+        for i, p in enumerate(cover.inverse_perms):
             t = p[s]
-            if not seen[t]:
-                seen[t] = True
+            if words[t] is None:
+                words[t] = words[s] + (-(i + 1),)
+                tree.append((i, t))
                 order.append(t)
-    return order
+    return order, tree, words
 
 
 def trivial_cover(genus: int) -> SurfaceCover:
@@ -179,12 +217,14 @@ def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _discovery_is_identity(perms: list[Perm], degree: int) -> bool:
+def _discovery_is_identity(perms: list[Perm], inv: list[Perm], degree: int) -> bool:
     """True iff breadth-first discovery visits sheets exactly in order 0,1,2,...
 
-    Implies transitivity.  Aborts at the first out-of-order discovery.
+    Implies transitivity.  Aborts at the first out-of-order discovery.  This
+    is the canonical walk of _schreier_walk, kept apart because it runs on
+    every candidate tuple of the search, before any cover exists, and must
+    stop early; inv holds the inverses of perms.
     """
-    inv = [perm_inverse(p) for p in perms]
     seen = [False] * degree
     seen[0] = True
     count = 1
@@ -207,14 +247,6 @@ def _discovery_is_identity(perms: list[Perm], degree: int) -> bool:
                 seen[t] = True
                 count += 1
     return count == degree
-
-
-def _interleave(pairs: list[tuple[Perm, Perm]]) -> tuple[Perm, ...]:
-    out: list[Perm] = []
-    for a, b in pairs:
-        out.append(a)
-        out.append(b)
-    return tuple(out)
 
 
 def _enumeration_shard(genus: int, degree: int, shard: int, jobs: int) -> list[tuple[Perm, ...]]:
@@ -248,8 +280,8 @@ def _enumeration_shard(genus: int, degree: int, shard: int, jobs: int) -> list[t
             target = perm_inverse(running)
             for plast, qlast in comm_to_pairs.get(target, ()):
                 pairs = [(p1, q1)] + [(p, q) for p, q, _ in rest] + [(plast, qlast)]
-                perms = list(_interleave(pairs))
-                if _discovery_is_identity(perms, degree):
+                perms = [p for pair in pairs for p in pair]
+                if _discovery_is_identity(perms, [inv[p] for p in perms], degree):
                     found.append(tuple(perms))
     return found
 
@@ -292,60 +324,11 @@ def enumerate_covers(genus: int, degree: int, budget: int | None = None, jobs: i
 
 
 # ---------------------------------------------------------------------------
-# Schreier graph: spanning tree, loop words, stabilizer rewriting
-
-@lru_cache(maxsize=None)
-def tree_data(cover: SurfaceCover):
-    """Breadth-first spanning tree of the Schreier graph.
-
-    Returns (tree_edges, sheet_words): tree_edges is a frozenset of edges
-    (generator index, source sheet); sheet_words[s] is the path word from
-    sheet 0 to sheet s through the tree.
-    """
-    d = cover.degree
-    words: list[Word | None] = [None] * d
-    words[0] = ()
-    tree: set[tuple[int, int]] = set()
-    order = [0]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        for i, p in enumerate(cover.perms):
-            t = p[s]
-            if words[t] is None:
-                words[t] = words[s] + (i + 1,)
-                tree.add((i, s))
-                order.append(t)
-        for i, p in enumerate(cover.inverse_perms):
-            t = p[s]
-            if words[t] is None:
-                words[t] = words[s] + (-(i + 1),)
-                tree.add((i, t))
-                order.append(t)
-    return frozenset(tree), tuple(words)
-
-
-@lru_cache(maxsize=None)
-def nontree_edges(cover: SurfaceCover) -> tuple[tuple[int, int], ...]:
-    """Edges outside the spanning tree, in (generator, sheet) order.
-
-    These index the Schreier generators of the basepoint stabilizer; the
-    count is 2*g*d - d + 1.
-    """
-    tree, _ = tree_data(cover)
-    n = generator_count(cover.genus)
-    return tuple(
-        (i, s)
-        for i in range(n)
-        for s in range(cover.degree)
-        if (i, s) not in tree
-    )
-
+# Schreier loops and stabilizer rewriting
 
 def schreier_loop(cover: SurfaceCover, edge: tuple[int, int]) -> Word:
     """Basepoint loop through one Schreier edge: tree path, edge, tree path back."""
-    _, words = tree_data(cover)
+    words = cover.schreier.words
     i, s = edge
     t = cover.perms[i][s]
     return free_reduce(words[s] + (i + 1,) + inverse_word(words[t]))
@@ -354,24 +337,23 @@ def schreier_loop(cover: SurfaceCover, edge: tuple[int, int]) -> Word:
 def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
     """Express a basepoint-stabilizing word over the Schreier generators.
 
-    Output letters are signed 1-based indices into nontree_edges(cover).
+    Output letters are signed 1-based indices into cover.schreier.nontree.
     """
-    tree, _ = tree_data(cover)
-    index = {e: k for k, e in enumerate(nontree_edges(cover))}
+    index = cover.schreier.index
     out: list[int] = []
     s = 0
     for letter in word:
         i = abs(letter) - 1
         if letter > 0:
-            edge = (i, s)
+            k = index.get((i, s))
             s = cover.perms[i][s]
-            if edge not in tree:
-                out.append(index[edge] + 1)
+            if k is not None:
+                out.append(k + 1)
         else:
             s = cover.inverse_perms[i][s]
-            edge = (i, s)
-            if edge not in tree:
-                out.append(-(index[edge] + 1))
+            k = index.get((i, s))
+            if k is not None:
+                out.append(-(k + 1))
     if s != 0:
         raise ValueError("word does not stabilize the basepoint sheet")
     return tuple(out)
@@ -388,6 +370,10 @@ def _pointed_orbit(n: int, forward, backward, budget: int | None = None, start=(
     turn explores generator i forward, then backward, for i = 0..n-1.
     Returns (states, perms) with perms[i][k] the label of forward(i,
     states[k]), or None when the orbit has more than budget states.
+
+    This order interleaves each generator with its inverse, unlike the
+    canonical order of _schreier_walk; the sheet labels of fiber products
+    and induced covers, and so the fiber-product output bytes, depend on it.
     """
     label = {start: 0}
     states = [start]
@@ -434,10 +420,6 @@ class CoverArrow:
                     raise IncompatibleTower("sheet map is not equivariant")
 
 
-def identity_arrow(cover: SurfaceCover) -> CoverArrow:
-    return CoverArrow(cover, cover, tuple(range(cover.degree)))
-
-
 def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | None:
     """The unique pointed arrow fine -> coarse, or None.
 
@@ -446,11 +428,10 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
     """
     if fine.genus != coarse.genus:
         raise BaseMismatch("covers have different base surfaces")
-    for edge in nontree_edges(fine):
+    for edge in fine.schreier.nontree:
         if not coarse.stabilizes_basepoint(schreier_loop(fine, edge)):
             return None
-    _, words = tree_data(fine)
-    sheet_map = tuple(coarse.act(w, 0) for w in words)
+    sheet_map = tuple(coarse.act(w, 0) for w in fine.schreier.words)
     return CoverArrow(fine, coarse, sheet_map)
 
 
@@ -510,22 +491,23 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     """
     if outer.genus != target.genus:
         raise BaseMismatch("outer and target covers have different base surfaces")
-    tree, _ = tree_data(outer)
-    index = {e: k for k, e in enumerate(nontree_edges(outer))}
+    index = outer.schreier.index
 
     def forward(i: int, state) -> tuple[int, int]:
         t, s = state
         t2 = outer.perms[i][t]
-        if (i, t) in tree:
+        k = index.get((i, t))
+        if k is None:
             return t2, s
-        return t2, target.act(table[index[(i, t)]], s)
+        return t2, target.act(table[k], s)
 
     def backward(i: int, state) -> tuple[int, int]:
         t, s = state
         t2 = outer.inverse_perms[i][t]
-        if (i, t2) in tree:
+        k = index.get((i, t2))
+        if k is None:
             return t2, s
-        return t2, target.act(inverse_word(table[index[(i, t2)]]), s)
+        return t2, target.act(inverse_word(table[k]), s)
 
     states, perms = _pointed_orbit(generator_count(outer.genus), forward, backward)
     cover = SurfaceCover(outer.genus, len(states), perms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .covers import SurfaceCover, nontree_edges, schreier_loop, tree_data
+from .covers import SurfaceCover, schreier_loop
 from .errors import CovertowerError
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
@@ -172,7 +172,7 @@ def lifted_track_document(lifted: LiftedTrack, matrix) -> dict:
         "cover": cover_document(lifted.cover),
         "branches": [[b + 1, s + 1] for b, s in lifted.branches],
         "matrix": [list(row) for row in matrix.matrix],
-        "chart_dimension": lifted.chart_dimension(),
+        "chart_dimension": lifted.track.chart_dimension(),
     }
 
 
@@ -253,16 +253,15 @@ def _tables_from_sheet_map(left: SurfaceCover, right: SurfaceCover, sheet_map):
                 raise DocumentError(
                     "identification list does not commute with the actions"
                 )
-    _, sheet_words = tree_data(right)
-    conj = sheet_words[sheet_map[0]]
+    conj = right.schreier.words[sheet_map[0]]
     conj_inv = inverse_word(conj)
     fwd = tuple(
         free_reduce(conj + schreier_loop(left, e) + conj_inv)
-        for e in nontree_edges(left)
+        for e in left.schreier.nontree
     )
     bwd = tuple(
         free_reduce(conj_inv + schreier_loop(right, e) + conj)
-        for e in nontree_edges(right)
+        for e in right.schreier.nontree
     )
     return fwd, bwd
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .covers import SurfaceCover, nontree_edges, schreier_loop
+from .covers import SurfaceCover, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
 from .exact_linalg import mat_mul, smith_normal_form
 from .surface import generator_count, surface_relator
@@ -201,7 +201,7 @@ class CoverComplex:
         if self._homology is not None:
             return self._homology
         cover = self.cover
-        nontree = nontree_edges(cover)
+        nontree = cover.schreier.nontree
         r = len(nontree)
         face_rows = []
         for face in self.faces:
@@ -222,18 +222,18 @@ class CoverComplex:
                 if c:
                     for e, val in enumerate(fundamental[k]):
                         chain[e] += c * val
-            basis.append(chain)
+            basis.append(tuple(chain))
         self._homology = {
-            "nontree": nontree,
             "rank": rank,
             "v": v,
             "vinv": vinv,
-            "basis": basis,
+            "basis": tuple(basis),
         }
         return self._homology
 
-    def homology_basis(self):
-        return [list(c) for c in self._homology_data()["basis"]]
+    def homology_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Integral homology basis, one edge chain per class."""
+        return self._homology_data()["basis"]
 
     def class_coordinates(self, chain):
         """Coordinates of a cycle's homology class in the Smith basis."""
@@ -242,7 +242,7 @@ class CoverComplex:
         if not self.is_cycle(chain):
             raise ComplexMismatch("chain is not a cycle")
         data = self._homology_data()
-        nontree = data["nontree"]
+        nontree = self.cover.schreier.nontree
         x = [chain[self.edge_index(i, s)] for (i, s) in nontree]
         v = data["v"]
         r = len(nontree)

@@ -49,7 +49,7 @@ class LimitElement:
             track, weights = self.payload
             lifted = LiftedTrack(track, self.cover)
             weights = tuple(Fraction(w) for w in weights)
-            lifted.validate_weights(weights)
+            lifted.track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:
             raise KindMismatch(f"unknown limit element kind {self.kind!r}")

@@ -25,10 +25,6 @@ def letter_index(letter: int) -> int:
     return abs(letter) - 1
 
 
-def letter_for(index: int, *, inverse: bool = False) -> int:
-    return -(index + 1) if inverse else index + 1
-
-
 def surface_relator(genus: int) -> Word:
     """Product of commutators of the handle generator pairs."""
     out: list[int] = []
@@ -119,37 +115,3 @@ def standard_symplectic(genus: int) -> list[list[int]]:
     units = [[int(k == i) for k in range(n)] for i in range(n)]
     return [[symplectic_product(u, v) for v in units] for u in units]
 
-
-def word_to_text(word) -> str:
-    """Readable rendering: a1 b1 A1 B1 for generators and inverses."""
-    names = []
-    for letter in word:
-        idx = letter_index(letter)
-        k, r = divmod(idx, 2)
-        base = ("a" if r == 0 else "b") + str(k + 1)
-        names.append(base.upper() if letter < 0 else base)
-    return " ".join(names) if names else "1"
-
-
-def word_from_text(text: str) -> Word:
-    """Inverse of word_to_text; also accepts comma/space separated ints."""
-    text = text.strip()
-    if not text or text == "1":
-        return ()
-    parts = text.replace(",", " ").split()
-    out: list[int] = []
-    for part in parts:
-        try:
-            out.append(int(part))
-            continue
-        except ValueError:
-            pass
-        kind = part[0]
-        if kind not in "abAB" or not part[1:].isdigit():
-            raise ValueError(f"cannot parse letter {part!r}")
-        k = int(part[1:]) - 1
-        idx = 2 * k + (0 if kind in "aA" else 1)
-        out.append(-(idx + 1) if kind.isupper() else idx + 1)
-    if any(x == 0 for x in out):
-        raise ValueError("letter 0 is not a generator")
-    return tuple(out)

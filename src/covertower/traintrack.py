@@ -8,6 +8,7 @@ one-vertex skeleton of the base surface.  Weights are exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .covers import SurfaceCover, CoverArrow
@@ -136,11 +137,6 @@ class LiftedTrack:
         d = self.cover.degree
         return tuple((b, s) for b in range(self.base.n_branches) for s in range(d))
 
-    @property
-    def switches(self) -> tuple[tuple[int, int], ...]:
-        d = self.cover.degree
-        return tuple((k, s) for k in range(len(self.base.switches)) for s in range(d))
-
     def branch_index(self, b: int, s: int) -> int:
         return b * self.cover.degree + s
 
@@ -167,26 +163,22 @@ class LiftedTrack:
             tuple(lift_half(h) for h in sw.side_b),
         )
 
-    def as_track(self) -> TrainTrack:
-        """The lifted track as a plain TrainTrack.
+    @cached_property
+    def track(self) -> TrainTrack:
+        """The lifted track as a plain TrainTrack, built once.
 
-        Branch words are kept as base words for homology bookkeeping at the
-        base; positional structure (which sheet) lives in the branch order.
+        Lifted switch (k, s) is switch k * degree + s.  Branch words are kept
+        as base words for homology bookkeeping at the base; positional
+        structure (which sheet) lives in the branch order.
         """
+        d = self.cover.degree
         switches = tuple(
-            Switch(*self.lifted_switch_sides(k, s)) for (k, s) in self.switches
+            Switch(*self.lifted_switch_sides(k, s))
+            for k in range(len(self.base.switches))
+            for s in range(d)
         )
         words = tuple(self.base.branch_words[b] for (b, _) in self.branches)
         return TrainTrack(genus=self.base.genus, switches=switches, branch_words=words)
-
-    def switch_matrix(self):
-        return self.as_track().switch_matrix()
-
-    def validate_weights(self, weights) -> None:
-        self.as_track().validate_weights(weights)
-
-    def chart_dimension(self) -> int:
-        return self.as_track().chart_dimension()
 
     def cycle_chain(self, weights):
         """Integer-weighted lifted branches as an edge chain on the cover."""
@@ -270,7 +262,7 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
         rows.append(row)
     matrix = CarryingMatrix(
         source_matrix=_freeze(track.switch_matrix()),
-        target_matrix=_freeze(lifted.switch_matrix()),
+        target_matrix=_freeze(lifted.track.switch_matrix()),
         matrix=_freeze(rows),
     )
     return lifted, matrix
@@ -291,8 +283,8 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
         row[lifted.branch_index(b, arrow.sheet_map[s])] = 1
         rows.append(row)
     return CarryingMatrix(
-        source_matrix=_freeze(lifted.switch_matrix()),
-        target_matrix=_freeze(finer.switch_matrix()),
+        source_matrix=_freeze(lifted.track.switch_matrix()),
+        target_matrix=_freeze(finer.track.switch_matrix()),
         matrix=_freeze(rows),
     )
 

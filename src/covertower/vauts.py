@@ -17,7 +17,6 @@ from .covers import (
     factors_through,
     fiber_product,
     induced_cover,
-    nontree_edges,
     rewrite_in_schreier,
     schreier_loop,
     trivial_cover,
@@ -107,9 +106,9 @@ class TwoArrowVaut:
         bwd = tuple(free_reduce(w) for w in self.bwd)
         object.__setattr__(self, "fwd", fwd)
         object.__setattr__(self, "bwd", bwd)
-        if len(fwd) != len(nontree_edges(self.left)):
+        if len(fwd) != len(self.left.schreier.nontree):
             raise DimensionMismatch("need one image per left Schreier generator")
-        if len(bwd) != len(nontree_edges(self.right)):
+        if len(bwd) != len(self.right.schreier.nontree):
             raise DimensionMismatch("need one image per right Schreier generator")
         for w in fwd:
             if not self.right.stabilizes_basepoint(w):
@@ -166,7 +165,7 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     image = induced_cover(vaut.right, vaut.bwd, w.cover)
     cx_v = surface_complex(image.cover)
     out = [0] * cx_v.n_edges
-    for edge in nontree_edges(w.cover):
+    for edge in w.cover.schreier.nontree:
         coeff = chain[cx_w.edge_index(*edge)]
         if coeff == 0:
             continue
@@ -205,11 +204,11 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     new_right = induced_cover(outer.right, outer.bwd, mid.cover)
     fwd = tuple(
         outer.forward_word(inner.forward_word(schreier_loop(new_left.cover, e)))
-        for e in nontree_edges(new_left.cover)
+        for e in new_left.cover.schreier.nontree
     )
     bwd = tuple(
         inner.backward_word(outer.backward_word(schreier_loop(new_right.cover, e)))
-        for e in nontree_edges(new_right.cover)
+        for e in new_right.cover.schreier.nontree
     )
     return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
 
@@ -217,14 +216,14 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
 @lru_cache(maxsize=None)
 def identity_vaut(genus: int) -> TwoArrowVaut:
     cover = trivial_cover(genus)
-    table = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
+    table = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
     return TwoArrowVaut(cover, cover, table, table)
 
 
 def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
     """Mapping-class-like vaut with both arrows trivial."""
     cover = trivial_cover(aut.genus)
-    loops = [schreier_loop(cover, e) for e in nontree_edges(cover)]
+    loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
     fwd = tuple(aut.apply(w) for w in loops)
     bwd = tuple(aut.apply_inverse(w) for w in loops)
     return TwoArrowVaut(cover, cover, fwd, bwd)
@@ -240,11 +239,11 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = induced_cover(vaut.right, vaut.bwd, finer)
     fwd = tuple(
-        vaut.forward_word(schreier_loop(finer, e)) for e in nontree_edges(finer)
+        vaut.forward_word(schreier_loop(finer, e)) for e in finer.schreier.nontree
     )
     bwd = tuple(
         vaut.backward_word(schreier_loop(new_right.cover, e))
-        for e in nontree_edges(new_right.cover)
+        for e in new_right.cover.schreier.nontree
     )
     return TwoArrowVaut(finer, new_right.cover, fwd, bwd)
 

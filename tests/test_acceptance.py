@@ -176,7 +176,7 @@ def test_criterion_5_track_lifting():
         for w in weight_vectors:
             lw = tuple(sum(row[j] * w[j] for j in range(len(w))) for row in rows)
             assert all(isinstance(x, int) for x in lw)
-            lifted.validate_weights(lw)
+            lifted.track.validate_weights(lw)
 
     # lifting through a two-step tower equals lifting once to the top
     rng = random.Random(5)

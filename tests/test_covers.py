@@ -7,20 +7,18 @@ import pytest
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
+    _enumerate_cached,
     compose_covers,
     double_cover_from_signs,
     enumerate_covers,
     factors_through,
     fiber_product,
-    identity_arrow,
     identity_perm,
-    nontree_edges,
     perm_inverse,
     perm_mul,
     rewrite_in_schreier,
     schreier_loop,
     search_budget,
-    tree_data,
     trivial_cover,
 )
 from covertower.errors import (
@@ -239,16 +237,28 @@ def test_search_budget(monkeypatch):
 def test_nontree_edge_count():
     for d in (1, 2, 3):
         for cover in enumerate_covers(2, d)[:20]:
-            tree, words = tree_data(cover)
-            assert len(tree) == cover.degree - 1
-            assert len(nontree_edges(cover)) == 4 * cover.degree - cover.degree + 1
-            for s, w in enumerate(words):
+            walk = cover.schreier
+            assert walk.order == tuple(range(d))
+            assert len(walk.tree) == d - 1
+            assert len(walk.nontree) == 4 * d - d + 1
+            for k, edge in enumerate(walk.nontree):
+                assert walk.index[edge] == k
+            for s, w in enumerate(walk.words):
                 assert cover.act(w, 0) == s
+
+
+def test_validation_stores_no_walk():
+    # the enumeration cache keeps every cover it finds, so a walk stored at
+    # validation would stay alive for each of them
+    _enumerate_cached.cache_clear()
+    fresh = [SurfaceCover(2, 2, ((1, 0), (0, 1), (0, 1), (0, 1)))]
+    for cover in fresh + list(enumerate_covers(2, 3)):
+        assert "schreier" not in vars(cover)
 
 
 def test_schreier_loops_stabilize():
     for cover in enumerate_covers(2, 3)[:30]:
-        for edge in nontree_edges(cover):
+        for edge in cover.schreier.nontree:
             assert cover.stabilizes_basepoint(schreier_loop(cover, edge))
 
 
@@ -256,8 +266,8 @@ def test_rewrite_is_exact_in_the_free_group():
     rng = random.Random(17)
     covers = [c for d in (2, 3) for c in enumerate_covers(2, d)]
     for cover in rng.sample(covers, 10):
-        _, words = tree_data(cover)
-        loops = [schreier_loop(cover, e) for e in nontree_edges(cover)]
+        words = cover.schreier.words
+        loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
         for _ in range(5):
             raw = tuple(
                 rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 10))
@@ -279,8 +289,8 @@ def test_rewrite_rejects_nonstabilizing_word():
 
 def test_identity_arrow_and_validation():
     cover = double_cover_from_signs(2, (0, 1, 1, 0))
-    arrow = identity_arrow(cover)
-    assert arrow.sheet_map == (0, 1)
+    arrow = CoverArrow(cover, cover, (0, 1))
+    assert arrow.target == arrow.source == cover
     from covertower.errors import IncompatibleTower
 
     with pytest.raises(IncompatibleTower):

@@ -9,7 +9,6 @@ from covertower.covers import (
     enumerate_covers,
     factors_through,
     fiber_product,
-    nontree_edges,
     schreier_loop,
     trivial_cover,
 )
@@ -90,7 +89,7 @@ def random_loop_cycle(cx, rng):
     """Schreier loops, lifted generators and face boundaries, random weights."""
     cover = cx.cover
     chain = list(cx.zero_chain())
-    loops = nontree_edges(cover)
+    loops = cover.schreier.nontree
     parts = [cx.word_path_chain(schreier_loop(cover, e), 0) for e in rng.sample(loops, 2)]
     parts += [cx.face_boundary_chain(f) for f in rng.sample(cx.faces, min(2, len(cx.faces)))]
     parts.append(cx.transfer([rng.randint(-1, 1) for _ in range(cx.n_generators)]))

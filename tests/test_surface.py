@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from covertower.surface import (
@@ -8,13 +7,10 @@ from covertower.surface import (
     free_reduce,
     generator_count,
     inverse_word,
-    letter_for,
     letter_index,
     standard_symplectic,
     substitute,
     surface_relator,
-    word_from_text,
-    word_to_text,
 )
 
 
@@ -28,10 +24,8 @@ def words(genus, max_size=12):
 
 
 def test_letter_indexing_round_trip():
-    for idx in range(6):
-        assert letter_index(letter_for(idx)) == idx
-        assert letter_index(letter_for(idx, inverse=True)) == idx
-        assert letter_for(idx, inverse=True) == -letter_for(idx)
+    for letter, idx in ((1, 0), (-1, 0), (2, 1), (-2, 1), (5, 4), (-5, 4), (6, 5), (-6, 5)):
+        assert letter_index(letter) == idx
 
 
 def test_generator_count():
@@ -122,18 +116,3 @@ def test_standard_symplectic_shape():
             if {i, k} not in ({0, 1}, {2, 3}):
                 assert j[i][k] == 0
 
-
-def test_word_text_round_trip():
-    w = (1, -2, 3, 3, -4)
-    assert word_from_text(word_to_text(w)) == w
-    assert word_from_text("") == ()
-
-
-@given(words(2))
-def test_word_text_round_trip_random(w):
-    assert word_from_text(word_to_text(w)) == w
-
-
-def test_word_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        word_from_text("a1 q9")

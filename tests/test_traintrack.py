@@ -63,8 +63,8 @@ def test_chart_dimension_matches_sympy():
     assert track.chart_dimension() == 3 - sympy.Matrix(track.switch_matrix()).rank()
     for cover in enumerate_covers(2, 2)[:5]:
         lifted, _ = lift_track(track, cover)
-        sm = lifted.switch_matrix()
-        assert lifted.chart_dimension() == len(sm[0]) - sympy.Matrix(sm).rank()
+        sm = lifted.track.switch_matrix()
+        assert lifted.track.chart_dimension() == len(sm[0]) - sympy.Matrix(sm).rank()
 
 
 def test_cone_rays_of_example():
@@ -85,12 +85,12 @@ def test_lift_through_first_handle_swap():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     lifted, matrix = lift_track(track, cover)
     assert len(lifted.branches) == 6
-    assert lifted.chart_dimension() == 3
+    assert lifted.track.chart_dimension() == 3
     cols = [sum(row[j] for row in matrix.matrix) for j in range(3)]
     assert cols == [2, 2, 2]
     assert all(x in (0, 1) for row in matrix.matrix for x in row)
     up = matrix.apply((2, 1, 1))
-    lifted.validate_weights(up)
+    lifted.track.validate_weights(up)
 
 
 def test_lift_where_track_words_act_trivially():
@@ -99,7 +99,7 @@ def test_lift_where_track_words_act_trivially():
     track = three_branch_example()
     cover = double_cover_from_signs(2, (0, 0, 0, 1))
     lifted, _ = lift_track(track, cover)
-    assert lifted.chart_dimension() == 4
+    assert lifted.track.chart_dimension() == 4
 
 
 def test_lift_matrix_shape_all_degree2():
@@ -109,7 +109,7 @@ def test_lift_matrix_shape_all_degree2():
         for j in range(track.n_branches):
             assert sum(row[j] for row in matrix.matrix) == cover.degree
         up = matrix.apply((2, 1, 1))
-        lifted.validate_weights(up)
+        lifted.track.validate_weights(up)
         assert all(w == int(w) for w in up)
 
 

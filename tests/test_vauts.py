@@ -8,7 +8,6 @@ from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
     double_cover_from_signs,
     enumerate_covers,
-    nontree_edges,
     schreier_loop,
     trivial_cover,
 )
@@ -83,7 +82,7 @@ def test_rejects_wrong_table_length():
 
 def test_rejects_nonstabilizing_words():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
-    k = len(nontree_edges(cover))
+    k = len(cover.schreier.nontree)
     with pytest.raises(InvalidAutomorphism):
         TwoArrowVaut(cover, cover, ((1,),) * k, ((1,),) * k)
 
@@ -99,7 +98,7 @@ def test_rejects_out_of_range_table_letters():
 def test_rejects_homologically_singular_tables():
     cover = trivial_cover(2)
     squash = ((1,),) * 4
-    ident = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
+    ident = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
     with pytest.raises(InvalidAutomorphism, match="not invertible on homology"):
         TwoArrowVaut(cover, cover, squash, ident)
 
@@ -107,7 +106,7 @@ def test_rejects_homologically_singular_tables():
 def test_rejects_tables_without_a_linear_homology_map():
     # sending two Schreier loops to the same loop breaks a face relation
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
-    ident = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
+    ident = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
     fwd = (ident[0], ident[0]) + ident[2:]
     with pytest.raises(InvalidAutomorphism, match="does not induce a linear map"):
         TwoArrowVaut(cover, cover, fwd, ident)
@@ -122,7 +121,7 @@ def _sympy_loop_map(source, target, table):
     src, dst = surface_complex(source), surface_complex(target)
     a = sympy.Matrix([
         src.class_coordinates(src.word_path_chain(schreier_loop(source, e), 0))
-        for e in nontree_edges(source)
+        for e in source.schreier.nontree
     ])
     f = sympy.Matrix([dst.class_coordinates(dst.word_path_chain(w, 0)) for w in table])
     try:
@@ -146,7 +145,7 @@ def test_loop_map_matches_sympy_solve():
         cases += [(v.left, v.right, v.fwd), (v.right, v.left, v.bwd)]
     for _ in range(24):
         cover = rng.choice(covers)
-        loops = [schreier_loop(cover, e) for e in nontree_edges(cover)]
+        loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
         table = list(loops)
         for _ in range(rng.randint(1, 2)):
             table[rng.randrange(len(table))] = rng.choice(loops) + rng.choice(loops)
@@ -172,8 +171,8 @@ def test_rejects_mismatched_covers():
 
 def test_apply_edge_word_map_identity():
     cover = double_cover_from_signs(2, (0, 1, 0, 0))
-    table = tuple(schreier_loop(cover, e) for e in nontree_edges(cover))
-    for e in nontree_edges(cover):
+    table = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
+    for e in cover.schreier.nontree:
         loop = schreier_loop(cover, e)
         assert apply_edge_word_map(cover, table, loop) == loop
 
