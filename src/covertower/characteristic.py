@@ -23,7 +23,6 @@ from .covers import (
 from .errors import InvalidAutomorphism, SearchBudgetExceeded
 from .surface import (
     Word,
-    abelianized,
     are_conjugate,
     free_reduce,
     generator_count,
@@ -82,10 +81,6 @@ class SurfaceAutomorphism:
 
     def apply_inverse(self, word) -> Word:
         return substitute(word, self.inverse_images)
-
-    def abelian_matrix(self):
-        """Row i is the exponent vector of the image of generator i."""
-        return [list(abelianized(w, self.genus)) for w in self.images]
 
     def is_orientation_preserving(self) -> bool:
         relator = surface_relator(self.genus)

@@ -71,7 +71,7 @@ def _parse_class_vector(text: str, genus: int):
 
 
 def _cmd_enumerate(args) -> int:
-    covers = enumerate_covers(args.genus, args.degree, budget=args.budget, jobs=args.jobs)
+    covers = enumerate_covers(args.genus, args.degree, budget=args.budget)
     for cover in covers:
         sys.stdout.write(dumps_canonical(cover_document(cover)))
     return 0
@@ -165,7 +165,6 @@ def _cmd_verify(args) -> int:
         genus=args.genus,
         max_degree=args.max_degree,
         seed=args.seed,
-        jobs=args.jobs,
     )
     sys.stdout.write(result.report())
     if result.ok:
@@ -205,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all pointed covers of one degree, as JSON lines")
     p.add_argument("--genus", type=_int_at_least(2), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--degree", type=_int_at_least(1), required=True)
+    p.add_argument("--budget", type=_int_at_least(1), default=None)
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("genus", help="genus of the total surface of a cover")
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char-refine", help="characteristic refinement of a cover")
     p.add_argument("--cover", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(1), default=None)
     p.set_defaults(run=_cmd_char_refine)
 
     p = sub.add_parser("is-char", help="test a cover for characteristic invariance")
@@ -257,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "vaut-laws", "theorem3",
     ])
     p.add_argument("--genus", type=_int_at_least(2), default=2)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--replay", default=None,
                    help="re-run a packaged counterexample document")
     p.set_defaults(run=_cmd_verify)

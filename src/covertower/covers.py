@@ -14,14 +14,15 @@ canonical form.
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
     BadDegree,
     BaseMismatch,
+    CovertowerError,
     GenusMismatch,
     IncompatibleTower,
     InvalidIdentification,
@@ -40,7 +41,15 @@ def search_budget(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("COVERTOWER_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise CovertowerError(f"COVERTOWER_BUDGET must be an integer at least 1, got {env!r}")
+    return budget
 
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
@@ -249,8 +258,8 @@ def _discovery_is_identity(perms: list[Perm], inv: list[Perm], degree: int) -> b
     return count == degree
 
 
-def _enumeration_shard(genus: int, degree: int, shard: int, jobs: int) -> list[tuple[Perm, ...]]:
-    """Canonical transitive representation tuples whose first free pair falls in this shard.
+def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
+    """Every canonical transitive representation tuple of the given degree.
 
     The relator forces the product of per-handle commutators to be trivial, so
     the first g-1 handle pairs range freely and the last handle's commutator is
@@ -270,9 +279,7 @@ def _enumeration_shard(genus: int, degree: int, shard: int, jobs: int) -> list[t
             comm_to_pairs.setdefault(c, []).append((p, q))
 
     found: list[tuple[Perm, ...]] = []
-    for k, (p1, q1, c1) in enumerate(pair_comm):
-        if k % jobs != shard:
-            continue
+    for p1, q1, c1 in pair_comm:
         for rest in itertools.product(pair_comm, repeat=genus - 2):
             running = c1
             for _, _, c in rest:
@@ -288,14 +295,12 @@ def _enumeration_shard(genus: int, degree: int, shard: int, jobs: int) -> list[t
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(genus: int, degree: int, budget: int) -> tuple[SurfaceCover, ...]:
-    return _enumerate_impl(genus, degree, budget, 1)
-
-
-def _enumerate_impl(genus: int, degree: int, budget: int, jobs: int) -> tuple[SurfaceCover, ...]:
+    if genus < 2:
+        raise BadDegree(f"base genus must be at least 2, got {genus}")
+    if degree < 1:
+        raise BadDegree(f"degree must be at least 1, got {degree}")
     if degree == 1:
         return (trivial_cover(genus),)
-    import math
-
     n_perms = math.factorial(degree)
     candidates = n_perms ** (2 * (genus - 1))
     if candidates > budget:
@@ -303,24 +308,13 @@ def _enumerate_impl(genus: int, degree: int, budget: int, jobs: int) -> tuple[Su
             f"enumeration would examine {candidates} candidate assignments, "
             f"budget is {budget}; raise COVERTOWER_BUDGET to override"
         )
-    if jobs <= 1:
-        tuples = _enumeration_shard(genus, degree, 0, 1)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_enumeration_shard, *zip(*[(genus, degree, k, jobs) for k in range(jobs)]))
-            tuples = [t for part in parts for t in part]
-    tuples.sort()
+    tuples = sorted(_canonical_tuples(genus, degree))
     return tuple(SurfaceCover(genus, degree, t) for t in tuples)
 
 
-def enumerate_covers(genus: int, degree: int, budget: int | None = None, jobs: int = 1) -> tuple[SurfaceCover, ...]:
-    """All pointed-isomorphism classes of degree-d covers, canonical, sorted.
-
-    Results are deterministic and identical for any job count.
-    """
-    if jobs <= 1:
-        return _enumerate_cached(genus, degree, search_budget(budget))
-    return _enumerate_impl(genus, degree, search_budget(budget), jobs)
+def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tuple[SurfaceCover, ...]:
+    """All pointed-isomorphism classes of degree-d covers, canonical, sorted."""
+    return _enumerate_cached(genus, degree, search_budget(budget))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,6 @@ class CoverComplex:
     def edge_of_index(self, e: int) -> tuple[int, int]:
         return divmod(e, self.cover.degree)
 
-    def edge_ends(self, e: int) -> tuple[int, int]:
-        return self._tails[e], self._heads[e]
-
     # -- cell structure
 
     def _build_rotation(self):

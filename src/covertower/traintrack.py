@@ -90,9 +90,6 @@ class TrainTrack:
     def chart_dimension(self) -> int:
         return self.n_branches - rational_rank(self.switch_matrix())
 
-    def cone_rays(self, budget: int = 200_000):
-        return extreme_rays(self.switch_matrix(), self.n_branches, budget)
-
     def homology_class(self, weights):
         """Weighted sum of branch word classes; weights must be integers."""
         out = [0] * (2 * self.genus)

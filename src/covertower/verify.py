@@ -3,14 +3,12 @@
 Each suite checks one family of exact identities across all covers up to a
 degree bound.  On failure it stops at the first counterexample (in
 enumeration order, so deterministic) and packages enough data to re-run
-that single instance later.  Sweeps fan out per cover when jobs > 1 and
-merge in enumeration order.
+that single instance later.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -64,18 +62,12 @@ class SuiteResult:
         return f"suite {self.suite}: {status}\n{body}\n"
 
 
-def _map_covers(worker, covers, jobs: int):
-    if jobs <= 1:
-        return [worker(c) for c in covers]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, covers, chunksize=4))
-
-
-def _sweep(suite: str, worker, genus: int, max_degree: int, jobs: int) -> SuiteResult:
+def _sweep(suite: str, worker, genus: int, max_degree: int) -> SuiteResult:
     lines = []
     for degree in range(1, max_degree + 1):
         covers = enumerate_covers(genus, degree)
-        for failure in _map_covers(worker, covers, jobs):
+        for cover in covers:
+            failure = worker(cover)
             if failure is not None:
                 return SuiteResult(
                     suite,
@@ -100,8 +92,8 @@ def _rh_one(cover: SurfaceCover):
     return None
 
 
-def suite_riemann_hurwitz(genus: int, max_degree: int, seed: int, jobs: int):
-    return _sweep("riemann-hurwitz", _rh_one, genus, max_degree, jobs)
+def suite_riemann_hurwitz(genus: int, max_degree: int, seed: int):
+    return _sweep("riemann-hurwitz", _rh_one, genus, max_degree)
 
 
 def _field(data, key: str, parse):
@@ -153,8 +145,8 @@ def _ts_one(cover: SurfaceCover):
     return None
 
 
-def suite_transfer_scaling(genus: int, max_degree: int, seed: int, jobs: int):
-    return _sweep("transfer-scaling", _ts_one, genus, max_degree, jobs)
+def suite_transfer_scaling(genus: int, max_degree: int, seed: int):
+    return _sweep("transfer-scaling", _ts_one, genus, max_degree)
 
 
 def _replay_transfer_scaling(data) -> bool:
@@ -217,10 +209,8 @@ def _pi_one(cover: SurfaceCover, seed: int):
     return None
 
 
-def suite_pairing_invariance(genus: int, max_degree: int, seed: int, jobs: int):
-    return _sweep(
-        "pairing-invariance", partial(_pi_one, seed=seed), genus, max_degree, jobs
-    )
+def suite_pairing_invariance(genus: int, max_degree: int, seed: int):
+    return _sweep("pairing-invariance", partial(_pi_one, seed=seed), genus, max_degree)
 
 
 def _replay_pairing_invariance(data) -> bool:
@@ -293,7 +283,7 @@ def _law_failure(law: str, args):
     return data
 
 
-def suite_vaut_laws(genus: int, max_degree: int, seed: int, jobs: int):
+def suite_vaut_laws(genus: int, max_degree: int, seed: int):
     suite = "vaut-laws"
     vauts, elements, covers = _law_pool(genus, max_degree)
     e = elements[0]
@@ -361,9 +351,9 @@ def _t3_one(cover: SurfaceCover, genus: int):
     return None
 
 
-def suite_theorem3(genus: int, max_degree: int, seed: int, jobs: int):
+def suite_theorem3(genus: int, max_degree: int, seed: int):
     suite = "theorem3"
-    result = _sweep(suite, partial(_t3_one, genus=genus), genus, max_degree, jobs)
+    result = _sweep(suite, partial(_t3_one, genus=genus), genus, max_degree)
     if not result.ok:
         return result
     lines = list(result.lines)
@@ -421,9 +411,12 @@ _REPLAYS = {
 def run_suite(
     suite: str, genus: int = 2, max_degree: int = 3, seed: int = 0, jobs: int = 1
 ) -> SuiteResult:
+    """Run one suite serially; ``jobs`` stays only for positional callers and must be 1."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}: sweeps run serially")
     if suite not in SUITES:
         raise DocumentError(f"unknown suite {suite!r}")
-    return SUITES[suite](genus, max_degree, seed, jobs)
+    return SUITES[suite](genus, max_degree, seed)
 
 
 def replay_counterexample(suite: str, data: dict) -> bool:

@@ -248,6 +248,11 @@ def test_orbit_report(capsys):
         (("verify", "--suite", "riemann-hurwitz", "--genus", "0"), "--genus"),
         (("orbit", "--steps", "-5"), "--steps"),
         (("orbit", "--targets", "0"), "--targets"),
+        (("enumerate", "--genus", "2", "--degree", "0"), "--degree"),
+        (("enumerate", "--genus", "2", "--degree", "-1"), "--degree"),
+        (("enumerate", "--genus", "2", "--degree", "2", "--budget", "-5"), "--budget"),
+        (("char-refine", "--cover", "-", "--budget", "0"), "--budget"),
+        (("verify", "--suite", "riemann-hurwitz", "--max-degree", "0"), "--max-degree"),
     ],
 )
 def test_numeric_options_are_range_checked(capsys, argv, option):
@@ -255,6 +260,27 @@ def test_numeric_options_are_range_checked(capsys, argv, option):
         main(list(argv))
     assert exc.value.code == 2
     assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--genus", "2", "--degree", "2", "--jobs", "2"),
+        ("verify", "--suite", "riemann-hurwitz", "--jobs", "2"),
+    ],
+)
+def test_jobs_is_an_unknown_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_variable_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("COVERTOWER_BUDGET", value)
+    assert main(["enumerate", "--genus", "2", "--degree", "2"]) == 2
+    assert "COVERTOWER_BUDGET" in capsys.readouterr().err
 
 
 def test_closed_pipe_exits_quietly():

@@ -23,6 +23,7 @@ from covertower.covers import (
 )
 from covertower.errors import (
     BadDegree,
+    CovertowerError,
     GenusMismatch,
     InvalidIdentification,
     NotTransitive,
@@ -215,14 +216,28 @@ def test_canonical_collapses_basepoint_fixing_relabelings():
             assert not moved.is_canonical()
 
 
-def test_enumeration_jobs_agree():
-    assert enumerate_covers(2, 3, jobs=2) == enumerate_covers(2, 3)
+@pytest.mark.parametrize(
+    "genus, degree, message",
+    [
+        (1, 2, "base genus must be at least 2, got 1"),
+        (2, 0, "degree must be at least 1, got 0"),
+        (2, -1, "degree must be at least 1, got -1"),
+    ],
+)
+def test_enumeration_rejects_bad_genus_and_degree(genus, degree, message):
+    with pytest.raises(BadDegree, match=message):
+        enumerate_covers(genus, degree)
 
 
 def test_search_budget(monkeypatch):
     assert search_budget(123) == 123
     monkeypatch.setenv("COVERTOWER_BUDGET", "77")
     assert search_budget() == 77
+    for bad in ("abc", "1.5", "0", "-5"):
+        monkeypatch.setenv("COVERTOWER_BUDGET", bad)
+        with pytest.raises(CovertowerError, match="COVERTOWER_BUDGET") as exc:
+            search_budget()
+        assert not isinstance(exc.value, SearchBudgetExceeded)
     monkeypatch.delenv("COVERTOWER_BUDGET")
     with pytest.raises(SearchBudgetExceeded):
         enumerate_covers(3, 5)

@@ -21,7 +21,8 @@ def boundary_matrices(cx):
     """Independent chain-complex boundaries for the oracle: d2 then d1."""
     d1 = []
     for e in range(cx.n_edges):
-        tail, head = cx.edge_ends(e)
+        gen, tail = cx.edge_of_index(e)
+        head = cx.cover.perms[gen][tail]
         row = [0] * cx.cover.degree
         row[head] += 1
         row[tail] -= 1

@@ -22,7 +22,7 @@ from covertower.documents import (
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, cycle_element, lift_element
 from covertower.vauts import restrict_vaut, vaut_from_automorphism
-from covertower.verify import SUITES, replay_counterexample, run_suite
+from covertower.verify import SUITES, _sweep, replay_counterexample, run_suite
 
 
 def transfer_doc(cover, v):
@@ -41,10 +41,27 @@ def test_all_suites_pass_at_degree2():
     assert "degree 2: 15 covers checked" in sweep.lines
 
 
-def test_parallel_sweep_matches_serial():
-    serial = run_suite("riemann-hurwitz", genus=2, max_degree=2, jobs=1)
-    parallel = run_suite("riemann-hurwitz", genus=2, max_degree=2, jobs=2)
-    assert serial == parallel
+def test_run_suite_accepts_only_one_job():
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite("riemann-hurwitz", genus=2, max_degree=2, jobs=2)
+
+
+def test_sweep_stops_at_first_failure():
+    # degree 1 has one cover, so the 4th cover is the 3rd of degree 2
+    order = list(enumerate_covers(2, 1) + enumerate_covers(2, 2))
+    calls = []
+
+    def worker(cover):
+        calls.append(cover)
+        return {"cover": cover_document(cover)} if len(calls) == 4 else None
+
+    result = _sweep("riemann-hurwitz", worker, 2, 3)
+    assert calls == order[:4]
+    assert not result.ok
+    assert result.lines == ("degree 1: 1 covers checked", "degree 2: counterexample found")
+    assert result.counterexample == counterexample_document(
+        "riemann-hurwitz", {"cover": cover_document(order[3])}
+    )
 
 
 def test_unknown_suite():
