@@ -46,6 +46,7 @@ from .limits import (
     lift_element,
     limit_equal,
     normalized_pairing,
+    pairing_table,
     track_element,
 )
 from .orbit import OrbitConfig, OrbitResult, orbit_density_experiment

@@ -4,7 +4,8 @@ Subcommands mirror the library: enumeration, genus, fiber products, cycle
 and track lifting, normalized pairing, characteristic refinement, vaut
 action, verification sweeps, and the orbit experiment.  Exit codes: 0
 success or property verified, 1 verification failed (a counterexample
-document is printed), 2 invalid input, 3 search budget exceeded.
+document is printed), 2 invalid input, 3 search budget exceeded, 4 internal
+error (a bug; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .characteristic import (
     characteristic_refinement,
@@ -61,7 +63,7 @@ def _parse_class_vector(text: str, genus: int):
     try:
         vec = json.loads(text)
         vec = tuple(int(v) for v in vec)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad class vector {text!r}") from exc
     if len(vec) != generator_count(genus):
         raise DocumentError(
@@ -285,9 +287,13 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (DocumentError, CovertowerError, ValueError) as exc:
+    except CovertowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ DEFAULT_BUDGET = 1_000_000
 
 def search_budget(override: int | None = None) -> int:
     if override is not None:
+        if isinstance(override, bool) or not isinstance(override, int) or override < 1:
+            raise CovertowerError(f"budget must be an integer at least 1, got {override!r}")
         return override
     env = os.environ.get("COVERTOWER_BUDGET")
     if not env:
@@ -209,6 +211,7 @@ def _schreier_walk(cover: SurfaceCover):
     return order, tree, words
 
 
+@lru_cache(maxsize=None)
 def trivial_cover(genus: int) -> SurfaceCover:
     n = generator_count(genus)
     return SurfaceCover(genus, 1, tuple(((0,),) * n))

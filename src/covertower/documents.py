@@ -47,7 +47,7 @@ def _word_out(word) -> list[int]:
 def _word_in(data, genus: int, field: str) -> Word:
     try:
         word = tuple(int(x) for x in data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"{field}: bad word {data!r}") from exc
     n = generator_count(genus)
     if any(not 0 < abs(x) <= n for x in word):
@@ -89,7 +89,7 @@ def parse_cover(doc) -> SurfaceCover:
         genus = int(doc["genus"])
         degree = int(doc["degree"])
         perms = tuple(tuple(int(s) - 1 for s in p) for p in doc["perms"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad cover document: {exc}") from exc
     return SurfaceCover(genus, degree, perms)
 
@@ -124,7 +124,7 @@ def parse_cycle(doc) -> LimitElement:
             if not (0 < i <= cx.n_generators and 0 < s <= cover.degree):
                 raise DocumentError(f"edges[{k}]: generator {i} or sheet {s} out of range")
             chain[cx.edge_index(i - 1, s - 1)] += int(coeff)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad cycle document: {exc}") from exc
     return cycle_element(cover, chain)
 
@@ -159,7 +159,7 @@ def parse_track(doc) -> TrainTrack:
             )
             for sw in doc["switches"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad track document: {exc}") from exc
     return TrainTrack(genus, switches, words)
 
@@ -245,7 +245,8 @@ def _tables_from_sheet_map(left: SurfaceCover, right: SurfaceCover, sheet_map):
     equivariant for the two actions; the induced subgroup isomorphism is
     conjugation by the right tree word reaching sheet_map[0].
     """
-    if sorted(sheet_map) != list(range(left.degree)):
+    same_shape = (left.genus, left.degree) == (right.genus, right.degree)
+    if not same_shape or sorted(sheet_map) != list(range(left.degree)):
         raise DocumentError("identification list is not a sheet bijection")
     for i in range(len(left.perms)):
         for s in range(left.degree):
@@ -280,34 +281,18 @@ def parse_vaut(doc) -> TwoArrowVaut:
     elif isinstance(ident, list):
         try:
             sheet_map = [int(t) - 1 for t in ident]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DocumentError("identification list must hold sheet numbers") from exc
         fwd, bwd = _tables_from_sheet_map(left, right, sheet_map)
     else:
         raise DocumentError("identification must be word tables or a sheet map")
     vaut = TwoArrowVaut(left, right, fwd, bwd)
-    if "base_genus" in doc and int(doc["base_genus"]) != vaut.base_genus:
+    if doc.get("base_genus", vaut.base_genus) not in (vaut.base_genus, str(vaut.base_genus)):
         raise DocumentError("base_genus disagrees with the covers")
     return vaut
 
 
 # -- automorphism lists
-
-def automorphisms_document(automorphisms) -> dict:
-    return {
-        "schema": SCHEMA,
-        "type": "automorphisms",
-        "genus": automorphisms[0].genus,
-        "items": [
-            {
-                "name": aut.name,
-                "images": [_word_out(w) for w in aut.images],
-                "inverse_images": [_word_out(w) for w in aut.inverse_images],
-            }
-            for aut in automorphisms
-        ],
-    }
-
 
 def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
     _expect(doc, "automorphisms")
@@ -323,7 +308,7 @@ def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
             )
             for j, item in enumerate(items)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad automorphisms document: {exc}") from exc
 
 

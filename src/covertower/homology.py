@@ -264,6 +264,20 @@ class CoverComplex:
 
     # -- intersection pairing
 
+    def pairing_covector(self, chain):
+        """B_x[e] = x_e + R_x(2e) - R_x(2e+1), R_x(dart) the running sum of phi_x
+        before the dart in its rotation; intersection(x, y) = -B_x . y for cycles."""
+        if len(chain) != self.n_edges:
+            raise ComplexMismatch("chain has wrong length")
+        before = [0] * (2 * self.n_edges)
+        for ring in self.rotation:
+            run = 0
+            for dart in ring:
+                before[dart] = run
+                run += -chain[dart >> 1] if dart & 1 else chain[dart >> 1]
+        darts = iter(before)  # R_x(2e), then R_x(2e+1), for each edge e
+        return [c + fwd - rev for c, fwd, rev in zip(chain, darts, darts)]
+
     def intersection(self, chain1, chain2) -> int:
         """Signed crossing count of two cycles, pushing the second off the first.
 
@@ -286,22 +300,15 @@ class CoverComplex:
         max(-y_e, 0)*x_e at the tail of e plus max(y_e, 0)*(-x_e) at its
         head, -x_e*y_e per edge.  Both cycles are balanced and
         sum_p phi_x*phi_y = 2*sum_e x_e*y_e, so moving the running sum onto
-        phi_x gives the form above.
+        phi_x gives the form above.  Collecting y_e from phi_y(2e) = y_e and
+        phi_y(2e+1) = -y_e turns it into -B_x . y with pairing_covector's B_x.
         """
         for chain in (chain1, chain2):
             if len(chain) != self.n_edges:
                 raise ComplexMismatch("chain has wrong length")
             if not self.is_cycle(chain):
                 raise ComplexMismatch("chain is not a cycle")
-        out1 = [f for c in chain1 for f in (c, -c)]
-        out2 = [f for c in chain2 for f in (c, -c)]
-        total = -sum(map(mul, chain1, chain2))
-        for ring in self.rotation:
-            run = 0
-            for dart in ring:
-                total -= run * out2[dart]
-                run += out1[dart]
-        return total
+        return -sum(map(mul, self.pairing_covector(chain1), chain2))
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +320,7 @@ def surface_complex(cover: SurfaceCover) -> CoverComplex:
 
 def transfer_along_arrow(arrow, chain):
     """Pull a chain on the arrow's target back to the full preimage chain."""
-    dst = surface_complex(arrow.target)
-    if len(chain) != dst.n_edges:
+    d = arrow.target.degree
+    if len(chain) != len(arrow.target.perms) * d:
         raise DimensionMismatch("chain does not fit the arrow's target")
-    d = dst.cover.degree
-    return [chain[i + t] for i in range(0, dst.n_edges, d) for t in arrow.sheet_map]
+    return [chain[i + t] for i in range(0, len(chain), d) for t in arrow.sheet_map]

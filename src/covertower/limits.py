@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .covers import CoverArrow, SurfaceCover, fiber_product, trivial_cover
@@ -73,14 +74,21 @@ def track_element(track: TrainTrack, cover: SurfaceCover, weights) -> LimitEleme
     return LimitElement("track", cover, (track, tuple(weights)))
 
 
+def _trusted_element(kind: str, cover: SurfaceCover, payload) -> LimitElement:
+    """Element made in the package from checked inputs by a chain map or a
+    weight pullback, so the constructor's checks would pass: they are skipped."""
+    element = object.__new__(LimitElement)
+    element.__dict__.update(kind=kind, cover=cover, payload=payload)
+    return element
+
+
 def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
     """Pull a representative back along an arrow into a finer cover."""
     if arrow.target != element.cover:
         raise IncompatibleTower("arrow target is not the element's cover")
     if element.kind == "cycle":
-        return LimitElement(
-            "cycle", arrow.source, transfer_along_arrow(arrow, element.payload)
-        )
+        chain = tuple(transfer_along_arrow(arrow, element.payload))
+        return _trusted_element("cycle", arrow.source, chain)
     track, weights = element.payload
     coarse = LiftedTrack(track, element.cover)
     fine = LiftedTrack(track, arrow.source)
@@ -88,7 +96,7 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
         weights[coarse.branch_index(b, arrow.sheet_map[s])]
         for (b, s) in fine.branches
     )
-    return LimitElement("track", arrow.source, (track, lifted))
+    return _trusted_element("track", arrow.source, (track, lifted))
 
 
 def _common_refinement(e1: LimitElement, e2: LimitElement):
@@ -118,6 +126,40 @@ def limit_equal(e1: LimitElement, e2: LimitElement) -> bool:
     return f1.payload[1] == f2.payload[1]
 
 
+def pairing_table(rows, cols) -> list[list[Fraction]]:
+    """Normalized pairing of every row element with every column element.
+
+    Entry [i][j] is normalized_pairing(rows[i], cols[j]).  The pairing is
+    bilinear, so each row lift becomes one pairing covector and each entry
+    one dot product.  Each pair of distinct covers gets one fiber product
+    and each element one lift per fiber product.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    if any(e.kind != "cycle" for e in (*rows, *cols)):
+        raise KindMismatch("normalized pairing is defined for cycle elements")
+    if len({e.base_genus for e in (*rows, *cols)}) > 1:
+        raise IncompatibleTower("elements live over different base surfaces")
+    table = [[None] * len(cols) for _ in rows]
+    for row_cover, row_at in _by_cover(rows):
+        for col_cover, col_at in _by_cover(cols):
+            fp = fiber_product(row_cover, col_cover)
+            cx, scale = surface_complex(fp.cover), fp.cover.total_genus - 1
+            lifts = [lift_element(cols[j], fp.to_second).payload for j in col_at]
+            for i in row_at:
+                covector = cx.pairing_covector(lift_element(rows[i], fp.to_first).payload)
+                for j, chain in zip(col_at, lifts):
+                    table[i][j] = Fraction(-sum(map(mul, covector, chain)), scale)
+    return table
+
+
+def _by_cover(elements):
+    """(cover, positions) for each cover among the elements, by identity."""
+    groups = {}
+    for k, e in enumerate(elements):
+        groups.setdefault(id(e.cover), (e.cover, []))[1].append(k)
+    return groups.values()
+
+
 def normalized_pairing(e1: LimitElement, e2: LimitElement) -> Fraction:
     """Intersection pairing divided by (genus of the total surface - 1).
 
@@ -125,16 +167,7 @@ def normalized_pairing(e1: LimitElement, e2: LimitElement) -> Fraction:
     genus(total) - 1, making the ratio independent of the representative
     level.  Exact rational output.
     """
-    if e1.kind != "cycle" or e2.kind != "cycle":
-        raise KindMismatch("normalized pairing is defined for cycle elements")
-    if e1.base_genus != e2.base_genus:
-        raise IncompatibleTower("elements live over different base surfaces")
-    fp = fiber_product(e1.cover, e2.cover)
-    f1 = lift_element(e1, fp.to_first)
-    f2 = lift_element(e2, fp.to_second)
-    cx = surface_complex(fp.cover)
-    value = cx.intersection(f1.payload, f2.payload)
-    return Fraction(value, fp.cover.total_genus - 1)
+    return pairing_table((e1,), (e2,))[0][0]
 
 
 def homology_shadow(element: LimitElement) -> LimitElement:

@@ -21,7 +21,7 @@ from .errors import (
     SwitchViolation,
 )
 from .exact_linalg import extreme_rays, mat_mul, mat_vec, rational_rank
-from .surface import Word, abelianized
+from .surface import Word
 
 
 HalfBranch = tuple[int, int]  # (branch index, end 0 or 1)
@@ -89,17 +89,6 @@ class TrainTrack:
 
     def chart_dimension(self) -> int:
         return self.n_branches - rational_rank(self.switch_matrix())
-
-    def homology_class(self, weights):
-        """Weighted sum of branch word classes; weights must be integers."""
-        out = [0] * (2 * self.genus)
-        for b, w in enumerate(weights):
-            w = Fraction(w)
-            if w.denominator != 1:
-                raise NonIntegerWeights(f"branch {b} weight {w} is not an integer")
-            vec = abelianized(self.branch_words[b], self.genus)
-            out = [x + int(w) * y for x, y in zip(out, vec)]
-        return tuple(out)
 
 
 def three_branch_example() -> TrainTrack:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact_linalg import mat_mul
 from .homology import surface_complex, transfer_along_arrow
-from .limits import LimitElement, homology_shadow, normalized_pairing
+from .limits import LimitElement, _trusted_element, homology_shadow, normalized_pairing
 from .surface import Word, free_reduce, generator_count, inverse_word
 
 __all__ = [
@@ -173,7 +173,7 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
         piece = cx_v.word_path_chain(moved, 0)
         for k, value in enumerate(piece):
             out[k] += coeff * value
-    return LimitElement("cycle", image.cover, tuple(out))
+    return _trusted_element("cycle", image.cover, tuple(out))
 
 
 def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from .characteristic import shipped_automorphisms
 from .covers import SurfaceCover, enumerate_covers, factors_through, trivial_cover
@@ -35,7 +36,7 @@ from .limits import (
     cycle_element,
     lift_element,
     limit_equal,
-    normalized_pairing,
+    pairing_table,
 )
 from .surface import generator_count, standard_symplectic
 from .vauts import (
@@ -120,6 +121,7 @@ def _ts_one(cover: SurfaceCover):
     form = standard_symplectic(g)
     basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     transfers = [cx.transfer(v) for v in basis]
+    covectors = [cx.pairing_covector(t) for t in transfers]
     for i in range(n):
         pushed = cx.pushforward(transfers[i])
         expected = tuple(d * v for v in basis[i])
@@ -132,7 +134,7 @@ def _ts_one(cover: SurfaceCover):
                 "got": list(pushed),
             }
         for j in range(n):
-            got = cx.intersection(transfers[i], transfers[j])
+            got = -sum(map(mul, covectors[i], transfers[j]))
             want = d * form[i][j]
             if got != want:
                 return {
@@ -333,13 +335,11 @@ def _t3_one(cover: SurfaceCover, genus: int):
     basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     base_elements = [base_class_element(genus, v) for v in basis]
     lifted = [cycle_element(cover, cx.transfer(v)) for v in basis]
+    tables = (pairing_table(lifted, lifted), pairing_table(base_elements, lifted))
     for i in range(n):
         for j in range(n):
             want = Fraction(form[i][j], genus - 1)
-            for after in (
-                normalized_pairing(lifted[i], lifted[j]),
-                normalized_pairing(base_elements[i], lifted[j]),
-            ):
+            for after in (table[i][j] for table in tables):
                 if after != want:
                     return {
                         "what": "lift-invariance",
@@ -423,4 +423,6 @@ def replay_counterexample(suite: str, data: dict) -> bool:
     """Re-run one packaged counterexample; True when the property now holds."""
     if suite not in _REPLAYS:
         raise DocumentError(f"unknown suite {suite!r}")
+    if not isinstance(data, dict):
+        raise DocumentError("counterexample data must be a JSON object")
     return _REPLAYS[suite](data)

@@ -14,7 +14,7 @@ from covertower.covers import (
     factors_through,
     trivial_cover,
 )
-from covertower.errors import InvalidAutomorphism, SearchBudgetExceeded
+from covertower.errors import CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
 from covertower.surface import abelianized, free_reduce, substitute
 
 
@@ -127,6 +127,13 @@ def test_refinement_at_degree3_exceeds_any_desk_budget():
     cover = enumerate_covers(2, 3)[0]
     with pytest.raises(SearchBudgetExceeded):
         characteristic_refinement(cover, budget=5000)
+
+
+def test_refinement_rejects_a_zero_budget():
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    with pytest.raises(CovertowerError, match="budget must be an integer") as exc:
+        characteristic_refinement(cover, budget=0)
+    assert not isinstance(exc.value, SearchBudgetExceeded)
 
 
 def test_refinement_tiny_budget():

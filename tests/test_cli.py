@@ -298,3 +298,31 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_internal_errors_exit_4_with_a_traceback(tmp_path, capsys, monkeypatch):
+    import covertower.cli as cli
+
+    def broken(cover):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "surface_complex", broken)
+    path = write_doc(tmp_path, "cover.json", cover_document(double_cover_from_signs(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "genus", "--cover", path)
+    assert code == 4
+    assert "internal error: ValueError: boom" in err
+    assert "Traceback" in err
+
+
+def test_bad_input_still_exits_2_without_a_traceback(tmp_path, capsys):
+    doc = vaut_document(identity_vaut(2))
+    doc["base_genus"] = "two"
+    vp = write_doc(tmp_path, "vaut.json", doc)
+    ep = write_doc(tmp_path, "elem.json", element_document(base_class_element(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "vaut-act", "--vaut", vp, "--elem", ep)
+    assert code == 2
+    assert "base_genus" in err and "Traceback" not in err
+    cp = write_doc(tmp_path, "cover.json", cover_document(double_cover_from_signs(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "lift-cycle", "--cover", cp, "--class", "[1e999,0,0,0]")
+    assert code == 2
+    assert "bad class vector" in err and "Traceback" not in err

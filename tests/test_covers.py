@@ -245,6 +245,19 @@ def test_search_budget(monkeypatch):
         enumerate_covers(2, 3, budget=10)
 
 
+@pytest.mark.parametrize("bad", [-5, 0, True, False, 1.5, "10"])
+def test_explicit_budget_is_range_checked(bad):
+    with pytest.raises(CovertowerError, match="budget") as exc:
+        search_budget(bad)
+    assert not isinstance(exc.value, SearchBudgetExceeded)
+
+
+def test_enumeration_rejects_a_negative_budget():
+    with pytest.raises(CovertowerError, match="budget must be an integer") as exc:
+        enumerate_covers(2, 2, budget=-5)
+    assert not isinstance(exc.value, SearchBudgetExceeded)
+
+
 # ---------------------------------------------------------------------------
 # Schreier structure
 

@@ -1,13 +1,15 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import double_cover_from_signs, enumerate_covers, trivial_cover
 from covertower.documents import (
     DocumentError,
-    automorphisms_document,
     counterexample_document,
     cover_document,
     cycle_document,
@@ -28,8 +30,9 @@ from covertower.documents import (
     track_element_document,
     vaut_document,
 )
+from covertower.errors import CovertowerError
 from covertower.homology import surface_complex
-from covertower.limits import cycle_element, limit_equal, track_element
+from covertower.limits import base_class_element, cycle_element, limit_equal, track_element
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import (
     identity_vaut,
@@ -37,6 +40,7 @@ from covertower.vauts import (
     vaut_act,
     vaut_from_automorphism,
 )
+from covertower.verify import SUITES, replay_counterexample
 
 
 def test_rational_round_trip():
@@ -234,6 +238,23 @@ def test_vaut_base_genus_cross_check():
         parse_vaut(doc)
 
 
+def automorphisms_document(automorphisms) -> dict:
+    """Writer for the automorphism lists that parse_automorphisms reads."""
+    return {
+        "schema": "covertower/1",
+        "type": "automorphisms",
+        "genus": automorphisms[0].genus,
+        "items": [
+            {
+                "name": aut.name,
+                "images": [list(w) for w in aut.images],
+                "inverse_images": [list(w) for w in aut.inverse_images],
+            }
+            for aut in automorphisms
+        ],
+    }
+
+
 def test_automorphisms_round_trip():
     auts = shipped_automorphisms(2)
     doc = automorphisms_document(auts)
@@ -254,3 +275,111 @@ def test_counterexample_round_trip():
     assert data["detail"] == "x"
     with pytest.raises(DocumentError):
         parse_counterexample({"schema": "covertower/1", "type": "counterexample"})
+
+
+# -- fuzzing the input boundary: arbitrary JSON raises only CovertowerError
+
+# Leaves lean towards values next to valid ones: small and huge integers,
+# the non-finite floats json.load accepts, and numbers spelled as strings.
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, "1", "-1", "1/0", "x", ""])
+    | st.text(max_size=8)
+)
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _seed_documents():
+    """Valid documents of every kind the parsers and replays read."""
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    cx = surface_complex(cover)
+    twist = vaut_from_automorphism(shipped_automorphisms(2)[0])
+    e = base_class_element(2, (1, 0, 0, 0))
+    c1 = cycle_document(cycle_element(cover, cx.transfer((1, 0, 0, 0))))
+    c2 = cycle_document(cycle_element(cover, cx.transfer((0, 1, 0, 0))))
+    track = track_element_document(
+        track_element(three_branch_example(), trivial_cover(2), (2, 1, 1))
+    )
+    sheet_map = dict(vaut_document(identity_vaut(2)), identification=[1])
+    vauts = [vaut_document(restrict_vaut(twist, cover)), sheet_map]
+    elements = [c1, track, element_document(e)]
+    replays = [
+        ("riemann-hurwitz", {"cover": cover_document(cover)}),
+        ("transfer-scaling", {"cover": cover_document(cover)}),
+        ("pairing-invariance",
+         {"cover": cover_document(cover), "c1": c1, "c2": c2, "moved1": c1, "moved2": c2}),
+        ("vaut-laws", {"law": "identity", "element": c1}),
+        ("vaut-laws", {"law": "inverse", "vaut": vauts[0], "element": c2}),
+        ("vaut-laws", {"law": "representative-independence", "vaut": vauts[1],
+                       "element": element_document(e), "fine": c1}),
+        ("vaut-laws", {"law": "composition", "vaut1": vauts[0], "vaut2": vauts[1],
+                       "element": c1}),
+        ("theorem3", {"what": "lift-invariance", "cover": cover_document(cover)}),
+        ("theorem3", {"what": "vaut-preservation", "vaut": vauts[0], "e1": c1, "e2": c2}),
+    ]
+    return [cover_document(cover)] + elements + vauts, replays
+
+
+SEED_DOCUMENTS, SEED_REPLAYS = _seed_documents()
+# Valid covers to swap in, so that documents join covers that do not fit.
+OTHER_COVERS = [
+    cover_document(c)
+    for c in (trivial_cover(2), trivial_cover(3), double_cover_from_signs(2, (0, 0, 0, 1)))
+]
+
+
+def _mutated(data, doc):
+    """doc with one value somewhere inside replaced, or dropped.
+
+    The new value is arbitrary JSON or a valid cover document.
+    """
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        keys = sorted(doc) if isinstance(doc, dict) else list(range(len(doc)))
+        key = data.draw(st.sampled_from(keys))
+        out = dict(doc) if isinstance(doc, dict) else list(doc)
+        if isinstance(doc, dict) and data.draw(st.integers(0, 5)) == 0:
+            del out[key]
+        else:
+            out[key] = _mutated(data, doc[key])
+        return out
+    return data.draw(JSON | st.sampled_from(OTHER_COVERS))
+
+
+def _only_covertower_errors(fn, *args):
+    try:
+        fn(*args)
+    except CovertowerError:
+        pass
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_parsers_raise_only_covertower_errors(data):
+    doc = _mutated(data, data.draw(st.sampled_from(SEED_DOCUMENTS)))
+    for parse in (parse_cover, parse_element, parse_vaut):
+        _only_covertower_errors(parse, doc)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_replays_raise_only_covertower_errors(data):
+    suite, seed = data.draw(st.sampled_from(SEED_REPLAYS))
+    suite = data.draw(st.sampled_from([suite, *SUITES]))
+    _only_covertower_errors(replay_counterexample, suite, _mutated(data, seed))
+
+
+@settings(max_examples=100)
+@given(JSON, st.sampled_from(sorted(SUITES)))
+def test_arbitrary_json_raises_only_covertower_errors(doc, suite):
+    for parse in (parse_cover, parse_element, parse_vaut):
+        _only_covertower_errors(parse, doc)
+    _only_covertower_errors(replay_counterexample, suite, doc)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
     double_cover_from_signs,
     enumerate_covers,
@@ -18,17 +19,22 @@ from covertower.errors import (
     NonIntegerWeights,
     SwitchViolation,
 )
-from covertower.homology import surface_complex
+from covertower.homology import surface_complex, transfer_along_arrow
 from covertower.limits import (
+    LimitElement,
     base_class_element,
     cycle_element,
     homology_shadow,
     lift_element,
     limit_equal,
     normalized_pairing,
+    pairing_table,
     track_element,
 )
 from covertower.traintrack import lift_track, three_branch_example
+from covertower.vauts import restrict_vaut, vaut_act, vaut_from_automorphism
+from test_homology import random_loop_cycle, strand_intersection
+from test_traintrack import homology_class
 
 
 def transfer_element(cover, class_vector):
@@ -194,7 +200,7 @@ def test_homology_shadow():
     base = track_element(track, trivial_cover(2), weights)
     shadow = homology_shadow(base)
     assert shadow.kind == "cycle"
-    assert limit_equal(shadow, base_class_element(2, track.homology_class(weights)))
+    assert limit_equal(shadow, base_class_element(2, homology_class(track, weights)))
     cover = double_cover_from_signs(2, (0, 1, 1, 0))
     _, matrix = lift_track(track, cover)
     up = track_element(track, cover, matrix.apply(weights))
@@ -211,3 +217,91 @@ def test_homology_shadow_errors():
         homology_shadow(frac)
     with pytest.raises(KindMismatch):
         homology_shadow(base_class_element(2, (1, 0, 0, 0)))
+
+
+def _random_cycles(cover, rng, count):
+    cx = surface_complex(cover)
+    return [cycle_element(cover, random_loop_cycle(cx, rng)) for _ in range(count)]
+
+
+def _oracle_pairing(e1, e2):
+    """The pairing on the fiber product, counted strand by strand."""
+    fp = fiber_product(e1.cover, e2.cover)
+    cx = surface_complex(fp.cover)
+    lift1 = transfer_along_arrow(fp.to_first, e1.payload)
+    lift2 = transfer_along_arrow(fp.to_second, e2.payload)
+    return Fraction(strand_intersection(cx, lift1, lift2), fp.cover.total_genus - 1)
+
+
+def test_pairing_table_matches_strand_oracle():
+    rng = random.Random(71)
+    covers = list(enumerate_covers(2, 2)) + rng.sample(enumerate_covers(2, 3), 12)
+    base = [base_class_element(2, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(3)]
+    entries = nonzero = 0
+    for k, cover in enumerate(covers):
+        other = covers[(k + 5) % len(covers)]
+        mixed = _random_cycles(cover, rng, 2) + _random_cycles(other, rng, 2)
+        cases = (
+            (_random_cycles(cover, rng, 3), _random_cycles(cover, rng, 3)),  # same cover
+            (base, _random_cycles(cover, rng, 3)),  # base x cover
+            (_random_cycles(cover, rng, 2), _random_cycles(other, rng, 3)),  # distinct covers
+            (mixed, mixed[::-1] + base),  # several covers on each side
+        )
+        for rows, cols in cases:
+            table = pairing_table(rows, cols)
+            assert len(table) == len(rows)
+            for row, out in zip(rows, table):
+                assert len(out) == len(cols)
+                for col, value in zip(cols, out):
+                    assert value == _oracle_pairing(row, col)
+                    assert value == normalized_pairing(row, col)
+                    entries += 1
+                    nonzero += value != 0
+    assert entries > 1000
+    assert nonzero > entries // 4
+
+
+def test_pairing_table_checks_every_element():
+    u = base_class_element(2, (1, 0, 0, 0))
+    track = track_element(three_branch_example(), trivial_cover(2), (2, 1, 1))
+    with pytest.raises(KindMismatch):
+        pairing_table((u, u), (u, track))
+    with pytest.raises(IncompatibleTower):
+        pairing_table((u,), (u, base_class_element(3, (1,) + (0,) * 5)))
+    assert pairing_table((), (u,)) == []
+    assert pairing_table((u,), ()) == [[]]
+
+
+def test_trusted_products_pass_the_public_checks():
+    # lift_element and vaut_act build their results without the public
+    # checks; rebuilding each one through LimitElement must succeed and
+    # give the same element, payload types included.
+    rng = random.Random(13)
+    covers = list(enumerate_covers(2, 2)) + rng.sample(enumerate_covers(2, 3), 10)
+    base, track = trivial_cover(2), three_branch_example()
+    products = []
+    for cover in covers:
+        down = factors_through(cover, base)
+        fp = fiber_product(cover, rng.choice(covers))
+        vector = [rng.randint(-2, 2) for _ in range(4)]
+        cycle = cycle_element(cover, random_loop_cycle(surface_complex(cover), rng))
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        weights = (Fraction(a + b, 2), Fraction(a, 2), Fraction(b, 2))
+        lifted_track = lift_element(track_element(track, base, weights), down)
+        products += [
+            lift_element(base_class_element(2, vector), down),
+            lift_element(cycle, fp.to_first),
+            lifted_track,
+            lift_element(lifted_track, fp.to_first),
+        ]
+    vauts = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    vauts.append(restrict_vaut(vauts[-1], covers[3]))
+    for vaut in vauts:
+        for cover in rng.sample(covers, 4) + [base]:
+            cycle = random_loop_cycle(surface_complex(cover), rng)
+            products.append(vaut_act(vaut, cycle_element(cover, cycle)))
+    assert {p.kind for p in products} == {"cycle", "track"}
+    for product in products:
+        rebuilt = LimitElement(product.kind, product.cover, product.payload)
+        assert rebuilt == product
+        assert repr(rebuilt) == repr(product)

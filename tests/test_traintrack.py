@@ -19,6 +19,8 @@ from covertower.errors import (
 )
 from covertower.exact_linalg import extreme_rays
 from covertower.homology import surface_complex
+from covertower.limits import base_class_element, homology_shadow, limit_equal, track_element
+from covertower.surface import abelianized
 from covertower.traintrack import (
     CarryingMatrix,
     Switch,
@@ -74,11 +76,28 @@ def test_cone_rays_of_example():
     assert rays == [(1, 0, 1), (1, 1, 0)]
 
 
+def homology_class(track, weights):
+    """Weighted sum of branch word classes; weights must be integers."""
+    out = [0] * (2 * track.genus)
+    for b, w in enumerate(weights):
+        w = Fraction(w)
+        if w.denominator != 1:
+            raise NonIntegerWeights(f"branch {b} weight {w} is not an integer")
+        vec = abelianized(track.branch_words[b], track.genus)
+        out = [x + int(w) * y for x, y in zip(out, vec)]
+    return tuple(out)
+
+
 def test_homology_class():
     track = three_branch_example()
-    assert track.homology_class((2, 1, 1)) == (3, 0, 0, 0)
+    assert homology_class(track, (2, 1, 1)) == (3, 0, 0, 0)
     with pytest.raises(NonIntegerWeights):
-        track.homology_class((Fraction(1, 2), Fraction(1, 2), 0))
+        homology_class(track, (Fraction(1, 2), Fraction(1, 2), 0))
+    # the library's shadow of a weighted track carries the same class
+    shadow = homology_shadow(track_element(track, trivial_cover(2), (2, 1, 1)))
+    assert limit_equal(shadow, base_class_element(2, (3, 0, 0, 0)))
+    with pytest.raises(NonIntegerWeights):
+        homology_shadow(track_element(track, trivial_cover(2), (Fraction(1, 2), Fraction(1, 2), 0)))
 
 
 def test_lift_through_first_handle_swap():
@@ -122,7 +141,7 @@ def test_lifted_cycle_chain_matches_transfer():
         cx = surface_complex(cover)
         chain = lifted.cycle_chain(matrix.apply(weights))
         assert cx.is_cycle(chain)
-        via_transfer = cx.transfer(track.homology_class(weights))
+        via_transfer = cx.transfer(homology_class(track, weights))
         assert list(cx.class_coordinates(chain)) == list(
             cx.class_coordinates(via_transfer)
         )

@@ -1,6 +1,10 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+
+from covertower import verify
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
@@ -17,10 +21,17 @@ from covertower.documents import (
     dumps_canonical,
     element_document,
     parse_counterexample,
+    rational_str,
     vaut_document,
 )
 from covertower.homology import surface_complex
-from covertower.limits import base_class_element, cycle_element, lift_element
+from covertower.limits import (
+    base_class_element,
+    cycle_element,
+    lift_element,
+    normalized_pairing,
+)
+from covertower.surface import standard_symplectic
 from covertower.vauts import restrict_vaut, vaut_from_automorphism
 from covertower.verify import SUITES, _sweep, replay_counterexample, run_suite
 
@@ -153,3 +164,64 @@ def test_counterexample_documents_serialize():
     doc = counterexample_document("riemann-hurwitz", {"cover": cover_document(cover)})
     suite, data = parse_counterexample(json.loads(dumps_canonical(doc)))
     assert replay_counterexample(suite, data)
+
+
+def _perturbed_forms(call, i, j):
+    """standard_symplectic stand-in, off by one at [i][j], [i][j+1] and [j][i] on one call.
+
+    Wrong entries in one row and in one column make the order of pairs
+    matter, and the call number picks the cover that fails first.
+    """
+    calls = []
+
+    def form(genus):
+        calls.append(genus)
+        out = [list(row) for row in standard_symplectic(genus)]
+        if len(calls) == call:
+            for a, b in {(i, j), (i, (j + 1) % len(out)), (j, i)}:
+                out[a][b] += 1
+        return out
+
+    return form
+
+
+def _reference_failure(suite, form_of, max_degree):
+    """First failure of a suite, found with one pairing call per pair."""
+    n = 4
+    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for degree in range(1, max_degree + 1):
+        for cover in enumerate_covers(2, degree):
+            cx = surface_complex(cover)
+            form = form_of(2)
+            if suite == "transfer-scaling":
+                transfers = [cx.transfer(v) for v in basis]
+                for i, j in itertools.product(range(n), repeat=2):
+                    got = cx.intersection(transfers[i], transfers[j])
+                    if got != cover.degree * form[i][j]:
+                        return {"cover": cover_document(cover), "what": "pairing",
+                                "pair": [i, j], "expected": cover.degree * form[i][j],
+                                "got": got}
+                continue
+            bases = [base_class_element(2, v) for v in basis]
+            lifted = [cycle_element(cover, cx.transfer(v)) for v in basis]
+            for i, j in itertools.product(range(n), repeat=2):
+                want = Fraction(form[i][j], 2 - 1)  # genus - 1
+                for after in (normalized_pairing(lifted[i], lifted[j]),
+                              normalized_pairing(bases[i], lifted[j])):
+                    if after != want:
+                        return {"what": "lift-invariance", "cover": cover_document(cover),
+                                "pair": [i, j], "before": rational_str(want),
+                                "after": rational_str(after)}
+    return None
+
+
+@pytest.mark.parametrize("suite", ["theorem3", "transfer-scaling"])
+@pytest.mark.parametrize("call, i, j", [(1, 0, 1), (2, 3, 3), (9, 2, 0), (40, 3, 1)])
+def test_first_counterexample_matches_per_pair_reference(monkeypatch, suite, call, i, j):
+    monkeypatch.setattr(verify, "standard_symplectic", _perturbed_forms(call, i, j))
+    result = run_suite(suite, genus=2, max_degree=3)
+    want = _reference_failure(suite, _perturbed_forms(call, i, j), 3)
+    assert not result.ok and want is not None
+    assert dumps_canonical(result.counterexample) == dumps_canonical(
+        counterexample_document(suite, want)
+    )
