@@ -13,103 +13,26 @@ from itertools import combinations
 from .errors import SearchBudgetExceeded
 
 
-def smith_normal_form(mat):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def generates_integer_lattice(rows, n: int) -> bool:
+    """True iff the integer rows of length n generate all of Z^n.
 
-    Returns (divisors, V, Vinv) where divisors are the positive elementary
-    divisors d1 | d2 | ... and V, Vinv are mutually inverse unimodular n x n
-    integer matrices recording the column operations: for a row vector x of
-    length n, the coordinates of x in the diagonalized basis are x @ V, and
-    the original coordinates of a diagonal-basis unit vector j are row j of
-    Vinv.  Row operations are discarded.
+    Euclid's algorithm on each column in turn leaves one row with the gcd
+    of that column; the rows generate Z^n iff every such gcd is +-1.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(row) for row in mat]
-    if any(len(row) != n for row in a):
-        raise ValueError("ragged matrix")
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_col(i, j, k):
-        # column j += k * column i
-        for row in a:
-            row[j] += k * row[i]
-        for row in v:
-            row[j] += k * row[i]
-        vinv[i] = [x - k * y for x, y in zip(vinv[i], vinv[j])]
-
-    def negate_col(i):
-        for row in a:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        vinv[i] = [-x for x in vinv[i]]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(i, j, k):
-        a[j] = [x + k * y for x, y in zip(a[j], a[i])]
-
-    divisors = []
-    t = 0
-    while t < m and t < n:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        while True:
-            # Reduce column t below the pivot, then row t right of the pivot.
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            negate_col(t)
-        # Enforce divisibility of later entries by the pivot.
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            add_row(stray, t, 1)
-            continue
-        divisors.append(a[t][t])
-        t += 1
-    return divisors, v, vinv
+    rows = [list(row) for row in rows]
+    for j in range(n):
+        live = [row for row in rows if row[j]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[j]))
+            for row in live:
+                if row is not pivot:
+                    q = row[j] // pivot[j]
+                    row[:] = [a - q * b for a, b in zip(row, pivot)]
+            live = [row for row in live if row[j]]
+        if not live or abs(live[0][j]) != 1:
+            return False
+        rows = [row for row in rows if row is not live[0]]
+    return True
 
 
 def _rref(rows, n: int) -> list[int]:

@@ -19,7 +19,7 @@ from operator import mul
 
 from .covers import SurfaceCover, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
-from .exact_linalg import mat_mul, smith_normal_form
+from .exact_linalg import mat_mul
 from .surface import generator_count, surface_relator
 
 
@@ -195,72 +195,80 @@ class CoverComplex:
     # -- homology
 
     def _homology_data(self):
+        """Tree-cotree split of the nontree edges (Eppstein, SODA 2003).
+
+        The cotree is the breadth-first tree, from face 0, of the dual graph
+        whose edges are the nontree edges between two distinct faces.  The
+        2g' nontree edges outside it index the classes.  Each non-root face
+        holds its cotree parent edge once, with sign +-1, so subtracting
+        face boundaries in discovery order clears every cotree coordinate of
+        a cycle; the class edges' coordinates are then its class.
+        """
         if self._homology is not None:
             return self._homology
-        cover = self.cover
-        nontree = cover.schreier.nontree
-        r = len(nontree)
-        face_rows = []
-        for face in self.faces:
-            full = self.face_boundary_chain(face)
-            face_rows.append([full[self.edge_index(i, s)] for (i, s) in nontree])
-        divisors, v, vinv = smith_normal_form(face_rows)
-        rank = len(divisors)
-        if any(e != 1 for e in divisors):
-            raise ComplexMismatch("face lattice is not primitive; homology has torsion")
-        # Fundamental cycles: the chain of each Schreier loop, the unique
-        # cycle with a single nontree coordinate.
-        fundamental = [self.word_path_chain(schreier_loop(cover, e), 0) for e in nontree]
-        basis = []
-        for j in range(rank, r):
-            chain = self.zero_chain()
-            for k in range(r):
-                c = vinv[j][k]
-                if c:
-                    for e, val in enumerate(fundamental[k]):
-                        chain[e] += c * val
-            basis.append(tuple(chain))
-        self._homology = {
-            "rank": rank,
-            "v": v,
-            "vinv": vinv,
-            "basis": tuple(basis),
-        }
+        nontree = {self.edge_index(i, s) for (i, s) in self.cover.schreier.nontree}
+        face_of = [0] * (2 * self.n_edges)
+        for f, face in enumerate(self.faces):
+            for dart in face:
+                face_of[dart] = f
+        steps = []  # (cotree parent edge, its sign in the face, face darts)
+        order, seen = [0], {0}
+        for f in order:  # the search appends to order as it discovers faces
+            for dart in self.faces[f]:
+                g = face_of[dart ^ 1]
+                if g not in seen and dart >> 1 in nontree:
+                    seen.add(g)
+                    order.append(g)
+                    steps.append((dart >> 1, 1 if dart & 1 else -1, self.faces[g]))
+        cotree = {e for e, _, _ in steps}
+        self._homology = {"steps": steps, "class_edges": sorted(nontree - cotree)}
         return self._homology
 
+    def _reduce(self, chain):
+        """Class coordinates of a chain's nontree part, without checks."""
+        data = self._homology_data()
+        x = list(chain)
+        for p, sign, face in data["steps"]:
+            c = x[p] * sign
+            if c:
+                for dart in face:
+                    x[dart >> 1] += c if dart & 1 else -c
+        return tuple(x[e] for e in data["class_edges"])
+
     def homology_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Integral homology basis, one edge chain per class."""
-        return self._homology_data()["basis"]
+        """Integral homology basis, one edge chain per class, built on first use."""
+        data = self._homology_data()
+        if "basis" not in data:
+            loops = (schreier_loop(self.cover, self.edge_of_index(e)) for e in data["class_edges"])
+            data["basis"] = tuple(tuple(self.word_path_chain(w, 0)) for w in loops)
+        return data["basis"]
 
     def class_coordinates(self, chain):
-        """Coordinates of a cycle's homology class in the Smith basis."""
+        """Coordinates of a cycle's homology class in the homology_basis."""
         if len(chain) != self.n_edges:
             raise DimensionMismatch("chain has wrong length")
         if not self.is_cycle(chain):
             raise ComplexMismatch("chain is not a cycle")
-        data = self._homology_data()
-        nontree = self.cover.schreier.nontree
-        x = [chain[self.edge_index(i, s)] for (i, s) in nontree]
-        v = data["v"]
-        r = len(nontree)
-        y = [sum(x[k] * v[k][j] for k in range(r)) for j in range(data["rank"], r)]
-        return tuple(y)
+        return self._reduce(chain)
 
     def loop_map(self, images):
         """Matrix of the homology map that sends each Schreier loop to a class.
 
         images[k] holds the class coordinates, on the target surface, of the
-        image of the loop through nontree edge k.  The class of that loop is
-        row k of V[:, rank:], and Vinv[rank:] is a left inverse of that
-        block, so a map X with V[:, rank:] @ X = images can only be
-        Vinv[rank:] @ images, an integer matrix.  Returns X, or None when no
-        linear map sends the loops to these classes.
+        image of the loop through nontree edge k.  The loops through class
+        edges are the basis, so X is their rows of images; returns X when
+        every other loop's class maps to its image too, else None.
         """
         data = self._homology_data()
-        rank = data["rank"]
-        x = mat_mul(data["vinv"][rank:], images)
-        loops = [row[rank:] for row in data["v"]]
-        return x if mat_mul(loops, x) == [list(row) for row in images] else None
+        edges = (self.edge_index(i, s) for (i, s) in self.cover.schreier.nontree)
+        image_of = dict(zip(edges, images))
+        x = [list(image_of[e]) for e in data["class_edges"]]
+        for e, _, _ in data["steps"]:
+            unit = self.zero_chain()
+            unit[e] = 1
+            if mat_mul([self._reduce(unit)], x) != [list(image_of[e])]:
+                return None
+        return x
 
     # -- intersection pairing
 

@@ -217,9 +217,12 @@ def suite_pairing_invariance(genus: int, max_degree: int, seed: int):
 
 def _replay_pairing_invariance(data) -> bool:
     cover = _field(data, "cover", parse_cover)
-    cycles = [
-        _field(data, key, parse_cycle).payload for key in ("c1", "c2", "moved1", "moved2")
-    ]
+    cycles = []
+    for key in ("c1", "c2", "moved1", "moved2"):
+        element = _field(data, key, parse_cycle)
+        if element.cover != cover:
+            raise DocumentError(f"counterexample field {key!r} lies on another cover")
+        cycles.append(element.payload)
     return _pi_witness(surface_complex(cover), *cycles) is None
 
 

@@ -202,6 +202,21 @@ def test_verify_replay_missing_field_exit_2(tmp_path, capsys):
     assert "'vaut'" in err
 
 
+def test_verify_replay_cycles_on_another_cover_exit_2(tmp_path, capsys):
+    # cycles on cover A under a 'cover' field naming cover B are bad input,
+    # not a property that holds on B
+    a = double_cover_from_signs(2, (1, 0, 0, 0))
+    b = double_cover_from_signs(2, (0, 1, 0, 0))
+    cx = surface_complex(a)
+    c1 = cycle_document(cycle_element(a, cx.transfer((1, 0, 0, 0))))
+    c2 = cycle_document(cycle_element(a, cx.transfer((0, 1, 0, 0))))
+    data = {"cover": cover_document(b), "c1": c1, "c2": c2, "moved1": c1, "moved2": c2}
+    doc = counterexample_document("pairing-invariance", data)
+    code, err = run_err(capsys, "verify", "--replay", write_doc(tmp_path, "ab.json", doc))
+    assert code == 2
+    assert "'c1'" in err and "Traceback" not in err
+
+
 def test_out_of_range_word_letters_exit_2(tmp_path, capsys):
     doc = vaut_document(identity_vaut(2))
     doc["identification"]["fwd"][0] = [9]

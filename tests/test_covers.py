@@ -464,5 +464,9 @@ def test_compose_rejects_bad_marking():
     del missing[(3, 1)]
     with pytest.raises(InvalidIdentification):
         compose_covers(top, bottom, missing)
+    # every word a1~: the exponent vectors span one line of Z^6
+    collapsed = {edge: (1,) for edge in A1_SWAP_MARKING}
+    with pytest.raises(InvalidIdentification, match="do not span"):
+        compose_covers(top, bottom, collapsed)
     with pytest.raises(GenusMismatch):
         compose_covers(trivial_cover(2), bottom, A1_SWAP_MARKING)

@@ -7,11 +7,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from covertower.exact_linalg import (
     extreme_rays,
-    mat_mul,
-    mat_vec,
+    generates_integer_lattice,
     rational_nullspace,
     rational_rank,
-    smith_normal_form,
 )
 
 
@@ -23,35 +21,40 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
 EMPTY_MATRICES = [([], 0, 0), ([], 0, 3), ([[], [], []], 3, 0)]
 
 
-def test_smith_divisors_match_sympy():
+def _sympy_generates(mat, rows, cols) -> bool:
+    """The rows generate Z^cols iff the Smith form has cols unit divisors."""
+    divisors = []
+    if rows and cols:
+        divisors = [e for e in sympy_snf(sympy.Matrix(mat)).diagonal() if e != 0]
+    return len(divisors) == cols and all(abs(e) == 1 for e in divisors)
+
+
+def test_lattice_check_matches_sympy_smith():
     rng = random.Random(11)
-    for trial in range(25):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        mat = random_matrix(rng, rows, cols)
-        divisors, v, vinv = smith_normal_form(mat)
-        sym = sympy.Matrix(mat)
-        expected = [int(e) for e in sympy_snf(sym).diagonal() if e != 0]
-        assert list(divisors) == [abs(e) for e in expected]
-
-
-def test_smith_transform_contract():
-    # y = x*V has support exactly on the first rank coordinates for rows x,
-    # and V*Vinv is the identity
-    rng = random.Random(3)
-    for trial in range(10):
-        mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        divisors, v, vinv = smith_normal_form(mat)
-        n = len(v)
-        prod = mat_mul(v, vinv)
-        assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rank = len(divisors)
-        for row in mat:
-            y = mat_vec([[v[i][j] for i in range(n)] for j in range(n)], row)
-            # row*V lies in the span of the first rank coordinates scaled by divisors
-            y2 = [sum(row[i] * v[i][j] for i in range(n)) for j in range(n)]
-            assert all(y2[j] % divisors[j] == 0 for j in range(rank))
-            assert all(y2[j] == 0 for j in range(rank, n))
+    cases = list(EMPTY_MATRICES)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        mat = random_matrix(rng, rows, cols, -3, 3)
+        kind = trial % 4
+        if kind == 1:  # a column of even entries: index divisible by 2 at full rank
+            for row in mat:
+                row[0] *= 2
+        elif kind == 2:  # a repeated column: rank-deficient
+            for row in mat:
+                row[-1] = row[0]
+        elif kind == 3:  # unit rows appended: always generates
+            mat += [[int(i == j) for j in range(cols)] for i in range(cols)]
+            rows += cols
+        cases.append((mat, rows, cols))
+    outcomes = []
+    for mat, rows, cols in cases:
+        want = _sympy_generates(mat, rows, cols)
+        assert generates_integer_lattice(mat, cols) == want, mat
+        full_rank = bool(rows and cols) and sympy.Matrix(mat).rank() == cols
+        outcomes.append((want, full_rank))
+    # both answers occur, and some full-rank matrices have index > 1
+    assert {want for want, _ in outcomes} == {True, False}
+    assert (False, True) in outcomes
 
 
 def test_rational_rank_matches_sympy():

@@ -145,16 +145,27 @@ def test_rank_against_sympy_boundaries():
     rng = random.Random(13)
     covers = list(enumerate_covers(2, 1)) + list(enumerate_covers(2, 2))
     covers += rng.sample(enumerate_covers(2, 3), 6)
+    covers.append(mod2_homology_cover(2))
     for cover in covers:
         cx = CoverComplex(cover)
         d2, d1 = boundary_matrices(cx)
         cycles = cx.n_edges - d1.rank()
-        assert len(cx.homology_basis()) == cycles - d2.rank()
+        basis = cx.homology_basis()
+        assert len(basis) == cycles - d2.rank() == 2 * cover.total_genus
         # closed orientable surface homology is torsion free
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         divisors = [e for e in sympy_snf(d2).diagonal() if e != 0]
         assert all(abs(e) == 1 for e in divisors)
+        # with the rank, these make class_coordinates an isomorphism
+        # H_1 -> Z^(2g'): onto, as it sends the basis to the unit vectors,
+        # and well defined, as every face boundary goes to zero
+        n = len(basis)
+        assert [list(cx.class_coordinates(b)) for b in basis] == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ]
+        for face in cx.faces:
+            assert not any(cx.class_coordinates(cx.face_boundary_chain(face)))
 
 
 def pairing_matrix(cx):
