@@ -2,19 +2,21 @@
 
 Each test hashes a fixed corpus of outputs and compares the sha256 digest
 with a value recorded from a known-good tree.  The corpora run through the
-fiber-product, induced-cover, composition and refinement builders and the
-exact solves behind every vaut, so a refactor of those kernels that changes
-a single sheet label, table word or report line fails here.  To regenerate
+fiber-product, induced-cover, composition and refinement builders, the
+exact solves behind every vaut and the train-track lift, so a refactor of
+those kernels that changes a single sheet label, table word or report line
+fails here.  To regenerate
 after a deliberate output change, print ``_digest(...)`` for the corpus and
 say why in the change log.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from covertower.characteristic import shipped_automorphisms
+from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.cli import main
 from covertower.covers import (
     SurfaceCover,
@@ -24,7 +26,13 @@ from covertower.covers import (
     identity_perm,
     trivial_cover,
 )
-from covertower.documents import cover_document, dumps_canonical, vaut_document
+from covertower.documents import (
+    cover_document,
+    dumps_canonical,
+    track_document,
+    vaut_document,
+)
+from covertower.traintrack import three_branch_example
 from covertower.vauts import restrict_vaut, vaut_compose, vaut_from_automorphism
 from covertower.verify import SUITES
 
@@ -54,6 +62,10 @@ GOLDEN = {
     "verify": (
         "781177879ac46a94101070d1e1b24df8"
         "f1ce5dd137d85c28279217cecbcf0b82"
+    ),
+    "lift_track": (
+        "e1efbbb278e44797ec9d458f436638f9"
+        "c6e091fb7fd158738193199b12443efd"
     ),
 }
 
@@ -143,6 +155,19 @@ def test_verify_reports(capsys):
         _cli(capsys, "verify", "--suite", suite, "--max-degree", "2") for suite in SUITES
     ]
     assert _digest(chunks) == GOLDEN["verify"]
+
+
+def test_lift_track_documents(tmp_path, capsys):
+    covers = [c for d in (1, 2) for c in enumerate_covers(2, d)]
+    covers += random.Random(9).sample(enumerate_covers(2, 3), 20)
+    covers.append(mod2_homology_cover(2))
+    track = tmp_path / "track.json"
+    track.write_text(dumps_canonical(track_document(three_branch_example())), encoding="utf-8")
+    chunks = [
+        _cli(capsys, "lift-track", "--track", str(track), "--cover", path)
+        for path in _cover_files(tmp_path, covers)
+    ]
+    assert _digest(chunks) == GOLDEN["lift_track"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
