@@ -6,11 +6,7 @@ its matrix, and basis changes act by right multiplication.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
-
-from .errors import SearchBudgetExceeded
 
 
 def generates_integer_lattice(rows, n: int) -> bool:
@@ -97,46 +93,4 @@ def mat_mul(a, b):
 
 def mat_vec(a, x):
     return [sum(r * v for r, v in zip(row, x)) for row in a]
-
-
-def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
-    """Extreme rays of the cone {x >= 0 : eq_matrix @ x = 0}.
-
-    Enumerates candidate supports in increasing size; a support carries a ray
-    iff the restricted system has a one-dimensional nullspace spanned by a
-    strictly positive vector.  Rays are returned as primitive integer vectors
-    in lexicographic order.  Intended for small chart cones only.
-    """
-    rays = []
-    supports: list[frozenset[int]] = []
-    examined = 0
-    max_size = rational_rank(eq_matrix) + 1 if eq_matrix else 1
-    for size in range(1, min(n_vars, max_size) + 1):
-        for combo in combinations(range(n_vars), size):
-            examined += 1
-            if examined > budget:
-                raise SearchBudgetExceeded(
-                    f"extreme ray search examined {examined} supports, budget {budget}"
-                )
-            if any(set(sup) <= set(combo) for sup in supports):
-                continue
-            sub = [[row[c] for c in combo] for row in eq_matrix]
-            null = rational_nullspace(sub, len(combo))
-            if len(null) != 1:
-                continue
-            vec = null[0]
-            if all(x > 0 for x in vec) or all(x < 0 for x in vec):
-                if vec[0] < 0:
-                    vec = [-x for x in vec]
-                denom_lcm = math.lcm(*(x.denominator for x in vec))
-                ints = [int(x * denom_lcm) for x in vec]
-                g = math.gcd(*ints)
-                ints = [x // g for x in ints]
-                full = [0] * n_vars
-                for c, val in zip(combo, ints):
-                    full[c] = val
-                rays.append(full)
-                supports.append(frozenset(combo))
-    rays.sort()
-    return rays
 

@@ -7,6 +7,7 @@ one-vertex skeleton of the base surface.  Weights are exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .errors import (
     NonIntegerWeights,
     SwitchViolation,
 )
-from .exact_linalg import extreme_rays, mat_mul, mat_vec, rational_rank
+from .exact_linalg import mat_mul, mat_vec, rational_nullspace, rational_rank
 from .surface import Word
 
 
@@ -89,6 +90,32 @@ class TrainTrack:
 
     def chart_dimension(self) -> int:
         return self.n_branches - rational_rank(self.switch_matrix())
+
+    def carried_branches(self) -> frozenset[int]:
+        """Branches that some closed train path runs along.
+
+        A node (b, e) travels along branch b away from its end e; it arrives
+        at the half-branch (b, 1 - e) and leaves its switch through any
+        half-branch (c, f) on the other side, as node (c, f).  A branch is
+        carried iff one of its two nodes lies on a cycle.  Integer weights
+        split into such closed paths at every switch, so this is exactly
+        the support of the weight cone.
+        """
+        across: dict[HalfBranch, tuple[HalfBranch, ...]] = {}
+        for sw in self.switches:
+            across.update(dict.fromkeys(sw.side_a, sw.side_b))
+            across.update(dict.fromkeys(sw.side_b, sw.side_a))
+        carried = set()
+        for start in across:
+            seen, stack = set(), list(across[(start[0], 1 - start[1])])
+            while stack and start not in seen:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(across[(node[0], 1 - node[1])])
+            if start in seen:
+                carried.add(start[0])
+        return frozenset(carried)
 
 
 def three_branch_example() -> TrainTrack:
@@ -185,22 +212,21 @@ class LiftedTrack:
 
 @dataclass(frozen=True)
 class CarryingMatrix:
-    """Nonnegative integer matrix mapping one weight cone into another.
+    """Nonnegative integer matrix mapping one track's weight cone into another.
 
     Rows are indexed by target branches, columns by source branches; weights
-    map by matrix-vector product.
+    map by matrix-vector product.  Construction checks the cone invariant
+    exactly, in polynomial time (see `_check_cone`).
     """
 
-    source_matrix: tuple[tuple[int, ...], ...]  # source switch matrix
-    target_matrix: tuple[tuple[int, ...], ...]  # target switch matrix
+    source: TrainTrack
+    target: TrainTrack
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n_src = len(self.source_matrix[0]) if self.source_matrix else (
-            len(self.matrix[0]) if self.matrix else 0
-        )
-        n_tgt = len(self.target_matrix[0]) if self.target_matrix else len(self.matrix)
-        if len(self.matrix) != n_tgt or any(len(row) != n_src for row in self.matrix):
+        if len(self.matrix) != self.target.n_branches or any(
+            len(row) != self.source.n_branches for row in self.matrix
+        ):
             raise DimensionMismatch("carrying matrix shape does not match the tracks")
         for row in self.matrix:
             for x in row:
@@ -211,18 +237,32 @@ class CarryingMatrix:
         self._check_cone()
 
     def _check_cone(self) -> None:
-        n_src = len(self.matrix[0]) if self.matrix else 0
-        rays = extreme_rays([list(r) for r in self.source_matrix], n_src)
-        for ray in rays:
-            image = mat_vec([list(r) for r in self.matrix], ray)
-            for k, row in enumerate(self.target_matrix):
+        """M maps the source cone into the target cone iff T·M kills its span.
+
+        M >= 0 keeps weights nonnegative, so only the target switches T can
+        fail.  The cone spans ker S ∩ {x_b = 0 for b not carried}, since a
+        weight positive on every carried branch stays in the cone after
+        adding a small multiple of any vector there; so one nullspace of S
+        on the carried branches decides it.
+        """
+        carried = sorted(self.source.carried_branches())
+        restricted = [[row[b] for b in carried] for row in self.source.switch_matrix()]
+        target_rows = self.target.switch_matrix()
+        for vec in rational_nullspace(restricted, len(carried)):
+            scale = math.lcm(*(x.denominator for x in vec))
+            full = [0] * self.source.n_branches
+            for b, x in zip(carried, vec):
+                full[b] = int(x * scale)
+            image = mat_vec(self.matrix, full)
+            for k, row in enumerate(target_rows):
                 if sum(r * x for r, x in zip(row, image)) != 0:
                     raise ConeViolation(
-                        f"extreme ray {ray} maps outside the target cone at switch {k}"
+                        f"source weight {full} maps outside the target cone at switch {k}"
                     )
 
     def apply(self, weights):
-        return mat_vec([list(r) for r in self.matrix], list(weights))
+        self.source.validate_weights(weights)
+        return mat_vec(self.matrix, weights)
 
 
 def _freeze(mat):
@@ -246,12 +286,7 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
         row = [0] * track.n_branches
         row[b] = 1
         rows.append(row)
-    matrix = CarryingMatrix(
-        source_matrix=_freeze(track.switch_matrix()),
-        target_matrix=_freeze(lifted.track.switch_matrix()),
-        matrix=_freeze(rows),
-    )
-    return lifted, matrix
+    return lifted, CarryingMatrix(track, lifted.track, _freeze(rows))
 
 
 def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
@@ -268,29 +303,18 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
         row = [0] * len(lifted.branches)
         row[lifted.branch_index(b, arrow.sheet_map[s])] = 1
         rows.append(row)
-    return CarryingMatrix(
-        source_matrix=_freeze(lifted.track.switch_matrix()),
-        target_matrix=_freeze(finer.track.switch_matrix()),
-        matrix=_freeze(rows),
-    )
+    return CarryingMatrix(lifted.track, finer.track, _freeze(rows))
 
 
 def carrying_compose(first: CarryingMatrix, second: CarryingMatrix) -> CarryingMatrix:
     """Apply first, then second; revalidates the cone invariant."""
-    if len(second.matrix[0]) != len(first.matrix):
-        raise DimensionMismatch("carrying matrices do not compose")
-    if second.source_matrix != first.target_matrix:
+    if second.source != first.target:
         raise DimensionMismatch("second matrix's source track is not first's target")
-    product = mat_mul([list(r) for r in second.matrix], [list(r) for r in first.matrix])
-    return CarryingMatrix(
-        source_matrix=first.source_matrix,
-        target_matrix=second.target_matrix,
-        matrix=_freeze(product),
-    )
+    product = mat_mul(second.matrix, first.matrix)
+    return CarryingMatrix(first.source, second.target, _freeze(product))
 
 
 def identity_carrying(track: TrainTrack) -> CarryingMatrix:
     n = track.n_branches
-    sm = _freeze(track.switch_matrix())
     eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return CarryingMatrix(source_matrix=sm, target_matrix=sm, matrix=eye)
+    return CarryingMatrix(track, track, eye)

@@ -188,8 +188,8 @@ def test_criterion_5_track_lifting():
         staged = carrying_compose(base_to_a, arrow_step_matrix(lifted_a, fp.to_first))
         _, direct = lift_track(track, fp.cover)
         assert staged.matrix == direct.matrix
-        assert staged.source_matrix == direct.source_matrix
-        assert staged.target_matrix == direct.target_matrix
+        assert staged.source == direct.source
+        assert staged.target == direct.target
 
 
 @criterion(6, "limit equivalence and vaut laws")

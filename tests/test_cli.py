@@ -23,7 +23,7 @@ from covertower.documents import (
 )
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, cycle_element, limit_equal
-from covertower.traintrack import three_branch_example
+from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import identity_vaut, vaut_act
 
 
@@ -215,6 +215,20 @@ def test_verify_replay_cycles_on_another_cover_exit_2(tmp_path, capsys):
     code, err = run_err(capsys, "verify", "--replay", write_doc(tmp_path, "ab.json", doc))
     assert code == 2
     assert "'c1'" in err and "Traceback" not in err
+
+
+def test_lift_track_of_a_48_branch_track(tmp_path, capsys):
+    # the cone check on this source used to exceed the ray-search budget: exit 3
+    lifted, _ = lift_track(three_branch_example(), mod2_homology_cover(2))
+    track = write_doc(tmp_path, "track.json", track_document(lifted.track))
+    cover = write_doc(
+        tmp_path, "cover.json", cover_document(double_cover_from_signs(2, (1, 0, 0, 0)))
+    )
+    code, out = run(capsys, "lift-track", "--track", track, "--cover", cover)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["branches"]) == 96
+    assert all(sum(col) == 2 for col in zip(*doc["matrix"]))
 
 
 def test_out_of_range_word_letters_exit_2(tmp_path, capsys):

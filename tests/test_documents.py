@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from covertower.characteristic import shipped_automorphisms
+from covertower.characteristic import is_characteristic, shipped_automorphisms
 from covertower.covers import double_cover_from_signs, enumerate_covers, trivial_cover
 from covertower.documents import (
     DocumentError,
@@ -312,6 +312,8 @@ def _seed_documents():
     sheet_map = dict(vaut_document(identity_vaut(2)), identification=[1])
     vauts = [vaut_document(restrict_vaut(twist, cover)), sheet_map]
     elements = [c1, track, element_document(e)]
+    tracks = [track_document(three_branch_example())]
+    automorphisms = [automorphisms_document(shipped_automorphisms(2))]
     replays = [
         ("riemann-hurwitz", {"cover": cover_document(cover)}),
         ("transfer-scaling", {"cover": cover_document(cover)}),
@@ -326,7 +328,7 @@ def _seed_documents():
         ("theorem3", {"what": "lift-invariance", "cover": cover_document(cover)}),
         ("theorem3", {"what": "vaut-preservation", "vaut": vauts[0], "e1": c1, "e2": c2}),
     ]
-    return [cover_document(cover)] + elements + vauts, replays
+    return [cover_document(cover)] + elements + vauts + tracks + automorphisms, replays
 
 
 SEED_DOCUMENTS, SEED_REPLAYS = _seed_documents()
@@ -335,6 +337,17 @@ OTHER_COVERS = [
     cover_document(c)
     for c in (trivial_cover(2), trivial_cover(3), double_cover_from_signs(2, (0, 0, 0, 1)))
 ]
+
+
+FUZZ_COVERS = (double_cover_from_signs(2, (1, 0, 0, 0)), trivial_cover(3))
+
+
+def _lift_parsed_track(doc, cover):
+    lift_track(parse_track(doc), cover)
+
+
+def _check_parsed_automorphisms(doc, cover):
+    is_characteristic(cover, parse_automorphisms(doc))
 
 
 def _mutated(data, doc):
@@ -367,6 +380,9 @@ def test_parsers_raise_only_covertower_errors(data):
     doc = _mutated(data, data.draw(st.sampled_from(SEED_DOCUMENTS)))
     for parse in (parse_cover, parse_element, parse_vaut):
         _only_covertower_errors(parse, doc)
+    cover = data.draw(st.sampled_from(FUZZ_COVERS))
+    _only_covertower_errors(_lift_parsed_track, doc, cover)
+    _only_covertower_errors(_check_parsed_automorphisms, doc, cover)
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])

@@ -6,11 +6,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from covertower.exact_linalg import (
-    extreme_rays,
     generates_integer_lattice,
     rational_nullspace,
     rational_rank,
 )
+
+from test_traintrack import extreme_rays
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):

@@ -1,7 +1,12 @@
+import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
+
+from covertower.characteristic import mod2_homology_cover
 
 from covertower.covers import (
     double_cover_from_signs,
@@ -15,9 +20,10 @@ from covertower.errors import (
     DimensionMismatch,
     NegativeWeight,
     NonIntegerWeights,
+    SearchBudgetExceeded,
     SwitchViolation,
 )
-from covertower.exact_linalg import extreme_rays
+from covertower.exact_linalg import mat_vec, rational_nullspace, rational_rank
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, homology_shadow, limit_equal, track_element
 from covertower.surface import abelianized
@@ -31,6 +37,48 @@ from covertower.traintrack import (
     lift_track,
     three_branch_example,
 )
+
+
+def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
+    """Extreme rays of the cone {x >= 0 : eq_matrix @ x = 0}.
+
+    Enumerates candidate supports in increasing size; a support carries a ray
+    iff the restricted system has a one-dimensional nullspace spanned by a
+    strictly positive vector.  Rays are returned as primitive integer vectors
+    in lexicographic order.  Intended for small chart cones only.
+    """
+    rays = []
+    supports: list[frozenset[int]] = []
+    examined = 0
+    max_size = rational_rank(eq_matrix) + 1 if eq_matrix else 1
+    for size in range(1, min(n_vars, max_size) + 1):
+        for combo in combinations(range(n_vars), size):
+            examined += 1
+            if examined > budget:
+                raise SearchBudgetExceeded(
+                    f"extreme ray search examined {examined} supports, budget {budget}"
+                )
+            if any(set(sup) <= set(combo) for sup in supports):
+                continue
+            sub = [[row[c] for c in combo] for row in eq_matrix]
+            null = rational_nullspace(sub, len(combo))
+            if len(null) != 1:
+                continue
+            vec = null[0]
+            if all(x > 0 for x in vec) or all(x < 0 for x in vec):
+                if vec[0] < 0:
+                    vec = [-x for x in vec]
+                denom_lcm = math.lcm(*(x.denominator for x in vec))
+                ints = [int(x * denom_lcm) for x in vec]
+                g = math.gcd(*ints)
+                ints = [x // g for x in ints]
+                full = [0] * n_vars
+                for c, val in zip(combo, ints):
+                    full[c] = val
+                rays.append(full)
+                supports.append(frozenset(combo))
+    rays.sort()
+    return rays
 
 
 def test_example_track_shape():
@@ -163,21 +211,167 @@ def test_lift_rejects_wrong_base():
 
 def test_carrying_validation():
     track = three_branch_example()
-    sm = tuple(tuple(r) for r in track.switch_matrix())
     with pytest.raises(ConeViolation):
-        CarryingMatrix(sm, sm, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+        CarryingMatrix(track, track, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     with pytest.raises(ConeViolation):
-        CarryingMatrix(sm, sm, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
+        CarryingMatrix(track, track, ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
     eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    CarryingMatrix(sm, sm, eye)
+    CarryingMatrix(track, track, eye)
     with pytest.raises(DimensionMismatch):
-        CarryingMatrix(sm, sm, ((1, 0), (0, 1), (0, 0)))
+        CarryingMatrix(track, track, ((1, 0), (0, 1), (0, 0)))
 
 
 def test_identity_carrying():
     track = three_branch_example()
     ident = identity_carrying(track)
     assert ident.apply((5, 2, 3)) == [5, 2, 3]
+
+
+def test_apply_validates_source_weights():
+    # mat_vec zips, so a short weight vector used to be truncated silently
+    _, matrix = lift_track(three_branch_example(), double_cover_from_signs(2, (1, 0, 0, 0)))
+    assert matrix.apply((2, 1, 1)) == [2, 2, 1, 1, 1, 1]
+    with pytest.raises(DimensionMismatch):
+        matrix.apply((2, 1))
+    with pytest.raises(DimensionMismatch):
+        matrix.apply((2, 1, 1, 0))
+    with pytest.raises(NegativeWeight):
+        matrix.apply((0, 1, -1))
+    with pytest.raises(SwitchViolation):
+        matrix.apply((1, 1, 1))
+
+
+# -- the cone check against the extreme-ray oracle
+
+
+def _ray_check_accepts(target, matrix, rays) -> bool:
+    """True iff every extreme ray of the source maps into the target cone."""
+    rows = target.switch_matrix()
+    return all(not any(mat_vec(rows, mat_vec(matrix, ray))) for ray in rays)
+
+
+def _cone_check_accepts(source, target, matrix) -> bool:
+    try:
+        CarryingMatrix(source, target, matrix)
+    except ConeViolation:
+        return False
+    return True
+
+
+def _ray_support(rays) -> frozenset[int]:
+    return frozenset(b for ray in rays for b, x in enumerate(ray) if x)
+
+
+def _bumped(rng, matrix):
+    """matrix with one seeded entry raised by one."""
+    rows = [list(row) for row in matrix]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+def test_cone_check_agrees_with_rays_on_arrow_steps():
+    track = three_branch_example()
+    rng = random.Random(29)
+    low = [c for d in (1, 2) for c in enumerate_covers(2, d)]
+    partners = low + rng.sample(enumerate_covers(2, 3), 40)
+    outcomes = []
+    for a in low:
+        lifted, _ = lift_track(track, a)
+        source = lifted.track
+        rays = extreme_rays(source.switch_matrix(), source.n_branches)
+        assert source.carried_branches() == _ray_support(rays)
+        for b in partners:
+            step = arrow_step_matrix(lifted, fiber_product(a, b).to_first)
+            assert step.source == source
+            for matrix in (step.matrix, _bumped(rng, step.matrix)):
+                want = _ray_check_accepts(step.target, matrix, rays)
+                assert _cone_check_accepts(source, step.target, matrix) == want
+                outcomes.append(want)
+    # every unperturbed step is accepted, and some perturbations are rejected
+    assert all(outcomes[::2]) and not all(outcomes[1::2])
+
+
+def _random_track(rng, genus=2) -> TrainTrack:
+    """A small random track; its cone is often not of full support."""
+    n = rng.randint(1, 5)
+    halves = [(b, end) for b in range(n) for end in (0, 1)]
+    rng.shuffle(halves)
+    sides = [[] for _ in range(2 * rng.randint(1, 3))]
+    for half in halves:
+        rng.choice(sides).append(half)
+    switches = tuple(
+        Switch(tuple(sides[k]), tuple(sides[k + 1])) for k in range(0, len(sides), 2)
+    )
+    words = tuple(() for _ in range(n))
+    return TrainTrack(genus=genus, switches=switches, branch_words=words)
+
+
+def _random_matrix(rng, source, target, rays):
+    n, m = source.n_branches, target.n_branches
+    kind = rng.randrange(3)
+    if kind == 0 and source == target:
+        # identity plus noise on branches that no weight can use: accepted
+        idle = [b for b in range(n) if b not in _ray_support(rays)]
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for j in idle:
+            rows[rng.randrange(n)][j] += rng.randint(1, 2)
+        return tuple(tuple(row) for row in rows)
+    density = rng.choice((0.0, 0.2, 0.5))
+    return tuple(tuple(int(rng.random() < density) for _ in range(n)) for _ in range(m))
+
+
+def test_cone_check_agrees_with_rays_on_random_tracks():
+    rng = random.Random(31)
+    outcomes = set()
+    non_recurrent = 0
+    for _ in range(300):
+        source = _random_track(rng)
+        rays = extreme_rays(source.switch_matrix(), source.n_branches)
+        support = _ray_support(rays)
+        assert source.carried_branches() == support
+        non_recurrent += len(support) < source.n_branches
+        for target in (source, _random_track(rng)):
+            matrix = _random_matrix(rng, source, target, rays)
+            want = _ray_check_accepts(target, matrix, rays)
+            assert _cone_check_accepts(source, target, matrix) == want
+            outcomes.add((want, len(support) < source.n_branches))
+    assert non_recurrent > 50
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_cone_check_on_a_source_whose_cone_does_not_span_ker_s():
+    # branches 3 and 4 have all four ends on side a of switch 0, so the
+    # switch conditions force w3 + w4 = 0 and no weight can use them
+    s0 = Switch(side_a=((0, 0), (3, 0), (3, 1), (4, 0), (4, 1)), side_b=((1, 0), (2, 0)))
+    s1 = Switch(side_a=((0, 1),), side_b=((1, 1), (2, 1)))
+    source = TrainTrack(genus=2, switches=(s0, s1), branch_words=((1,), (1,), (), (), ()))
+    target = three_branch_example()
+    assert source.carried_branches() == {0, 1, 2}
+    rays = extreme_rays(source.switch_matrix(), source.n_branches)
+    assert rays == [[1, 0, 1, 0, 0], [1, 1, 0, 0, 0]]
+    matrix = ((1, 0, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    assert _ray_check_accepts(target, matrix, rays)
+    CarryingMatrix(source, target, matrix)
+    # a check on all of ker S would reject it: (0, 0, 0, 1, -1) lies there
+    kernel_image = mat_vec(matrix, [0, 0, 0, 1, -1])
+    assert any(mat_vec(target.switch_matrix(), kernel_image))
+    with pytest.raises(ConeViolation):
+        CarryingMatrix(source, target, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0)))
+
+
+def test_arrow_step_out_of_the_degree16_lift():
+    # the ray search exceeded its budget on this 48-branch source
+    track = three_branch_example()
+    mod2 = mod2_homology_cover(2)
+    fp = fiber_product(mod2, enumerate_covers(2, 3)[5])
+    lifted, base_to_mod2 = lift_track(track, mod2)
+    step = arrow_step_matrix(lifted, fp.to_first)
+    composed = carrying_compose(base_to_mod2, step)
+    _, direct = lift_track(track, fp.cover)
+    assert (step.source.n_branches, step.target.n_branches) == (48, 144)
+    assert composed.matrix == direct.matrix
+    assert composed.source == direct.source
+    assert composed.target == direct.target
 
 
 def test_lifting_commutes_with_cover_composition():
@@ -190,8 +384,8 @@ def test_lifting_commutes_with_cover_composition():
     composed = carrying_compose(base_to_a, step)
     _, direct = lift_track(track, fp.cover)
     assert composed.matrix == direct.matrix
-    assert composed.source_matrix == direct.source_matrix
-    assert composed.target_matrix == direct.target_matrix
+    assert composed.source == direct.source
+    assert composed.target == direct.target
 
 
 def test_carrying_compose_rejects_mismatch():
