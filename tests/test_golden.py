@@ -5,7 +5,8 @@ with a value recorded from a known-good tree.  The corpora run through the
 fiber-product, induced-cover, composition and refinement builders, the
 exact solves behind every vaut and the train-track lift, so a refactor of
 those kernels that changes a single sheet label, table word or report line
-fails here.  To regenerate
+fails here.  The orbit walk's reports are pinned the same way, one plain
+sha256 of ``result.report()`` per configuration.  To regenerate
 after a deliberate output change, print ``_digest(...)`` for the corpus and
 say why in the change log.
 """
@@ -32,6 +33,7 @@ from covertower.documents import (
     track_document,
     vaut_document,
 )
+from covertower.orbit import OrbitConfig, orbit_density_experiment
 from covertower.traintrack import three_branch_example
 from covertower.vauts import restrict_vaut, vaut_compose, vaut_from_automorphism
 from covertower.verify import SUITES
@@ -67,6 +69,13 @@ GOLDEN = {
         "e1efbbb278e44797ec9d458f436638f9"
         "c6e091fb7fd158738193199b12443efd"
     ),
+}
+
+# (steps, targets, seed) -> sha256 of the orbit report
+ORBIT_GOLDEN = {
+    (100_000, 256, 0): "cc92caf7e347020591024f4b53ad9f8eae6387fb52f6574535b781e6e787f41f",
+    (20_000, 64, 1): "acf030e434fbc35d53541b43ce3c11bf1bd3a753556932c4b8d58f92c6bdfe8a",
+    (20_000, 256, 7): "610604b32cd12474cef5954ba442a86b091f2a3b5d70eabdd74d3a1890e9bc5c",
 }
 
 
@@ -168,6 +177,13 @@ def test_lift_track_documents(tmp_path, capsys):
         for path in _cover_files(tmp_path, covers)
     ]
     assert _digest(chunks) == GOLDEN["lift_track"]
+
+
+@pytest.mark.parametrize("steps, targets, seed", sorted(ORBIT_GOLDEN))
+def test_orbit_reports(steps, targets, seed):
+    result = orbit_density_experiment(OrbitConfig(steps=steps, targets=targets, seed=seed))
+    digest = hashlib.sha256(result.report().encode()).hexdigest()
+    assert digest == ORBIT_GOLDEN[steps, targets, seed]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
