@@ -2,9 +2,8 @@
 """Measure final covering radii across seeds to support a frozen threshold.
 
 The acceptance threshold of 0.4 rad at 100000 steps (seed 0) was frozen
-from this measurement; rerun to reproduce.  Also cross-checks the
-incremental radius tracking against the brute-force all-pairs oracle on a
-small run.
+from this measurement; rerun to reproduce.  Also cross-checks the walk's
+checkpoint radii against the brute-force all-pairs oracle on a small run.
 """
 
 import argparse
@@ -54,11 +53,11 @@ def main() -> None:
     args = parser.parse_args()
 
     small = OrbitConfig(steps=512, targets=64, seed=0)
-    incremental = {s: r for s, _, r in orbit_density_experiment(small).checkpoints}
+    walked = {s: r for s, _, r in orbit_density_experiment(small).checkpoints}
     oracle = brute_force_radii(small)
-    worst = max(abs(incremental[s] - oracle[s]) for s in incremental)
-    print(f"incremental vs brute-force oracle, 512 steps: max diff {worst:.2e}")
-    assert worst < 1e-12, "incremental radius tracking disagrees with the oracle"
+    worst = max(abs(walked[s] - oracle[s]) for s in walked)
+    print(f"walk vs brute-force oracle, 512 steps: max diff {worst:.2e}")
+    assert worst < 1e-12, "the walk's checkpoint radii disagree with the oracle"
 
     print("seed\tfinal_radius\torbit_size")
     final = []

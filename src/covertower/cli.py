@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="transvection orbit density experiment")
     p.add_argument("--steps", type=_int_at_least(0), default=100_000)
     p.add_argument("--targets", type=_int_at_least(1), default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(run=_cmd_orbit)
 
     return parser

@@ -13,11 +13,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
+from operator import mul
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import CovertowerError, DimensionMismatch
 from .surface import generator_count, symplectic_product
+
+FOLD_ROWS = 64  # points per fold chunk; more rows raise peak memory, not speed
 
 
 def transvection(curve, x, sign: int = 1):
@@ -28,16 +32,15 @@ def transvection(curve, x, sign: int = 1):
 
 def projective_normalize(vec):
     """Primitive integer representative with positive leading entry."""
-    g = 0
-    for v in vec:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*vec)
     if g == 0:
         raise DimensionMismatch("zero vector has no direction")
-    out = tuple(v // g for v in vec)
-    for v in out:
-        if v != 0:
-            return out if v > 0 else tuple(-x for x in out)
-    raise DimensionMismatch("zero vector has no direction")
+    for v in vec:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    return tuple([v // g for v in vec])
 
 
 def shipped_transvection_classes(genus: int = 2) -> tuple[tuple[int, ...], ...]:
@@ -71,6 +74,10 @@ class OrbitConfig:
     classes: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        for name, low in (("steps", 0), ("targets", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise CovertowerError(f"{name} must be an integer at least {low}, got {value!r}")
         if self.classes is None:
             object.__setattr__(
                 self, "classes", shipped_transvection_classes(self.genus)
@@ -108,11 +115,6 @@ class OrbitResult:
         return "\n".join(lines) + "\n"
 
 
-def _unit(vec) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
-    return arr / np.linalg.norm(arr)
-
-
 def quasi_uniform_targets(rng: np.random.Generator, count: int, dim: int):
     """Unit directions from a seeded Gaussian draw."""
     t = rng.normal(size=(count, dim))
@@ -122,12 +124,22 @@ def quasi_uniform_targets(rng: np.random.Generator, count: int, dim: int):
 def covering_radius(points, targets) -> float:
     """Largest projective angle from any target to the point set.
 
-    Brute force over all pairs; the experiment loop keeps the same value
-    incrementally and is checked against this in tests.
+    Brute force over all pairs; the experiment loop folds the same value in
+    at every checkpoint and is checked against this in tests.
     """
-    mat = np.array([_unit(p) for p in points])
+    mat = np.array(points, dtype=float)
+    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
     dots = np.abs(targets @ mat.T).max(axis=1)
     return float(np.arccos(np.clip(dots.min(), -1.0, 1.0)))
+
+
+def _fold(best, targets, batch) -> None:
+    """Raise best[t] to max |<target t, p/|p|>| over batch, FOLD_ROWS points at a time."""
+    for lo in range(0, len(batch), FOLD_ROWS):
+        chunk = np.array(batch[lo : lo + FOLD_ROWS], dtype=float)
+        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+        dots = chunk @ targets.T
+        np.maximum(best, np.abs(dots, out=dots).max(axis=0), out=best)
 
 
 def _checkpoint_schedule(steps: int):
@@ -144,36 +156,40 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     """Random transvection walk with covering-radius checkpoints.
 
     Deterministic for a given config: all randomness comes from one seeded
-    generator, targets drawn first, then the per-step choices in bulk.
+    generator, targets drawn first, then the per-step choices in bulk.  Each
+    class c is held with its pairing covector Jc, so <x, c> = x . Jc; the
+    points found between two checkpoints are folded into the radius at once.
     """
     rng = np.random.default_rng(config.seed)
     dim = generator_count(config.genus)
     targets = quasi_uniform_targets(rng, config.targets, dim)
-    start = projective_normalize(config.start)
-    points = [start]
-    seen = {start}
-    best = np.abs(targets @ _unit(start))
+    points = [projective_normalize(config.start)]
+    seen = set(points)
+    best = np.zeros(config.targets)
 
     picks = rng.random(config.steps)
     which = rng.integers(0, len(config.classes), size=config.steps)
     signs = rng.integers(0, 2, size=config.steps)
 
-    schedule = _checkpoint_schedule(config.steps)
+    # (sign * c, Jc) for sign -1, +1, with Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k]
+    twists = []
+    for c in config.classes:
+        jc = [v for k in range(0, dim, 2) for v in (c[k + 1], -c[k])]
+        twists.append((([-v for v in c], jc), (c, jc)))
+
     checkpoints = []
-    next_mark = 0
-    for step in range(config.steps + 1):
-        if step == schedule[next_mark]:
-            radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
-            checkpoints.append((step, len(points), radius))
-            next_mark += 1
-            if next_mark == len(schedule):
-                break
-        x = points[int(picks[step] * len(points))]
-        curve = config.classes[which[step]]
-        y = transvection(curve, x, 1 if signs[step] else -1)
-        y = projective_normalize(y)
-        if y not in seen:
-            seen.add(y)
-            points.append(y)
-            best = np.maximum(best, np.abs(targets @ _unit(y)))
+    folded = 0
+    for lo, hi in pairwise([0, *_checkpoint_schedule(config.steps)]):
+        for pick, k, sign in zip(picks[lo:hi], which[lo:hi], signs[lo:hi]):
+            x = points[int(pick * len(points))]
+            curve, jc = twists[k][sign]
+            p = sum(map(mul, x, jc))
+            y = projective_normalize([xi + p * ci for xi, ci in zip(x, curve)])
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+        _fold(best, targets, points[folded:])
+        folded = len(points)
+        radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
+        checkpoints.append((hi, len(points), radius))
     return OrbitResult(config, tuple(checkpoints))

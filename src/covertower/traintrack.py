@@ -197,6 +197,8 @@ class LiftedTrack:
         """Integer-weighted lifted branches as an edge chain on the cover."""
         from .homology import surface_complex
 
+        if len(weights) != len(self.branches):
+            raise DimensionMismatch(f"expected {len(self.branches)} weights, got {len(weights)}")
         cplx = surface_complex(self.cover)
         chain = cplx.zero_chain()
         for (b, s), w in zip(self.branches, weights):

@@ -157,12 +157,13 @@ def _replay_transfer_scaling(data) -> bool:
 
 # -- pairing-invariance
 
-def _random_cycle(cx, rng):
+def _random_cycle(cx, rng, basis):
+    """Random combination of the basis cycles, each an (edge, coefficient) list."""
     chain = cx.zero_chain()
-    for row in cx.homology_basis():
+    for row in basis:
         c = rng.randint(-2, 2)
         if c:
-            for k, v in enumerate(row):
+            for k, v in row:
                 chain[k] += c * v
     return chain
 
@@ -172,8 +173,8 @@ def _random_boundary(cx, rng):
     for face in cx.faces:
         c = rng.randint(-1, 1)
         if c:
-            for k, v in enumerate(cx.face_boundary_chain(face)):
-                chain[k] += c * v
+            for dart in face:
+                chain[dart // 2] += -c if dart % 2 else c
     return chain
 
 
@@ -195,9 +196,10 @@ def _pi_witness(cx, c1, c2, moved1, moved2):
 def _pi_one(cover: SurfaceCover, seed: int):
     cx = surface_complex(cover)
     rng = random.Random(f"{seed}:{cover.genus}:{cover.perms}")
+    basis = [[(k, v) for k, v in enumerate(row) if v] for row in cx.homology_basis()]
     for _ in range(3):
-        c1 = _random_cycle(cx, rng)
-        c2 = _random_cycle(cx, rng)
+        c1 = _random_cycle(cx, rng, basis)
+        c2 = _random_cycle(cx, rng, basis)
         p1 = _random_boundary(cx, rng)
         p2 = _random_boundary(cx, rng)
         moved1 = [a + b for a, b in zip(c1, p1)]

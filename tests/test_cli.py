@@ -282,6 +282,7 @@ def test_orbit_report(capsys):
         (("enumerate", "--genus", "2", "--degree", "2", "--budget", "-5"), "--budget"),
         (("char-refine", "--cover", "-", "--budget", "0"), "--budget"),
         (("verify", "--suite", "riemann-hurwitz", "--max-degree", "0"), "--max-degree"),
+        (("orbit", "--seed", "-1"), "--seed"),
     ],
 )
 def test_numeric_options_are_range_checked(capsys, argv, option):

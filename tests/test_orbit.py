@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from covertower.errors import DimensionMismatch
+from covertower.errors import CovertowerError, DimensionMismatch
 from covertower.orbit import (
     OrbitConfig,
     covering_radius,
@@ -125,28 +129,49 @@ def test_checkpoint_schedule_and_monotone_radius():
 
 def test_incremental_radius_matches_brute_force():
     # replay the walk by hand with the same generator discipline and compare
-    # the final radius against the all-pairs recomputation
-    config = OrbitConfig(steps=300, targets=48, seed=7)
-    result = orbit_density_experiment(config)
-    rng = np.random.default_rng(7)
-    targets = quasi_uniform_targets(rng, 48, 4)
-    picks = rng.random(300)
-    which = rng.integers(0, len(config.classes), size=300)
-    signs = rng.integers(0, 2, size=300)
-    points = [projective_normalize(config.start)]
-    seen = set(points)
-    for step in range(300):
-        x = points[int(picks[step] * len(points))]
-        y = projective_normalize(
-            transvection(config.classes[which[step]], x, 1 if signs[step] else -1)
-        )
-        if y not in seen:
-            seen.add(y)
-            points.append(y)
-    assert len(points) == result.checkpoints[-1][1]
-    assert result.final_radius == pytest.approx(
-        covering_radius(points, targets), abs=1e-12
+    # every checkpoint against the all-pairs recomputation; late segments hold
+    # hundreds of new points, so the walk folds them in several chunks
+    steps, count = 3000, 48
+    for seed in (0, 3, 7):
+        config = OrbitConfig(steps=steps, targets=count, seed=seed)
+        result = orbit_density_experiment(config)
+        rng = np.random.default_rng(seed)
+        targets = quasi_uniform_targets(rng, count, 4)
+        picks = rng.random(steps)
+        which = rng.integers(0, len(config.classes), size=steps)
+        signs = rng.integers(0, 2, size=steps)
+        points = [projective_normalize(config.start)]
+        seen = set(points)
+        expected = [(0, 1, covering_radius(points, targets))]
+        for step in range(steps):
+            x = points[int(picks[step] * len(points))]
+            y = projective_normalize(
+                transvection(config.classes[which[step]], x, 1 if signs[step] else -1)
+            )
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+            done = step + 1
+            if done & (done - 1) == 0 or done == steps:
+                expected.append((done, len(points), covering_radius(points, targets)))
+        assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > 256
+        assert [c[:2] for c in result.checkpoints] == [e[:2] for e in expected]
+        for (_, _, radius), (_, _, oracle) in zip(result.checkpoints, expected):
+            assert radius == pytest.approx(oracle, abs=1e-12)
+
+
+def test_calibration_script_runs():
+    # the script holds its own walk-vs-oracle assert
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "calibrate_orbit_threshold.py"),
+         "--steps", "2000", "--seeds", "0", "1"],
+        capture_output=True,
+        env=env,
+        timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_config_validation():
@@ -154,6 +179,15 @@ def test_config_validation():
         OrbitConfig(start=(1, 0, 0))
     with pytest.raises(DimensionMismatch):
         OrbitConfig(classes=((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("steps", -3), ("targets", 0), ("seed", -1), ("steps", 2.0), ("seed", True), ("targets", "8")],
+)
+def test_config_rejects_bad_sizes(name, value):
+    with pytest.raises(CovertowerError, match=f"^{name} must be an integer at least"):
+        OrbitConfig(**{name: value})
 
 
 def test_report_format():

@@ -203,6 +203,14 @@ def test_cycle_chain_rejects_fractions():
         lifted.cycle_chain([Fraction(1, 2)] * 6)
 
 
+@pytest.mark.parametrize("weights", [[2, 1], [1] * 9])
+def test_cycle_chain_rejects_the_wrong_length(weights):
+    lifted, _ = lift_track(three_branch_example(), double_cover_from_signs(2, (1, 0, 0, 0)))
+    assert len(lifted.branches) == 6
+    with pytest.raises(DimensionMismatch, match=f"expected 6 weights, got {len(weights)}"):
+        lifted.cycle_chain(weights)
+
+
 def test_lift_rejects_wrong_base():
     track = three_branch_example()
     with pytest.raises(BaseMismatch):
