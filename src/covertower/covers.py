@@ -54,6 +54,18 @@ def search_budget(override: int | None = None) -> int:
     return budget
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _trusted(cls, **fields):
+    """A cls built without its checks, for objects the package makes from
+    checked ones in ways that keep every invariant the checks test."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Permutation doing p first, then q."""
     return tuple(q[x] for x in p)
@@ -78,17 +90,25 @@ class SurfaceCover:
 
     def __post_init__(self) -> None:
         g, d = self.genus, self.degree
+        for name, value in (("genus", g), ("degree", d)):
+            if not _is_int(value):
+                raise BadDegree(f"{name} must be an integer, got {value!r}")
         if g < 2:
             raise BadDegree(f"base genus must be at least 2, got {g}")
         if d < 1:
             raise BadDegree(f"degree must be at least 1, got {d}")
-        if len(self.perms) != generator_count(g):
-            raise BadDegree(
-                f"expected {generator_count(g)} permutations, got {len(self.perms)}"
-            )
-        for p in self.perms:
+        try:
+            perms = tuple(tuple(p) for p in self.perms)
+        except TypeError:
+            raise BadDegree("perms must be a sequence of permutations") from None
+        if len(perms) != generator_count(g):
+            raise BadDegree(f"expected {generator_count(g)} permutations, got {len(perms)}")
+        for p in perms:
+            if not all(map(_is_int, p)):
+                raise BadDegree(f"perms entries must be integers, got {p}")
             if len(p) != d or sorted(p) != list(range(d)):
                 raise BadDegree(f"{p} is not a permutation of 0..{d - 1}")
+        object.__setattr__(self, "perms", perms)
         if self.word_permutation(surface_relator(g)) != identity_perm(d):
             raise RelatorNotTrivial("surface relator does not act as the identity")
         order, _, _ = _schreier_walk(self)
@@ -101,12 +121,7 @@ class SurfaceCover:
 
     @cached_property
     def schreier(self) -> "SchreierTransversal":
-        """Schreier transversal of the basepoint stabilizer, built on first use.
-
-        Validation runs the same walk but keeps nothing: the enumeration
-        cache holds every cover it finds, and few are ever asked for their
-        stabilizer.
-        """
+        """Schreier transversal of the basepoint stabilizer, built on first use."""
         order, tree, words = _schreier_walk(self)
         in_tree = set(tree)
         edges = itertools.product(range(len(self.perms)), range(self.degree))
@@ -311,8 +326,9 @@ def _enumerate_cached(genus: int, degree: int, budget: int) -> tuple[SurfaceCove
             f"enumeration would examine {candidates} candidate assignments, "
             f"budget is {budget}; raise COVERTOWER_BUDGET to override"
         )
+    # the commutator table kills the relator; canonical tuples are transitive
     tuples = sorted(_canonical_tuples(genus, degree))
-    return tuple(SurfaceCover(genus, degree, t) for t in tuples)
+    return tuple(_trusted(SurfaceCover, genus=genus, degree=degree, perms=p) for p in tuples)
 
 
 def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tuple[SurfaceCover, ...]:
@@ -400,6 +416,13 @@ class CoverArrow:
     sheet_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        try:
+            sheet_map = tuple(self.sheet_map)
+        except TypeError:
+            raise IncompatibleTower("sheet_map must be a sequence of sheets") from None
+        if not all(map(_is_int, sheet_map)):
+            raise IncompatibleTower(f"sheet_map entries must be integers, got {sheet_map}")
+        object.__setattr__(self, "sheet_map", sheet_map)
         if self.source.genus != self.target.genus:
             raise BaseMismatch("arrow endpoints have different base surfaces")
         if len(self.sheet_map) != self.source.degree:
@@ -429,7 +452,7 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
         if not coarse.stabilizes_basepoint(schreier_loop(fine, edge)):
             return None
     sheet_map = tuple(coarse.act(w, 0) for w in fine.schreier.words)
-    return CoverArrow(fine, coarse, sheet_map)
+    return _trusted(CoverArrow, source=fine, target=coarse, sheet_map=sheet_map)
 
 
 @dataclass(frozen=True)
@@ -458,9 +481,11 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
         lambda i, pair: (p[i][pair[0]], q[i][pair[1]]),
         lambda i, pair: (p_inv[i][pair[0]], q_inv[i][pair[1]]),
     )
-    cover = SurfaceCover(first.genus, len(states), perms)
-    to_first = CoverArrow(cover, first, tuple(s for s, _ in states))
-    to_second = CoverArrow(cover, second, tuple(t for _, t in states))
+    # a pointed orbit of two relator-killing actions is a cover over both
+    cover = _trusted(SurfaceCover, genus=first.genus, degree=len(states), perms=perms)
+    firsts, seconds = zip(*states)
+    to_first = _trusted(CoverArrow, source=cover, target=first, sheet_map=firsts)
+    to_second = _trusted(CoverArrow, source=cover, target=second, sheet_map=seconds)
     return FiberProduct(cover, to_first, to_second)
 
 
@@ -508,7 +533,8 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
 
     states, perms = _pointed_orbit(generator_count(outer.genus), forward, backward)
     cover = SurfaceCover(outer.genus, len(states), perms)
-    to_outer = CoverArrow(cover, outer, tuple(t for t, _ in states))
+    outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action
+    to_outer = _trusted(CoverArrow, source=cover, target=outer, sheet_map=outer_sheets)
     return InducedCover(cover, tuple(states), to_outer)
 
 
@@ -592,7 +618,8 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
         raise InvalidIdentification(
             "identification words do not kill the lifted relator"
         ) from exc
-    to_bottom = CoverArrow(cover, bottom, tuple(s for s, _ in states))
+    bottom_sheets, _ = zip(*states)  # the walk moves these by bottom's own action
+    to_bottom = _trusted(CoverArrow, source=cover, target=bottom, sheet_map=bottom_sheets)
     return ComposedCover(cover, to_bottom, tuple(states))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .covers import CoverArrow, SurfaceCover, fiber_product, trivial_cover
+from .covers import CoverArrow, SurfaceCover, _trusted, fiber_product, trivial_cover
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch, NonIntegerWeights
 from .homology import surface_complex, transfer_along_arrow
 from .traintrack import LiftedTrack, TrainTrack
@@ -74,21 +74,14 @@ def track_element(track: TrainTrack, cover: SurfaceCover, weights) -> LimitEleme
     return LimitElement("track", cover, (track, tuple(weights)))
 
 
-def _trusted_element(kind: str, cover: SurfaceCover, payload) -> LimitElement:
-    """Element made in the package from checked inputs by a chain map or a
-    weight pullback, so the constructor's checks would pass: they are skipped."""
-    element = object.__new__(LimitElement)
-    element.__dict__.update(kind=kind, cover=cover, payload=payload)
-    return element
-
-
 def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
-    """Pull a representative back along an arrow into a finer cover."""
+    """Pull a representative back along an arrow into a finer cover; the
+    pullback of a checked payload passes the checks, so it skips them."""
     if arrow.target != element.cover:
         raise IncompatibleTower("arrow target is not the element's cover")
     if element.kind == "cycle":
         chain = tuple(transfer_along_arrow(arrow, element.payload))
-        return _trusted_element("cycle", arrow.source, chain)
+        return _trusted(LimitElement, kind="cycle", cover=arrow.source, payload=chain)
     track, weights = element.payload
     coarse = LiftedTrack(track, element.cover)
     fine = LiftedTrack(track, arrow.source)
@@ -96,7 +89,7 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
         weights[coarse.branch_index(b, arrow.sheet_map[s])]
         for (b, s) in fine.branches
     )
-    return _trusted_element("track", arrow.source, (track, lifted))
+    return _trusted(LimitElement, kind="track", cover=arrow.source, payload=(track, lifted))
 
 
 def _common_refinement(e1: LimitElement, e2: LimitElement):

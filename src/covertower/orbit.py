@@ -82,12 +82,17 @@ class OrbitConfig:
             object.__setattr__(
                 self, "classes", shipped_transvection_classes(self.genus)
             )
+        if not self.classes:
+            raise CovertowerError("classes must hold at least one transvection class")
         n = generator_count(self.genus)
-        if len(self.start) != n:
-            raise DimensionMismatch("start class has the wrong dimension")
-        for c in self.classes:
-            if len(c) != n:
-                raise DimensionMismatch("transvection class has the wrong dimension")
+        named = [(f"classes[{k}]", c) for k, c in enumerate(self.classes)]
+        for name, vec in [("start", self.start), *named]:
+            if len(vec) != n:
+                raise DimensionMismatch(f"{name} has the wrong dimension")
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in vec):
+                raise CovertowerError(f"{name} entries must be integers, got {vec!r}")
+            if not any(vec):
+                raise CovertowerError(f"{name} must be a nonzero class")
 
 
 @dataclass(frozen=True)

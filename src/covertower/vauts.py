@@ -14,6 +14,7 @@ from functools import lru_cache
 from .characteristic import SurfaceAutomorphism, mod2_homology_cover
 from .covers import (
     SurfaceCover,
+    _trusted,
     factors_through,
     fiber_product,
     induced_cover,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .exact_linalg import mat_mul
 from .homology import surface_complex, transfer_along_arrow
-from .limits import LimitElement, _trusted_element, homology_shadow, normalized_pairing
+from .limits import LimitElement, homology_shadow, normalized_pairing
 from .surface import Word, free_reduce, generator_count, inverse_word
 
 __all__ = [
@@ -173,7 +174,7 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
         piece = cx_v.word_path_chain(moved, 0)
         for k, value in enumerate(piece):
             out[k] += coeff * value
-    return _trusted_element("cycle", image.cover, tuple(out))
+    return _trusted(LimitElement, kind="cycle", cover=image.cover, payload=tuple(out))
 
 
 def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:

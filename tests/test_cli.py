@@ -356,3 +356,36 @@ def test_bad_input_still_exits_2_without_a_traceback(tmp_path, capsys):
     code, err = run_err(capsys, "lift-cycle", "--cover", cp, "--class", "[1e999,0,0,0]")
     assert code == 2
     assert "bad class vector" in err and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, message",
+    [
+        (["--budget", "0"], {}, 2, "argument --budget: must be at least 1, got 0"),
+        (["--genus", "1"], {}, 2, "argument --genus: must be at least 2, got 1"),
+        (["--max-degree", "0"], {}, 2, "argument --max-degree: must be at least 1, got 0"),
+        (["--max-degree", "x"], {}, 2, "argument --max-degree: invalid int value"),
+        ([], {"COVERTOWER_BUDGET": "abc"}, 2, "COVERTOWER_BUDGET"),
+        (["--max-degree", "3", "--budget", "10"], {}, 3, "budget exceeded"),
+        (["--max-degree", "2"], {}, 0, ""),
+    ],
+)
+def test_census_script_checks_its_options(argv, env, code, message):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **env)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "enumerate_census.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert [row.split("\t")[:3] for row in proc.stdout.splitlines()[1:]] == [
+            ["1", "1", "2"],
+            ["2", "15", "3"],
+        ]

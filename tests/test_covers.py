@@ -14,6 +14,7 @@ from covertower.covers import (
     factors_through,
     fiber_product,
     identity_perm,
+    induced_cover,
     perm_inverse,
     perm_mul,
     rewrite_in_schreier,
@@ -141,6 +142,35 @@ def test_cover_validation():
     ident3 = identity_perm(3)
     with pytest.raises(RelatorNotTrivial):
         SurfaceCover(2, 3, ((1, 2, 0), (0, 2, 1), ident3, ident3))
+
+
+def test_cover_perms_are_stored_as_int_tuples():
+    listed = SurfaceCover(2, 2, [[1, 0], [0, 1], [0, 1], [0, 1]])
+    twin = double_cover_from_signs(2, (1, 0, 0, 0))
+    assert listed.perms == twin.perms == ((1, 0), (0, 1), (0, 1), (0, 1))
+    assert listed == twin and hash(listed) == hash(twin)
+    assert fiber_product(listed, twin).cover.degree == 2
+    from covertower.homology import surface_complex
+
+    assert surface_complex(listed).genus == 3
+
+
+@pytest.mark.parametrize(
+    "genus, degree, perms, field",
+    [
+        (2.0, 1, ((0,),) * 4, "genus"),
+        (True, 1, ((0,),) * 4, "genus"),
+        (2, True, ((0,),) * 4, "degree"),
+        (2, 2.0, ((1, 0), (0, 1), (0, 1), (0, 1)), "degree"),
+        (2, 2, ((True, False), (0, 1), (0, 1), (0, 1)), "perms"),
+        (2, 2, ((1.0, 0), (0, 1), (0, 1), (0, 1)), "perms"),
+        (2, 2, ("10", (0, 1), (0, 1), (0, 1)), "perms"),
+        (2, 1, 5, "perms"),
+    ],
+)
+def test_cover_rejects_non_integer_fields(genus, degree, perms, field):
+    with pytest.raises(BadDegree, match=field):
+        SurfaceCover(genus, degree, perms)
 
 
 def test_trivial_cover():
@@ -276,8 +306,8 @@ def test_nontree_edge_count():
 
 
 def test_validation_stores_no_walk():
-    # the enumeration cache keeps every cover it finds, so a walk stored at
-    # validation would stay alive for each of them
+    # the enumeration cache keeps every cover it finds, so a walk stored
+    # with a cover would stay alive for each of them
     _enumerate_cached.cache_clear()
     fresh = [SurfaceCover(2, 2, ((1, 0), (0, 1), (0, 1), (0, 1)))]
     for cover in fresh + list(enumerate_covers(2, 3)):
@@ -325,6 +355,21 @@ def test_identity_arrow_and_validation():
         CoverArrow(cover, cover, (1, 0))
     with pytest.raises(IncompatibleTower):
         CoverArrow(cover, trivial_cover(2), (0, 1))
+
+
+@pytest.mark.parametrize("sheet_map", [(0.0, 0), (0, 1.0), (False, 0), (0, True), ("0", 0), 0])
+def test_arrow_rejects_non_integer_sheets(sheet_map):
+    from covertower.errors import IncompatibleTower
+
+    with pytest.raises(IncompatibleTower, match="sheet_map"):
+        CoverArrow(double_cover_from_signs(2, (1, 0, 0, 0)), trivial_cover(2), sheet_map)
+
+
+def test_arrow_sheet_map_is_stored_as_a_tuple():
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    arrow = CoverArrow(cover, trivial_cover(2), [0, 0])
+    assert arrow == factors_through(cover, trivial_cover(2))
+    assert hash(arrow) == hash(factors_through(cover, trivial_cover(2)))
 
 
 def test_everything_factors_through_trivial():
@@ -470,3 +515,84 @@ def test_compose_rejects_bad_marking():
         compose_covers(top, bottom, collapsed)
     with pytest.raises(GenusMismatch):
         compose_covers(trivial_cover(2), bottom, A1_SWAP_MARKING)
+
+
+# ---------------------------------------------------------------------------
+# package-built covers and arrows against the public constructors
+#
+# The enumeration, fiber products, factoring arrows and the projections of
+# induced and composed covers skip the constructors' checks.  These oracles
+# rebuild what they make through the public constructors.
+
+
+def public_cover(cover) -> SurfaceCover:
+    return SurfaceCover(cover.genus, cover.degree, cover.perms)
+
+
+def public_arrow(arrow) -> CoverArrow:
+    return CoverArrow(arrow.source, arrow.target, arrow.sheet_map)
+
+
+def test_enumerated_covers_pass_the_public_constructor():
+    for d in range(1, 5):
+        for cover in enumerate_covers(2, d):
+            assert public_cover(cover) == cover
+
+
+def test_fiber_products_and_factoring_arrows_pass_the_public_constructors():
+    rng = random.Random(59)
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    checked = 0
+    for _ in range(60):
+        first, second = rng.choice(covers), rng.choice(covers)
+        fp = fiber_product(first, second)
+        assert public_cover(fp.cover) == fp.cover
+        arrows = [fp.to_first, fp.to_second, factors_through(fp.cover, first)]
+        arrows += [factors_through(first, second), factors_through(first, trivial_cover(2))]
+        for arrow in arrows:
+            if arrow is not None:
+                assert public_arrow(arrow) == arrow
+                checked += 1
+    assert checked >= 240
+
+
+def test_induced_and_composed_projections_pass_the_public_constructor():
+    from covertower.characteristic import shipped_automorphisms
+    from covertower.vauts import restrict_vaut, vaut_from_automorphism
+
+    rng = random.Random(61)
+    doubles = enumerate_covers(2, 2)
+    for aut in shipped_automorphisms(2):
+        vaut = restrict_vaut(vaut_from_automorphism(aut), rng.choice(doubles))
+        for target in rng.sample(doubles, 3):
+            induced = induced_cover(vaut.right, vaut.bwd, target)
+            assert public_arrow(induced.to_outer) == induced.to_outer
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    for top in enumerate_covers(3, 2)[:20]:
+        composed = compose_covers(top, bottom, A1_SWAP_MARKING)
+        assert public_arrow(composed.to_bottom) == composed.to_bottom
+
+
+def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch):
+    calls = []
+
+    def counted(cls):
+        checks = cls.__post_init__
+
+        def post_init(self):
+            calls.append(cls.__name__)
+            checks(self)
+
+        return post_init
+
+    for cls in (SurfaceCover, CoverArrow):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls))
+    public_arrow(factors_through(trivial_cover(2), trivial_cover(2)))
+    assert calls == ["CoverArrow"]  # the counter sees the public constructor
+    calls.clear()
+    _enumerate_cached.cache_clear()
+    covers = [c for d in range(1, 5) for c in enumerate_covers(2, d)]
+    rng = random.Random(67)
+    for _ in range(20):
+        fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
+    assert calls == []

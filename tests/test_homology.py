@@ -31,6 +31,44 @@ def boundary_matrices(cx):
     return sympy.Matrix(d2), sympy.Matrix(d1)
 
 
+def face_word(cx, face) -> tuple[int, ...]:
+    out = []
+    for dart in face:
+        e, rev = divmod(dart, 2)
+        i, _ = cx.edge_of_index(e)
+        out.append(-(i + 1) if rev else i + 1)
+    return tuple(out)
+
+
+def check_complex(cx):
+    """Oracle for the closed-form faces: they are the faces traced from the
+    rotation system, and each spells the relator and crosses a1 once."""
+    d, g = cx.cover.degree, cx.cover.genus
+    if cx.faces != cx._trace_faces():
+        raise ComplexMismatch("lifted faces differ from the traced faces")
+    if len(cx.faces) != d:
+        raise ComplexMismatch(f"expected {d} faces, traced {len(cx.faces)}")
+    if cx.euler_characteristic != d * (2 - 2 * g):
+        raise ComplexMismatch("Euler characteristic disagrees with the degree")
+    relator = surface_relator(g)
+    marks = set()
+    for face in cx.faces:
+        if len(face) != 4 * g:
+            raise ComplexMismatch("face boundary has wrong length")
+        word = face_word(cx, face)
+        doubled = word + word
+        if not any(doubled[k : k + len(relator)] == relator for k in range(len(word))):
+            raise ComplexMismatch("face boundary does not spell the relator")
+        # the relator uses the letter a1 exactly once, so each face holds
+        # exactly one forward a1-dart; those darts separate the faces
+        first_gen = [dart for dart, letter in zip(face, word) if letter == 1]
+        if len(first_gen) != 1:
+            raise ComplexMismatch("face does not cross a1 exactly once")
+        marks.add(cx.edge_of_index(first_gen[0] // 2)[1])
+    if len(marks) != d:
+        raise ComplexMismatch("faces are not separated by their a1 edges")
+
+
 def random_cycle(cx, rng):
     chain = list(cx.zero_chain())
     for _ in range(3):
@@ -107,7 +145,21 @@ def test_complex_counts():
         assert cx.n_edges == 4 * d
         assert len(cx.faces) == d
         assert cx.euler_characteristic == d - 4 * d + d
-        cx.validate()
+        check_complex(cx)
+
+
+def test_lifted_faces_match_the_traced_faces():
+    covers = [c for d in range(1, 5) for c in enumerate_covers(2, d)]
+    for cover in covers + [mod2_homology_cover(2)]:
+        check_complex(CoverComplex(cover))
+
+
+def test_complex_oracle_rejects_wrong_faces():
+    cx = CoverComplex(double_cover_from_signs(2, (1, 0, 0, 0)))
+    face = cx.faces[1]
+    cx.faces = [cx.faces[0], face[1:] + face[:1]]
+    with pytest.raises(ComplexMismatch, match="traced"):
+        check_complex(cx)
 
 
 def test_edge_indexing_round_trip():
@@ -122,7 +174,7 @@ def test_face_words_spell_the_relator():
     for cover in enumerate_covers(2, 3)[:40]:
         cx = CoverComplex(cover)
         for face in cx.faces:
-            word = cx.face_word(face)
+            word = face_word(cx, face)
             doubled = word + word
             assert any(
                 doubled[k : k + len(relator)] == relator for k in range(len(word))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,23 @@ def test_config_validation():
 def test_config_rejects_bad_sizes(name, value):
     with pytest.raises(CovertowerError, match=f"^{name} must be an integer at least"):
         OrbitConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "field, config",
+    [
+        ("start", {"start": (1.0, 0, 0, 0)}),
+        ("start", {"start": (True, 0, 0, 0)}),
+        ("start", {"start": (0, 0, 0, 0)}),
+        ("classes[0]", {"classes": ((0.5, 0, 0, 0), (0, 1, 0, 0))}),
+        ("classes[1]", {"classes": ((1, 0, 0, 0), (0, False, 0, 1))}),
+        ("classes[1]", {"classes": ((1, 0, 0, 0), (0, 0, 0, 0))}),
+        ("classes", {"classes": ()}),
+    ],
+)
+def test_config_rejects_bad_classes(field, config):
+    with pytest.raises(CovertowerError, match=f"^{re.escape(field)} "):
+        OrbitConfig(**config)
 
 
 def test_report_format():

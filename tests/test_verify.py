@@ -88,6 +88,24 @@ def test_replay_riemann_hurwitz_holds():
     assert replay_counterexample("riemann-hurwitz", data)
 
 
+def test_riemann_hurwitz_reports_a_corrupted_rotation(monkeypatch):
+    # the genus is traced from the rotation system, not read off the lifted
+    # faces, so a wrong rotation is a counterexample and not a definition
+    cover = enumerate_covers(2, 2)[0]
+    cx = surface_complex(cover)
+    ring = list(cx.rotation[0])
+    ring[0], ring[1] = ring[1], ring[0]
+    monkeypatch.setattr(cx, "rotation", [ring, *cx.rotation[1:]])
+    assert cx.genus != cover.total_genus
+    result = run_suite("riemann-hurwitz", genus=2, max_degree=2)
+    assert not result.ok
+    data = {"cover": cover_document(cover), "expected_genus": 3, "got_genus": cx.genus}
+    assert result.counterexample == counterexample_document("riemann-hurwitz", data)
+    assert not replay_counterexample("riemann-hurwitz", data)
+    monkeypatch.undo()
+    assert replay_counterexample("riemann-hurwitz", data)
+
+
 def test_replay_transfer_scaling_holds():
     cover = double_cover_from_signs(2, (1, 1, 0, 0))
     assert replay_counterexample("transfer-scaling", {"cover": cover_document(cover)})
