@@ -122,28 +122,41 @@ class SurfaceCover:
     @cached_property
     def schreier(self) -> "SchreierTransversal":
         """Schreier transversal of the basepoint stabilizer, built on first use."""
-        order, tree, words = _schreier_walk(self)
+        _, tree, words = _schreier_walk(self)
         in_tree = set(tree)
         edges = itertools.product(range(len(self.perms)), range(self.degree))
         nontree = tuple(e for e in edges if e not in in_tree)
         index = {e: k for k, e in enumerate(nontree)}
-        return SchreierTransversal(tuple(order), tuple(tree), tuple(words), nontree, index)
+        return SchreierTransversal(tuple(words), nontree, index)
 
     @property
     def total_genus(self) -> int:
         """Genus of the covering surface, by the degree formula."""
         return self.degree * (self.genus - 1) + 1
 
-    def act_letter(self, letter: int, sheet: int) -> int:
-        idx = abs(letter) - 1
-        if letter > 0:
-            return self.perms[idx][sheet]
-        return self.inverse_perms[idx][sheet]
-
     def act(self, word, sheet: int) -> int:
+        """The sheet where the lift of a word from a sheet ends."""
+        perms, inverse_perms = self.perms, self.inverse_perms
         for letter in word:
-            sheet = self.act_letter(letter, sheet)
+            sheet = perms[letter - 1][sheet] if letter > 0 else inverse_perms[-letter - 1][sheet]
         return sheet
+
+    def walk(self, word, sheet: int):
+        """The edges the lift of a word from a sheet runs along, and its end sheet.
+
+        Edges are (generator index, tail sheet, +1 or -1).  Letter i+1 at
+        sheet s runs forward along (i, s); letter -(i+1) runs backward along
+        (i, t), t the sheet that generator i sends to s.
+        """
+        edges = []
+        for letter in word:
+            if letter > 0:
+                edges.append((letter - 1, sheet, 1))
+                sheet = self.perms[letter - 1][sheet]
+            else:
+                sheet = self.inverse_perms[-letter - 1][sheet]
+                edges.append((-letter - 1, sheet, -1))
+        return edges, sheet
 
     def word_permutation(self, word) -> Perm:
         out = identity_perm(self.degree)
@@ -154,10 +167,6 @@ class SurfaceCover:
 
     def stabilizes_basepoint(self, word) -> bool:
         return self.act(word, 0) == 0
-
-    def is_canonical(self) -> bool:
-        order, _, _ = _schreier_walk(self)
-        return order == list(range(self.degree))
 
     def canonical(self) -> "SurfaceCover":
         order, _, _ = _schreier_walk(self)
@@ -182,15 +191,12 @@ class SurfaceCover:
 class SchreierTransversal:
     """Breadth-first spanning tree of the Schreier graph from sheet 0.
 
-    order lists the sheets in discovery order; tree holds the edges
-    (generator index, source sheet) that discovered them; words[s] is the
-    tree word from sheet 0 to sheet s.  The edges outside the tree, in
-    (generator, sheet) order, index the Schreier generators of the basepoint
-    stabilizer, 2*g*d - d + 1 of them; index maps each to its position.
+    words[s] is the tree word from sheet 0 to sheet s.  The edges outside
+    the tree, in (generator, sheet) order, index the Schreier generators of
+    the basepoint stabilizer, 2*g*d - d + 1 of them; index maps each to its
+    position.
     """
 
-    order: tuple[int, ...]
-    tree: tuple[tuple[int, int], ...]
     words: tuple[Word, ...]
     nontree: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int]
@@ -200,10 +206,10 @@ def _schreier_walk(cover: SurfaceCover):
     """Walk the Schreier graph from sheet 0 in canonical order.
 
     Each sheet in turn tries the positive generators by index, then the
-    inverse generators by index.  Returns the order, tree and words of
-    SchreierTransversal as lists, words[s] None for a sheet not reached: the
-    walk stops at the reachable component, so a short order means the action
-    is not transitive.
+    inverse generators by index.  Returns lists of the sheets in discovery
+    order, the tree edges (generator index, source sheet) and the tree words,
+    words[s] None for a sheet not reached: the walk stops at the reachable
+    component, so a short order means the action is not transitive.
     """
     d = cover.degree
     words: list[Word | None] = [None] * d
@@ -353,23 +359,10 @@ def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
     Output letters are signed 1-based indices into cover.schreier.nontree.
     """
     index = cover.schreier.index
-    out: list[int] = []
-    s = 0
-    for letter in word:
-        i = abs(letter) - 1
-        if letter > 0:
-            k = index.get((i, s))
-            s = cover.perms[i][s]
-            if k is not None:
-                out.append(k + 1)
-        else:
-            s = cover.inverse_perms[i][s]
-            k = index.get((i, s))
-            if k is not None:
-                out.append(-(k + 1))
-    if s != 0:
+    edges, end = cover.walk(word, 0)
+    if end != 0:
         raise ValueError("word does not stabilize the basepoint sheet")
-    return tuple(out)
+    return tuple(sign * (index[i, s] + 1) for i, s, sign in edges if (i, s) in index)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +409,9 @@ class CoverArrow:
     sheet_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name, value in (("source", self.source), ("target", self.target)):
+            if not isinstance(value, SurfaceCover):
+                raise IncompatibleTower(f"{name} must be a SurfaceCover, got {value!r:.40}")
         try:
             sheet_map = tuple(self.sheet_map)
         except TypeError:
@@ -578,15 +574,8 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
     def spell(word) -> Word:
         """Identification words along the lift of a base path from sheet 0."""
         out: list[int] = []
-        s = 0
-        for letter in word:
-            i = abs(letter) - 1
-            if letter > 0:
-                out += ident[(i, s)]
-                s = bottom.perms[i][s]
-            else:
-                s = bottom.inverse_perms[i][s]
-                out += inverse_word(ident[(i, s)])
+        for i, s, sign in bottom.walk(word, 0)[0]:
+            out += ident[(i, s)] if sign > 0 else inverse_word(ident[(i, s)])
         return free_reduce(out)
 
     loop_words = {

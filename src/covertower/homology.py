@@ -74,18 +74,11 @@ class CoverComplex:
     def _lift_faces(self):
         """The relator read from each sheet, in darts, started at its smallest
         dart and sorted by it: the faces of _trace_faces, in its order."""
-        cover, d = self.cover, self.cover.degree
+        relator, d = surface_relator(self.cover.genus), self.cover.degree
         faces = []
         for sheet in range(d):
-            face = []
-            for letter in surface_relator(cover.genus):
-                i = abs(letter) - 1
-                if letter > 0:
-                    face.append(2 * (i * d + sheet))
-                    sheet = cover.perms[i][sheet]
-                else:
-                    sheet = cover.inverse_perms[i][sheet]
-                    face.append(2 * (i * d + sheet) + 1)
+            edges, _ = self.cover.walk(relator, sheet)
+            face = [2 * (i * d + s) + (sign < 0) for i, s, sign in edges]
             k = face.index(min(face))
             faces.append(tuple(face[k:] + face[:k]))
         return sorted(faces)
@@ -156,15 +149,8 @@ class CoverComplex:
     def word_path_chain(self, word, sheet: int):
         """Edge chain of the lift of a base path word starting at a sheet."""
         chain = self.zero_chain()
-        s = sheet
-        for letter in word:
-            i = abs(letter) - 1
-            if letter > 0:
-                chain[self.edge_index(i, s)] += 1
-                s = self.cover.perms[i][s]
-            else:
-                s = self.cover.inverse_perms[i][s]
-                chain[self.edge_index(i, s)] -= 1
+        for i, s, sign in self.cover.walk(word, sheet)[0]:
+            chain[self.edge_index(i, s)] += sign
         return chain
 
     # -- homology

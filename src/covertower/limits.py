@@ -14,7 +14,7 @@ from operator import mul
 from typing import Union
 
 from .covers import CoverArrow, SurfaceCover, _trusted, fiber_product, trivial_cover
-from .errors import BaseMismatch, IncompatibleTower, KindMismatch, NonIntegerWeights
+from .errors import BaseMismatch, IncompatibleTower, KindMismatch
 from .homology import surface_complex, transfer_along_arrow
 from .traintrack import LiftedTrack, TrainTrack
 
@@ -48,9 +48,7 @@ class LimitElement:
             object.__setattr__(self, "payload", chain)
         elif self.kind == "track":
             track, weights = self.payload
-            lifted = LiftedTrack(track, self.cover)
-            weights = tuple(Fraction(w) for w in weights)
-            lifted.track.validate_weights(weights)
+            weights = LiftedTrack(track, self.cover).track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:
             raise KindMismatch(f"unknown limit element kind {self.kind!r}")
@@ -83,12 +81,7 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
         chain = tuple(transfer_along_arrow(arrow, element.payload))
         return _trusted(LimitElement, kind="cycle", cover=arrow.source, payload=chain)
     track, weights = element.payload
-    coarse = LiftedTrack(track, element.cover)
-    fine = LiftedTrack(track, arrow.source)
-    lifted = tuple(
-        weights[coarse.branch_index(b, arrow.sheet_map[s])]
-        for (b, s) in fine.branches
-    )
+    lifted = tuple(weights[k] for k in LiftedTrack(track, element.cover).branches_under(arrow))
     return _trusted(LimitElement, kind="track", cover=arrow.source, payload=(track, lifted))
 
 
@@ -168,9 +161,5 @@ def homology_shadow(element: LimitElement) -> LimitElement:
     if element.kind != "track":
         raise KindMismatch("homology shadow takes a track element")
     track, weights = element.payload
-    for w in weights:
-        if w.denominator != 1:
-            raise NonIntegerWeights("shadow needs integer branch weights")
-    lifted = LiftedTrack(track, element.cover)
-    chain = lifted.cycle_chain(tuple(int(w) for w in weights))
+    chain = LiftedTrack(track, element.cover).cycle_chain(weights)
     return LimitElement("cycle", element.cover, chain)

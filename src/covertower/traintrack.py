@@ -8,11 +8,12 @@ one-vertex skeleton of the base surface.  Weights are exact rationals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .covers import SurfaceCover, CoverArrow
+from .covers import SurfaceCover, CoverArrow, _is_int, _trusted
 from .errors import (
     BaseMismatch,
     ConeViolation,
@@ -21,8 +22,8 @@ from .errors import (
     NonIntegerWeights,
     SwitchViolation,
 )
-from .exact_linalg import mat_mul, mat_vec, rational_nullspace, rational_rank
-from .surface import Word
+from .exact_linalg import mat_vec, rational_nullspace, rational_rank
+from .surface import Word, generator_count, inverse_word
 
 
 HalfBranch = tuple[int, int]  # (branch index, end 0 or 1)
@@ -39,25 +40,22 @@ class TrainTrack:
     genus: int
     switches: tuple[Switch, ...]
     branch_words: tuple[Word, ...]
-    # branch_ends[b] = (switch of end 0, switch of end 1), derived in __post_init__
 
     def __post_init__(self) -> None:
-        seen: dict[HalfBranch, int] = {}
-        for k, sw in enumerate(self.switches):
+        n = generator_count(self.genus)
+        words = tuple(map(tuple, self.branch_words))
+        for k, w in enumerate(words):
+            if not all(_is_int(x) and 0 < abs(x) <= n for x in w):
+                raise DimensionMismatch(f"branch_words[{k}] needs integer letters 0 < |x| <= {n}")
+        object.__setattr__(self, "branch_words", words)
+        seen: set[HalfBranch] = set()
+        for sw in self.switches:
             for half in sw.side_a + sw.side_b:
                 if half in seen:
                     raise DimensionMismatch(f"half-branch {half} used twice")
-                seen[half] = k
-        expected = {(b, end) for b in range(len(self.branch_words)) for end in (0, 1)}
-        if set(seen) != expected:
+                seen.add(half)
+        if seen != {(b, end) for b in range(len(words)) for end in (0, 1)}:
             raise DimensionMismatch("half-branches do not match the branch list")
-        object.__setattr__(
-            self,
-            "branch_ends",
-            tuple(
-                (seen[(b, 0)], seen[(b, 1)]) for b in range(len(self.branch_words))
-            ),
-        )
 
     @property
     def n_branches(self) -> int:
@@ -74,12 +72,15 @@ class TrainTrack:
             rows.append(row)
         return rows
 
-    def validate_weights(self, weights) -> None:
-        if len(weights) != self.n_branches:
-            raise DimensionMismatch(
-                f"expected {self.n_branches} weights, got {len(weights)}"
-            )
-        weights = [Fraction(w) for w in weights]
+    def validate_weights(self, weights) -> tuple[Fraction, ...]:
+        """The weights as Fractions, once they are checked to lie in the cone."""
+        try:
+            size = len(weights)
+        except TypeError:
+            raise DimensionMismatch("weights must be a sequence") from None
+        if size != self.n_branches:
+            raise DimensionMismatch(f"expected {self.n_branches} weights, got {size}")
+        weights = tuple(_rational(w, f"weights[{b}]") for b, w in enumerate(weights))
         for b, w in enumerate(weights):
             if w < 0:
                 raise NegativeWeight(f"branch {b} has negative weight {w}")
@@ -87,6 +88,7 @@ class TrainTrack:
             total = sum(r * w for r, w in zip(row, weights))
             if total != 0:
                 raise SwitchViolation(f"switch {k} unbalanced by {total}")
+        return weights
 
     def chart_dimension(self) -> int:
         return self.n_branches - rational_rank(self.switch_matrix())
@@ -150,9 +152,6 @@ class LiftedTrack:
         d = self.cover.degree
         return tuple((b, s) for b in range(self.base.n_branches) for s in range(d))
 
-    def branch_index(self, b: int, s: int) -> int:
-        return b * self.cover.degree + s
-
     def lifted_switch_sides(self, k: int, s: int):
         """Half-branches of the lifted switch (k, s), both sides.
 
@@ -162,13 +161,8 @@ class LiftedTrack:
         """
         def lift_half(half: HalfBranch):
             b, end = half
-            if end == 0:
-                return (self.branch_index(b, s), 0)
-            word = self.base.branch_words[b]
-            t = s
-            for letter in reversed(word):
-                t = self.cover.act_letter(-letter, t)
-            return (self.branch_index(b, t), 1)
+            t = self.cover.act(inverse_word(self.base.branch_words[b]), s) if end else s
+            return (b * self.cover.degree + t, end)
 
         sw = self.base.switches[k]
         return (
@@ -193,22 +187,25 @@ class LiftedTrack:
         words = tuple(self.base.branch_words[b] for (b, _) in self.branches)
         return TrainTrack(genus=self.base.genus, switches=switches, branch_words=words)
 
-    def cycle_chain(self, weights):
-        """Integer-weighted lifted branches as an edge chain on the cover."""
-        from .homology import surface_complex
+    def branches_under(self, arrow: CoverArrow) -> list[int]:
+        """Index of the branch of this lift under each branch of the lift to
+        arrow.source, in that lift's branch order: (b, s) lies over
+        (b, arrow.sheet_map[s])."""
+        d = self.cover.degree
+        return [b * d + t for b in range(self.base.n_branches) for t in arrow.sheet_map]
 
+    def cycle_chain(self, weights):
+        """Integer-weighted lifted branches as an edge chain on the cover,
+        edge (i, s) at i * degree + s."""
         if len(weights) != len(self.branches):
             raise DimensionMismatch(f"expected {len(self.branches)} weights, got {len(weights)}")
-        cplx = surface_complex(self.cover)
-        chain = cplx.zero_chain()
-        for (b, s), w in zip(self.branches, weights):
-            w = Fraction(w)
-            if w.denominator != 1:
-                raise NonIntegerWeights(f"lifted branch ({b},{s}) weight {w}")
+        d = self.cover.degree
+        chain = [0] * (len(self.cover.perms) * d)
+        for k, w in enumerate(weights):
+            w = _integer(w, f"weights[{k}]")
             if w:
-                path = cplx.word_path_chain(self.base.branch_words[b], s)
-                for e, val in enumerate(path):
-                    chain[e] += int(w) * val
+                for i, t, sign in self.cover.walk(self.base.branch_words[k // d], k % d)[0]:
+                    chain[i * d + t] += w * sign
         return chain
 
 
@@ -217,8 +214,10 @@ class CarryingMatrix:
     """Nonnegative integer matrix mapping one track's weight cone into another.
 
     Rows are indexed by target branches, columns by source branches; weights
-    map by matrix-vector product.  Construction checks the cone invariant
-    exactly, in polynomial time (see `_check_cone`).
+    map by matrix-vector product.  The public constructor stores int tuples
+    and checks the cone invariant exactly, in polynomial time (see
+    `_check_cone`); the package's lifts and composites pass it by
+    construction and skip it.
     """
 
     source: TrainTrack
@@ -226,16 +225,20 @@ class CarryingMatrix:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != self.target.n_branches or any(
-            len(row) != self.source.n_branches for row in self.matrix
+        try:
+            matrix = tuple(
+                tuple(_integer(x, f"matrix[{r}][{c}]") for c, x in enumerate(row))
+                for r, row in enumerate(self.matrix)
+            )
+        except TypeError:
+            raise DimensionMismatch("matrix must be a sequence of rows") from None
+        if len(matrix) != self.target.n_branches or any(
+            len(row) != self.source.n_branches for row in matrix
         ):
-            raise DimensionMismatch("carrying matrix shape does not match the tracks")
-        for row in self.matrix:
-            for x in row:
-                if x != int(x):
-                    raise NonIntegerWeights("carrying matrix entries must be integers")
-                if x < 0:
-                    raise ConeViolation("carrying matrix entries must be nonnegative")
+            raise DimensionMismatch("matrix shape does not match the tracks")
+        if any(x < 0 for row in matrix for x in row):
+            raise ConeViolation("matrix entries must be nonnegative")
+        object.__setattr__(self, "matrix", matrix)
         self._check_cone()
 
     def _check_cone(self) -> None:
@@ -267,8 +270,31 @@ class CarryingMatrix:
         return mat_vec(self.matrix, weights)
 
 
-def _freeze(mat):
-    return tuple(tuple(int(x) for x in row) for row in mat)
+def _rational(x, name: str) -> Fraction:
+    """x as a Fraction; NonIntegerWeights naming x for a bool or a non-number."""
+    if not isinstance(x, bool) and isinstance(x, numbers.Number):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise NonIntegerWeights(f"{name} must be a number, got {x!r:.40}")
+
+
+def _integer(x, name: str) -> int:
+    f = _rational(x, name)
+    if f.denominator != 1:
+        raise NonIntegerWeights(f"{name} must be an integer, got {x!r:.40}")
+    return f.numerator
+
+
+def _gather(source: TrainTrack, target: TrainTrack, columns) -> CarryingMatrix:
+    """The 0/1 matrix whose row r picks source branch columns[r], unchecked:
+    callers gather along a lift, where target branch r lies over source
+    branch columns[r] and each target switch lifts a source switch."""
+    n = source.n_branches
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    matrix = tuple(eye[c] for c in columns)
+    return _trusted(CarryingMatrix, source=source, target=target, matrix=matrix)
 
 
 def lift_track(track: TrainTrack, cover: SurfaceCover):
@@ -283,12 +309,7 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
     if track.genus != cover.genus:
         raise BaseMismatch("track and cover have different base surfaces")
     lifted = LiftedTrack(base=track, cover=cover)
-    rows = []
-    for (b, _) in lifted.branches:
-        row = [0] * track.n_branches
-        row[b] = 1
-        rows.append(row)
-    return lifted, CarryingMatrix(track, lifted.track, _freeze(rows))
+    return lifted, _gather(track, lifted.track, [b for b, _ in lifted.branches])
 
 
 def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
@@ -300,23 +321,18 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
     if arrow.target != lifted.cover:
         raise BaseMismatch("arrow target is not the lifted track's cover")
     finer = LiftedTrack(base=lifted.base, cover=arrow.source)
-    rows = []
-    for (b, s) in finer.branches:
-        row = [0] * len(lifted.branches)
-        row[lifted.branch_index(b, arrow.sheet_map[s])] = 1
-        rows.append(row)
-    return CarryingMatrix(lifted.track, finer.track, _freeze(rows))
+    return _gather(lifted.track, finer.track, lifted.branches_under(arrow))
 
 
 def carrying_compose(first: CarryingMatrix, second: CarryingMatrix) -> CarryingMatrix:
-    """Apply first, then second; revalidates the cone invariant."""
+    """Apply first, then second.  A composite of cone maps is a cone map, so
+    the product skips the cone check."""
     if second.source != first.target:
         raise DimensionMismatch("second matrix's source track is not first's target")
-    product = mat_mul(second.matrix, first.matrix)
-    return CarryingMatrix(first.source, second.target, _freeze(product))
+    columns = tuple(zip(*first.matrix)) or ((),) * first.source.n_branches
+    product = tuple(tuple(mat_vec(columns, row)) for row in second.matrix)
+    return _trusted(CarryingMatrix, source=first.source, target=second.target, matrix=product)
 
 
 def identity_carrying(track: TrainTrack) -> CarryingMatrix:
-    n = track.n_branches
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return CarryingMatrix(track, track, eye)
+    return _gather(track, track, range(track.n_branches))

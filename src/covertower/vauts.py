@@ -162,19 +162,16 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
         raise BaseMismatch("element and vaut live over different bases")
     w = fiber_product(element.cover, vaut.left)
     chain = transfer_along_arrow(w.to_first, element.payload)
-    cx_w = surface_complex(w.cover)
-    image = induced_cover(vaut.right, vaut.bwd, w.cover)
-    cx_v = surface_complex(image.cover)
-    out = [0] * cx_v.n_edges
-    for edge in w.cover.schreier.nontree:
-        coeff = chain[cx_w.edge_index(*edge)]
-        if coeff == 0:
-            continue
-        moved = vaut.forward_word(schreier_loop(w.cover, edge))
-        piece = cx_v.word_path_chain(moved, 0)
-        for k, value in enumerate(piece):
-            out[k] += coeff * value
-    return _trusted(LimitElement, kind="cycle", cover=image.cover, payload=tuple(out))
+    image = induced_cover(vaut.right, vaut.bwd, w.cover).cover
+    d = image.degree
+    out = [0] * (len(image.perms) * d)
+    for i, s in w.cover.schreier.nontree:
+        coeff = chain[i * w.cover.degree + s]
+        if coeff:
+            moved = vaut.forward_word(schreier_loop(w.cover, (i, s)))
+            for j, t, sign in image.walk(moved, 0)[0]:
+                out[j * d + t] += coeff * sign
+    return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(out))
 
 
 def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:

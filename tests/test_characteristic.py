@@ -100,7 +100,7 @@ def test_mod2_cover_shape():
     k = mod2_homology_cover(2)
     assert k.degree == 16
     assert k.total_genus == 17
-    assert k.is_canonical()
+    assert k.canonical() is k
     for cover in enumerate_covers(2, 2):
         assert factors_through(k, cover) is not None
 

@@ -8,6 +8,7 @@ from covertower.covers import (
     CoverArrow,
     SurfaceCover,
     _enumerate_cached,
+    _schreier_walk,
     compose_covers,
     double_cover_from_signs,
     enumerate_covers,
@@ -177,7 +178,7 @@ def test_trivial_cover():
     c = trivial_cover(2)
     assert c.degree == 1
     assert c.total_genus == 2
-    assert c.is_canonical()
+    assert c.canonical() is c
 
 
 def test_double_cover_total_genus():
@@ -228,8 +229,7 @@ def test_enumerated_covers_are_canonical_and_distinct():
         covers = enumerate_covers(2, d)
         assert len(set(covers)) == len(covers)
         for cover in covers:
-            assert cover.is_canonical()
-            assert cover.canonical() == cover
+            assert cover.canonical() is cover
 
 
 def test_canonical_collapses_basepoint_fixing_relabelings():
@@ -243,7 +243,7 @@ def test_canonical_collapses_basepoint_fixing_relabelings():
         assert moved.canonical() == cover
         if new_of_old != tuple(range(cover.degree)):
             # pointed covers admit no nontrivial pointed symmetry
-            assert not moved.is_canonical()
+            assert moved.canonical() is not moved
 
 
 @pytest.mark.parametrize(
@@ -296,8 +296,9 @@ def test_nontree_edge_count():
     for d in (1, 2, 3):
         for cover in enumerate_covers(2, d)[:20]:
             walk = cover.schreier
-            assert walk.order == tuple(range(d))
-            assert len(walk.tree) == d - 1
+            order, tree, _ = _schreier_walk(cover)
+            assert order == list(range(d))
+            assert len(tree) == d - 1
             assert len(walk.nontree) == 4 * d - d + 1
             for k, edge in enumerate(walk.nontree):
                 assert walk.index[edge] == k
@@ -335,6 +336,42 @@ def test_rewrite_is_exact_in_the_free_group():
             assert free_reduce(substitute(rewritten, loops)) == free_reduce(closed)
 
 
+def reference_walk(cover, word, sheet):
+    """Lift a word letter by letter.  Letter i+1 leaves sheet s along the edge
+    (i, s); letter -(i+1) arrives at s backward along (i, t), t the sheet
+    that generator i sends to s, found by search rather than inverse_perms."""
+    edges = []
+    for letter in word:
+        i = abs(letter) - 1
+        if letter > 0:
+            edges.append((i, sheet, 1))
+            sheet = cover.perms[i][sheet]
+        else:
+            sheet = cover.perms[i].index(sheet)
+            edges.append((i, sheet, -1))
+    return edges, sheet
+
+
+def test_walk_matches_the_per_letter_reference():
+    rng = random.Random(71)
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    assert len(covers) == 236
+    for cover in covers:
+        for _ in range(4):
+            word = tuple(
+                rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 12))
+            )
+            sheet = rng.randrange(cover.degree)
+            edges, end = cover.walk(word, sheet)
+            assert (edges, end) == reference_walk(cover, word, sheet)
+            assert end == cover.act(word, sheet)
+            assert len(edges) == len(word)
+        relator = (1, 2, -1, -2, 3, 4, -3, -4)
+        for sheet in range(cover.degree):
+            assert cover.walk(relator, sheet) == reference_walk(cover, relator, sheet)
+            assert cover.walk(relator, sheet)[1] == sheet
+
+
 def test_rewrite_rejects_nonstabilizing_word():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -355,6 +392,22 @@ def test_identity_arrow_and_validation():
         CoverArrow(cover, cover, (1, 0))
     with pytest.raises(IncompatibleTower):
         CoverArrow(cover, trivial_cover(2), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "source, target, field",
+    [
+        ("x", double_cover_from_signs(2, (1, 0, 0, 0)), "source"),
+        (double_cover_from_signs(2, (1, 0, 0, 0)), None, "target"),
+        (None, None, "source"),
+        ((2, 2, ((1, 0), (0, 1), (0, 1), (0, 1))), trivial_cover(2), "source"),
+    ],
+)
+def test_arrow_rejects_endpoints_that_are_not_covers(source, target, field):
+    from covertower.errors import IncompatibleTower
+
+    with pytest.raises(IncompatibleTower, match=f"{field} must be a SurfaceCover"):
+        CoverArrow(source, target, (0, 0))
 
 
 @pytest.mark.parametrize("sheet_map", [(0.0, 0), (0, 1.0), (False, 0), (0, True), ("0", 0), 0])

@@ -17,6 +17,7 @@ from covertower.covers import (
 from covertower.errors import (
     BaseMismatch,
     ConeViolation,
+    CovertowerError,
     DimensionMismatch,
     NegativeWeight,
     NonIntegerWeights,
@@ -97,6 +98,34 @@ def test_track_construction_rejects_bad_gluing():
     s1 = Switch(side_a=((0, 0),), side_b=((0, 1),))
     with pytest.raises(DimensionMismatch):
         TrainTrack(genus=2, switches=(s1,), branch_words=((1,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "words, k",
+    [
+        (((0,), (1,), ()), 0),
+        (((5,), (1,), ()), 0),
+        (((1,), (-5,), ()), 1),
+        (((1,), (1,), (1.0,)), 2),
+        (((1,), (1,), (True,)), 2),
+        (((1,), (1, "2"), ()), 1),
+    ],
+)
+def test_track_rejects_bad_branch_letters(words, k):
+    example = three_branch_example()
+    with pytest.raises(CovertowerError, match=rf"branch_words\[{k}\]"):
+        TrainTrack(genus=2, switches=example.switches, branch_words=words)
+
+
+def test_track_branch_words_are_stored_as_tuples():
+    example = three_branch_example()
+    listed = TrainTrack(genus=2, switches=example.switches, branch_words=[[1], [1], []])
+    assert listed.branch_words == ((1,), (1,), ())
+    assert listed == example and hash(listed) == hash(example)
+    # letter 4 is b2 at genus 2; the rejected letter 0 used to lift as b2 too
+    ok = TrainTrack(genus=2, switches=example.switches, branch_words=((4,), (4,), ()))
+    lifted, _ = lift_track(ok, double_cover_from_signs(2, (0, 0, 0, 1)))
+    assert lifted.track.chart_dimension() == 3
 
 
 def test_weight_validation_errors():
@@ -227,6 +256,57 @@ def test_carrying_validation():
     CarryingMatrix(track, track, eye)
     with pytest.raises(DimensionMismatch):
         CarryingMatrix(track, track, ((1, 0), (0, 1), (0, 0)))
+
+
+def test_carrying_matrix_is_stored_as_int_tuples():
+    track = three_branch_example()
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    listed = CarryingMatrix(track, track, [[1, 0, 0], [0, 1.0, 0], [0, 0, Fraction(1)]])
+    assert listed.matrix == eye
+    assert all(type(x) is int for row in listed.matrix for x in row)
+    assert listed == identity_carrying(track)
+    assert hash(listed) == hash(identity_carrying(track))
+
+
+@pytest.mark.parametrize(
+    "matrix, error, where",
+    [
+        (((1, 0, 0), (0, True, 0), (0, 0, 1)), NonIntegerWeights, r"matrix\[1\]\[1\]"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, None)), NonIntegerWeights, r"matrix\[2\]\[2\]"),
+        (((float("nan"), 0, 0), (0, 1, 0), (0, 0, 1)), NonIntegerWeights, r"matrix\[0\]\[0\]"),
+        (((1, 0, 0), (0, 1, float("inf")), (0, 0, 1)), NonIntegerWeights, r"matrix\[1\]\[2\]"),
+        (((1, 0, 0), (0, 1.5, 0), (0, 0, 1)), NonIntegerWeights, r"matrix\[1\]\[1\]"),
+        (((1, 0, 0), (0, 1, 0), ("1", 0, 1)), NonIntegerWeights, r"matrix\[2\]\[0\]"),
+        (5, DimensionMismatch, "matrix"),
+        (((1, 0, 0), 7, (0, 0, 1)), DimensionMismatch, "matrix"),
+        (((1, 0, 0), (0, 1, 0)), DimensionMismatch, "matrix"),
+    ],
+)
+def test_carrying_matrix_rejects_bad_entries(matrix, error, where):
+    track = three_branch_example()
+    with pytest.raises(error, match=where):
+        CarryingMatrix(track, track, matrix)
+
+
+@pytest.mark.parametrize(
+    "weights, where",
+    [
+        ((2, None, 1), r"weights\[1\]"),
+        (("a", 1, 1), r"weights\[0\]"),
+        ((2, 1, float("nan")), r"weights\[2\]"),
+        ((2, True, 1), r"weights\[1\]"),
+        (None, "weights"),
+        (5, "weights"),
+    ],
+)
+def test_weights_that_are_not_numbers_are_named(weights, where):
+    track = three_branch_example()
+    for check in (track.validate_weights, identity_carrying(track).apply):
+        with pytest.raises(CovertowerError, match=where):
+            check(weights)
+    if isinstance(weights, tuple):
+        with pytest.raises(CovertowerError, match=where):
+            track_element(track, trivial_cover(2), weights)
 
 
 def test_identity_carrying():
@@ -404,6 +484,17 @@ def test_carrying_compose_rejects_mismatch():
         carrying_compose(base_to_a, identity_carrying(track))
 
 
+def test_carrying_compose_through_a_track_with_no_branches():
+    track = three_branch_example()
+    empty = TrainTrack(genus=2, switches=(), branch_words=())
+    to_empty = CarryingMatrix(track, empty, ())
+    from_empty = CarryingMatrix(empty, track, ((), (), ()))
+    zero = carrying_compose(to_empty, from_empty)
+    assert zero.matrix == ((0, 0, 0),) * 3
+    assert public_carrying(zero) == zero
+    assert carrying_compose(from_empty, to_empty).matrix == ()
+
+
 def test_arrow_step_requires_matching_cover():
     track = three_branch_example()
     a = double_cover_from_signs(2, (1, 0, 0, 0))
@@ -412,3 +503,62 @@ def test_arrow_step_requires_matching_cover():
     fp = fiber_product(b, b)
     with pytest.raises(BaseMismatch):
         arrow_step_matrix(lifted_a, fp.to_first)
+
+
+# -- package-built carrying matrices against the public constructor
+#
+# lift_track, arrow_step_matrix, identity_carrying and carrying_compose skip
+# the cone check.  These oracles rebuild what they make through the public
+# constructor, whose cone check the extreme-ray tests above keep honest.
+
+
+def public_carrying(m) -> CarryingMatrix:
+    return CarryingMatrix(m.source, m.target, m.matrix)
+
+
+def test_lifts_pass_the_public_constructor():
+    track = three_branch_example()
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    for cover in covers + [mod2_homology_cover(2)]:
+        lifted, matrix = lift_track(track, cover)
+        assert public_carrying(matrix) == matrix
+        assert public_carrying(identity_carrying(lifted.track)) == identity_carrying(lifted.track)
+    assert public_carrying(identity_carrying(track)) == identity_carrying(track)
+
+
+def test_arrow_steps_and_composites_pass_the_public_constructor():
+    track = three_branch_example()
+    rng = random.Random(37)
+    low = [c for d in (1, 2) for c in enumerate_covers(2, d)]
+    pairs = [(a, rng.choice(enumerate_covers(2, 3))) for a in low]
+    pairs.append((mod2_homology_cover(2), enumerate_covers(2, 3)[5]))
+    for a, b in pairs:
+        lifted, base_to_a = lift_track(track, a)
+        step = arrow_step_matrix(lifted, fiber_product(a, b).to_first)
+        composed = carrying_compose(base_to_a, step)
+        assert public_carrying(step) == step
+        assert public_carrying(composed) == composed
+        assert composed == lift_track(track, fiber_product(a, b).cover)[1]
+
+
+def test_carrying_builders_skip_the_cone_check(monkeypatch):
+    calls = []
+    checks = CarryingMatrix.__post_init__
+
+    def post_init(self):
+        calls.append(self)
+        checks(self)
+
+    monkeypatch.setattr(CarryingMatrix, "__post_init__", post_init)
+    track = three_branch_example()
+    public_carrying(identity_carrying(track))
+    assert len(calls) == 1  # the counter sees the public constructor
+    calls.clear()
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    for k, cover in enumerate(covers + [mod2_homology_cover(2)]):
+        lifted, base_to_cover = lift_track(track, cover)
+        identity_carrying(lifted.track)
+        fp = fiber_product(cover, covers[k % 16])
+        step = arrow_step_matrix(lifted, fp.to_first)
+        carrying_compose(base_to_cover, step)
+    assert calls == []
