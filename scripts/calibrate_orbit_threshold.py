@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from covertower import OrbitConfig, orbit_density_experiment
+from covertower.cli import _int_at_least
 from covertower.orbit import (
     covering_radius,
     projective_normalize,
@@ -47,9 +48,9 @@ def brute_force_radii(config: OrbitConfig):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", type=int, default=100_000)
-    parser.add_argument("--targets", type=int, default=256)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 7, 42])
+    parser.add_argument("--steps", type=_int_at_least(0), default=100_000)
+    parser.add_argument("--targets", type=_int_at_least(1), default=256)
+    parser.add_argument("--seeds", type=_int_at_least(0), nargs="+", default=[0, 1, 2, 7, 42])
     args = parser.parse_args()
 
     small = OrbitConfig(steps=512, targets=64, seed=0)

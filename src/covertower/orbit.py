@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import mul
 
 import numpy as np
 
@@ -70,21 +69,23 @@ class OrbitConfig:
     steps: int = 100_000
     targets: int = 256
     seed: int = 0
-    start: tuple[int, ...] = (1, 0, 0, 0)
+    start: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
     classes: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name, low in (("steps", 0), ("targets", 1), ("seed", 0)):
+        for name, low in (("genus", 2), ("steps", 0), ("targets", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise CovertowerError(f"{name} must be an integer at least {low}, got {value!r}")
+        n = generator_count(self.genus)
+        if self.start is None:
+            object.__setattr__(self, "start", (1,) + (0,) * (n - 1))
         if self.classes is None:
             object.__setattr__(
                 self, "classes", shipped_transvection_classes(self.genus)
             )
         if not self.classes:
             raise CovertowerError("classes must hold at least one transvection class")
-        n = generator_count(self.genus)
         named = [(f"classes[{k}]", c) for k, c in enumerate(self.classes)]
         for name, vec in [("start", self.start), *named]:
             if len(vec) != n:
@@ -162,8 +163,14 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
 
     Deterministic for a given config: all randomness comes from one seeded
     generator, targets drawn first, then the per-step choices in bulk.  Each
-    class c is held with its pairing covector Jc, so <x, c> = x . Jc; the
-    points found between two checkpoints are folded into the radius at once.
+    class c is held with its pairing covector Jc, so <x, c> = x . Jc, both as
+    (index, entry) pairs of their nonzero entries; the points found between
+    two checkpoints are folded into the radius at once.
+
+    Only the start is normalised with `projective_normalize`.  A transvection
+    x -> x + <x, c>c lies in Sp(2g, Z): its inverse x - <x, c>c is integral
+    too, so it maps primitive vectors to primitive vectors, and every step
+    has gcd 1.  One sign flip per step then gives the normalised image.
     """
     rng = np.random.default_rng(config.seed)
     dim = generator_count(config.genus)
@@ -176,20 +183,36 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     which = rng.integers(0, len(config.classes), size=config.steps)
     signs = rng.integers(0, 2, size=config.steps)
 
-    # (sign * c, Jc) for sign -1, +1, with Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k]
+    # (sign * c, Jc) for sign -1, +1, with Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k],
+    # each as the (index, entry) pairs of its nonzero entries
     twists = []
     for c in config.classes:
         jc = [v for k in range(0, dim, 2) for v in (c[k + 1], -c[k])]
-        twists.append((([-v for v in c], jc), (c, jc)))
+        cov = [(j, v) for j, v in enumerate(jc) if v]
+        plus = [(j, v) for j, v in enumerate(c) if v]
+        twists.append((([(j, -v) for j, v in plus], cov), (plus, cov)))
+    zero = [0] * dim
 
     checkpoints = []
     folded = 0
     for lo, hi in pairwise([0, *_checkpoint_schedule(config.steps)]):
-        for pick, k, sign in zip(picks[lo:hi], which[lo:hi], signs[lo:hi]):
+        # memoryviews yield Python floats and ints one at a time, where
+        # tolist() would hold the whole segment's draws as objects at once
+        draws = (memoryview(a[lo:hi]) for a in (picks, which, signs))
+        for pick, k, sign in zip(*draws):
             x = points[int(pick * len(points))]
-            curve, jc = twists[k][sign]
-            p = sum(map(mul, x, jc))
-            y = projective_normalize([xi + p * ci for xi, ci in zip(x, curve)])
+            curve, cov = twists[k][sign]
+            p = 0
+            for j, v in cov:
+                p += x[j] * v
+            if not p:
+                continue  # x is fixed, and already in the orbit
+            y = list(x)
+            for j, v in curve:
+                y[j] += p * v
+            # x is primitive, so y is too (see the docstring): only the sign
+            # needs fixing, and y < zero iff its first nonzero entry is negative
+            y = tuple([-v for v in y]) if y < zero else tuple(y)
             if y not in seen:
                 seen.add(y)
                 points.append(y)

@@ -42,14 +42,27 @@ class TrainTrack:
     branch_words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.genus) or self.genus < 2:
+            raise DimensionMismatch(f"genus must be an integer at least 2, got {self.genus!r:.40}")
         n = generator_count(self.genus)
-        words = tuple(map(tuple, self.branch_words))
+        try:
+            words = tuple(map(tuple, self.branch_words))
+        except TypeError:
+            raise DimensionMismatch("branch_words must be a sequence of words") from None
         for k, w in enumerate(words):
             if not all(_is_int(x) and 0 < abs(x) <= n for x in w):
                 raise DimensionMismatch(f"branch_words[{k}] needs integer letters 0 < |x| <= {n}")
         object.__setattr__(self, "branch_words", words)
+        try:
+            switches = tuple(self.switches)
+        except TypeError:
+            raise DimensionMismatch("switches must be a sequence of Switch") from None
+        for k, sw in enumerate(switches):
+            if not isinstance(sw, Switch):
+                raise DimensionMismatch(f"switches[{k}] must be a Switch, got {sw!r:.40}")
+        object.__setattr__(self, "switches", switches)
         seen: set[HalfBranch] = set()
-        for sw in self.switches:
+        for sw in switches:
             for half in sw.side_a + sw.side_b:
                 if half in seen:
                     raise DimensionMismatch(f"half-branch {half} used twice")
@@ -74,12 +87,7 @@ class TrainTrack:
 
     def validate_weights(self, weights) -> tuple[Fraction, ...]:
         """The weights as Fractions, once they are checked to lie in the cone."""
-        try:
-            size = len(weights)
-        except TypeError:
-            raise DimensionMismatch("weights must be a sequence") from None
-        if size != self.n_branches:
-            raise DimensionMismatch(f"expected {self.n_branches} weights, got {size}")
+        _check_count(weights, self.n_branches)
         weights = tuple(_rational(w, f"weights[{b}]") for b, w in enumerate(weights))
         for b, w in enumerate(weights):
             if w < 0:
@@ -197,8 +205,7 @@ class LiftedTrack:
     def cycle_chain(self, weights):
         """Integer-weighted lifted branches as an edge chain on the cover,
         edge (i, s) at i * degree + s."""
-        if len(weights) != len(self.branches):
-            raise DimensionMismatch(f"expected {len(self.branches)} weights, got {len(weights)}")
+        _check_count(weights, len(self.branches))
         d = self.cover.degree
         chain = [0] * (len(self.cover.perms) * d)
         for k, w in enumerate(weights):
@@ -270,6 +277,16 @@ class CarryingMatrix:
         return mat_vec(self.matrix, weights)
 
 
+def _check_count(weights, n: int) -> None:
+    """DimensionMismatch naming weights unless they are a sequence of n entries."""
+    try:
+        size = len(weights)
+    except TypeError:
+        raise DimensionMismatch(f"weights must be a sequence, got {weights!r:.40}") from None
+    if size != n:
+        raise DimensionMismatch(f"expected {n} weights, got {size}")
+
+
 def _rational(x, name: str) -> Fraction:
     """x as a Fraction; NonIntegerWeights naming x for a bool or a non-number."""
     if not isinstance(x, bool) and isinstance(x, numbers.Number):
@@ -304,6 +321,8 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
     branch inherits the base weight, so each column has exactly degree-many
     ones.
     """
+    if not isinstance(track, TrainTrack):
+        raise BaseMismatch(f"track must be a TrainTrack, got {track!r:.40}")
     if not isinstance(cover, SurfaceCover):
         raise BaseMismatch("cover expected")
     if track.genus != cover.genus:

@@ -128,51 +128,115 @@ def test_checkpoint_schedule_and_monotone_radius():
     assert result.final_radius == radii[-1]
 
 
+def replay_walk(config):
+    """The walk's checkpoints replayed step by step with `transvection` and
+    the full `projective_normalize`, and the all-pairs radius at each one;
+    also the number of steps whose class pairs to zero with the point.
+
+    Every unnormalised image must already be primitive: the walk normalises
+    only its start and then fixes the sign alone.
+    """
+    steps = config.steps
+    rng = np.random.default_rng(config.seed)
+    targets = quasi_uniform_targets(rng, config.targets, 2 * config.genus)
+    picks = rng.random(steps)
+    which = rng.integers(0, len(config.classes), size=steps)
+    signs = rng.integers(0, 2, size=steps)
+    points = [projective_normalize(config.start)]
+    seen = set(points)
+    fixed = 0
+    expected = [(0, 1, covering_radius(points, targets))]
+    for step in range(steps):
+        x = points[int(picks[step] * len(points))]
+        image = transvection(config.classes[which[step]], x, 1 if signs[step] else -1)
+        assert math.gcd(*image) == 1, (x, image)
+        fixed += image == x
+        y = projective_normalize(image)
+        if y not in seen:
+            seen.add(y)
+            points.append(y)
+        done = step + 1
+        if done & (done - 1) == 0 or done == steps:
+            expected.append((done, len(points), covering_radius(points, targets)))
+    return expected, fixed
+
+
+def assert_walk_matches(config, expected):
+    result = orbit_density_experiment(config)
+    assert [c[:2] for c in result.checkpoints] == [e[:2] for e in expected]
+    for (_, _, radius), (_, _, oracle) in zip(result.checkpoints, expected):
+        assert radius == pytest.approx(oracle, abs=1e-12)
+
+
 def test_incremental_radius_matches_brute_force():
-    # replay the walk by hand with the same generator discipline and compare
-    # every checkpoint against the all-pairs recomputation; late segments hold
+    # compare every checkpoint against the replayed walk; late segments hold
     # hundreds of new points, so the walk folds them in several chunks
-    steps, count = 3000, 48
     for seed in (0, 3, 7):
-        config = OrbitConfig(steps=steps, targets=count, seed=seed)
-        result = orbit_density_experiment(config)
-        rng = np.random.default_rng(seed)
-        targets = quasi_uniform_targets(rng, count, 4)
-        picks = rng.random(steps)
-        which = rng.integers(0, len(config.classes), size=steps)
-        signs = rng.integers(0, 2, size=steps)
-        points = [projective_normalize(config.start)]
-        seen = set(points)
-        expected = [(0, 1, covering_radius(points, targets))]
-        for step in range(steps):
-            x = points[int(picks[step] * len(points))]
-            y = projective_normalize(
-                transvection(config.classes[which[step]], x, 1 if signs[step] else -1)
-            )
-            if y not in seen:
-                seen.add(y)
-                points.append(y)
-            done = step + 1
-            if done & (done - 1) == 0 or done == steps:
-                expected.append((done, len(points), covering_radius(points, targets)))
+        config = OrbitConfig(steps=3000, targets=48, seed=seed)
+        expected, _ = replay_walk(config)
         assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > 256
-        assert [c[:2] for c in result.checkpoints] == [e[:2] for e in expected]
-        for (_, _, radius), (_, _, oracle) in zip(result.checkpoints, expected):
-            assert radius == pytest.approx(oracle, abs=1e-12)
+        assert_walk_matches(config, expected)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # the shipped classes hold the start, e1, as well
+        {"genus": 3, "seed": 5},
+        # every class has every entry nonzero, so no twist is sparse
+        {"seed": 2, "classes": ((1, 1, 1, 1), (1, -1, 2, 1), (-1, 2, 1, 1))},
+        # the start, not primitive and with a negative lead, is itself a
+        # twist class; its twist fixes the start and every point it pairs
+        # to zero with
+        {
+            "seed": 4,
+            "start": (-2, 4, 0, 2),
+            "classes": ((-2, 4, 0, 2), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1)),
+        },
+    ],
+    ids=["genus3", "dense-classes", "start-is-a-class"],
+)
+def test_walk_matches_the_oracle_on_other_configs(kwargs):
+    config = OrbitConfig(steps=3000, targets=48, **kwargs)
+    expected, fixed = replay_walk(config)
+    assert expected[-1][1] > 1000
+    assert (fixed > 0) == (config.start in config.classes)
+    assert_walk_matches(config, expected)
+
+
+def run_calibration(*argv):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "calibrate_orbit_threshold.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def test_calibration_script_runs():
     # the script holds its own walk-vs-oracle assert
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "calibrate_orbit_threshold.py"),
-         "--steps", "2000", "--seeds", "0", "1"],
-        capture_output=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_calibration("--steps", "2000", "--seeds", "0", "1")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--steps", "-1"], "argument --steps: must be at least 0, got -1"),
+        (["--targets", "0"], "argument --targets: must be at least 1, got 0"),
+        (["--seeds", "0", "-2"], "argument --seeds: must be at least 0, got -2"),
+        (["--steps", "x"], "argument --steps: invalid int value"),
+    ],
+    ids=["steps-negative", "targets-zero", "seeds-negative", "steps-text"],
+)
+def test_calibration_script_checks_its_options(argv, message):
+    proc = run_calibration(*argv)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_validation():
@@ -184,7 +248,10 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "name, value",
-    [("steps", -3), ("targets", 0), ("seed", -1), ("steps", 2.0), ("seed", True), ("targets", "8")],
+    [
+        ("steps", -3), ("targets", 0), ("seed", -1), ("steps", 2.0), ("seed", True), ("targets", "8"),
+        ("genus", 1), ("genus", True), ("genus", 2.0), ("genus", "2"),
+    ],
 )
 def test_config_rejects_bad_sizes(name, value):
     with pytest.raises(CovertowerError, match=f"^{name} must be an integer at least"):
@@ -206,6 +273,14 @@ def test_config_rejects_bad_sizes(name, value):
 def test_config_rejects_bad_classes(field, config):
     with pytest.raises(CovertowerError, match=f"^{re.escape(field)} "):
         OrbitConfig(**config)
+
+
+def test_default_start_is_e1_in_every_genus():
+    assert OrbitConfig().start == (1, 0, 0, 0)
+    config = OrbitConfig(genus=3, steps=64, targets=16)
+    assert config.start == (1, 0, 0, 0, 0, 0)
+    assert config.classes == shipped_transvection_classes(3)
+    assert orbit_density_experiment(config).report().split("\n")[1] == "# start\t1,0,0,0,0,0"
 
 
 def test_report_format():

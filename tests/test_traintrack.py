@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from covertower.limits import base_class_element, homology_shadow, limit_equal, 
 from covertower.surface import abelianized
 from covertower.traintrack import (
     CarryingMatrix,
+    LiftedTrack,
     Switch,
     TrainTrack,
     arrow_step_matrix,
@@ -126,6 +128,43 @@ def test_track_branch_words_are_stored_as_tuples():
     ok = TrainTrack(genus=2, switches=example.switches, branch_words=((4,), (4,), ()))
     lifted, _ = lift_track(ok, double_cover_from_signs(2, (0, 0, 0, 1)))
     assert lifted.track.chart_dimension() == 3
+
+
+EXAMPLE_WORDS = ((1,), (1,), ())
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda ex, cover: TrainTrack(2.5, ex.switches, EXAMPLE_WORDS), "genus"),
+        (lambda ex, cover: TrainTrack(True, ex.switches, EXAMPLE_WORDS), "genus"),
+        (lambda ex, cover: TrainTrack(1, ex.switches, EXAMPLE_WORDS), "genus"),
+        (lambda ex, cover: TrainTrack(2, (5,), ()), "switches[0]"),
+        (lambda ex, cover: TrainTrack(2, 5, ()), "switches"),
+        (lambda ex, cover: TrainTrack(2, ex.switches, 5), "branch_words"),
+        (lambda ex, cover: TrainTrack(2, ex.switches, (5, (1,), ())), "branch_words"),
+        (lambda ex, cover: lift_track("x", cover), "track"),
+        (lambda ex, cover: LiftedTrack(ex, cover).cycle_chain(None), "weights"),
+        (lambda ex, cover: ex.validate_weights(None), "weights"),
+    ],
+    ids=[
+        "genus-float", "genus-bool", "genus-1", "switch-int", "switches-int",
+        "branch_words-int", "branch_word-int", "lift-str", "cycle_chain-None",
+        "validate_weights-None",
+    ],
+)
+def test_track_inputs_are_named(make, field):
+    example = three_branch_example()
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    with pytest.raises(CovertowerError, match=rf"^{re.escape(field)} "):
+        make(example, cover)
+
+
+def test_track_switches_are_stored_as_a_tuple():
+    example = three_branch_example()
+    listed = TrainTrack(2, list(example.switches), EXAMPLE_WORDS)
+    assert listed.switches == example.switches
+    assert listed == example and hash(listed) == hash(example)
 
 
 def test_weight_validation_errors():
