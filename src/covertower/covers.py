@@ -250,13 +250,13 @@ def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _discovery_is_identity(perms: list[Perm], inv: list[Perm], degree: int) -> bool:
+def _discovery_is_identity(perms: tuple[Perm, ...], inv: tuple[Perm, ...], degree: int) -> bool:
     """True iff breadth-first discovery visits sheets exactly in order 0,1,2,...
 
     Implies transitivity.  Aborts at the first out-of-order discovery.  This
-    is the canonical walk of _schreier_walk, kept apart because it runs on
-    every candidate tuple of the search, before any cover exists, and must
-    stop early; inv holds the inverses of perms.
+    is the canonical walk of _schreier_walk, kept apart because the search
+    runs it on candidate tuples before any cover exists, and it must stop
+    early; inv holds the inverses of perms.
     """
     seen = [False] * degree
     seen[0] = True
@@ -289,31 +289,41 @@ def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
     the first g-1 handle pairs range freely and the last handle's commutator is
     determined; a table from commutator values to the pairs producing them
     completes each partial assignment.
+
+    The canonical walk reads p1[0] and then q1[0] before anything else, and
+    each must be a seen sheet or the next new one: a canonical tuple has
+    p1[0] <= 1 and q1[0] <= p1[0] + 1.  A first pair that fails this is
+    skipped with every completion of it.  The rule is exact, as the walk
+    rejects precisely those tuples at its first two reads.
     """
     all_perms = list(itertools.permutations(range(degree)))
     inv = {p: perm_inverse(p) for p in all_perms}
     pair_comm: list[tuple[Perm, Perm, Perm]] = []
-    comm_to_pairs: dict[Perm, list[tuple[Perm, Perm]]] = {}
+    # commutator -> the pairs (p, q) with that commutator, each with (p^-1, q^-1)
+    comm_to_pairs: dict[Perm, list[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]]] = {}
     for p in all_perms:
         pi = inv[p]
         for q in all_perms:
             qi = inv[q]
             c = tuple(qi[pi[q[p[x]]]] for x in range(degree))
             pair_comm.append((p, q, c))
-            comm_to_pairs.setdefault(c, []).append((p, q))
+            comm_to_pairs.setdefault(c, []).append(((p, q), (pi, qi)))
 
     found: list[tuple[Perm, ...]] = []
     for p1, q1, c1 in pair_comm:
+        if p1[0] > 1 or q1[0] > p1[0] + 1:
+            continue
         for rest in itertools.product(pair_comm, repeat=genus - 2):
             running = c1
-            for _, _, c in rest:
+            head = (p1, q1)
+            for p, q, c in rest:
                 running = perm_mul(running, c)
-            target = perm_inverse(running)
-            for plast, qlast in comm_to_pairs.get(target, ()):
-                pairs = [(p1, q1)] + [(p, q) for p, q, _ in rest] + [(plast, qlast)]
-                perms = [p for pair in pairs for p in pair]
-                if _discovery_is_identity(perms, [inv[p] for p in perms], degree):
-                    found.append(tuple(perms))
+                head += (p, q)
+            head_inv = tuple(inv[p] for p in head)
+            for last, last_inv in comm_to_pairs.get(perm_inverse(running), ()):
+                perms = head + last
+                if _discovery_is_identity(perms, head_inv + last_inv, degree):
+                    found.append(perms)
     return found
 
 

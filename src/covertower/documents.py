@@ -22,13 +22,15 @@ from .characteristic import SurfaceAutomorphism
 
 SCHEMA = "covertower/1"
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class DocumentError(CovertowerError):
     """Malformed or mistyped input document."""
 
 
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def _expect(doc, doc_type: str) -> None:

@@ -63,6 +63,13 @@ def transvection_set_hash(classes) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _sequence(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise CovertowerError(f"{name} must be a sequence, got {value!r:.40}") from None
+
+
 @dataclass(frozen=True)
 class OrbitConfig:
     genus: int = 2
@@ -78,22 +85,24 @@ class OrbitConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise CovertowerError(f"{name} must be an integer at least {low}, got {value!r}")
         n = generator_count(self.genus)
-        if self.start is None:
-            object.__setattr__(self, "start", (1,) + (0,) * (n - 1))
-        if self.classes is None:
-            object.__setattr__(
-                self, "classes", shipped_transvection_classes(self.genus)
-            )
-        if not self.classes:
+        start = (1,) + (0,) * (n - 1) if self.start is None else self.start
+        classes = shipped_transvection_classes(self.genus) if self.classes is None else self.classes
+        classes = _sequence("classes", classes)
+        if not classes:
             raise CovertowerError("classes must hold at least one transvection class")
-        named = [(f"classes[{k}]", c) for k, c in enumerate(self.classes)]
-        for name, vec in [("start", self.start), *named]:
+        named = [("start", start), *((f"classes[{k}]", c) for k, c in enumerate(classes))]
+        vecs = []
+        for name, vec in named:
+            vec = _sequence(name, vec)
             if len(vec) != n:
                 raise DimensionMismatch(f"{name} has the wrong dimension")
             if any(isinstance(v, bool) or not isinstance(v, int) for v in vec):
                 raise CovertowerError(f"{name} entries must be integers, got {vec!r}")
             if not any(vec):
                 raise CovertowerError(f"{name} must be a nonzero class")
+            vecs.append(vec)
+        object.__setattr__(self, "start", vecs[0])
+        object.__setattr__(self, "classes", tuple(vecs[1:]))
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,19 @@ class TrainTrack:
             switches = tuple(self.switches)
         except TypeError:
             raise DimensionMismatch("switches must be a sequence of Switch") from None
+        checked = []
         for k, sw in enumerate(switches):
             if not isinstance(sw, Switch):
                 raise DimensionMismatch(f"switches[{k}] must be a Switch, got {sw!r:.40}")
+            try:
+                sides = (tuple(sw.side_a), tuple(sw.side_b))
+                hash(sides)
+            except TypeError:
+                raise DimensionMismatch(
+                    f"switches[{k}] sides must be sequences of hashable half-branches"
+                ) from None
+            checked.append(sw if sides == (sw.side_a, sw.side_b) else Switch(*sides))
+        switches = tuple(checked)
         object.__setattr__(self, "switches", switches)
         seen: set[HalfBranch] = set()
         for sw in switches:

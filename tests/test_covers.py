@@ -7,6 +7,7 @@ import pytest
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
+    _discovery_is_identity,
     _enumerate_cached,
     _schreier_walk,
     compose_covers,
@@ -210,12 +211,48 @@ def test_degree2_brute_force():
 
 def test_counts_match_subgroup_recursion():
     oracle = subgroup_counts(2, 5)
-    assert oracle[1:5] == [1, 15, 220, 5275]
+    assert oracle[1:6] == [1, 15, 220, 5275, 151086]
     for d in (1, 2, 3, 4):
         assert len(enumerate_covers(2, d)) == oracle[d]
-    # degree 5 is too slow to enumerate in the default suite; the recursion
-    # value is pinned so a regression in either side shows up
-    assert oracle[5] == 151086
+    # uncached, so the degree-5 covers are freed after the test
+    covers = _enumerate_cached.__wrapped__(2, 5, search_budget())
+    assert len(set(covers)) == len(covers) == oracle[5]
+
+
+def unpruned_canonical_tuples(genus, degree):
+    """The commutator-table search with no pruning: every completion of
+    every head is walked."""
+    all_perms = list(itertools.permutations(range(degree)))
+    inv = {p: perm_inverse(p) for p in all_perms}
+    pair_comm = []
+    comm_to_pairs = {}
+    for p in all_perms:
+        pi = inv[p]
+        for q in all_perms:
+            qi = inv[q]
+            c = tuple(qi[pi[q[p[x]]]] for x in range(degree))
+            pair_comm.append((p, q, c))
+            comm_to_pairs.setdefault(c, []).append((p, q))
+
+    found = []
+    for p1, q1, c1 in pair_comm:
+        for rest in itertools.product(pair_comm, repeat=genus - 2):
+            running = c1
+            for _, _, c in rest:
+                running = perm_mul(running, c)
+            target = perm_inverse(running)
+            for plast, qlast in comm_to_pairs.get(target, ()):
+                pairs = [(p1, q1)] + [(p, q) for p, q, _ in rest] + [(plast, qlast)]
+                perms = [p for pair in pairs for p in pair]
+                if _discovery_is_identity(perms, [inv[p] for p in perms], degree):
+                    found.append(tuple(perms))
+    return found
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_pruned_search_matches_the_unpruned_search(genus, degree):
+    covers = enumerate_covers(genus, degree)
+    assert [c.perms for c in covers] == sorted(unpruned_canonical_tuples(genus, degree))
 
 
 def test_genus3_counts():

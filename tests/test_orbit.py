@@ -272,11 +272,22 @@ def test_config_rejects_bad_sizes(name, value):
         ("classes[1]", {"classes": ((1, 0, 0, 0), (0, False, 0, 1))}),
         ("classes[1]", {"classes": ((1, 0, 0, 0), (0, 0, 0, 0))}),
         ("classes", {"classes": ()}),
+        ("start", {"start": 5}),
+        ("classes", {"classes": 5}),
+        ("classes[1]", {"classes": ((1, 0, 0, 0), 5)}),
     ],
 )
 def test_config_rejects_bad_classes(field, config):
     with pytest.raises(CovertowerError, match=f"^{re.escape(field)} "):
         OrbitConfig(**config)
+
+
+def test_config_stores_start_and_classes_as_tuples():
+    config = OrbitConfig(start=[1, 0, 0, 0], classes=[[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert config.start == (1, 0, 0, 0)
+    assert config.classes == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert config == OrbitConfig(start=(1, 0, 0, 0), classes=((1, 0, 0, 0), (0, 1, 0, 0)))
+    hash(config)
 
 
 def test_default_start_is_e1_in_every_genus():

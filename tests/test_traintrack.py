@@ -167,6 +167,32 @@ def test_track_switches_are_stored_as_a_tuple():
     assert listed == example and hash(listed) == hash(example)
 
 
+@pytest.mark.parametrize(
+    "switch",
+    [
+        Switch(([0, 0], (1, 0)), ((2, 0),)),
+        Switch(((0, 0),), ((1, 0), [2, 0])),
+        Switch(5, ((1, 0), (2, 0))),
+        Switch(((0, 0),), None),
+    ],
+    ids=["unhashable-half-a", "unhashable-half-b", "side-int", "side-None"],
+)
+def test_track_rejects_malformed_switch_sides(switch):
+    example = three_branch_example()
+    switches = (switch, example.switches[1])
+    with pytest.raises(DimensionMismatch, match=r"^switches\[0\] "):
+        TrainTrack(2, switches, EXAMPLE_WORDS)
+
+
+def test_track_switch_sides_are_stored_as_tuples():
+    example = three_branch_example()
+    listed = [Switch(list(sw.side_a), list(sw.side_b)) for sw in example.switches]
+    track = TrainTrack(2, listed, EXAMPLE_WORDS)
+    for sw in track.switches:
+        assert type(sw.side_a) is tuple and type(sw.side_b) is tuple
+    assert track == example and hash(track) == hash(example)
+
+
 def test_weight_validation_errors():
     track = three_branch_example()
     with pytest.raises(DimensionMismatch):
