@@ -13,10 +13,10 @@ from functools import lru_cache
 
 from .covers import (
     SurfaceCover,
+    _is_int,
     _pointed_orbit,
     enumerate_covers,
     identity_perm,
-    schreier_loop,
     search_budget,
     trivial_cover,
 )
@@ -30,6 +30,21 @@ from .surface import (
     substitute,
     surface_relator,
 )
+
+
+def _word_table(table, name: str, genus: int) -> tuple[Word, ...]:
+    """The table's words, free-reduced; InvalidAutomorphism names a bad entry."""
+    n = generator_count(genus)
+    try:
+        words = tuple(map(tuple, table))
+    except TypeError:
+        raise InvalidAutomorphism(f"{name} must be a sequence of words") from None
+    for k, w in enumerate(words):
+        if not all(_is_int(x) and 0 < abs(x) <= n for x in w):
+            raise InvalidAutomorphism(
+                f"{name}[{k}]: letters must be nonzero integers, at most {n} in size"
+            )
+    return tuple(map(free_reduce, words))
 
 
 @dataclass(frozen=True)
@@ -49,11 +64,13 @@ class SurfaceAutomorphism:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not _is_int(self.genus):
+            raise InvalidAutomorphism(f"genus must be an integer, got {self.genus!r:.40}")
         n = generator_count(self.genus)
-        if len(self.images) != n or len(self.inverse_images) != n:
+        images = _word_table(self.images, "images", self.genus)
+        inverses = _word_table(self.inverse_images, "inverse_images", self.genus)
+        if len(images) != n or len(inverses) != n:
             raise InvalidAutomorphism("need one image word per generator")
-        images = tuple(free_reduce(w) for w in self.images)
-        inverses = tuple(free_reduce(w) for w in self.inverse_images)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "inverse_images", inverses)
         for i in range(n):
@@ -137,13 +154,12 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
     for aut in automorphisms:
         if aut.genus != cover.genus:
             raise InvalidAutomorphism("automorphism is for a different genus")
-    loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
     ident = identity_perm(cover.degree)
-    for loop in loops:
+    for loop in cover.loops:
         if cover.word_permutation(loop) != ident:
             return False
     for aut in automorphisms:
-        for loop in loops:
+        for loop in cover.loops:
             if not cover.stabilizes_basepoint(aut.apply(loop)):
                 return False
     return True

@@ -24,6 +24,7 @@ from .characteristic import (
 from .covers import enumerate_covers, fiber_product
 from .documents import (
     DocumentError,
+    _ints_in,
     cover_document,
     cycle_document,
     dumps_canonical,
@@ -44,7 +45,7 @@ from .orbit import OrbitConfig, orbit_density_experiment
 from .surface import generator_count
 from .traintrack import lift_track
 from .vauts import vaut_act, vaut_act_track
-from .verify import replay_counterexample, run_suite
+from .verify import SUITES, replay_counterexample, run_suite
 
 
 def _read_json(path: str):
@@ -61,10 +62,9 @@ def _read_json(path: str):
 
 def _parse_class_vector(text: str, genus: int):
     try:
-        vec = json.loads(text)
-        vec = tuple(int(v) for v in vec)
-    except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"bad class vector {text!r}") from exc
+        vec = _ints_in(json.loads(text), "--class")
+    except (json.JSONDecodeError, DocumentError) as exc:
+        raise DocumentError(f"bad class vector {text!r}: {exc}") from exc
     if len(vec) != generator_count(genus):
         raise DocumentError(
             f"class vector needs {generator_count(genus)} entries for genus {genus}"
@@ -252,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_vaut_act)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("--suite", choices=[
-        "riemann-hurwitz", "transfer-scaling", "pairing-invariance",
-        "vaut-laws", "theorem3",
-    ])
+    p.add_argument("--suite", choices=list(SUITES))
     p.add_argument("--genus", type=_int_at_least(2), default=2)
     p.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)

@@ -129,6 +129,11 @@ class SurfaceCover:
         index = {e: k for k, e in enumerate(nontree)}
         return SchreierTransversal(tuple(words), nontree, index)
 
+    @cached_property
+    def loops(self) -> tuple[Word, ...]:
+        """The Schreier generators as basepoint loops, in schreier.nontree order."""
+        return tuple(schreier_loop(self, e) for e in self.schreier.nontree)
+
     @property
     def total_genus(self) -> int:
         """Genus of the covering surface, by the degree formula."""
@@ -328,28 +333,29 @@ def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(genus: int, degree: int, budget: int) -> tuple[SurfaceCover, ...]:
-    if genus < 2:
-        raise BadDegree(f"base genus must be at least 2, got {genus}")
-    if degree < 1:
-        raise BadDegree(f"degree must be at least 1, got {degree}")
+def _enumerate_cached(genus: int, degree: int) -> tuple[SurfaceCover, ...]:
     if degree == 1:
         return (trivial_cover(genus),)
-    n_perms = math.factorial(degree)
-    candidates = n_perms ** (2 * (genus - 1))
-    if candidates > budget:
-        raise SearchBudgetExceeded(
-            f"enumeration would examine {candidates} candidate assignments, "
-            f"budget is {budget}; raise COVERTOWER_BUDGET to override"
-        )
     # the commutator table kills the relator; canonical tuples are transitive
     tuples = sorted(_canonical_tuples(genus, degree))
     return tuple(_trusted(SurfaceCover, genus=genus, degree=degree, perms=p) for p in tuples)
 
 
 def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tuple[SurfaceCover, ...]:
-    """All pointed-isomorphism classes of degree-d covers, canonical, sorted."""
-    return _enumerate_cached(genus, degree, search_budget(budget))
+    """All pointed-isomorphism classes of degree-d covers, canonical, sorted.
+    The budget gates the search and is not part of the cache key."""
+    limit = search_budget(budget)
+    if genus < 2:
+        raise BadDegree(f"base genus must be at least 2, got {genus}")
+    if degree < 1:
+        raise BadDegree(f"degree must be at least 1, got {degree}")
+    candidates = math.factorial(degree) ** (2 * (genus - 1))
+    if candidates > limit:
+        raise SearchBudgetExceeded(
+            f"enumeration would examine {candidates} candidate assignments, "
+            f"budget is {limit}; raise COVERTOWER_BUDGET to override"
+        )
+    return _enumerate_cached(genus, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +452,17 @@ class CoverArrow:
                     raise IncompatibleTower("sheet map is not equivariant")
 
 
+def pull_back(arrow: CoverArrow, values) -> list:
+    """Pull per-sheet data back along an arrow.
+
+    values holds blocks of arrow.target.degree entries, block b sheet t at
+    b * degree + t.  The result holds the same blocks over arrow.source,
+    sheet s of each block taking the entry at sheet_map[s].
+    """
+    d = arrow.target.degree
+    return [values[b + t] for b in range(0, len(values), d) for t in arrow.sheet_map]
+
+
 def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | None:
     """The unique pointed arrow fine -> coarse, or None.
 
@@ -454,9 +471,8 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
     """
     if fine.genus != coarse.genus:
         raise BaseMismatch("covers have different base surfaces")
-    for edge in fine.schreier.nontree:
-        if not coarse.stabilizes_basepoint(schreier_loop(fine, edge)):
-            return None
+    if not all(map(coarse.stabilizes_basepoint, fine.loops)):
+        return None
     sheet_map = tuple(coarse.act(w, 0) for w in fine.schreier.words)
     return _trusted(CoverArrow, source=fine, target=coarse, sheet_map=sheet_map)
 
@@ -519,29 +535,35 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     """
     if outer.genus != target.genus:
         raise BaseMismatch("outer and target covers have different base surfaces")
+    states, perms = _transport(outer, table, target)
+    cover = SurfaceCover(outer.genus, len(states), perms)
+    outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action
+    to_outer = _trusted(CoverArrow, source=cover, target=outer, sheet_map=outer_sheets)
+    return InducedCover(cover, tuple(states), to_outer)
+
+
+def _transport(outer: SurfaceCover, table, target: SurfaceCover):
+    """Pointed orbit of (outer sheet, target sheet) pairs under a word table.
+
+    A generator moves the outer sheet by outer's action and the target sheet
+    by the table word of the Schreier edge of outer it crosses, if any; a
+    tree edge leaves the target sheet in place.  Returns _pointed_orbit's
+    (states, perms).
+    """
     index = outer.schreier.index
 
     def forward(i: int, state) -> tuple[int, int]:
         t, s = state
-        t2 = outer.perms[i][t]
         k = index.get((i, t))
-        if k is None:
-            return t2, s
-        return t2, target.act(table[k], s)
+        return outer.perms[i][t], s if k is None else target.act(table[k], s)
 
     def backward(i: int, state) -> tuple[int, int]:
         t, s = state
         t2 = outer.inverse_perms[i][t]
         k = index.get((i, t2))
-        if k is None:
-            return t2, s
-        return t2, target.act(inverse_word(table[k]), s)
+        return t2, s if k is None else target.act(inverse_word(table[k]), s)
 
-    states, perms = _pointed_orbit(generator_count(outer.genus), forward, backward)
-    cover = SurfaceCover(outer.genus, len(states), perms)
-    outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action
-    to_outer = _trusted(CoverArrow, source=cover, target=outer, sheet_map=outer_sheets)
-    return InducedCover(cover, tuple(states), to_outer)
+    return _pointed_orbit(generator_count(outer.genus), forward, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +594,7 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
             f"bottom covering surface has genus {bottom.total_genus}"
         )
     n = generator_count(bottom.genus)
-    missing = [
-        (i, s)
-        for i in range(n)
-        for s in range(bottom.degree)
-        if (i, s) not in ident
-    ]
+    missing = [e for e in itertools.product(range(n), range(bottom.degree)) if e not in ident]
     if missing:
         raise InvalidIdentification(f"identification missing edges {missing}")
 
@@ -588,23 +605,10 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
             out += ident[(i, s)] if sign > 0 else inverse_word(ident[(i, s)])
         return free_reduce(out)
 
-    loop_words = {
-        (i, s): spell(schreier_loop(bottom, (i, s)))
-        for i in range(n)
-        for s in range(bottom.degree)
-    }
-    _check_marking_surjective(top, loop_words.values())
-
-    def forward(i: int, state) -> tuple[int, int]:
-        s, z = state
-        return bottom.perms[i][s], top.act(loop_words[(i, s)], z)
-
-    def backward(i: int, state) -> tuple[int, int]:
-        s, z = state
-        u = bottom.inverse_perms[i][s]
-        return u, top.act(inverse_word(loop_words[(i, u)]), z)
-
-    states, perms = _pointed_orbit(n, forward, backward)
+    # a tree edge's loop is trivial, so the table needs only the nontree loops
+    table = tuple(map(spell, bottom.loops))
+    _check_marking_surjective(top, table)
+    states, perms = _transport(bottom, table, top)
     expected = bottom.degree * top.degree
     if len(states) != expected:
         raise InvalidIdentification(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .covers import SurfaceCover, schreier_loop
+from .covers import SurfaceCover, _is_int
 from .errors import CovertowerError
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
@@ -46,11 +46,23 @@ def _word_out(word) -> list[int]:
     return [int(x) for x in word]
 
 
-def _word_in(data, genus: int, field: str) -> Word:
+def _int_in(value, field: str) -> int:
+    """A JSON integer; DocumentError naming the field for anything else."""
+    if not _is_int(value):
+        raise DocumentError(f"{field} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _ints_in(data, field: str) -> tuple[int, ...]:
+    """A JSON list of integers; DocumentError naming the entry for anything else."""
     try:
-        word = tuple(int(x) for x in data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"{field}: bad word {data!r}") from exc
+        return tuple(_int_in(x, f"{field}[{k}]") for k, x in enumerate(data))
+    except TypeError:
+        raise DocumentError(f"{field} must be a list of integers, got {data!r:.40}") from None
+
+
+def _word_in(data, genus: int, field: str) -> Word:
+    word = _ints_in(data, field)
     n = generator_count(genus)
     if any(not 0 < abs(x) <= n for x in word):
         raise DocumentError(f"{field}: letters must be nonzero, at most {n} in size")
@@ -88,10 +100,12 @@ def cover_document(cover: SurfaceCover) -> dict:
 def parse_cover(doc) -> SurfaceCover:
     _expect(doc, "cover")
     try:
-        genus = int(doc["genus"])
-        degree = int(doc["degree"])
-        perms = tuple(tuple(int(s) - 1 for s in p) for p in doc["perms"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        genus = _int_in(doc["genus"], "genus")
+        degree = _int_in(doc["degree"], "degree")
+        perms = tuple(
+            tuple(s - 1 for s in _ints_in(p, f"perms[{i}]")) for i, p in enumerate(doc["perms"])
+        )
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad cover document: {exc}") from exc
     return SurfaceCover(genus, degree, perms)
 
@@ -121,17 +135,23 @@ def parse_cycle(doc) -> LimitElement:
     cx = surface_complex(cover)
     chain = cx.zero_chain()
     try:
-        for k, (i, s, coeff) in enumerate(doc["edges"]):
-            i, s = int(i), int(s)
+        for k, edge in enumerate(doc["edges"]):
+            i, s, coeff = _ints_in(edge, f"edges[{k}]")
             if not (0 < i <= cx.n_generators and 0 < s <= cover.degree):
                 raise DocumentError(f"edges[{k}]: generator {i} or sheet {s} out of range")
-            chain[cx.edge_index(i - 1, s - 1)] += int(coeff)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            chain[cx.edge_index(i - 1, s - 1)] += coeff
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad cycle document: {exc}") from exc
     return cycle_element(cover, chain)
 
 
 # -- train tracks
+
+def _side_in(data, field: str):
+    """Switch side from [branch, end] pairs, branches 1-based on the wire."""
+    halves = (_ints_in(half, f"{field}[{j}]") for j, half in enumerate(data))
+    return tuple((b - 1, end) for b, end in halves)
+
 
 def track_document(track: TrainTrack) -> dict:
     return {
@@ -152,16 +172,13 @@ def track_document(track: TrainTrack) -> dict:
 def parse_track(doc) -> TrainTrack:
     _expect(doc, "track")
     try:
-        genus = int(doc["genus"])
+        genus = _int_in(doc["genus"], "genus")
         words = _words_in(doc["branch_words"], genus, "branch_words")
         switches = tuple(
-            Switch(
-                tuple((int(b) - 1, int(end)) for b, end in sw["side_a"]),
-                tuple((int(b) - 1, int(end)) for b, end in sw["side_b"]),
-            )
-            for sw in doc["switches"]
+            Switch(*(_side_in(sw[name], f"switches[{k}].{name}") for name in ("side_a", "side_b")))
+            for k, sw in enumerate(doc["switches"])
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad track document: {exc}") from exc
     return TrainTrack(genus, switches, words)
 
@@ -258,14 +275,8 @@ def _tables_from_sheet_map(left: SurfaceCover, right: SurfaceCover, sheet_map):
                 )
     conj = right.schreier.words[sheet_map[0]]
     conj_inv = inverse_word(conj)
-    fwd = tuple(
-        free_reduce(conj + schreier_loop(left, e) + conj_inv)
-        for e in left.schreier.nontree
-    )
-    bwd = tuple(
-        free_reduce(conj_inv + schreier_loop(right, e) + conj)
-        for e in right.schreier.nontree
-    )
+    fwd = tuple(free_reduce(conj + w + conj_inv) for w in left.loops)
+    bwd = tuple(free_reduce(conj_inv + w + conj) for w in right.loops)
     return fwd, bwd
 
 
@@ -281,10 +292,7 @@ def parse_vaut(doc) -> TwoArrowVaut:
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"bad identification tables: {exc}") from exc
     elif isinstance(ident, list):
-        try:
-            sheet_map = [int(t) - 1 for t in ident]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DocumentError("identification list must hold sheet numbers") from exc
+        sheet_map = [t - 1 for t in _ints_in(ident, "identification")]
         fwd, bwd = _tables_from_sheet_map(left, right, sheet_map)
     else:
         raise DocumentError("identification must be word tables or a sheet map")
@@ -299,7 +307,7 @@ def parse_vaut(doc) -> TwoArrowVaut:
 def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
     _expect(doc, "automorphisms")
     try:
-        genus = int(doc["genus"])
+        genus = _int_in(doc["genus"], "genus")
         items = doc["items"]
         return tuple(
             SurfaceAutomorphism(
@@ -310,7 +318,7 @@ def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
             )
             for j, item in enumerate(items)
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad automorphisms document: {exc}") from exc
 
 

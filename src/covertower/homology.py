@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .covers import SurfaceCover, schreier_loop
+from .covers import SurfaceCover, pull_back, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
 from .exact_linalg import mat_mul
 from .surface import generator_count, surface_relator
@@ -290,4 +290,4 @@ def transfer_along_arrow(arrow, chain):
     d = arrow.target.degree
     if len(chain) != len(arrow.target.perms) * d:
         raise DimensionMismatch("chain does not fit the arrow's target")
-    return [chain[i + t] for i in range(0, len(chain), d) for t in arrow.sheet_map]
+    return pull_back(arrow, chain)

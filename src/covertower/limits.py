@@ -13,10 +13,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .covers import CoverArrow, SurfaceCover, _trusted, fiber_product, trivial_cover
+from .covers import CoverArrow, SurfaceCover, _trusted, fiber_product, pull_back, trivial_cover
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
 from .homology import surface_complex, transfer_along_arrow
-from .traintrack import LiftedTrack, TrainTrack
+from .traintrack import LiftedTrack, TrainTrack, _integer
 
 Chain = tuple[int, ...]
 TrackPayload = tuple[TrainTrack, tuple[Fraction, ...]]
@@ -40,7 +40,7 @@ class LimitElement:
     def __post_init__(self) -> None:
         if self.kind == "cycle":
             cx = surface_complex(self.cover)
-            chain = tuple(int(c) for c in self.payload)
+            chain = tuple(_integer(c, f"payload[{k}]") for k, c in enumerate(self.payload))
             if len(chain) != cx.n_edges:
                 raise KindMismatch("chain length does not match the cover")
             if not cx.is_cycle(chain):
@@ -65,7 +65,7 @@ def cycle_element(cover: SurfaceCover, chain) -> LimitElement:
 def base_class_element(genus: int, class_vector) -> LimitElement:
     """Homology class of the base surface, over the trivial cover."""
     cover = trivial_cover(genus)
-    return LimitElement("cycle", cover, tuple(int(c) for c in class_vector))
+    return LimitElement("cycle", cover, tuple(class_vector))
 
 
 def track_element(track: TrainTrack, cover: SurfaceCover, weights) -> LimitElement:
@@ -81,7 +81,7 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
         chain = tuple(transfer_along_arrow(arrow, element.payload))
         return _trusted(LimitElement, kind="cycle", cover=arrow.source, payload=chain)
     track, weights = element.payload
-    lifted = tuple(weights[k] for k in LiftedTrack(track, element.cover).branches_under(arrow))
+    lifted = tuple(pull_back(arrow, weights))
     return _trusted(LimitElement, kind="track", cover=arrow.source, payload=(track, lifted))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .covers import SurfaceCover, CoverArrow, _is_int, _trusted
+from .covers import SurfaceCover, CoverArrow, _is_int, _trusted, pull_back
 from .errors import (
     BaseMismatch,
     ConeViolation,
@@ -205,13 +205,6 @@ class LiftedTrack:
         words = tuple(self.base.branch_words[b] for (b, _) in self.branches)
         return TrainTrack(genus=self.base.genus, switches=switches, branch_words=words)
 
-    def branches_under(self, arrow: CoverArrow) -> list[int]:
-        """Index of the branch of this lift under each branch of the lift to
-        arrow.source, in that lift's branch order: (b, s) lies over
-        (b, arrow.sheet_map[s])."""
-        d = self.cover.degree
-        return [b * d + t for b in range(self.base.n_branches) for t in arrow.sheet_map]
-
     def cycle_chain(self, weights):
         """Integer-weighted lifted branches as an edge chain on the cover,
         edge (i, s) at i * degree + s."""
@@ -308,6 +301,8 @@ def _rational(x, name: str) -> Fraction:
 
 
 def _integer(x, name: str) -> int:
+    if type(x) is int:
+        return x
     f = _rational(x, name)
     if f.denominator != 1:
         raise NonIntegerWeights(f"{name} must be an integer, got {x!r:.40}")
@@ -350,7 +345,7 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
     if arrow.target != lifted.cover:
         raise BaseMismatch("arrow target is not the lifted track's cover")
     finer = LiftedTrack(base=lifted.base, cover=arrow.source)
-    return _gather(lifted.track, finer.track, lifted.branches_under(arrow))
+    return _gather(lifted.track, finer.track, pull_back(arrow, range(lifted.track.n_branches)))
 
 
 def carrying_compose(first: CarryingMatrix, second: CarryingMatrix) -> CarryingMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characteristic import SurfaceAutomorphism, mod2_homology_cover
+from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
 from .covers import (
     SurfaceCover,
     _trusted,
@@ -19,7 +19,6 @@ from .covers import (
     fiber_product,
     induced_cover,
     rewrite_in_schreier,
-    schreier_loop,
     trivial_cover,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
 from .exact_linalg import mat_mul
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
-from .surface import Word, free_reduce, generator_count, inverse_word
+from .surface import Word, substitute
 
 __all__ = [
     "TwoArrowVaut",
@@ -58,13 +57,7 @@ def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
     cover's Schreier generators and each generator is replaced by its table
     entry.
     """
-    out: list[int] = []
-    for symbol in rewrite_in_schreier(cover, word):
-        piece = table[abs(symbol) - 1]
-        if symbol < 0:
-            piece = inverse_word(piece)
-        out.extend(piece)
-    return free_reduce(out)
+    return substitute(rewrite_in_schreier(cover, word), table)
 
 
 def _homology_map(source: SurfaceCover, target: SurfaceCover, table):
@@ -96,15 +89,8 @@ class TwoArrowVaut:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:
             raise GenusMismatch("the two arrows have different total surfaces")
-        n = generator_count(self.left.genus)
-        for name, table in (("fwd", self.fwd), ("bwd", self.bwd)):
-            for k, w in enumerate(table):
-                if any(not 0 < abs(x) <= n for x in w):
-                    raise InvalidAutomorphism(
-                        f"{name}[{k}]: letters must be nonzero, at most {n} in size"
-                    )
-        fwd = tuple(free_reduce(w) for w in self.fwd)
-        bwd = tuple(free_reduce(w) for w in self.bwd)
+        fwd = _word_table(self.fwd, "fwd", self.left.genus)
+        bwd = _word_table(self.bwd, "bwd", self.left.genus)
         object.__setattr__(self, "fwd", fwd)
         object.__setattr__(self, "bwd", bwd)
         if len(fwd) != len(self.left.schreier.nontree):
@@ -165,10 +151,10 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     image = induced_cover(vaut.right, vaut.bwd, w.cover).cover
     d = image.degree
     out = [0] * (len(image.perms) * d)
-    for i, s in w.cover.schreier.nontree:
+    for (i, s), loop in zip(w.cover.schreier.nontree, w.cover.loops):
         coeff = chain[i * w.cover.degree + s]
         if coeff:
-            moved = vaut.forward_word(schreier_loop(w.cover, (i, s)))
+            moved = vaut.forward_word(loop)
             for j, t, sign in image.walk(moved, 0)[0]:
                 out[j * d + t] += coeff * sign
     return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(out))
@@ -200,30 +186,22 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     mid = fiber_product(outer.left, inner.right)
     new_left = induced_cover(inner.left, inner.fwd, mid.cover)
     new_right = induced_cover(outer.right, outer.bwd, mid.cover)
-    fwd = tuple(
-        outer.forward_word(inner.forward_word(schreier_loop(new_left.cover, e)))
-        for e in new_left.cover.schreier.nontree
-    )
-    bwd = tuple(
-        inner.backward_word(outer.backward_word(schreier_loop(new_right.cover, e)))
-        for e in new_right.cover.schreier.nontree
-    )
+    fwd = tuple(outer.forward_word(inner.forward_word(w)) for w in new_left.cover.loops)
+    bwd = tuple(inner.backward_word(outer.backward_word(w)) for w in new_right.cover.loops)
     return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
 
 
 @lru_cache(maxsize=None)
 def identity_vaut(genus: int) -> TwoArrowVaut:
     cover = trivial_cover(genus)
-    table = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
-    return TwoArrowVaut(cover, cover, table, table)
+    return TwoArrowVaut(cover, cover, cover.loops, cover.loops)
 
 
 def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
     """Mapping-class-like vaut with both arrows trivial."""
     cover = trivial_cover(aut.genus)
-    loops = [schreier_loop(cover, e) for e in cover.schreier.nontree]
-    fwd = tuple(aut.apply(w) for w in loops)
-    bwd = tuple(aut.apply_inverse(w) for w in loops)
+    fwd = tuple(map(aut.apply, cover.loops))
+    bwd = tuple(map(aut.apply_inverse, cover.loops))
     return TwoArrowVaut(cover, cover, fwd, bwd)
 
 
@@ -236,13 +214,8 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     if factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = induced_cover(vaut.right, vaut.bwd, finer)
-    fwd = tuple(
-        vaut.forward_word(schreier_loop(finer, e)) for e in finer.schreier.nontree
-    )
-    bwd = tuple(
-        vaut.backward_word(schreier_loop(new_right.cover, e))
-        for e in new_right.cover.schreier.nontree
-    )
+    fwd = tuple(map(vaut.forward_word, finer.loops))
+    bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
     return TwoArrowVaut(finer, new_right.cover, fwd, bwd)
 
 

@@ -66,6 +66,23 @@ def test_automorphism_validation():
         SurfaceAutomorphism(2, swap_a, swap_a)
 
 
+def test_automorphism_input_errors_name_the_field():
+    ident = ((1,), (2,), (3,), (4,))
+    cases = [
+        ((2, ((1.0,), (2,), (3,), (4,)), ident), r"images\[0\]"),
+        ((2, ((True,), (2,), (3,), (4,)), ident), r"images\[0\]"),
+        ((2, ident, ((1,), (2,), (0,), (4,))), r"inverse_images\[2\]"),
+        ((2, ((1,), (2,), (3,), (9,)), ident), r"images\[3\]"),
+        ((2.0, ident, ident), r"genus"),
+        ((True, ident, ident), r"genus"),
+        ((2, 5, ident), r"images must be a sequence"),
+        ((2, ident, None), r"inverse_images must be a sequence"),
+    ]
+    for args, field in cases:
+        with pytest.raises(InvalidAutomorphism, match=field):
+            SurfaceAutomorphism(*args)
+
+
 def test_substitution_respects_relator_on_shipped():
     from covertower.surface import are_conjugate, inverse_word, surface_relator
 

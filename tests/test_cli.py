@@ -185,6 +185,24 @@ def run_err(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vector", ["[1.5,0,0,0.9]", "[true,0,0,0]", '[1,"2",0,0]', "[0,0,0,1.0]", "5"])
+def test_lift_cycle_takes_integer_class_entries_only(tmp_path, capsys, vector):
+    cp = write_doc(tmp_path, "cover.json", cover_document(double_cover_from_signs(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "lift-cycle", "--cover", cp, "--class", vector)
+    assert code == 2
+    assert "bad class vector" in err and "--class" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_suite_choices_are_the_suites():
+    from covertower.cli import build_parser
+    from covertower.verify import _REPLAYS, SUITES
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == list(SUITES) == list(_REPLAYS)
+
+
 def test_verify_replay_missing_field_exit_2(tmp_path, capsys):
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     for data in ({}, {"cover": 5}, {"cover": {"genus": 2}}):

@@ -215,7 +215,7 @@ def test_counts_match_subgroup_recursion():
     for d in (1, 2, 3, 4):
         assert len(enumerate_covers(2, d)) == oracle[d]
     # uncached, so the degree-5 covers are freed after the test
-    covers = _enumerate_cached.__wrapped__(2, 5, search_budget())
+    covers = _enumerate_cached.__wrapped__(2, 5)
     assert len(set(covers)) == len(covers) == oracle[5]
 
 
@@ -325,6 +325,16 @@ def test_enumeration_rejects_a_negative_budget():
     assert not isinstance(exc.value, SearchBudgetExceeded)
 
 
+def test_budget_gates_the_search_but_does_not_key_the_cache():
+    _enumerate_cached.cache_clear()
+    census = enumerate_covers(2, 3)
+    assert enumerate_covers(2, 3, budget=10**7) is census
+    info = _enumerate_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_covers(2, 3, budget=10)
+
+
 # ---------------------------------------------------------------------------
 # Schreier structure
 
@@ -350,6 +360,14 @@ def test_validation_stores_no_walk():
     fresh = [SurfaceCover(2, 2, ((1, 0), (0, 1), (0, 1), (0, 1)))]
     for cover in fresh + list(enumerate_covers(2, 3)):
         assert "schreier" not in vars(cover)
+
+
+def test_loops_are_the_schreier_loops_in_nontree_order():
+    for cover in (c for d in (1, 2, 3) for c in enumerate_covers(2, d)):
+        nontree = cover.schreier.nontree
+        assert len(cover.loops) == len(nontree)
+        for k, loop in enumerate(cover.loops):
+            assert loop == schreier_loop(cover, nontree[k])
 
 
 def test_schreier_loops_stabilize():

@@ -277,6 +277,55 @@ def test_counterexample_round_trip():
         parse_counterexample({"schema": "covertower/1", "type": "counterexample"})
 
 
+def _replaced(doc, path, value):
+    """A deep copy of doc with the entry at path (keys and indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def _integer_fields():
+    """(parser, valid document, path to an integer, field the error names)."""
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    cover_doc = cover_document(cover)
+    cycle_doc = cycle_document(cycle_element(cover, surface_complex(cover).transfer((1, 0, 0, 0))))
+    track_doc = track_document(three_branch_example())
+    tables = vaut_document(identity_vaut(2))
+    sheet_map = dict(vaut_document(identity_vaut(2)), left=cover_doc, right=cover_doc,
+                     identification=[1, 2])
+    auts = automorphisms_document(shipped_automorphisms(2))
+    return [
+        (parse_cover, cover_doc, ["genus"], r"genus"),
+        (parse_cover, cover_doc, ["degree"], r"degree"),
+        (parse_cover, cover_doc, ["perms", 0, 1], r"perms\[0\]\[1\]"),
+        (parse_cycle, cycle_doc, ["edges", 0, 0], r"edges\[0\]\[0\]"),
+        (parse_cycle, cycle_doc, ["edges", 1, 1], r"edges\[1\]\[1\]"),
+        (parse_cycle, cycle_doc, ["edges", 0, 2], r"edges\[0\]\[2\]"),
+        (parse_cycle, cycle_doc, ["cover", "perms", 0, 0], r"perms\[0\]\[0\]"),
+        (parse_track, track_doc, ["genus"], r"genus"),
+        (parse_track, track_doc, ["branch_words", 0, 0], r"branch_words\[0\]\[0\]"),
+        (parse_track, track_doc, ["switches", 1, "side_b", 0, 0],
+         r"switches\[1\]\.side_b\[0\]\[0\]"),
+        (parse_track, track_doc, ["switches", 0, "side_a", 0, 1],
+         r"switches\[0\]\.side_a\[0\]\[1\]"),
+        (parse_vaut, tables, ["identification", "fwd", 0, 0], r"identification\.fwd\[0\]\[0\]"),
+        (parse_vaut, sheet_map, ["identification", 1], r"identification\[1\]"),
+        (parse_automorphisms, auts, ["genus"], r"genus"),
+        (parse_automorphisms, auts, ["items", 0, "images", 0, 0], r"items\[0\]\.images\[0\]\[0\]"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [2.7, 1.9, 1.0, True, "2", None])
+def test_wire_readers_take_json_integers_only(bad):
+    for parse, doc, path, field in _integer_fields():
+        parse(doc)  # the valid document parses
+        with pytest.raises(DocumentError, match=field):
+            parse(_replaced(doc, path, bad))
+
+
 # -- fuzzing the input boundary: arbitrary JSON raises only CovertowerError
 
 # Leaves lean towards values next to valid ones: small and huge integers,

@@ -10,6 +10,7 @@ from covertower.covers import (
     enumerate_covers,
     factors_through,
     fiber_product,
+    pull_back,
     trivial_cover,
 )
 from covertower.errors import (
@@ -31,7 +32,7 @@ from covertower.limits import (
     pairing_table,
     track_element,
 )
-from covertower.traintrack import lift_track, three_branch_example
+from covertower.traintrack import LiftedTrack, arrow_step_matrix, lift_track, three_branch_example
 from covertower.vauts import restrict_vaut, vaut_act, vaut_from_automorphism
 from test_homology import random_loop_cycle, strand_intersection
 from test_traintrack import homology_class
@@ -53,6 +54,56 @@ def test_constructors_and_validation():
         cycle_element(cover, open_path)
     with pytest.raises(SwitchViolation):
         track_element(three_branch_example(), trivial_cover(2), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "vector, k",
+    [((1.5, 0, 0, 0.7), 0), ((True, 2, 0, 0), 0), ((1, "2", 0, 0), 1), ((0, 0, 0, None), 3)],
+)
+def test_cycle_payloads_are_read_as_integers_only(vector, k):
+    with pytest.raises(NonIntegerWeights, match=rf"payload\[{k}\]"):
+        base_class_element(2, vector)
+    with pytest.raises(NonIntegerWeights, match=rf"payload\[{k}\]"):
+        cycle_element(trivial_cover(2), vector)
+
+
+def test_cycle_payloads_take_integral_numbers_as_integers():
+    e = cycle_element(trivial_cover(2), (Fraction(2), 2.0, 0, -1))
+    assert e.payload == (2, 2, 0, -1)
+    assert all(type(c) is int for c in e.payload)
+
+
+def old_transfer_along_arrow(arrow, chain):
+    """transfer_along_arrow's gather before it moved into pull_back."""
+    d = arrow.target.degree
+    return [chain[i + t] for i in range(0, len(chain), d) for t in arrow.sheet_map]
+
+
+def old_branches_under(lifted, arrow):
+    """The removed LiftedTrack.branches_under: the branch of the lift under
+    each branch of the lift to arrow.source."""
+    d = lifted.cover.degree
+    return [b * d + t for b in range(lifted.base.n_branches) for t in arrow.sheet_map]
+
+
+def test_pull_back_matches_the_per_entry_gathers():
+    rng = random.Random(41)
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    track = three_branch_example()
+    for _ in range(40):
+        fp = fiber_product(rng.choice(covers), rng.choice(covers))
+        for arrow in (fp.to_first, fp.to_second):
+            n = len(arrow.target.perms) * arrow.target.degree
+            chain = [rng.randint(-5, 5) for _ in range(n)]
+            assert pull_back(arrow, chain) == old_transfer_along_arrow(arrow, chain)
+            assert transfer_along_arrow(arrow, chain) == old_transfer_along_arrow(arrow, chain)
+            lifted = LiftedTrack(track, arrow.target)
+            under = old_branches_under(lifted, arrow)
+            assert pull_back(arrow, range(len(lifted.branches))) == under
+            rows = arrow_step_matrix(lifted, arrow).matrix
+            assert [row.index(1) for row in rows] == under
+            weights = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in lifted.branches]
+            assert pull_back(arrow, weights) == [weights[k] for k in under]
 
 
 def test_lift_element_is_transfer():

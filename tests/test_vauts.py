@@ -8,6 +8,7 @@ from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
     double_cover_from_signs,
     enumerate_covers,
+    rewrite_in_schreier,
     schreier_loop,
     trivial_cover,
 )
@@ -27,7 +28,7 @@ from covertower.limits import (
     normalized_pairing,
     track_element,
 )
-from covertower.surface import abelianized
+from covertower.surface import abelianized, free_reduce, inverse_word
 from covertower.traintrack import three_branch_example
 from covertower.vauts import (
     TwoArrowVaut,
@@ -93,6 +94,19 @@ def test_rejects_out_of_range_table_letters():
         TwoArrowVaut(v.left, v.right, ((9,),) + v.fwd[1:], v.bwd)
     with pytest.raises(InvalidAutomorphism, match=r"bwd\[2\]"):
         TwoArrowVaut(v.left, v.right, v.fwd, v.bwd[:2] + ((0, 1),) + v.bwd[3:])
+
+
+def test_rejects_tables_that_are_not_integer_words():
+    v = identity_vaut(2)
+    with pytest.raises(InvalidAutomorphism, match=r"fwd\[0\]"):
+        TwoArrowVaut(v.left, v.right, ((1.0,),) + v.fwd[1:], v.bwd)
+    with pytest.raises(InvalidAutomorphism, match=r"fwd\[0\]"):
+        TwoArrowVaut(v.left, v.right, ((True,),) + v.fwd[1:], v.bwd)
+    with pytest.raises(InvalidAutomorphism, match=r"bwd\[3\]"):
+        TwoArrowVaut(v.left, v.right, v.fwd, v.bwd[:3] + ((4, "1"),))
+    for bad in (5, [5], None):
+        with pytest.raises(InvalidAutomorphism, match="fwd"):
+            TwoArrowVaut(v.left, v.right, bad, v.bwd)
 
 
 def test_rejects_homologically_singular_tables():
@@ -167,6 +181,32 @@ def test_rejects_mismatched_covers():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     with pytest.raises(GenusMismatch):
         TwoArrowVaut(trivial_cover(2), cover, (), ())
+
+
+def old_apply_edge_word_map(cover, table, word):
+    """apply_edge_word_map's extend-then-reduce body before it became one
+    substitute."""
+    out = []
+    for symbol in rewrite_in_schreier(cover, word):
+        piece = table[abs(symbol) - 1]
+        if symbol < 0:
+            piece = inverse_word(piece)
+        out.extend(piece)
+    return free_reduce(out)
+
+
+def test_apply_edge_word_map_matches_the_extend_then_reduce_oracle():
+    rng = random.Random(43)
+    letters = (1, 2, 3, 4, -1, -2, -3, -4)
+    for cover in (c for d in (1, 2, 3) for c in enumerate_covers(2, d)):
+        # unreduced table words, so the reduction across pieces is exercised
+        table = [tuple(rng.choices(letters, k=rng.randint(0, 4))) for _ in cover.loops]
+        for _ in range(3):
+            word = tuple(rng.choices(letters, k=rng.randint(0, 8)))
+            word += inverse_word(cover.schreier.words[cover.act(word, 0)])
+            assert apply_edge_word_map(cover, table, word) == old_apply_edge_word_map(
+                cover, table, word
+            )
 
 
 def test_apply_edge_word_map_identity():
