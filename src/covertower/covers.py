@@ -243,15 +243,6 @@ def trivial_cover(genus: int) -> SurfaceCover:
     return SurfaceCover(genus, 1, tuple(((0,),) * n))
 
 
-def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
-    """Degree-2 cover from a nonzero vector of Z/2 sign bits, one per generator."""
-    signs = tuple(int(x) % 2 for x in signs)
-    if len(signs) != generator_count(genus) or not any(signs):
-        raise BadDegree("need one sign per generator, not all zero")
-    swap, ident = (1, 0), (0, 1)
-    return SurfaceCover(genus, 2, tuple(swap if b else ident for b in signs))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -475,6 +466,12 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
         return None
     sheet_map = tuple(coarse.act(w, 0) for w in fine.schreier.words)
     return _trusted(CoverArrow, source=fine, target=coarse, sheet_map=sheet_map)
+
+
+def arrow_to_trivial(cover: SurfaceCover) -> CoverArrow:
+    """The constant arrow from a cover to the trivial cover of its base."""
+    trivial = trivial_cover(cover.genus)
+    return _trusted(CoverArrow, source=cover, target=trivial, sheet_map=(0,) * cover.degree)
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,6 @@ class CoverComplex:
     def is_cycle(self, chain) -> bool:
         return not any(self.chain_boundary(chain))
 
-    def face_boundary_chain(self, face):
-        chain = self.zero_chain()
-        for dart in face:
-            e, rev = divmod(dart, 2)
-            chain[e] += -1 if rev else 1
-        return chain
-
     def transfer(self, base_class):
         """Sum of all lifts of each base generator loop, as a cycle."""
         if len(base_class) != self.n_generators:

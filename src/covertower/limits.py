@@ -2,8 +2,11 @@
 
 An element is a representative pair (cover, payload); two representatives
 are the same limit element when their pullbacks to a common refinement
-agree.  The fiber product of the two covers is a common refinement and is
-initial among pointed ones, so comparing there decides equality.
+agree.  Pullback is injective on homology and the normalized pairing does
+not change under it, so any common refinement decides equality and gives
+the pairing.  ``common_refinement`` takes the cover itself when the two
+covers are equal or one of them is the trivial cover, and their fiber
+product, which is initial among pointed common refinements, otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .covers import CoverArrow, SurfaceCover, _trusted, fiber_product, pull_back, trivial_cover
+from .covers import (
+    CoverArrow,
+    SurfaceCover,
+    _trusted,
+    arrow_to_trivial,
+    fiber_product,
+    pull_back,
+    trivial_cover,
+)
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
 from .homology import surface_complex, transfer_along_arrow
 from .traintrack import LiftedTrack, TrainTrack, _integer
@@ -40,14 +51,25 @@ class LimitElement:
     def __post_init__(self) -> None:
         if self.kind == "cycle":
             cx = surface_complex(self.cover)
-            chain = tuple(_integer(c, f"payload[{k}]") for k, c in enumerate(self.payload))
+            try:
+                entries = tuple(self.payload)
+            except TypeError:
+                raise KindMismatch(f"payload must be a chain, got {self.payload!r:.40}") from None
+            chain = tuple(_integer(c, f"payload[{k}]") for k, c in enumerate(entries))
             if len(chain) != cx.n_edges:
                 raise KindMismatch("chain length does not match the cover")
             if not cx.is_cycle(chain):
                 raise KindMismatch("payload chain has nonzero boundary")
             object.__setattr__(self, "payload", chain)
         elif self.kind == "track":
-            track, weights = self.payload
+            try:
+                track, weights = self.payload
+            except (TypeError, ValueError):
+                raise KindMismatch(
+                    f"payload must be a (track, weights) pair, got {self.payload!r:.40}"
+                ) from None
+            if not isinstance(track, TrainTrack):
+                raise KindMismatch(f"payload[0] must be a TrainTrack, got {track!r:.40}")
             weights = LiftedTrack(track, self.cover).track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:
@@ -85,19 +107,42 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
     return _trusted(LimitElement, kind="track", cover=arrow.source, payload=(track, lifted))
 
 
+def common_refinement(first: SurfaceCover, second: SurfaceCover):
+    """(cover, arrow to first, arrow to second) for a common refinement.
+
+    An arrow is None where the refinement is that cover itself: equal
+    covers refine each other, and a cover refines the trivial cover by the
+    constant arrow.  Any other pair takes its fiber product.
+    """
+    if first.genus != second.genus:
+        raise BaseMismatch("covers have different base surfaces")
+    if first == second:
+        return first, None, None
+    if first.degree == 1:
+        return second, arrow_to_trivial(second), None
+    if second.degree == 1:
+        return first, None, arrow_to_trivial(first)
+    fp = fiber_product(first, second)
+    return fp.cover, fp.to_first, fp.to_second
+
+
+def _lift(element: LimitElement, arrow: CoverArrow | None) -> LimitElement:
+    return element if arrow is None else lift_element(element, arrow)
+
+
 def _common_refinement(e1: LimitElement, e2: LimitElement):
     if e1.kind != e2.kind:
         raise KindMismatch(f"cannot compare {e1.kind!r} with {e2.kind!r}")
     if e1.base_genus != e2.base_genus:
         raise BaseMismatch("elements live over different base surfaces")
-    fp = fiber_product(e1.cover, e2.cover)
-    return lift_element(e1, fp.to_first), lift_element(e2, fp.to_second)
+    _, to_first, to_second = common_refinement(e1.cover, e2.cover)
+    return _lift(e1, to_first), _lift(e2, to_second)
 
 
 def limit_equal(e1: LimitElement, e2: LimitElement) -> bool:
     """Equality in the direct limit.
 
-    Cycle payloads are compared by homology class on the fiber product;
+    Cycle payloads are compared by homology class on a common refinement;
     pullback of chains is injective on homology, so agreement there is
     agreement at every deeper level.  Track payloads must share the base
     track and are compared weight by weight.
@@ -117,8 +162,9 @@ def pairing_table(rows, cols) -> list[list[Fraction]]:
 
     Entry [i][j] is normalized_pairing(rows[i], cols[j]).  The pairing is
     bilinear, so each row lift becomes one pairing covector and each entry
-    one dot product.  Each pair of distinct covers gets one fiber product
-    and each element one lift per fiber product.
+    one dot product.  Each pair of covers gets one common refinement (a
+    fiber product only when the covers differ and neither is trivial), and
+    each element one lift per refinement that is not its own cover.
     """
     rows, cols = tuple(rows), tuple(cols)
     if any(e.kind != "cycle" for e in (*rows, *cols)):
@@ -128,11 +174,11 @@ def pairing_table(rows, cols) -> list[list[Fraction]]:
     table = [[None] * len(cols) for _ in rows]
     for row_cover, row_at in _by_cover(rows):
         for col_cover, col_at in _by_cover(cols):
-            fp = fiber_product(row_cover, col_cover)
-            cx, scale = surface_complex(fp.cover), fp.cover.total_genus - 1
-            lifts = [lift_element(cols[j], fp.to_second).payload for j in col_at]
+            cover, to_row, to_col = common_refinement(row_cover, col_cover)
+            cx, scale = surface_complex(cover), cover.total_genus - 1
+            lifts = [_lift(cols[j], to_col).payload for j in col_at]
             for i in row_at:
-                covector = cx.pairing_covector(lift_element(rows[i], fp.to_first).payload)
+                covector = cx.pairing_covector(_lift(rows[i], to_row).payload)
                 for j, chain in zip(col_at, lifts):
                     table[i][j] = Fraction(-sum(map(mul, covector, chain)), scale)
     return table

@@ -85,6 +85,9 @@ class TwoArrowVaut:
     bwd: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        for name, value in (("left", self.left), ("right", self.right)):
+            if not isinstance(value, SurfaceCover):
+                raise IncompatibleTower(f"{name} must be a SurfaceCover, got {value!r:.40}")
         if self.left.genus != self.right.genus:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:

@@ -1,9 +1,10 @@
 """Verification sweeps over enumerated covers, with replayable counterexamples.
 
 Each suite checks one family of exact identities across all covers up to a
-degree bound.  On failure it stops at the first counterexample (in
-enumeration order, so deterministic) and packages enough data to re-run
-that single instance later.
+degree bound; vaut-laws checks its laws on a fixed pool instead.  On
+failure it stops at the first counterexample (in enumeration order, so
+deterministic) and packages enough data to re-run that single instance
+later.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import partial
 from operator import mul
 
 from .characteristic import shipped_automorphisms
-from .covers import SurfaceCover, enumerate_covers, factors_through, trivial_cover
+from .covers import SurfaceCover, arrow_to_trivial, enumerate_covers, trivial_cover
 from .documents import (
     counterexample_document,
     cover_document,
@@ -112,14 +113,26 @@ def _replay_riemann_hurwitz(data) -> bool:
     return surface_complex(cover).genus == cover.total_genus
 
 
+def _unit_basis(genus: int) -> tuple[tuple[int, ...], ...]:
+    n = generator_count(genus)
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
+def _base_elements(genus: int) -> list:
+    """The standard homology basis of the base, as limit elements."""
+    return [base_class_element(genus, v) for v in _unit_basis(genus)]
+
+
 # -- transfer-scaling
 
-def _ts_one(cover: SurfaceCover):
+def _ts_worker(genus: int):
+    """_ts_one with the suite's constants, which every cover shares, built once."""
+    return partial(_ts_one, form=standard_symplectic(genus), basis=_unit_basis(genus))
+
+
+def _ts_one(cover: SurfaceCover, form, basis):
     cx = surface_complex(cover)
-    g, d = cover.genus, cover.degree
-    n = generator_count(g)
-    form = standard_symplectic(g)
-    basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    d, n = cover.degree, len(basis)
     transfers = [cx.transfer(v) for v in basis]
     covectors = [cx.pairing_covector(t) for t in transfers]
     for i in range(n):
@@ -148,11 +161,12 @@ def _ts_one(cover: SurfaceCover):
 
 
 def suite_transfer_scaling(genus: int, max_degree: int, seed: int):
-    return _sweep("transfer-scaling", _ts_one, genus, max_degree)
+    return _sweep("transfer-scaling", _ts_worker(genus), genus, max_degree)
 
 
 def _replay_transfer_scaling(data) -> bool:
-    return _ts_one(_field(data, "cover", parse_cover)) is None
+    cover = _field(data, "cover", parse_cover)
+    return _ts_worker(cover.genus)(cover) is None
 
 
 # -- pairing-invariance
@@ -241,11 +255,7 @@ def _law_pool(genus: int, max_degree: int):
     unrestricted = vauts[-1]
     for cover in covers[:2]:
         vauts.append(restrict_vaut(unrestricted, cover))
-    n = generator_count(genus)
-    elements = [
-        base_class_element(genus, tuple(1 if k == i else 0 for k in range(n)))
-        for i in range(n)
-    ]
+    elements = _base_elements(genus)
     for cover in covers[:2]:
         cx = surface_complex(cover)
         elements.append(cycle_element(cover, cx.transfer(elements[0].payload)))
@@ -299,8 +309,7 @@ def suite_vaut_laws(genus: int, max_degree: int, seed: int):
         (rng.randrange(len(vauts)), rng.randrange(len(vauts)), rng.randrange(len(elements)))
         for _ in range(20)
     ]
-    base = trivial_cover(genus)
-    fines = [lift_element(e, factors_through(cover, base)) for cover in covers[:2]]
+    fines = [lift_element(e, arrow_to_trivial(cover)) for cover in covers[:2]]
     stages = (
         ("identity", [(x,) for x in elements], f"identity law: {len(elements)} elements"),
         ("inverse", [(v, e) for v in vauts], f"inverse law: {len(vauts)} vauts"),
@@ -333,17 +342,19 @@ def _replay_vaut_laws(data) -> bool:
 
 # -- theorem3 (normalized-pairing invariance; the suite name is part of the CLI)
 
-def _t3_one(cover: SurfaceCover, genus: int):
-    cx = surface_complex(cover)
-    n = generator_count(genus)
-    form = standard_symplectic(genus)
-    basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    base_elements = [base_class_element(genus, v) for v in basis]
-    lifted = [cycle_element(cover, cx.transfer(v)) for v in basis]
-    tables = (pairing_table(lifted, lifted), pairing_table(base_elements, lifted))
-    for i in range(n):
-        for j in range(n):
-            want = Fraction(form[i][j], genus - 1)
+def _t3_worker(genus: int, base: list):
+    """_t3_one with the base elements and the expected normalized pairings."""
+    wants = [[Fraction(x, genus - 1) for x in row] for row in standard_symplectic(genus)]
+    return partial(_t3_one, wants=wants, base=base)
+
+
+def _t3_one(cover: SurfaceCover, wants, base):
+    # lifting along the constant arrow is the transfer, valid by construction
+    down = arrow_to_trivial(cover)
+    lifted = [lift_element(e, down) for e in base]
+    tables = (pairing_table(lifted, lifted), pairing_table(base, lifted))
+    for i, row in enumerate(wants):
+        for j, want in enumerate(row):
             for after in (table[i][j] for table in tables):
                 if after != want:
                     return {
@@ -358,13 +369,12 @@ def _t3_one(cover: SurfaceCover, genus: int):
 
 def suite_theorem3(genus: int, max_degree: int, seed: int):
     suite = "theorem3"
-    result = _sweep(suite, partial(_t3_one, genus=genus), genus, max_degree)
+    base = _base_elements(genus)
+    result = _sweep(suite, _t3_worker(genus, base), genus, max_degree)
     if not result.ok:
         return result
     lines = list(result.lines)
-    n = generator_count(genus)
-    e1 = base_class_element(genus, tuple(1 if k == 0 else 0 for k in range(n)))
-    e2 = base_class_element(genus, tuple(1 if k == 1 else 0 for k in range(n)))
+    e1, e2 = base[0], base[1]
     vauts = [identity_vaut(genus)]
     if genus == 2:
         # the pairing is only preserved by orientation-preserving elements
@@ -393,7 +403,7 @@ def _replay_theorem3(data) -> bool:
         e1, e2 = (_field(data, key, parse_element) for key in ("e1", "e2"))
         return pairing_preserved(v, e1, e2)
     cover = _field(data, "cover", parse_cover)
-    return _t3_one(cover, cover.genus) is None
+    return _t3_worker(cover.genus, _base_elements(cover.genus))(cover) is None
 
 
 SUITES = {

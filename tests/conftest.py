@@ -1,4 +1,24 @@
 from hypothesis import settings
 
+from covertower.covers import SurfaceCover
+from covertower.surface import generator_count
+
 settings.register_profile("covertower", deadline=None)
 settings.load_profile("covertower")
+
+
+def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
+    """Degree-2 cover from a nonzero vector of Z/2 sign bits, one per generator."""
+    signs = tuple(int(x) % 2 for x in signs)
+    assert len(signs) == generator_count(genus) and any(signs), signs
+    swap, ident = (1, 0), (0, 1)
+    return SurfaceCover(genus, 2, tuple(swap if b else ident for b in signs))
+
+
+def face_boundary_chain(cx, face):
+    """Edge chain of a face of a complex: +1 for a forward dart, -1 for a reversed one."""
+    chain = cx.zero_chain()
+    for dart in face:
+        e, rev = divmod(dart, 2)
+        chain[e] += -1 if rev else 1
+    return chain

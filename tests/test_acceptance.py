@@ -19,7 +19,6 @@ from covertower.characteristic import (
 )
 from covertower.covers import (
     SurfaceCover,
-    double_cover_from_signs,
     enumerate_covers,
     factors_through,
     fiber_product,
@@ -48,6 +47,7 @@ from covertower.vauts import (
     vaut_from_automorphism,
     vaut_inverse,
 )
+from conftest import double_cover_from_signs
 
 GENUS = 2
 BASIS = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))

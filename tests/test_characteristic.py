@@ -9,13 +9,13 @@ from covertower.characteristic import (
 )
 from covertower.covers import (
     SurfaceCover,
-    double_cover_from_signs,
     enumerate_covers,
     factors_through,
     trivial_cover,
 )
 from covertower.errors import CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
 from covertower.surface import abelianized, free_reduce, substitute
+from conftest import double_cover_from_signs
 
 
 def test_shipped_list():

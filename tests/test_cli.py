@@ -9,7 +9,7 @@ import pytest
 
 from covertower.characteristic import mod2_homology_cover
 from covertower.cli import main
-from covertower.covers import double_cover_from_signs, enumerate_covers
+from covertower.covers import enumerate_covers
 from covertower.documents import (
     counterexample_document,
     cover_document,
@@ -25,6 +25,7 @@ from covertower.homology import surface_complex
 from covertower.limits import base_class_element, cycle_element, limit_equal
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import identity_vaut, vaut_act
+from conftest import double_cover_from_signs
 
 
 def write_doc(tmp_path, name, doc):

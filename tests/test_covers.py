@@ -11,7 +11,6 @@ from covertower.covers import (
     _enumerate_cached,
     _schreier_walk,
     compose_covers,
-    double_cover_from_signs,
     enumerate_covers,
     factors_through,
     fiber_product,
@@ -34,6 +33,7 @@ from covertower.errors import (
     SearchBudgetExceeded,
 )
 from covertower.surface import free_reduce, inverse_word, substitute
+from conftest import double_cover_from_signs
 
 
 # ---------------------------------------------------------------------------

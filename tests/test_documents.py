@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covertower.characteristic import is_characteristic, shipped_automorphisms
-from covertower.covers import double_cover_from_signs, enumerate_covers, trivial_cover
+from covertower.covers import enumerate_covers, trivial_cover
 from covertower.documents import (
     DocumentError,
     counterexample_document,
@@ -41,6 +41,7 @@ from covertower.vauts import (
     vaut_from_automorphism,
 )
 from covertower.verify import SUITES, replay_counterexample
+from conftest import double_cover_from_signs
 
 
 def test_rational_round_trip():

@@ -22,7 +22,6 @@ from covertower.cli import main
 from covertower.covers import (
     SurfaceCover,
     compose_covers,
-    double_cover_from_signs,
     enumerate_covers,
     identity_perm,
     trivial_cover,
@@ -38,6 +37,7 @@ from covertower.traintrack import three_branch_example
 from covertower.vauts import restrict_vaut, vaut_compose, vaut_from_automorphism
 from covertower.verify import SUITES
 
+from conftest import double_cover_from_signs
 from test_covers import A1_SWAP_MARKING
 
 GOLDEN = {

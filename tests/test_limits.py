@@ -6,7 +6,9 @@ import pytest
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
-    double_cover_from_signs,
+    CoverArrow,
+    SurfaceCover,
+    arrow_to_trivial,
     enumerate_covers,
     factors_through,
     fiber_product,
@@ -24,6 +26,7 @@ from covertower.homology import surface_complex, transfer_along_arrow
 from covertower.limits import (
     LimitElement,
     base_class_element,
+    common_refinement,
     cycle_element,
     homology_shadow,
     lift_element,
@@ -34,6 +37,7 @@ from covertower.limits import (
 )
 from covertower.traintrack import LiftedTrack, arrow_step_matrix, lift_track, three_branch_example
 from covertower.vauts import restrict_vaut, vaut_act, vaut_from_automorphism
+from conftest import double_cover_from_signs
 from test_homology import random_loop_cycle, strand_intersection
 from test_traintrack import homology_class
 
@@ -65,6 +69,17 @@ def test_cycle_payloads_are_read_as_integers_only(vector, k):
         base_class_element(2, vector)
     with pytest.raises(NonIntegerWeights, match=rf"payload\[{k}\]"):
         cycle_element(trivial_cover(2), vector)
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("cycle", 5),
+    ("track", 5),
+    ("track", (1, 2, 3)),
+    ("track", (5, (1, 1, 1))),
+])
+def test_payloads_of_the_wrong_shape_are_named(kind, payload):
+    with pytest.raises(KindMismatch, match="payload"):
+        LimitElement(kind, trivial_cover(2), payload)
 
 
 def test_cycle_payloads_take_integral_numbers_as_integers():
@@ -356,3 +371,112 @@ def test_trusted_products_pass_the_public_checks():
         rebuilt = LimitElement(product.kind, product.cover, product.payload)
         assert rebuilt == product
         assert repr(rebuilt) == repr(product)
+
+
+def _fiber_product_table(rows, cols):
+    """pairing_table by definition: every pair of elements on their fiber product."""
+    table = []
+    for row in rows:
+        out = []
+        for col in cols:
+            fp = fiber_product(row.cover, col.cover)
+            a = lift_element(row, fp.to_first).payload
+            b = lift_element(col, fp.to_second).payload
+            cx = surface_complex(fp.cover)
+            out.append(Fraction(cx.intersection(a, b), fp.cover.total_genus - 1))
+        table.append(out)
+    return table
+
+
+def _fiber_product_equal(e1, e2):
+    """limit_equal by definition: the two lifts to the fiber product agree."""
+    fp = fiber_product(e1.cover, e2.cover)
+    f1, f2 = lift_element(e1, fp.to_first), lift_element(e2, fp.to_second)
+    if e1.kind == "cycle":
+        cx = surface_complex(fp.cover)
+        return cx.class_coordinates(f1.payload) == cx.class_coordinates(f2.payload)
+    return f1.payload[1] == f2.payload[1]
+
+
+def _elements_over(cover, rng):
+    """Cycles over a cover: transfers of two fixed classes and two random loops."""
+    cx = surface_complex(cover)
+    transfers = [cycle_element(cover, cx.transfer(v)) for v in ((1, 0, 0, 0), (0, 1, 1, -1))]
+    return transfers + _random_cycles(cover, rng, 2)
+
+
+def _tracks_over(cover):
+    """The lifts of two weightings of the three-branch track to a cover."""
+    track = three_branch_example()
+    _, matrix = lift_track(track, cover)
+    return [track_element(track, cover, matrix.apply(w)) for w in ((2, 1, 1), (3, 2, 1))]
+
+
+def _check_against_fiber_product(first, second, rng):
+    rows, cols = _elements_over(first, rng), _elements_over(second, rng)
+    table = pairing_table(rows, cols)
+    assert table == _fiber_product_table(rows, cols)
+    for e1, e2 in itertools.product(rows, cols):
+        assert limit_equal(e1, e2) == _fiber_product_equal(e1, e2)
+    for e1, e2 in itertools.product(_tracks_over(first), _tracks_over(second)):
+        assert limit_equal(e1, e2) == _fiber_product_equal(e1, e2)
+    return sum(map(limit_equal, rows, cols)), sum(x != 0 for row in table for x in row)
+
+
+def test_common_refinement_shortcut_matches_fiber_product_on_small_covers():
+    rng = random.Random(16)
+    covers = [trivial_cover(2), *enumerate_covers(2, 2)]
+    equal = nonzero = 0
+    for first, second in itertools.product(covers, repeat=2):
+        e, n = _check_against_fiber_product(first, second, rng)
+        equal, nonzero = equal + e, nonzero + n
+    # equal covers as distinct objects take the shortcut too
+    for cover in covers:
+        twin = SurfaceCover(cover.genus, cover.degree, cover.perms)
+        assert twin is not cover
+        _check_against_fiber_product(cover, twin, rng)
+    assert equal >= 2 * len(covers) ** 2  # the two transfers agree at every pair
+    assert nonzero > 0
+
+
+def test_common_refinement_shortcut_matches_fiber_product_on_seeded_pairs():
+    rng = random.Random(61)
+    pool = [c for d in (1, 2, 3, 4) for c in enumerate_covers(2, d)]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(24)]
+    deep = [c for c in pool if c.degree >= 3]
+    pairs += [(c, c) for c in rng.sample(deep, 3)]
+    pairs += [(trivial_cover(2), c) for c in rng.sample(deep, 3)]
+    pairs += [(c, trivial_cover(2)) for c in rng.sample(deep, 3)]
+    for first, second in pairs:
+        _check_against_fiber_product(first, second, rng)
+
+
+def test_common_refinement_cases():
+    base = trivial_cover(2)
+    cover, other = enumerate_covers(2, 3)[4], enumerate_covers(2, 2)[1]
+    assert common_refinement(cover, cover) == (cover, None, None)
+    assert common_refinement(base, base) == (base, None, None)
+    down = CoverArrow(cover, base, (0,) * cover.degree)
+    assert arrow_to_trivial(cover) == down
+    assert common_refinement(base, cover) == (cover, down, None)
+    assert common_refinement(cover, base) == (cover, None, down)
+    fp = fiber_product(cover, other)
+    assert common_refinement(cover, other) == (fp.cover, fp.to_first, fp.to_second)
+    for first, second in ((trivial_cover(3), cover), (cover, trivial_cover(3))):
+        with pytest.raises(BaseMismatch):
+            common_refinement(first, second)
+
+
+def test_pairings_with_the_cover_itself_or_the_base_take_no_fiber_product():
+    cover = enumerate_covers(2, 3)[7]
+    down = arrow_to_trivial(cover)
+    base = [base_class_element(2, v) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    lifted = [lift_element(e, down) for e in base]
+    track = track_element(three_branch_example(), trivial_cover(2), (2, 1, 1))
+    before = fiber_product.cache_info()
+    assert pairing_table(lifted, lifted) == pairing_table(base, base)
+    assert pairing_table(base, lifted) == pairing_table(base, base)
+    assert all(map(limit_equal, base, lifted))
+    assert limit_equal(track, lift_element(track, down))
+    after = fiber_product.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses

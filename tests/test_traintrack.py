@@ -10,7 +10,6 @@ import sympy
 from covertower.characteristic import mod2_homology_cover
 
 from covertower.covers import (
-    double_cover_from_signs,
     enumerate_covers,
     fiber_product,
     trivial_cover,
@@ -40,6 +39,7 @@ from covertower.traintrack import (
     lift_track,
     three_branch_example,
 )
+from conftest import double_cover_from_signs
 
 
 def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):

@@ -6,7 +6,6 @@ import sympy
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
-    double_cover_from_signs,
     enumerate_covers,
     rewrite_in_schreier,
     schreier_loop,
@@ -44,6 +43,7 @@ from covertower.vauts import (
     vaut_from_automorphism,
     vaut_inverse,
 )
+from conftest import double_cover_from_signs
 
 
 def by_name(name):
@@ -107,6 +107,16 @@ def test_rejects_tables_that_are_not_integer_words():
     for bad in (5, [5], None):
         with pytest.raises(InvalidAutomorphism, match="fwd"):
             TwoArrowVaut(v.left, v.right, bad, v.bwd)
+
+
+@pytest.mark.parametrize("left, right, field", [
+    (5, trivial_cover(2), "left"),
+    (trivial_cover(2), None, "right"),
+    ("cover", "cover", "left"),
+])
+def test_rejects_endpoints_that_are_not_covers(left, right, field):
+    with pytest.raises(IncompatibleTower, match=field):
+        TwoArrowVaut(left, right, (), ())
 
 
 def test_rejects_homologically_singular_tables():

@@ -8,7 +8,6 @@ from covertower import verify
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
-    double_cover_from_signs,
     enumerate_covers,
     factors_through,
     trivial_cover,
@@ -34,6 +33,7 @@ from covertower.limits import (
 from covertower.surface import standard_symplectic
 from covertower.vauts import restrict_vaut, vaut_from_automorphism
 from covertower.verify import SUITES, _sweep, replay_counterexample, run_suite
+from conftest import double_cover_from_signs
 
 
 def transfer_doc(cover, v):
@@ -233,10 +233,34 @@ def _reference_failure(suite, form_of, max_degree):
     return None
 
 
+def _check_each_cover_against(monkeypatch, suite, form_of):
+    """Make the suite take its expected form from form_of(genus), once per cover.
+
+    The suites build their constants once; wrapping the per-cover check
+    puts a fault on exactly one cover, as _reference_failure does.
+    """
+    if suite == "theorem3":
+        check = verify._t3_one
+
+        def one(cover, wants, base):
+            g = cover.genus
+            wants = [[Fraction(x, g - 1) for x in row] for row in form_of(g)]
+            return check(cover, wants=wants, base=base)
+
+        monkeypatch.setattr(verify, "_t3_one", one)
+    else:
+        check = verify._ts_one
+
+        def one(cover, form, basis):
+            return check(cover, form=form_of(cover.genus), basis=basis)
+
+        monkeypatch.setattr(verify, "_ts_one", one)
+
+
 @pytest.mark.parametrize("suite", ["theorem3", "transfer-scaling"])
 @pytest.mark.parametrize("call, i, j", [(1, 0, 1), (2, 3, 3), (9, 2, 0), (40, 3, 1)])
 def test_first_counterexample_matches_per_pair_reference(monkeypatch, suite, call, i, j):
-    monkeypatch.setattr(verify, "standard_symplectic", _perturbed_forms(call, i, j))
+    _check_each_cover_against(monkeypatch, suite, _perturbed_forms(call, i, j))
     result = run_suite(suite, genus=2, max_degree=3)
     want = _reference_failure(suite, _perturbed_forms(call, i, j), 3)
     assert not result.ok and want is not None
