@@ -66,6 +66,12 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _need(value, cls, name: str) -> None:
+    """IncompatibleTower naming the argument unless value is a cls."""
+    if not isinstance(value, cls):
+        raise IncompatibleTower(f"{name} must be a {cls.__name__}, got {value!r:.40}")
+
+
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Permutation doing p first, then q."""
     return tuple(q[x] for x in p)
@@ -416,9 +422,8 @@ class CoverArrow:
     sheet_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name, value in (("source", self.source), ("target", self.target)):
-            if not isinstance(value, SurfaceCover):
-                raise IncompatibleTower(f"{name} must be a SurfaceCover, got {value!r:.40}")
+        _need(self.source, SurfaceCover, "source")
+        _need(self.target, SurfaceCover, "target")
         try:
             sheet_map = tuple(self.sheet_map)
         except TypeError:
@@ -460,6 +465,8 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
     Exists iff every Schreier generator of fine's basepoint stabilizer also
     stabilizes coarse's basepoint; the map transports sheet 0 along tree words.
     """
+    _need(fine, SurfaceCover, "fine")
+    _need(coarse, SurfaceCover, "coarse")
     if fine.genus != coarse.genus:
         raise BaseMismatch("covers have different base surfaces")
     if not all(map(coarse.stabilizes_basepoint, fine.loops)):
@@ -491,6 +498,8 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     is not the canonical order, which tries every generator forward before
     any inverse; call canonical() for the canonical labeling.
     """
+    _need(first, SurfaceCover, "first")
+    _need(second, SurfaceCover, "second")
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     p, q = first.perms, second.perms

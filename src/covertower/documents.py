@@ -297,7 +297,7 @@ def parse_vaut(doc) -> TwoArrowVaut:
     else:
         raise DocumentError("identification must be word tables or a sheet map")
     vaut = TwoArrowVaut(left, right, fwd, bwd)
-    if doc.get("base_genus", vaut.base_genus) not in (vaut.base_genus, str(vaut.base_genus)):
+    if _int_in(doc.get("base_genus", vaut.base_genus), "base_genus") != vaut.base_genus:
         raise DocumentError("base_genus disagrees with the covers")
     return vaut
 

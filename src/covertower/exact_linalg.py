@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra used by homology and tracks.
+"""Exact integer and rational linear algebra used by covers, tracks and vauts.
 
 Conventions are row-vector based throughout: a lattice is the row space of
 its matrix, and basis changes act by right multiplication.
@@ -76,19 +76,6 @@ def rational_nullspace(mat, n_cols: int | None = None):
             vec[pc] = -row[c]
         basis.append(vec)
     return basis
-
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    inner = len(a[0])
-    if len(b) != inner:
-        raise ValueError("inner dimensions do not match")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
 
 
 def mat_vec(a, x):

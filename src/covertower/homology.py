@@ -20,7 +20,6 @@ from operator import mul
 
 from .covers import SurfaceCover, pull_back, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch
-from .exact_linalg import mat_mul
 from .surface import generator_count, surface_relator
 
 
@@ -178,17 +177,6 @@ class CoverComplex:
         self._homology = {"steps": steps, "class_edges": sorted(nontree - cotree)}
         return self._homology
 
-    def _reduce(self, chain):
-        """Class coordinates of a chain's nontree part, without checks."""
-        data = self._homology_data()
-        x = list(chain)
-        for p, sign, face in data["steps"]:
-            c = x[p] * sign
-            if c:
-                for dart in face:
-                    x[dart >> 1] += c if dart & 1 else -c
-        return tuple(x[e] for e in data["class_edges"])
-
     def homology_basis(self) -> tuple[tuple[int, ...], ...]:
         """Integral homology basis, one edge chain per class, built on first use."""
         data = self._homology_data()
@@ -203,26 +191,33 @@ class CoverComplex:
             raise DimensionMismatch("chain has wrong length")
         if not self.is_cycle(chain):
             raise ComplexMismatch("chain is not a cycle")
-        return self._reduce(chain)
+        data = self._homology_data()
+        x = list(chain)
+        for p, sign, face in data["steps"]:
+            c = x[p] * sign
+            if c:
+                for dart in face:
+                    x[dart >> 1] += c if dart & 1 else -c
+        return tuple(x[e] for e in data["class_edges"])
 
     def loop_map(self, images):
         """Matrix of the homology map that sends each Schreier loop to a class.
 
         images[k] holds the class coordinates, on the target surface, of the
-        image of the loop through nontree edge k.  The loops through class
-        edges are the basis, so X is their rows of images; returns X when
-        every other loop's class maps to its image too, else None.
+        image of the loop through nontree edge k.  A cycle is fixed by its
+        nontree coordinates and the faces span the boundaries, so the images
+        define a map on homology iff they cancel around every face.  Returns
+        None when they do not, else X: the class edges' rows of images, as
+        their loops are the basis.
         """
-        data = self._homology_data()
         edges = (self.edge_index(i, s) for (i, s) in self.cover.schreier.nontree)
         image_of = dict(zip(edges, images))
-        x = [list(image_of[e]) for e in data["class_edges"]]
-        for e, _, _ in data["steps"]:
-            unit = self.zero_chain()
-            unit[e] = 1
-            if mat_mul([self._reduce(unit)], x) != [list(image_of[e])]:
+        for face in self.faces:
+            signed = [[-c for c in image_of[d >> 1]] if d & 1 else image_of[d >> 1]
+                      for d in face if d >> 1 in image_of]
+            if any(map(sum, zip(*signed))):
                 return None
-        return x
+        return [list(image_of[e]) for e in self._homology_data()["class_edges"]]
 
     # -- intersection pairing
 

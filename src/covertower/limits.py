@@ -19,6 +19,7 @@ from typing import Union
 from .covers import (
     CoverArrow,
     SurfaceCover,
+    _need,
     _trusted,
     arrow_to_trivial,
     fiber_product,
@@ -97,6 +98,8 @@ def track_element(track: TrainTrack, cover: SurfaceCover, weights) -> LimitEleme
 def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
     """Pull a representative back along an arrow into a finer cover; the
     pullback of a checked payload passes the checks, so it skips them."""
+    _need(element, LimitElement, "element")
+    _need(arrow, CoverArrow, "arrow")
     if arrow.target != element.cover:
         raise IncompatibleTower("arrow target is not the element's cover")
     if element.kind == "cycle":
@@ -114,6 +117,8 @@ def common_refinement(first: SurfaceCover, second: SurfaceCover):
     covers refine each other, and a cover refines the trivial cover by the
     constant arrow.  Any other pair takes its fiber product.
     """
+    _need(first, SurfaceCover, "first")
+    _need(second, SurfaceCover, "second")
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     if first == second:

@@ -14,6 +14,8 @@ from functools import lru_cache
 from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
 from .covers import (
     SurfaceCover,
+    _is_int,
+    _need,
     _trusted,
     factors_through,
     fiber_product,
@@ -29,7 +31,7 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
-from .exact_linalg import mat_mul
+from .exact_linalg import mat_vec
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
 from .surface import Word, substitute
@@ -77,6 +79,13 @@ class TwoArrowVaut:
     two induced maps on the homology of the total surface are inverse
     integer matrices.  That check is a strong necessary condition; word
     problems beyond it are out of scope.
+
+    vaut_inverse and restrict_vaut build their results unchecked.  A swap
+    passes exactly the checks its source passed: the two stabilizer checks
+    trade places, and X.Y = I iff Y.X = I for square integer matrices.  A
+    restriction to a cover that factors through the left arrow represents
+    the same virtual automorphism (Biswas-Nag-Sullivan).  The tests rebuild
+    both through this constructor.
     """
 
     left: SurfaceCover
@@ -85,9 +94,8 @@ class TwoArrowVaut:
     bwd: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        for name, value in (("left", self.left), ("right", self.right)):
-            if not isinstance(value, SurfaceCover):
-                raise IncompatibleTower(f"{name} must be a SurfaceCover, got {value!r:.40}")
+        _need(self.left, SurfaceCover, "left")
+        _need(self.right, SurfaceCover, "right")
         if self.left.genus != self.right.genus:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:
@@ -117,9 +125,10 @@ class TwoArrowVaut:
                 "identification does not induce a linear map on homology"
             )
         # square matrices: a one-sided inverse is two-sided
-        t = len(x)
-        if mat_mul(x, y) != [[int(i == j) for j in range(t)] for i in range(t)]:
-            raise InvalidAutomorphism("identification is not invertible on homology")
+        columns = list(zip(*y))
+        for i, row in enumerate(x):
+            if mat_vec(columns, row) != [int(i == j) for j in range(len(x))]:
+                raise InvalidAutomorphism("identification is not invertible on homology")
 
     @property
     def base_genus(self) -> int:
@@ -174,7 +183,9 @@ def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
 
 
 def vaut_inverse(vaut: TwoArrowVaut) -> TwoArrowVaut:
-    return TwoArrowVaut(vaut.right, vaut.left, vaut.bwd, vaut.fwd)
+    """The vaut with its two sides swapped, unchecked (see TwoArrowVaut)."""
+    _need(vaut, TwoArrowVaut, "vaut")
+    return _trusted(TwoArrowVaut, left=vaut.right, right=vaut.left, fwd=vaut.bwd, bwd=vaut.fwd)
 
 
 def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
@@ -212,14 +223,17 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     """Representative of the same virtual automorphism over a finer left cover.
 
     The finer cover must factor through the current left cover; the new
-    right cover is induced through the backward table.
+    right cover is induced through the backward table.  The result is
+    built unchecked (see TwoArrowVaut).
     """
+    _need(vaut, TwoArrowVaut, "vaut")
+    _need(finer, SurfaceCover, "finer")
     if factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = induced_cover(vaut.right, vaut.bwd, finer)
     fwd = tuple(map(vaut.forward_word, finer.loops))
     bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
-    return TwoArrowVaut(finer, new_right.cover, fwd, bwd)
+    return _trusted(TwoArrowVaut, left=finer, right=new_right.cover, fwd=fwd, bwd=bwd)
 
 
 def is_mapping_class_like(vaut: TwoArrowVaut) -> bool:
@@ -240,10 +254,11 @@ def pairing_preserved(
     return before == after
 
 
-def _restricts_to(vaut: TwoArrowVaut, characteristic: SurfaceCover) -> bool:
-    refined = fiber_product(vaut.left, characteristic).cover
-    restricted = restrict_vaut(vaut, refined)
-    return factors_through(restricted.right, characteristic) is not None
+def _restricts_to(left: SurfaceCover, right: SurfaceCover, table, characteristic) -> bool:
+    """Whether the vaut from left to right with backward table table, restricted
+    over characteristic, lands on a cover of it; builds no vaut, only that cover."""
+    refined = fiber_product(left, characteristic).cover
+    return factors_through(induced_cover(right, table, refined).cover, characteristic) is not None
 
 
 def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:
@@ -253,12 +268,15 @@ def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:
     cover.  True certifies a representative over each tested characteristic
     cover in both directions; False is inconclusive beyond the tested depth.
     """
+    _need(vaut, TwoArrowVaut, "vaut")
+    if not _is_int(depth) or depth < 0:
+        raise IncompatibleTower(f"depth must be an integer at least 0, got {depth!r:.40}")
     candidates = [trivial_cover(vaut.base_genus)]
     if depth >= 1:
         candidates.append(mod2_homology_cover(vaut.base_genus))
     for cover in candidates:
-        if not _restricts_to(vaut, cover):
+        if not _restricts_to(vaut.left, vaut.right, vaut.bwd, cover):
             return False
-        if not _restricts_to(vaut_inverse(vaut), cover):
+        if not _restricts_to(vaut.right, vaut.left, vaut.fwd, cover):
             return False
     return True

@@ -519,6 +519,19 @@ def test_factoring_arrows_compose():
     assert tuple(a2.sheet_map[s] for s in a1.sheet_map) == a3.sheet_map
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (fiber_product, (5, trivial_cover(2)), "first"),
+    (fiber_product, (trivial_cover(2), "x"), "second"),
+    (factors_through, ("cover", trivial_cover(2)), "fine"),
+    (factors_through, (trivial_cover(2), (1, 2)), "coarse"),
+])
+def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
+    from covertower.errors import IncompatibleTower
+
+    with pytest.raises(IncompatibleTower, match=name):
+        build(*args)
+
+
 def test_fiber_product_is_the_stabilizer_intersection():
     rng = random.Random(31)
     covers = enumerate_covers(2, 2)

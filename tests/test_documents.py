@@ -234,9 +234,16 @@ def test_vaut_sheet_map_rejects_nonequivariant():
 
 def test_vaut_base_genus_cross_check():
     doc = vaut_document(identity_vaut(2))
+    del doc["base_genus"]
+    assert parse_vaut(doc) == identity_vaut(2)
     doc["base_genus"] = 3
     with pytest.raises(DocumentError):
         parse_vaut(doc)
+    # a JSON integer only, as every other wire integer
+    for value in (2.0, "2", True, None, [2]):
+        doc["base_genus"] = value
+        with pytest.raises(DocumentError, match="base_genus"):
+            parse_vaut(doc)
 
 
 def automorphisms_document(automorphisms) -> dict:

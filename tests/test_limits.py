@@ -451,6 +451,20 @@ def test_common_refinement_shortcut_matches_fiber_product_on_seeded_pairs():
         _check_against_fiber_product(first, second, rng)
 
 
+DOUBLE = double_cover_from_signs(2, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (lift_element, ((1, 0, 0, 0), arrow_to_trivial(DOUBLE)), "element"),
+    (lift_element, (base_class_element(2, (1, 0, 0, 0)), DOUBLE), "arrow"),
+    (common_refinement, (5, DOUBLE), "first"),
+    (common_refinement, (DOUBLE, "cover"), "second"),
+])
+def test_trusted_builders_name_a_bad_argument(build, args, name):
+    with pytest.raises(IncompatibleTower, match=name):
+        build(*args)
+
+
 def test_common_refinement_cases():
     base = trivial_cover(2)
     cover, other = enumerate_covers(2, 3)[4], enumerate_covers(2, 2)[1]

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from covertower.characteristic import shipped_automorphisms
+from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.covers import (
     enumerate_covers,
+    factors_through,
+    fiber_product,
+    induced_cover,
     rewrite_in_schreier,
     schreier_loop,
     trivial_cover,
@@ -31,6 +34,7 @@ from covertower.surface import abelianized, free_reduce, inverse_word
 from covertower.traintrack import three_branch_example
 from covertower.vauts import (
     TwoArrowVaut,
+    _restricts_to,
     apply_edge_word_map,
     certified_in_caut,
     identity_vaut,
@@ -174,6 +178,16 @@ def test_loop_map_matches_sympy_solve():
         for _ in range(rng.randint(1, 2)):
             table[rng.randrange(len(table))] = rng.choice(loops) + rng.choice(loops)
         cases.append((cover, cover, table))
+    # larger covers: restrictions of shipped vauts, then perturbed tables
+    larger = rng.sample(enumerate_covers(2, 3), 6) + [mod2_homology_cover(2)]
+    for cover in larger:
+        v = restrict_vaut(rng.choice(shipped), cover)
+        cases += [(v.left, v.right, v.fwd), (v.right, v.left, v.bwd)]
+        loops = list(cover.loops)
+        for _ in range(2):
+            table = list(loops)
+            table[rng.randrange(len(table))] = rng.choice(loops) + rng.choice(loops)
+            cases.append((cover, cover, table))
     found = set()
     for source, target, table in cases:
         dst = surface_complex(target)
@@ -375,6 +389,107 @@ def test_pairing_preserved():
             before = normalized_pairing(u, v)
             after = normalized_pairing(vaut_act(vt, u), vaut_act(vt, v))
             assert after == -before == Fraction(-1)
+
+
+def checked_restriction(vaut, finer):
+    """restrict_vaut's body, built through the public constructor."""
+    if factors_through(finer, vaut.left) is None:
+        raise IncompatibleTower("cover does not factor through the vaut's left arrow")
+    new_right = induced_cover(vaut.right, vaut.bwd, finer)
+    fwd = tuple(map(vaut.forward_word, finer.loops))
+    bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
+    return TwoArrowVaut(finer, new_right.cover, fwd, bwd)
+
+
+def checked_inverse(vaut):
+    return TwoArrowVaut(vaut.right, vaut.left, vaut.bwd, vaut.fwd)
+
+
+def oracle_restricts_to(vaut, characteristic):
+    """The certificate's step as a full checked restriction."""
+    refined = fiber_product(vaut.left, characteristic).cover
+    restricted = checked_restriction(vaut, refined)
+    return factors_through(restricted.right, characteristic) is not None
+
+
+def oracle_certified_in_caut(vaut, depth):
+    candidates = [trivial_cover(2)] + [mod2_homology_cover(2)] * (depth >= 1)
+    return all(
+        oracle_restricts_to(vaut, cover) and oracle_restricts_to(checked_inverse(vaut), cover)
+        for cover in candidates
+    )
+
+
+def test_trusted_restrictions_and_inverses_pass_the_public_checks():
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    count = 0
+    for aut in shipped_automorphisms(2):
+        v = vaut_from_automorphism(aut)
+        assert vaut_inverse(v) == checked_inverse(v)
+        for cover in covers:
+            restricted = restrict_vaut(v, cover)
+            assert restricted == checked_restriction(v, cover)
+            assert vaut_inverse(restricted) == checked_inverse(restricted)
+            count += 1
+    assert count == 1416
+
+
+def test_trusted_vaut_builders_skip_the_check(monkeypatch):
+    calls = []
+    checks = TwoArrowVaut.__post_init__
+
+    def post_init(self):
+        calls.append(self)
+        checks(self)
+
+    monkeypatch.setattr(TwoArrowVaut, "__post_init__", post_init)
+    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    assert len(calls) == 6  # the counter sees the public constructor
+    calls.clear()
+    covers = enumerate_covers(2, 2)
+    for k, v in enumerate(shipped):
+        restricted = restrict_vaut(v, covers[k])
+        vaut_inverse(restricted)
+        assert certified_in_caut(restricted, depth=k % 2)
+    assert calls == []
+
+
+def test_certificate_matches_the_checked_restriction_oracle():
+    rng = random.Random(53)
+    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    covers = enumerate_covers(2, 2)
+    restricted = [restrict_vaut(v, rng.choice(covers)) for v in shipped]
+    composites = [vaut_compose(rng.choice(shipped), rng.choice(restricted)) for _ in range(3)]
+    pool = [identity_vaut(2)] + shipped + restricted + composites
+    for v in pool:
+        for depth in (0, 1):
+            assert certified_in_caut(v, depth) == oracle_certified_in_caut(v, depth)
+    # each step on its own, with covers that are not characteristic, so that
+    # the restriction fails to descend for some of them
+    found = set()
+    for v in rng.sample(pool, 8):
+        for cover in covers:
+            got = _restricts_to(v.left, v.right, v.bwd, cover)
+            assert got == oracle_restricts_to(v, cover)
+            back = _restricts_to(v.right, v.left, v.fwd, cover)
+            assert back == oracle_restricts_to(checked_inverse(v), cover)
+            found |= {got, back}
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (vaut_inverse, (5,), "vaut"),
+    (restrict_vaut, ("vaut", trivial_cover(2)), "vaut"),
+    (restrict_vaut, (identity_vaut(2), "x"), "finer"),
+    (certified_in_caut, (5,), "vaut"),
+    (certified_in_caut, (identity_vaut(2), True), "depth"),
+    (certified_in_caut, (identity_vaut(2), "a"), "depth"),
+    (certified_in_caut, (identity_vaut(2), 1.0), "depth"),
+    (certified_in_caut, (identity_vaut(2), -1), "depth"),
+])
+def test_trusted_vaut_builders_name_a_bad_argument(build, args, name):
+    with pytest.raises(IncompatibleTower, match=name):
+        build(*args)
 
 
 def test_caut_certification():
