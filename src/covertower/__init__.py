@@ -57,7 +57,6 @@ from .traintrack import (
     TrainTrack,
     arrow_step_matrix,
     carrying_compose,
-    identity_carrying,
     lift_track,
     three_branch_example,
 )

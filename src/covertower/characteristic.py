@@ -13,14 +13,14 @@ from functools import lru_cache
 
 from .covers import (
     SurfaceCover,
-    _is_int,
     _pointed_orbit,
     enumerate_covers,
     identity_perm,
     search_budget,
     trivial_cover,
 )
-from .errors import InvalidAutomorphism, SearchBudgetExceeded
+from .errors import BadDegree, IncompatibleTower, InvalidAutomorphism, SearchBudgetExceeded
+from .errors import integer, need, sequence, words
 from .surface import (
     Word,
     are_conjugate,
@@ -34,17 +34,7 @@ from .surface import (
 
 def _word_table(table, name: str, genus: int) -> tuple[Word, ...]:
     """The table's words, free-reduced; InvalidAutomorphism names a bad entry."""
-    n = generator_count(genus)
-    try:
-        words = tuple(map(tuple, table))
-    except TypeError:
-        raise InvalidAutomorphism(f"{name} must be a sequence of words") from None
-    for k, w in enumerate(words):
-        if not all(_is_int(x) and 0 < abs(x) <= n for x in w):
-            raise InvalidAutomorphism(
-                f"{name}[{k}]: letters must be nonzero integers, at most {n} in size"
-            )
-    return tuple(map(free_reduce, words))
+    return tuple(map(free_reduce, words(table, name, genus, InvalidAutomorphism)))
 
 
 @dataclass(frozen=True)
@@ -64,9 +54,7 @@ class SurfaceAutomorphism:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not _is_int(self.genus):
-            raise InvalidAutomorphism(f"genus must be an integer, got {self.genus!r:.40}")
-        n = generator_count(self.genus)
+        n = generator_count(integer(self.genus, "genus", InvalidAutomorphism, low=2))
         images = _word_table(self.images, "images", self.genus)
         inverses = _word_table(self.inverse_images, "inverse_images", self.genus)
         if len(images) != n or len(inverses) != n:
@@ -114,14 +102,14 @@ def _twist(genus: int, moving: int, along: int, name: str) -> SurfaceAutomorphis
     return SurfaceAutomorphism(genus, tuple(images), tuple(inverses), name)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def shipped_automorphisms(genus: int = 2) -> tuple[SurfaceAutomorphism, ...]:
     """Generating data for characteristic testing at genus 2.
 
     Four handle twists, the swap of the two handles, and an
     orientation-reversing exchange of the two curves in every handle.
     """
-    if genus != 2:
+    if integer(genus, "genus", InvalidAutomorphism, low=2) != 2:
         raise InvalidAutomorphism("shipped automorphism list is genus-2 only")
     twists = (
         _twist(2, 1, 0, "twist_b1_along_a1"),
@@ -150,8 +138,10 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
     Sound relative to the supplied list: a True answer certifies invariance
     under the subgroup those automorphisms generate.
     """
-    automorphisms = tuple(automorphisms)
-    for aut in automorphisms:
+    need(cover, SurfaceCover, "cover", IncompatibleTower)
+    automorphisms = sequence(automorphisms, "automorphisms", IncompatibleTower)
+    for k, aut in enumerate(automorphisms):
+        need(aut, SurfaceAutomorphism, f"automorphisms[{k}]", IncompatibleTower)
         if aut.genus != cover.genus:
             raise InvalidAutomorphism("automorphism is for a different genus")
     ident = identity_perm(cover.degree)
@@ -165,10 +155,10 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def mod2_homology_cover(genus: int) -> SurfaceCover:
     """Regular cover with deck group (Z/2)^2g: sheets are mod-2 class vectors."""
-    n = generator_count(genus)
+    n = generator_count(integer(genus, "genus", BadDegree, low=2))
     degree = 1 << n
     perms = tuple(
         tuple(s ^ (1 << i) for s in range(degree)) for i in range(n)
@@ -186,6 +176,7 @@ def characteristic_refinement(
     so the result is characteristic; it factors through the input because the
     input is one of the factors.
     """
+    need(cover, SurfaceCover, "cover", IncompatibleTower)
     limit = search_budget(budget)
     d = cover.degree
     if d == 1:

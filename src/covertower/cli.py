@@ -24,7 +24,6 @@ from .characteristic import (
 from .covers import enumerate_covers, fiber_product
 from .documents import (
     DocumentError,
-    _ints_in,
     cover_document,
     cycle_document,
     dumps_canonical,
@@ -38,7 +37,7 @@ from .documents import (
     parse_vaut,
     rational_str,
 )
-from .errors import CovertowerError, SearchBudgetExceeded
+from .errors import CovertowerError, SearchBudgetExceeded, integers
 from .homology import surface_complex
 from .limits import cycle_element, normalized_pairing
 from .orbit import OrbitConfig, orbit_density_experiment
@@ -62,7 +61,7 @@ def _read_json(path: str):
 
 def _parse_class_vector(text: str, genus: int):
     try:
-        vec = _ints_in(json.loads(text), "--class")
+        vec = integers(json.loads(text), "--class", DocumentError)
     except (json.JSONDecodeError, DocumentError) as exc:
         raise DocumentError(f"bad class vector {text!r}: {exc}") from exc
     if len(vec) != generator_count(genus):

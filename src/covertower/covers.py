@@ -30,6 +30,7 @@ from .errors import (
     RelatorNotTrivial,
     SearchBudgetExceeded,
 )
+from .errors import integer, integers, need, sequence
 from .surface import Word, free_reduce, generator_count, inverse_word, surface_relator
 
 Perm = tuple[int, ...]
@@ -39,9 +40,7 @@ DEFAULT_BUDGET = 1_000_000
 
 def search_budget(override: int | None = None) -> int:
     if override is not None:
-        if isinstance(override, bool) or not isinstance(override, int) or override < 1:
-            raise CovertowerError(f"budget must be an integer at least 1, got {override!r}")
-        return override
+        return integer(override, "budget", CovertowerError, low=1)
     env = os.environ.get("COVERTOWER_BUDGET")
     if not env:
         return DEFAULT_BUDGET
@@ -54,22 +53,12 @@ def search_budget(override: int | None = None) -> int:
     return budget
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _trusted(cls, **fields):
     """A cls built without its checks, for objects the package makes from
     checked ones in ways that keep every invariant the checks test."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def _need(value, cls, name: str) -> None:
-    """IncompatibleTower naming the argument unless value is a cls."""
-    if not isinstance(value, cls):
-        raise IncompatibleTower(f"{name} must be a {cls.__name__}, got {value!r:.40}")
 
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
@@ -95,23 +84,11 @@ class SurfaceCover:
     perms: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        g, d = self.genus, self.degree
-        for name, value in (("genus", g), ("degree", d)):
-            if not _is_int(value):
-                raise BadDegree(f"{name} must be an integer, got {value!r}")
-        if g < 2:
-            raise BadDegree(f"base genus must be at least 2, got {g}")
-        if d < 1:
-            raise BadDegree(f"degree must be at least 1, got {d}")
-        try:
-            perms = tuple(tuple(p) for p in self.perms)
-        except TypeError:
-            raise BadDegree("perms must be a sequence of permutations") from None
-        if len(perms) != generator_count(g):
-            raise BadDegree(f"expected {generator_count(g)} permutations, got {len(perms)}")
+        g = integer(self.genus, "genus", BadDegree, low=2)
+        d = integer(self.degree, "degree", BadDegree, low=1)
+        perms = sequence(self.perms, "perms", BadDegree, generator_count(g))
+        perms = tuple(integers(p, f"perms[{i}]", BadDegree) for i, p in enumerate(perms))
         for p in perms:
-            if not all(map(_is_int, p)):
-                raise BadDegree(f"perms entries must be integers, got {p}")
             if len(p) != d or sorted(p) != list(range(d)):
                 raise BadDegree(f"{p} is not a permutation of 0..{d - 1}")
         object.__setattr__(self, "perms", perms)
@@ -243,9 +220,9 @@ def _schreier_walk(cover: SurfaceCover):
     return order, tree, words
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def trivial_cover(genus: int) -> SurfaceCover:
-    n = generator_count(genus)
+    n = generator_count(integer(genus, "genus", BadDegree, low=2))
     return SurfaceCover(genus, 1, tuple(((0,),) * n))
 
 
@@ -342,10 +319,8 @@ def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tupl
     """All pointed-isomorphism classes of degree-d covers, canonical, sorted.
     The budget gates the search and is not part of the cache key."""
     limit = search_budget(budget)
-    if genus < 2:
-        raise BadDegree(f"base genus must be at least 2, got {genus}")
-    if degree < 1:
-        raise BadDegree(f"degree must be at least 1, got {degree}")
+    integer(genus, "genus", BadDegree, low=2)
+    integer(degree, "degree", BadDegree, low=1)
     candidates = math.factorial(degree) ** (2 * (genus - 1))
     if candidates > limit:
         raise SearchBudgetExceeded(
@@ -422,14 +397,9 @@ class CoverArrow:
     sheet_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _need(self.source, SurfaceCover, "source")
-        _need(self.target, SurfaceCover, "target")
-        try:
-            sheet_map = tuple(self.sheet_map)
-        except TypeError:
-            raise IncompatibleTower("sheet_map must be a sequence of sheets") from None
-        if not all(map(_is_int, sheet_map)):
-            raise IncompatibleTower(f"sheet_map entries must be integers, got {sheet_map}")
+        need(self.source, SurfaceCover, "source", IncompatibleTower)
+        need(self.target, SurfaceCover, "target", IncompatibleTower)
+        sheet_map = integers(self.sheet_map, "sheet_map", IncompatibleTower)
         object.__setattr__(self, "sheet_map", sheet_map)
         if self.source.genus != self.target.genus:
             raise BaseMismatch("arrow endpoints have different base surfaces")
@@ -465,8 +435,8 @@ def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | No
     Exists iff every Schreier generator of fine's basepoint stabilizer also
     stabilizes coarse's basepoint; the map transports sheet 0 along tree words.
     """
-    _need(fine, SurfaceCover, "fine")
-    _need(coarse, SurfaceCover, "coarse")
+    need(fine, SurfaceCover, "fine", IncompatibleTower)
+    need(coarse, SurfaceCover, "coarse", IncompatibleTower)
     if fine.genus != coarse.genus:
         raise BaseMismatch("covers have different base surfaces")
     if not all(map(coarse.stabilizes_basepoint, fine.loops)):
@@ -498,8 +468,8 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     is not the canonical order, which tries every generator forward before
     any inverse; call canonical() for the canonical labeling.
     """
-    _need(first, SurfaceCover, "first")
-    _need(second, SurfaceCover, "second")
+    need(first, SurfaceCover, "first", IncompatibleTower)
+    need(second, SurfaceCover, "second", IncompatibleTower)
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     p, q = first.perms, second.perms
@@ -539,6 +509,8 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     homomorphism into the surface group (the relator must die), otherwise
     construction fails validation.
     """
+    need(outer, SurfaceCover, "outer", IncompatibleTower)
+    need(target, SurfaceCover, "target", IncompatibleTower)
     if outer.genus != target.genus:
         raise BaseMismatch("outer and target covers have different base surfaces")
     states, perms = _transport(outer, table, target)
@@ -592,8 +564,8 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
     generator.  Edge-path words must therefore compose; in particular the
     relator lift at each sheet must spell a trivially-acting word.
     """
-    if bottom.genus < 2:
-        raise GenusMismatch("bottom cover must have base genus at least 2")
+    need(top, SurfaceCover, "top", IncompatibleTower)
+    need(bottom, SurfaceCover, "bottom", IncompatibleTower)
     if top.genus != bottom.total_genus:
         raise GenusMismatch(
             f"top cover has base genus {top.genus}, "

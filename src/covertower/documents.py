@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .covers import SurfaceCover, _is_int
-from .errors import CovertowerError
+from .covers import SurfaceCover
+from .errors import CovertowerError, integer, integers, words
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
-from .surface import Word, free_reduce, generator_count, inverse_word
+from .surface import free_reduce, inverse_word
 from .traintrack import LiftedTrack, Switch, TrainTrack
 from .vauts import TwoArrowVaut
 from .characteristic import SurfaceAutomorphism
@@ -46,33 +46,6 @@ def _word_out(word) -> list[int]:
     return [int(x) for x in word]
 
 
-def _int_in(value, field: str) -> int:
-    """A JSON integer; DocumentError naming the field for anything else."""
-    if not _is_int(value):
-        raise DocumentError(f"{field} must be an integer, got {value!r:.40}")
-    return value
-
-
-def _ints_in(data, field: str) -> tuple[int, ...]:
-    """A JSON list of integers; DocumentError naming the entry for anything else."""
-    try:
-        return tuple(_int_in(x, f"{field}[{k}]") for k, x in enumerate(data))
-    except TypeError:
-        raise DocumentError(f"{field} must be a list of integers, got {data!r:.40}") from None
-
-
-def _word_in(data, genus: int, field: str) -> Word:
-    word = _ints_in(data, field)
-    n = generator_count(genus)
-    if any(not 0 < abs(x) <= n for x in word):
-        raise DocumentError(f"{field}: letters must be nonzero, at most {n} in size")
-    return word
-
-
-def _words_in(data, genus: int, field: str) -> tuple[Word, ...]:
-    return tuple(_word_in(w, genus, f"{field}[{k}]") for k, w in enumerate(data))
-
-
 def rational_str(value) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -100,10 +73,11 @@ def cover_document(cover: SurfaceCover) -> dict:
 def parse_cover(doc) -> SurfaceCover:
     _expect(doc, "cover")
     try:
-        genus = _int_in(doc["genus"], "genus")
-        degree = _int_in(doc["degree"], "degree")
+        genus = integer(doc["genus"], "genus", DocumentError)
+        degree = integer(doc["degree"], "degree", DocumentError)
         perms = tuple(
-            tuple(s - 1 for s in _ints_in(p, f"perms[{i}]")) for i, p in enumerate(doc["perms"])
+            tuple(s - 1 for s in integers(p, f"perms[{i}]", DocumentError))
+            for i, p in enumerate(doc["perms"])
         )
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad cover document: {exc}") from exc
@@ -136,7 +110,7 @@ def parse_cycle(doc) -> LimitElement:
     chain = cx.zero_chain()
     try:
         for k, edge in enumerate(doc["edges"]):
-            i, s, coeff = _ints_in(edge, f"edges[{k}]")
+            i, s, coeff = integers(edge, f"edges[{k}]", DocumentError)
             if not (0 < i <= cx.n_generators and 0 < s <= cover.degree):
                 raise DocumentError(f"edges[{k}]: generator {i} or sheet {s} out of range")
             chain[cx.edge_index(i - 1, s - 1)] += coeff
@@ -149,7 +123,7 @@ def parse_cycle(doc) -> LimitElement:
 
 def _side_in(data, field: str):
     """Switch side from [branch, end] pairs, branches 1-based on the wire."""
-    halves = (_ints_in(half, f"{field}[{j}]") for j, half in enumerate(data))
+    halves = (integers(half, f"{field}[{j}]", DocumentError) for j, half in enumerate(data))
     return tuple((b - 1, end) for b, end in halves)
 
 
@@ -172,15 +146,15 @@ def track_document(track: TrainTrack) -> dict:
 def parse_track(doc) -> TrainTrack:
     _expect(doc, "track")
     try:
-        genus = _int_in(doc["genus"], "genus")
-        words = _words_in(doc["branch_words"], genus, "branch_words")
+        genus = integer(doc["genus"], "genus", DocumentError)
+        branch_words = words(doc["branch_words"], "branch_words", genus, DocumentError)
         switches = tuple(
             Switch(*(_side_in(sw[name], f"switches[{k}].{name}") for name in ("side_a", "side_b")))
             for k, sw in enumerate(doc["switches"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad track document: {exc}") from exc
-    return TrainTrack(genus, switches, words)
+    return TrainTrack(genus, switches, branch_words)
 
 
 def lifted_track_document(lifted: LiftedTrack, matrix) -> dict:
@@ -287,17 +261,18 @@ def parse_vaut(doc) -> TwoArrowVaut:
     ident = doc.get("identification")
     if isinstance(ident, dict):
         try:
-            fwd = _words_in(ident["fwd"], left.genus, "identification.fwd")
-            bwd = _words_in(ident["bwd"], left.genus, "identification.bwd")
+            fwd = words(ident["fwd"], "identification.fwd", left.genus, DocumentError)
+            bwd = words(ident["bwd"], "identification.bwd", left.genus, DocumentError)
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"bad identification tables: {exc}") from exc
     elif isinstance(ident, list):
-        sheet_map = [t - 1 for t in _ints_in(ident, "identification")]
+        sheet_map = [t - 1 for t in integers(ident, "identification", DocumentError)]
         fwd, bwd = _tables_from_sheet_map(left, right, sheet_map)
     else:
         raise DocumentError("identification must be word tables or a sheet map")
     vaut = TwoArrowVaut(left, right, fwd, bwd)
-    if _int_in(doc.get("base_genus", vaut.base_genus), "base_genus") != vaut.base_genus:
+    base_genus = integer(doc.get("base_genus", vaut.base_genus), "base_genus", DocumentError)
+    if base_genus != vaut.base_genus:
         raise DocumentError("base_genus disagrees with the covers")
     return vaut
 
@@ -307,13 +282,13 @@ def parse_vaut(doc) -> TwoArrowVaut:
 def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
     _expect(doc, "automorphisms")
     try:
-        genus = _int_in(doc["genus"], "genus")
+        genus = integer(doc["genus"], "genus", DocumentError)
         items = doc["items"]
         return tuple(
             SurfaceAutomorphism(
                 genus,
-                _words_in(item["images"], genus, f"items[{j}].images"),
-                _words_in(item["inverse_images"], genus, f"items[{j}].inverse_images"),
+                words(item["images"], f"items[{j}].images", genus, DocumentError),
+                words(item["inverse_images"], f"items[{j}].inverse_images", genus, DocumentError),
                 str(item.get("name", "")),
             )
             for j, item in enumerate(items)

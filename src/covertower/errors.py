@@ -4,6 +4,10 @@ Every structural validation failure gets its own class so callers can
 distinguish "the input is malformed" from "the search gave up".
 """
 
+import numbers
+from fractions import Fraction
+from itertools import chain
+
 
 class CovertowerError(Exception):
     """Base class for all package-specific errors."""
@@ -71,3 +75,86 @@ class ConeViolation(CovertowerError):
 
 class InvalidAutomorphism(CovertowerError):
     """A candidate substitution fails to define a surface-group automorphism."""
+
+
+# ---------------------------------------------------------------------------
+# Field checks, the one input policy: an integer is an int and not a bool, an
+# integral number any number equal to an integer.  Each check raises its
+# caller's error class, as "<field> must be ..., got <value>".
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def need(value, cls, name: str, error) -> None:
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, got {value!r:.40}")
+
+
+def integer(value, name: str, error, low: int | None = None) -> int:
+    """value, once it is an integer no smaller than low."""
+    if not is_int(value) or (low is not None and value < low):
+        bound = "" if low is None else f" at least {low}"
+        raise error(f"{name} must be an integer{bound}, got {value!r:.40}")
+    return value
+
+
+def sequence(value, name: str, error, length: int | None = None) -> tuple:
+    """value as a tuple, of the given length if one is given."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {value!r:.40}") from None
+    if length is not None and len(items) != length:
+        raise error(f"expected {length} {name}, got {len(items)}")
+    return items
+
+
+def integers(values, name: str, error) -> tuple[int, ...]:
+    """values as a tuple of integers; a bad entry is named name[k].  Plain
+    ints pass in one C-speed pass over their types; anything else, int
+    subclasses included, is checked entry by entry."""
+    items = sequence(values, name, error)
+    if not set(map(type, items)) <= {int}:
+        for k, x in enumerate(items):
+            integer(x, f"{name}[{k}]", error)
+    return items
+
+
+def words(table, name: str, genus: int, error) -> tuple[tuple[int, ...], ...]:
+    """table as words in the 2*genus generators, letters 0 < |x| <= 2*genus;
+    a bad word is named name[k]."""
+    n = 2 * genus
+    rows = sequence(table, name, error)
+    try:
+        out = tuple(map(tuple, rows))
+        letters = tuple(chain.from_iterable(out))
+        clean = set(map(type, letters)) <= {int} and all(0 < abs(x) <= n for x in letters)
+    except TypeError:  # a row that is not a sequence: the loop below names it
+        clean = False
+    for k, w in enumerate(() if clean else rows):
+        w = integers(w, f"{name}[{k}]", error)
+        if 0 in w or max(map(abs, w), default=0) > n:
+            raise error(f"{name}[{k}] must be a word in letters 0 < |x| <= {n}, got {w!r:.40}")
+    return out
+
+
+def rational(value, name: str) -> Fraction:
+    """value as a Fraction; NonIntegerWeights naming a bool or a non-number."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Number):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise NonIntegerWeights(f"{name} must be a number, got {value!r:.40}")
+
+
+def integral(value, name: str) -> int:
+    """An integral number as an int; NonIntegerWeights naming anything else."""
+    if type(value) is int:
+        return value
+    f = rational(value, name)
+    if f.denominator != 1:
+        raise NonIntegerWeights(f"{name} must be an integer, got {value!r:.40}")
+    return f.numerator

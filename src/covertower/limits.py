@@ -19,7 +19,6 @@ from typing import Union
 from .covers import (
     CoverArrow,
     SurfaceCover,
-    _need,
     _trusted,
     arrow_to_trivial,
     fiber_product,
@@ -27,8 +26,9 @@ from .covers import (
     trivial_cover,
 )
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
+from .errors import integral, need, sequence
 from .homology import surface_complex, transfer_along_arrow
-from .traintrack import LiftedTrack, TrainTrack, _integer
+from .traintrack import LiftedTrack, TrainTrack
 
 Chain = tuple[int, ...]
 TrackPayload = tuple[TrainTrack, tuple[Fraction, ...]]
@@ -50,27 +50,19 @@ class LimitElement:
     payload: Union[Chain, TrackPayload]
 
     def __post_init__(self) -> None:
+        need(self.cover, SurfaceCover, "cover", IncompatibleTower)
         if self.kind == "cycle":
             cx = surface_complex(self.cover)
-            try:
-                entries = tuple(self.payload)
-            except TypeError:
-                raise KindMismatch(f"payload must be a chain, got {self.payload!r:.40}") from None
-            chain = tuple(_integer(c, f"payload[{k}]") for k, c in enumerate(entries))
+            entries = sequence(self.payload, "payload", KindMismatch)
+            chain = tuple(integral(c, f"payload[{k}]") for k, c in enumerate(entries))
             if len(chain) != cx.n_edges:
                 raise KindMismatch("chain length does not match the cover")
             if not cx.is_cycle(chain):
                 raise KindMismatch("payload chain has nonzero boundary")
             object.__setattr__(self, "payload", chain)
         elif self.kind == "track":
-            try:
-                track, weights = self.payload
-            except (TypeError, ValueError):
-                raise KindMismatch(
-                    f"payload must be a (track, weights) pair, got {self.payload!r:.40}"
-                ) from None
-            if not isinstance(track, TrainTrack):
-                raise KindMismatch(f"payload[0] must be a TrainTrack, got {track!r:.40}")
+            track, weights = sequence(self.payload, "payload", KindMismatch, length=2)
+            need(track, TrainTrack, "payload[0]", KindMismatch)
             weights = LiftedTrack(track, self.cover).track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:
@@ -82,24 +74,24 @@ class LimitElement:
 
 
 def cycle_element(cover: SurfaceCover, chain) -> LimitElement:
-    return LimitElement("cycle", cover, tuple(chain))
+    return LimitElement("cycle", cover, chain)
 
 
 def base_class_element(genus: int, class_vector) -> LimitElement:
     """Homology class of the base surface, over the trivial cover."""
     cover = trivial_cover(genus)
-    return LimitElement("cycle", cover, tuple(class_vector))
+    return LimitElement("cycle", cover, class_vector)
 
 
 def track_element(track: TrainTrack, cover: SurfaceCover, weights) -> LimitElement:
-    return LimitElement("track", cover, (track, tuple(weights)))
+    return LimitElement("track", cover, (track, weights))
 
 
 def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
     """Pull a representative back along an arrow into a finer cover; the
     pullback of a checked payload passes the checks, so it skips them."""
-    _need(element, LimitElement, "element")
-    _need(arrow, CoverArrow, "arrow")
+    need(element, LimitElement, "element", IncompatibleTower)
+    need(arrow, CoverArrow, "arrow", IncompatibleTower)
     if arrow.target != element.cover:
         raise IncompatibleTower("arrow target is not the element's cover")
     if element.kind == "cycle":
@@ -117,8 +109,8 @@ def common_refinement(first: SurfaceCover, second: SurfaceCover):
     covers refine each other, and a cover refines the trivial cover by the
     constant arrow.  Any other pair takes its fiber product.
     """
-    _need(first, SurfaceCover, "first")
-    _need(second, SurfaceCover, "second")
+    need(first, SurfaceCover, "first", IncompatibleTower)
+    need(second, SurfaceCover, "second", IncompatibleTower)
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     if first == second:

@@ -17,7 +17,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import CovertowerError, DimensionMismatch
+from .errors import CovertowerError, DimensionMismatch, integer, integers, sequence
 from .surface import generator_count, symplectic_product
 
 FOLD_ROWS = 64  # points per fold chunk; more rows raise peak memory, not speed
@@ -63,13 +63,6 @@ def transvection_set_hash(classes) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _sequence(name: str, value) -> tuple:
-    try:
-        return tuple(value)
-    except TypeError:
-        raise CovertowerError(f"{name} must be a sequence, got {value!r:.40}") from None
-
-
 @dataclass(frozen=True)
 class OrbitConfig:
     genus: int = 2
@@ -81,24 +74,20 @@ class OrbitConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("genus", 2), ("steps", 0), ("targets", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise CovertowerError(f"{name} must be an integer at least {low}, got {value!r}")
+            integer(getattr(self, name), name, CovertowerError, low=low)
         n = generator_count(self.genus)
         start = (1,) + (0,) * (n - 1) if self.start is None else self.start
         classes = shipped_transvection_classes(self.genus) if self.classes is None else self.classes
-        classes = _sequence("classes", classes)
+        classes = sequence(classes, "classes", CovertowerError)
         if not classes:
             raise CovertowerError("classes must hold at least one transvection class")
         named = [("start", start), *((f"classes[{k}]", c) for k, c in enumerate(classes))]
         vecs = []
         for name, vec in named:
-            vec = _sequence(name, vec)
+            vec = sequence(vec, name, CovertowerError)
             if len(vec) != n:
                 raise DimensionMismatch(f"{name} has the wrong dimension")
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in vec):
-                raise CovertowerError(f"{name} entries must be integers, got {vec!r}")
-            if not any(vec):
+            if not any(integers(vec, name, CovertowerError)):
                 raise CovertowerError(f"{name} must be a nonzero class")
             vecs.append(vec)
         object.__setattr__(self, "start", vecs[0])

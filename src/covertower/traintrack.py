@@ -8,22 +8,22 @@ one-vertex skeleton of the base surface.  Weights are exact rationals.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .covers import SurfaceCover, CoverArrow, _is_int, _trusted, pull_back
+from .covers import SurfaceCover, CoverArrow, _trusted, pull_back
 from .errors import (
     BaseMismatch,
     ConeViolation,
     DimensionMismatch,
+    IncompatibleTower,
     NegativeWeight,
-    NonIntegerWeights,
     SwitchViolation,
 )
+from .errors import integer, integral, need, rational, sequence, words
 from .exact_linalg import mat_vec, rational_nullspace, rational_rank
-from .surface import Word, generator_count, inverse_word
+from .surface import Word, inverse_word
 
 
 HalfBranch = tuple[int, int]  # (branch index, end 0 or 1)
@@ -42,25 +42,12 @@ class TrainTrack:
     branch_words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.genus) or self.genus < 2:
-            raise DimensionMismatch(f"genus must be an integer at least 2, got {self.genus!r:.40}")
-        n = generator_count(self.genus)
-        try:
-            words = tuple(map(tuple, self.branch_words))
-        except TypeError:
-            raise DimensionMismatch("branch_words must be a sequence of words") from None
-        for k, w in enumerate(words):
-            if not all(_is_int(x) and 0 < abs(x) <= n for x in w):
-                raise DimensionMismatch(f"branch_words[{k}] needs integer letters 0 < |x| <= {n}")
-        object.__setattr__(self, "branch_words", words)
-        try:
-            switches = tuple(self.switches)
-        except TypeError:
-            raise DimensionMismatch("switches must be a sequence of Switch") from None
+        genus = integer(self.genus, "genus", DimensionMismatch, low=2)
+        branch_words = words(self.branch_words, "branch_words", genus, DimensionMismatch)
+        object.__setattr__(self, "branch_words", branch_words)
         checked = []
-        for k, sw in enumerate(switches):
-            if not isinstance(sw, Switch):
-                raise DimensionMismatch(f"switches[{k}] must be a Switch, got {sw!r:.40}")
+        for k, sw in enumerate(sequence(self.switches, "switches", DimensionMismatch)):
+            need(sw, Switch, f"switches[{k}]", DimensionMismatch)
             try:
                 sides = (tuple(sw.side_a), tuple(sw.side_b))
                 hash(sides)
@@ -77,7 +64,7 @@ class TrainTrack:
                 if half in seen:
                     raise DimensionMismatch(f"half-branch {half} used twice")
                 seen.add(half)
-        if seen != {(b, end) for b in range(len(words)) for end in (0, 1)}:
+        if seen != {(b, end) for b in range(len(branch_words)) for end in (0, 1)}:
             raise DimensionMismatch("half-branches do not match the branch list")
 
     @property
@@ -97,8 +84,8 @@ class TrainTrack:
 
     def validate_weights(self, weights) -> tuple[Fraction, ...]:
         """The weights as Fractions, once they are checked to lie in the cone."""
-        _check_count(weights, self.n_branches)
-        weights = tuple(_rational(w, f"weights[{b}]") for b, w in enumerate(weights))
+        weights = sequence(weights, "weights", DimensionMismatch, self.n_branches)
+        weights = tuple(rational(w, f"weights[{b}]") for b, w in enumerate(weights))
         for b, w in enumerate(weights):
             if w < 0:
                 raise NegativeWeight(f"branch {b} has negative weight {w}")
@@ -208,11 +195,11 @@ class LiftedTrack:
     def cycle_chain(self, weights):
         """Integer-weighted lifted branches as an edge chain on the cover,
         edge (i, s) at i * degree + s."""
-        _check_count(weights, len(self.branches))
+        weights = sequence(weights, "weights", DimensionMismatch, len(self.branches))
         d = self.cover.degree
         chain = [0] * (len(self.cover.perms) * d)
         for k, w in enumerate(weights):
-            w = _integer(w, f"weights[{k}]")
+            w = integral(w, f"weights[{k}]")
             if w:
                 for i, t, sign in self.cover.walk(self.base.branch_words[k // d], k % d)[0]:
                     chain[i * d + t] += w * sign
@@ -235,13 +222,12 @@ class CarryingMatrix:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        try:
-            matrix = tuple(
-                tuple(_integer(x, f"matrix[{r}][{c}]") for c, x in enumerate(row))
-                for r, row in enumerate(self.matrix)
-            )
-        except TypeError:
-            raise DimensionMismatch("matrix must be a sequence of rows") from None
+        rows = sequence(self.matrix, "matrix", DimensionMismatch)
+        rows = [sequence(row, f"matrix[{r}]", DimensionMismatch) for r, row in enumerate(rows)]
+        matrix = tuple(
+            tuple(integral(x, f"matrix[{r}][{c}]") for c, x in enumerate(row))
+            for r, row in enumerate(rows)
+        )
         if len(matrix) != self.target.n_branches or any(
             len(row) != self.source.n_branches for row in matrix
         ):
@@ -276,37 +262,9 @@ class CarryingMatrix:
                     )
 
     def apply(self, weights):
+        weights = sequence(weights, "weights", DimensionMismatch)  # read an iterator once
         self.source.validate_weights(weights)
         return mat_vec(self.matrix, weights)
-
-
-def _check_count(weights, n: int) -> None:
-    """DimensionMismatch naming weights unless they are a sequence of n entries."""
-    try:
-        size = len(weights)
-    except TypeError:
-        raise DimensionMismatch(f"weights must be a sequence, got {weights!r:.40}") from None
-    if size != n:
-        raise DimensionMismatch(f"expected {n} weights, got {size}")
-
-
-def _rational(x, name: str) -> Fraction:
-    """x as a Fraction; NonIntegerWeights naming x for a bool or a non-number."""
-    if not isinstance(x, bool) and isinstance(x, numbers.Number):
-        try:
-            return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise NonIntegerWeights(f"{name} must be a number, got {x!r:.40}")
-
-
-def _integer(x, name: str) -> int:
-    if type(x) is int:
-        return x
-    f = _rational(x, name)
-    if f.denominator != 1:
-        raise NonIntegerWeights(f"{name} must be an integer, got {x!r:.40}")
-    return f.numerator
 
 
 def _gather(source: TrainTrack, target: TrainTrack, columns) -> CarryingMatrix:
@@ -326,10 +284,8 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
     branch inherits the base weight, so each column has exactly degree-many
     ones.
     """
-    if not isinstance(track, TrainTrack):
-        raise BaseMismatch(f"track must be a TrainTrack, got {track!r:.40}")
-    if not isinstance(cover, SurfaceCover):
-        raise BaseMismatch("cover expected")
+    need(track, TrainTrack, "track", BaseMismatch)
+    need(cover, SurfaceCover, "cover", BaseMismatch)
     if track.genus != cover.genus:
         raise BaseMismatch("track and cover have different base surfaces")
     lifted = LiftedTrack(base=track, cover=cover)
@@ -342,6 +298,8 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
     For an arrow from a finer cover to the lifted track's cover, each branch
     lifted to the finer cover lies over the branch at the image sheet.
     """
+    need(lifted, LiftedTrack, "lifted", IncompatibleTower)
+    need(arrow, CoverArrow, "arrow", IncompatibleTower)
     if arrow.target != lifted.cover:
         raise BaseMismatch("arrow target is not the lifted track's cover")
     finer = LiftedTrack(base=lifted.base, cover=arrow.source)
@@ -357,6 +315,3 @@ def carrying_compose(first: CarryingMatrix, second: CarryingMatrix) -> CarryingM
     product = tuple(tuple(mat_vec(columns, row)) for row in second.matrix)
     return _trusted(CarryingMatrix, source=first.source, target=second.target, matrix=product)
 
-
-def identity_carrying(track: TrainTrack) -> CarryingMatrix:
-    return _gather(track, track, range(track.n_branches))

@@ -14,8 +14,6 @@ from functools import lru_cache
 from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
 from .covers import (
     SurfaceCover,
-    _is_int,
-    _need,
     _trusted,
     factors_through,
     fiber_product,
@@ -31,6 +29,7 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
+from .errors import integer, need
 from .exact_linalg import mat_vec
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
@@ -94,8 +93,8 @@ class TwoArrowVaut:
     bwd: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        _need(self.left, SurfaceCover, "left")
-        _need(self.right, SurfaceCover, "right")
+        need(self.left, SurfaceCover, "left", IncompatibleTower)
+        need(self.right, SurfaceCover, "right", IncompatibleTower)
         if self.left.genus != self.right.genus:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:
@@ -154,6 +153,8 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     through the identification, and the images are traced out on the cover
     induced through the right arrow.
     """
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
+    need(element, LimitElement, "element", IncompatibleTower)
     if element.kind != "cycle":
         raise KindMismatch("vaut_act moves cycle elements; see vaut_act_track")
     if element.base_genus != vaut.base_genus:
@@ -179,12 +180,14 @@ def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     preserved on the nose.  Carrying the track structure itself across the
     identification is out of scope; only the shadow moves.
     """
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
+    need(element, LimitElement, "element", IncompatibleTower)
     return vaut_act(vaut, homology_shadow(element))
 
 
 def vaut_inverse(vaut: TwoArrowVaut) -> TwoArrowVaut:
     """The vaut with its two sides swapped, unchecked (see TwoArrowVaut)."""
-    _need(vaut, TwoArrowVaut, "vaut")
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
     return _trusted(TwoArrowVaut, left=vaut.right, right=vaut.left, fwd=vaut.bwd, bwd=vaut.fwd)
 
 
@@ -195,6 +198,8 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     common total surface; both identifications transport its stabilizer,
     giving the two arrows of the composite.
     """
+    need(outer, TwoArrowVaut, "outer", IncompatibleTower)
+    need(inner, TwoArrowVaut, "inner", IncompatibleTower)
     if outer.base_genus != inner.base_genus:
         raise BaseMismatch("vauts live over different bases")
     mid = fiber_product(outer.left, inner.right)
@@ -205,7 +210,7 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def identity_vaut(genus: int) -> TwoArrowVaut:
     cover = trivial_cover(genus)
     return TwoArrowVaut(cover, cover, cover.loops, cover.loops)
@@ -226,8 +231,8 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     right cover is induced through the backward table.  The result is
     built unchecked (see TwoArrowVaut).
     """
-    _need(vaut, TwoArrowVaut, "vaut")
-    _need(finer, SurfaceCover, "finer")
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
+    need(finer, SurfaceCover, "finer", IncompatibleTower)
     if factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = induced_cover(vaut.right, vaut.bwd, finer)
@@ -268,9 +273,8 @@ def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:
     cover.  True certifies a representative over each tested characteristic
     cover in both directions; False is inconclusive beyond the tested depth.
     """
-    _need(vaut, TwoArrowVaut, "vaut")
-    if not _is_int(depth) or depth < 0:
-        raise IncompatibleTower(f"depth must be an integer at least 0, got {depth!r:.40}")
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
+    integer(depth, "depth", IncompatibleTower, low=0)
     candidates = [trivial_cover(vaut.base_genus)]
     if depth >= 1:
         candidates.append(mod2_homology_cover(vaut.base_genus))

@@ -2,6 +2,7 @@ from hypothesis import settings
 
 from covertower.covers import SurfaceCover
 from covertower.surface import generator_count
+from covertower.traintrack import CarryingMatrix, TrainTrack, _gather
 
 settings.register_profile("covertower", deadline=None)
 settings.load_profile("covertower")
@@ -13,6 +14,11 @@ def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
     assert len(signs) == generator_count(genus) and any(signs), signs
     swap, ident = (1, 0), (0, 1)
     return SurfaceCover(genus, 2, tuple(swap if b else ident for b in signs))
+
+
+def identity_carrying(track: TrainTrack) -> CarryingMatrix:
+    """The identity matrix of a track, gathered unchecked as lifts are."""
+    return _gather(track, track, range(track.n_branches))
 
 
 def face_boundary_chain(cx, face):

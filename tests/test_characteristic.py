@@ -13,8 +13,10 @@ from covertower.covers import (
     factors_through,
     trivial_cover,
 )
-from covertower.errors import CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
+from covertower.documents import parse_automorphisms
+from covertower.errors import BadDegree, CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
 from covertower.surface import abelianized, free_reduce, substitute
+from covertower.vauts import identity_vaut
 from conftest import double_cover_from_signs
 
 
@@ -77,10 +79,37 @@ def test_automorphism_input_errors_name_the_field():
         ((True, ident, ident), r"genus"),
         ((2, 5, ident), r"images must be a sequence"),
         ((2, ident, None), r"inverse_images must be a sequence"),
+        ((0, (), ()), r"^genus must be an integer at least 2, got 0$"),
+        ((1, ((1,), (2,)), ((1,), (2,))), r"^genus must be an integer at least 2, got 1$"),
     ]
     for args, field in cases:
         with pytest.raises(InvalidAutomorphism, match=field):
             SurfaceAutomorphism(*args)
+
+
+def _automorphisms_at(genus):
+    """An automorphisms document holding the identity at the given genus."""
+    ident = [[i + 1] for i in range(2 * genus)]
+    item = {"images": ident, "inverse_images": ident}
+    return parse_automorphisms({"type": "automorphisms", "genus": genus, "items": [item]})
+
+
+@pytest.mark.parametrize("build, genus, error", [
+    (trivial_cover, 2.0, BadDegree),
+    (trivial_cover, True, BadDegree),
+    (trivial_cover, 1, BadDegree),
+    (mod2_homology_cover, 2.0, BadDegree),
+    (mod2_homology_cover, True, BadDegree),
+    (shipped_automorphisms, 2.0, InvalidAutomorphism),
+    (shipped_automorphisms, True, InvalidAutomorphism),
+    (identity_vaut, 2.0, BadDegree),
+    (identity_vaut, "2", BadDegree),
+    (_automorphisms_at, 1, InvalidAutomorphism),
+])
+def test_genus_is_an_integer_at_least_2(build, genus, error):
+    build(2)  # the cached builders must not answer a float or bool genus from the cache
+    with pytest.raises(error, match=rf"^genus must be an integer at least 2, got {genus!r}$"):
+        build(genus)
 
 
 def test_substitution_respects_relator_on_shipped():

@@ -4,6 +4,11 @@ import random
 
 import pytest
 
+from covertower.characteristic import (
+    characteristic_refinement,
+    is_characteristic,
+    shipped_automorphisms,
+)
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
@@ -286,9 +291,12 @@ def test_canonical_collapses_basepoint_fixing_relabelings():
 @pytest.mark.parametrize(
     "genus, degree, message",
     [
-        (1, 2, "base genus must be at least 2, got 1"),
-        (2, 0, "degree must be at least 1, got 0"),
-        (2, -1, "degree must be at least 1, got -1"),
+        (1, 2, "genus must be an integer at least 2, got 1"),
+        (2, 0, "degree must be an integer at least 1, got 0"),
+        (2, -1, "degree must be an integer at least 1, got -1"),
+        (2, True, "degree must be an integer at least 1, got True"),
+        (2.0, 2, r"genus must be an integer at least 2, got 2\.0"),
+        ("2", 2, "genus must be an integer at least 2, got '2'"),
     ],
 )
 def test_enumeration_rejects_bad_genus_and_degree(genus, degree, message):
@@ -524,6 +532,15 @@ def test_factoring_arrows_compose():
     (fiber_product, (trivial_cover(2), "x"), "second"),
     (factors_through, ("cover", trivial_cover(2)), "fine"),
     (factors_through, (trivial_cover(2), (1, 2)), "coarse"),
+    (induced_cover, (5, (), trivial_cover(2)), "outer"),
+    (induced_cover, (trivial_cover(2), (), None), "target"),
+    (compose_covers, ("cover", trivial_cover(2), {}), "top"),
+    (compose_covers, (trivial_cover(3), 5, {}), "bottom"),
+    (is_characteristic, (5, ()), "cover"),
+    (is_characteristic, (trivial_cover(2), 5), "automorphisms"),
+    (is_characteristic, (trivial_cover(2), (shipped_automorphisms(2)[0], "aut")),
+     r"automorphisms\[1\]"),
+    (characteristic_refinement, ("cover",), "cover"),
 ])
 def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
     from covertower.errors import IncompatibleTower

@@ -459,6 +459,11 @@ DOUBLE = double_cover_from_signs(2, (1, 0, 0, 0))
     (lift_element, (base_class_element(2, (1, 0, 0, 0)), DOUBLE), "arrow"),
     (common_refinement, (5, DOUBLE), "first"),
     (common_refinement, (DOUBLE, "cover"), "second"),
+    (cycle_element, (5, (0, 0, 0, 0)), "cover"),
+    (LimitElement, ("cycle", "cover", (0, 0, 0, 0)), "cover"),
+    (track_element, (three_branch_example(), None, (2, 1, 1)), "cover"),
+    (arrow_step_matrix, ("lifted", arrow_to_trivial(DOUBLE)), "lifted"),
+    (arrow_step_matrix, (lift_track(three_branch_example(), DOUBLE)[0], DOUBLE), "arrow"),
 ])
 def test_trusted_builders_name_a_bad_argument(build, args, name):
     with pytest.raises(IncompatibleTower, match=name):

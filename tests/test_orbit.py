@@ -265,11 +265,16 @@ def test_config_rejects_bad_sizes(name, value):
 @pytest.mark.parametrize(
     "field, config",
     [
-        ("start", {"start": (1.0, 0, 0, 0)}),
-        ("start", {"start": (True, 0, 0, 0)}),
+        # a bad entry is named as such; the id keeps the vector it lies in
+        pytest.param("start[0]", {"start": (1.0, 0, 0, 0)}, id="start-config0"),
+        pytest.param("start[0]", {"start": (True, 0, 0, 0)}, id="start-config1"),
         ("start", {"start": (0, 0, 0, 0)}),
-        ("classes[0]", {"classes": ((0.5, 0, 0, 0), (0, 1, 0, 0))}),
-        ("classes[1]", {"classes": ((1, 0, 0, 0), (0, False, 0, 1))}),
+        pytest.param(
+            "classes[0][0]", {"classes": ((0.5, 0, 0, 0), (0, 1, 0, 0))}, id="classes[0]-config3"
+        ),
+        pytest.param(
+            "classes[1][1]", {"classes": ((1, 0, 0, 0), (0, False, 0, 1))}, id="classes[1]-config4"
+        ),
         ("classes[1]", {"classes": ((1, 0, 0, 0), (0, 0, 0, 0))}),
         ("classes", {"classes": ()}),
         ("start", {"start": 5}),

@@ -35,11 +35,10 @@ from covertower.traintrack import (
     TrainTrack,
     arrow_step_matrix,
     carrying_compose,
-    identity_carrying,
     lift_track,
     three_branch_example,
 )
-from conftest import double_cover_from_signs
+from conftest import double_cover_from_signs, identity_carrying
 
 
 def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
@@ -142,14 +141,15 @@ EXAMPLE_WORDS = ((1,), (1,), ())
         (lambda ex, cover: TrainTrack(2, (5,), ()), "switches[0]"),
         (lambda ex, cover: TrainTrack(2, 5, ()), "switches"),
         (lambda ex, cover: TrainTrack(2, ex.switches, 5), "branch_words"),
-        (lambda ex, cover: TrainTrack(2, ex.switches, (5, (1,), ())), "branch_words"),
+        (lambda ex, cover: TrainTrack(2, ex.switches, (5, (1,), ())), "branch_words[0]"),
         (lambda ex, cover: lift_track("x", cover), "track"),
+        (lambda ex, cover: lift_track(ex, "x"), "cover"),
         (lambda ex, cover: LiftedTrack(ex, cover).cycle_chain(None), "weights"),
         (lambda ex, cover: ex.validate_weights(None), "weights"),
     ],
     ids=[
         "genus-float", "genus-bool", "genus-1", "switch-int", "switches-int",
-        "branch_words-int", "branch_word-int", "lift-str", "cycle_chain-None",
+        "branch_words-int", "branch_word-int", "lift-str", "lift-cover-str", "cycle_chain-None",
         "validate_weights-None",
     ],
 )
@@ -384,6 +384,7 @@ def test_apply_validates_source_weights():
     # mat_vec zips, so a short weight vector used to be truncated silently
     _, matrix = lift_track(three_branch_example(), double_cover_from_signs(2, (1, 0, 0, 0)))
     assert matrix.apply((2, 1, 1)) == [2, 2, 1, 1, 1, 1]
+    assert matrix.apply(iter((2, 1, 1))) == [2, 2, 1, 1, 1, 1]  # validated and applied once
     with pytest.raises(DimensionMismatch):
         matrix.apply((2, 1))
     with pytest.raises(DimensionMismatch):

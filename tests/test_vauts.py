@@ -486,6 +486,12 @@ def test_certificate_matches_the_checked_restriction_oracle():
     (certified_in_caut, (identity_vaut(2), "a"), "depth"),
     (certified_in_caut, (identity_vaut(2), 1.0), "depth"),
     (certified_in_caut, (identity_vaut(2), -1), "depth"),
+    (vaut_act, (5, base_class_element(2, (1, 0, 0, 0))), "vaut"),
+    (vaut_act, (identity_vaut(2), (1, 0, 0, 0)), "element"),
+    (vaut_act_track, ("vaut", base_class_element(2, (1, 0, 0, 0))), "vaut"),
+    (vaut_act_track, (identity_vaut(2), None), "element"),
+    (vaut_compose, (5, identity_vaut(2)), "outer"),
+    (vaut_compose, (identity_vaut(2), "inner"), "inner"),
 ])
 def test_trusted_vaut_builders_name_a_bad_argument(build, args, name):
     with pytest.raises(IncompatibleTower, match=name):
