@@ -23,6 +23,7 @@ from .characteristic import (
 )
 from .covers import enumerate_covers, fiber_product
 from .documents import (
+    SCHEMA,
     DocumentError,
     cover_document,
     cycle_document,
@@ -89,7 +90,7 @@ def _cmd_fiber_product(args) -> int:
     second = parse_cover(_read_json(args.second))
     fp = fiber_product(first, second)
     doc = {
-        "schema": "covertower/1",
+        "schema": SCHEMA,
         "type": "fiber-product",
         "cover": cover_document(fp.cover),
         "to_first": [s + 1 for s in fp.to_first.sheet_map],

@@ -30,7 +30,7 @@ from .errors import (
     RelatorNotTrivial,
     SearchBudgetExceeded,
 )
-from .errors import integer, integers, need, sequence
+from .errors import integer, integers, need, sequence, words
 from .surface import Word, free_reduce, generator_count, inverse_word, surface_relator
 
 Perm = tuple[int, ...]
@@ -274,6 +274,10 @@ def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
     p1[0] <= 1 and q1[0] <= p1[0] + 1.  A first pair that fails this is
     skipped with every completion of it.  The rule is exact, as the walk
     rejects precisely those tuples at its first two reads.
+
+    The tuples come out sorted, in census order, with no sort: pair_comm is
+    built in lexicographic order, itertools.product over it is lexicographic,
+    and each comm_to_pairs list keeps that order.
     """
     all_perms = list(itertools.permutations(range(degree)))
     inv = {p: perm_inverse(p) for p in all_perms}
@@ -311,7 +315,7 @@ def _enumerate_cached(genus: int, degree: int) -> tuple[SurfaceCover, ...]:
     if degree == 1:
         return (trivial_cover(genus),)
     # the commutator table kills the relator; canonical tuples are transitive
-    tuples = sorted(_canonical_tuples(genus, degree))
+    tuples = _canonical_tuples(genus, degree)
     return tuple(_trusted(SurfaceCover, genus=genus, degree=degree, perms=p) for p in tuples)
 
 
@@ -513,6 +517,8 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     need(target, SurfaceCover, "target", IncompatibleTower)
     if outer.genus != target.genus:
         raise BaseMismatch("outer and target covers have different base surfaces")
+    table = sequence(table, "table", IncompatibleTower, len(outer.schreier.nontree))
+    table = words(table, "table", outer.genus, IncompatibleTower)
     states, perms = _transport(outer, table, target)
     cover = SurfaceCover(outer.genus, len(states), perms)
     outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action

@@ -178,12 +178,11 @@ class CoverComplex:
         return self._homology
 
     def homology_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Integral homology basis, one edge chain per class, built on first use."""
-        data = self._homology_data()
-        if "basis" not in data:
-            loops = (schreier_loop(self.cover, self.edge_of_index(e)) for e in data["class_edges"])
-            data["basis"] = tuple(tuple(self.word_path_chain(w, 0)) for w in loops)
-        return data["basis"]
+        """Integral homology basis, one edge chain per class, built on each
+        call and not kept: a sweep reads it once per cover."""
+        edges = self._homology_data()["class_edges"]
+        loops = (schreier_loop(self.cover, self.edge_of_index(e)) for e in edges)
+        return tuple(tuple(self.word_path_chain(w, 0)) for w in loops)
 
     def class_coordinates(self, chain):
         """Coordinates of a cycle's homology class in the homology_basis."""

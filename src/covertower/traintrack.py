@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .covers import SurfaceCover, CoverArrow, _trusted, pull_back
+from .covers import SurfaceCover, CoverArrow, _trusted, perm_inverse, pull_back
 from .errors import (
     BaseMismatch,
     ConeViolation,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .errors import integer, integral, need, rational, sequence, words
 from .exact_linalg import mat_vec, rational_nullspace, rational_rank
-from .surface import Word, inverse_word
+from .surface import Word
 
 
 HalfBranch = tuple[int, int]  # (branch index, end 0 or 1)
@@ -157,40 +157,28 @@ class LiftedTrack:
         d = self.cover.degree
         return tuple((b, s) for b in range(self.base.n_branches) for s in range(d))
 
-    def lifted_switch_sides(self, k: int, s: int):
-        """Half-branches of the lifted switch (k, s), both sides.
-
-        A base half-branch (b, 0) at the switch lifts to ((b, s), 0); a base
-        half-branch (b, 1) lifts to ((b, t), 1) where the branch word maps t
-        to s (the lift that arrives at sheet s).
-        """
-        def lift_half(half: HalfBranch):
-            b, end = half
-            t = self.cover.act(inverse_word(self.base.branch_words[b]), s) if end else s
-            return (b * self.cover.degree + t, end)
-
-        sw = self.base.switches[k]
-        return (
-            tuple(lift_half(h) for h in sw.side_a),
-            tuple(lift_half(h) for h in sw.side_b),
-        )
-
     @cached_property
     def track(self) -> TrainTrack:
-        """The lifted track as a plain TrainTrack, built once.
+        """The lifted track as a plain TrainTrack, built once and unchecked.
 
-        Lifted switch (k, s) is switch k * degree + s.  Branch words are kept
-        as base words for homology bookkeeping at the base; positional
-        structure (which sheet) lives in the branch order.
+        Lifted switch (k, s) is switch k * degree + s.  At it a base
+        half-branch (b, 0) lifts to (b * degree + s, 0), and (b, 1) to the end
+        of the lift of b arriving at sheet s, which starts at arrives[b][s].
+        Each lifted half-branch is used once, so the lift of a checked track
+        passes the TrainTrack checks by construction.  Branch words stay base
+        words; which sheet lives in the branch order.
         """
-        d = self.cover.degree
+        d, base = self.cover.degree, self.base
+        arrives = [perm_inverse(self.cover.word_permutation(w)) for w in base.branch_words]
+
+        def side(halves, s: int) -> tuple[HalfBranch, ...]:
+            return tuple((b * d + (arrives[b][s] if end else s), end) for b, end in halves)
+
         switches = tuple(
-            Switch(*self.lifted_switch_sides(k, s))
-            for k in range(len(self.base.switches))
-            for s in range(d)
+            Switch(side(sw.side_a, s), side(sw.side_b, s)) for sw in base.switches for s in range(d)
         )
-        words = tuple(self.base.branch_words[b] for (b, _) in self.branches)
-        return TrainTrack(genus=self.base.genus, switches=switches, branch_words=words)
+        words = tuple(w for w in base.branch_words for _ in range(d))
+        return _trusted(TrainTrack, genus=base.genus, switches=switches, branch_words=words)
 
     def cycle_chain(self, weights):
         """Integer-weighted lifted branches as an edge chain on the cover,

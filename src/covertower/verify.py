@@ -16,7 +16,7 @@ from functools import partial
 from operator import mul
 
 from .characteristic import shipped_automorphisms
-from .covers import SurfaceCover, arrow_to_trivial, enumerate_covers, trivial_cover
+from .covers import SurfaceCover, arrow_to_trivial, enumerate_covers
 from .documents import (
     counterexample_document,
     cover_document,
@@ -108,9 +108,13 @@ def _field(data, key: str, parse):
         raise DocumentError(f"counterexample field {key!r}: {exc}") from exc
 
 
-def _replay_riemann_hurwitz(data) -> bool:
-    cover = _field(data, "cover", parse_cover)
-    return surface_complex(cover).genus == cover.total_genus
+def _replay_sweep(worker_of):
+    """Replay of a sweep counterexample: rerun the suite's per-cover check,
+    worker_of(genus), on the cover the counterexample names."""
+    def replay(data) -> bool:
+        cover = _field(data, "cover", parse_cover)
+        return worker_of(cover.genus)(cover) is None
+    return replay
 
 
 def _unit_basis(genus: int) -> tuple[tuple[int, ...], ...]:
@@ -162,11 +166,6 @@ def _ts_one(cover: SurfaceCover, form, basis):
 
 def suite_transfer_scaling(genus: int, max_degree: int, seed: int):
     return _sweep("transfer-scaling", _ts_worker(genus), genus, max_degree)
-
-
-def _replay_transfer_scaling(data) -> bool:
-    cover = _field(data, "cover", parse_cover)
-    return _ts_worker(cover.genus)(cover) is None
 
 
 # -- pairing-invariance
@@ -249,14 +248,12 @@ def _law_pool(genus: int, max_degree: int):
     if genus == 2:
         for aut in shipped_automorphisms(2):
             vauts.append(vaut_from_automorphism(aut))
-    degree = min(2, max_degree)
-    covers = list(enumerate_covers(genus, degree)) or [trivial_cover(genus)]
-    covers = covers[:3]
+    covers = enumerate_covers(genus, min(2, max_degree))[:2]
     unrestricted = vauts[-1]
-    for cover in covers[:2]:
+    for cover in covers:
         vauts.append(restrict_vaut(unrestricted, cover))
     elements = _base_elements(genus)
-    for cover in covers[:2]:
+    for cover in covers:
         cx = surface_complex(cover)
         elements.append(cycle_element(cover, cx.transfer(elements[0].payload)))
     return vauts, elements, covers
@@ -309,7 +306,7 @@ def suite_vaut_laws(genus: int, max_degree: int, seed: int):
         (rng.randrange(len(vauts)), rng.randrange(len(vauts)), rng.randrange(len(elements)))
         for _ in range(20)
     ]
-    fines = [lift_element(e, arrow_to_trivial(cover)) for cover in covers[:2]]
+    fines = [lift_element(e, arrow_to_trivial(cover)) for cover in covers]
     stages = (
         ("identity", [(x,) for x in elements], f"identity law: {len(elements)} elements"),
         ("inverse", [(v, e) for v in vauts], f"inverse law: {len(vauts)} vauts"),
@@ -342,10 +339,10 @@ def _replay_vaut_laws(data) -> bool:
 
 # -- theorem3 (normalized-pairing invariance; the suite name is part of the CLI)
 
-def _t3_worker(genus: int, base: list):
+def _t3_worker(genus: int):
     """_t3_one with the base elements and the expected normalized pairings."""
     wants = [[Fraction(x, genus - 1) for x in row] for row in standard_symplectic(genus)]
-    return partial(_t3_one, wants=wants, base=base)
+    return partial(_t3_one, wants=wants, base=_base_elements(genus))
 
 
 def _t3_one(cover: SurfaceCover, wants, base):
@@ -369,21 +366,18 @@ def _t3_one(cover: SurfaceCover, wants, base):
 
 def suite_theorem3(genus: int, max_degree: int, seed: int):
     suite = "theorem3"
-    base = _base_elements(genus)
-    result = _sweep(suite, _t3_worker(genus, base), genus, max_degree)
+    result = _sweep(suite, _t3_worker(genus), genus, max_degree)
     if not result.ok:
         return result
     lines = list(result.lines)
-    e1, e2 = base[0], base[1]
+    e1, e2 = _base_elements(genus)[:2]
     vauts = [identity_vaut(genus)]
     if genus == 2:
         # the pairing is only preserved by orientation-preserving elements
         for aut in shipped_automorphisms(2):
             if aut.is_orientation_preserving():
                 vauts.append(vaut_from_automorphism(aut))
-        degree2 = enumerate_covers(2, min(2, max_degree))
-        if degree2:
-            vauts.append(restrict_vaut(vauts[-1], degree2[0]))
+        vauts.append(restrict_vaut(vauts[-1], enumerate_covers(2, min(2, max_degree))[0]))
     for v in vauts:
         if not pairing_preserved(v, e1, e2):
             data = {
@@ -402,8 +396,7 @@ def _replay_theorem3(data) -> bool:
         v = _field(data, "vaut", parse_vaut)
         e1, e2 = (_field(data, key, parse_element) for key in ("e1", "e2"))
         return pairing_preserved(v, e1, e2)
-    cover = _field(data, "cover", parse_cover)
-    return _t3_worker(cover.genus, _base_elements(cover.genus))(cover) is None
+    return _replay_sweep(_t3_worker)(data)
 
 
 SUITES = {
@@ -415,8 +408,8 @@ SUITES = {
 }
 
 _REPLAYS = {
-    "riemann-hurwitz": _replay_riemann_hurwitz,
-    "transfer-scaling": _replay_transfer_scaling,
+    "riemann-hurwitz": _replay_sweep(lambda genus: _rh_one),
+    "transfer-scaling": _replay_sweep(_ts_worker),
     "pairing-invariance": _replay_pairing_invariance,
     "vaut-laws": _replay_vaut_laws,
     "theorem3": _replay_theorem3,

@@ -12,6 +12,7 @@ from covertower.characteristic import (
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
+    _canonical_tuples,
     _discovery_is_identity,
     _enumerate_cached,
     _schreier_walk,
@@ -258,6 +259,12 @@ def unpruned_canonical_tuples(genus, degree):
 def test_pruned_search_matches_the_unpruned_search(genus, degree):
     covers = enumerate_covers(genus, degree)
     assert [c.perms for c in covers] == sorted(unpruned_canonical_tuples(genus, degree))
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_search_emits_tuples_in_census_order(genus, degree):
+    tuples = _canonical_tuples(genus, degree)
+    assert tuples == sorted(tuples)
 
 
 def test_genus3_counts():
@@ -541,6 +548,12 @@ def test_factoring_arrows_compose():
     (is_characteristic, (trivial_cover(2), (shipped_automorphisms(2)[0], "aut")),
      r"automorphisms\[1\]"),
     (characteristic_refinement, ("cover",), "cover"),
+    (induced_cover, (trivial_cover(2), 5, trivial_cover(2)), "table must be a sequence"),
+    (induced_cover, (trivial_cover(2), ((1,),) * 3, trivial_cover(2)), "expected 4 table, got 3"),
+    (induced_cover, (trivial_cover(2), ((1,), (2,), (3,), (5,)), trivial_cover(2)),
+     r"table\[3\] must be a word"),
+    (induced_cover, (trivial_cover(2), ((1,), (0,), (3,), (4,)), trivial_cover(2)),
+     r"table\[1\] must be a word"),
 ])
 def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
     from covertower.errors import IncompatibleTower

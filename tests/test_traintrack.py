@@ -27,7 +27,7 @@ from covertower.errors import (
 from covertower.exact_linalg import mat_vec, rational_nullspace, rational_rank
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, homology_shadow, limit_equal, track_element
-from covertower.surface import abelianized
+from covertower.surface import abelianized, inverse_word
 from covertower.traintrack import (
     CarryingMatrix,
     LiftedTrack,
@@ -628,3 +628,58 @@ def test_carrying_builders_skip_the_cone_check(monkeypatch):
         step = arrow_step_matrix(lifted, fp.to_first)
         carrying_compose(base_to_cover, step)
     assert calls == []
+
+
+# -- the lifted track against the inverse-word rule
+#
+# LiftedTrack.track reads one sheet permutation per branch word and skips the
+# TrainTrack checks.  The oracle walks the inverse branch word from each
+# lifted switch, sheet by sheet, and rebuilds each lift through the public
+# constructor.
+
+
+def inverse_word_switches(lifted: LiftedTrack) -> tuple[Switch, ...]:
+    """Lifted switch (k, s): an end-1 half-branch (b, 1) goes to the lift of b
+    that starts where the inverse of b's word sends s."""
+    cover, words, d = lifted.cover, lifted.base.branch_words, lifted.cover.degree
+
+    def side(halves, s):
+        return tuple(
+            (b * d + (cover.act(inverse_word(words[b]), s) if end else s), end)
+            for b, end in halves
+        )
+
+    return tuple(
+        Switch(side(sw.side_a, s), side(sw.side_b, s))
+        for sw in lifted.base.switches
+        for s in range(d)
+    )
+
+
+def test_lift_matches_the_inverse_word_rule(monkeypatch):
+    wordy = TrainTrack(
+        genus=2,
+        switches=(
+            Switch(side_a=((0, 0),), side_b=((1, 0), (2, 0))),
+            Switch(side_a=((0, 1), (3, 0)), side_b=((1, 1), (2, 1), (3, 1))),
+        ),
+        branch_words=((1, 2, -1), (-3, 4), (), (2,)),
+    )
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)] + [mod2_homology_cover(2)]
+    cases = [(track, cover) for track in (three_branch_example(), wordy) for cover in covers]
+    calls = []
+    checks = TrainTrack.__post_init__
+
+    def post_init(self):
+        calls.append(self)
+        checks(self)
+
+    monkeypatch.setattr(TrainTrack, "__post_init__", post_init)
+    lifts = [lift_track(track, cover)[0] for track, cover in cases]
+    assert calls == [] and len(lifts) == 2 * 237
+    for lifted in lifts:
+        track, d = lifted.track, lifted.cover.degree
+        assert track.switches == inverse_word_switches(lifted)
+        assert track.branch_words == tuple(w for w in lifted.base.branch_words for _ in range(d))
+        assert TrainTrack(track.genus, track.switches, track.branch_words) == track
+    assert len(calls) == len(lifts)  # the counter sees the public constructor
