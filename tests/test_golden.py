@@ -3,7 +3,8 @@
 Each test hashes a fixed corpus of outputs and compares the sha256 digest
 with a value recorded from a known-good tree.  The corpora run through the
 fiber-product, induced-cover, composition and refinement builders, the
-exact solves behind every vaut and the train-track lift, so a refactor of
+exact solves behind every vaut, the train-track lift and the path chains
+of homology bases, track shadows and vaut images, so a refactor of
 those kernels that changes a single sheet label, table word or report line
 fails here.  The orbit walk's reports are pinned the same way, one plain
 sha256 of ``result.report()`` per configuration.  To regenerate
@@ -26,6 +27,8 @@ from covertower.covers import (
     identity_perm,
     trivial_cover,
 )
+from covertower.homology import surface_complex
+from covertower.limits import base_class_element, cycle_element, track_element
 from covertower.documents import (
     cover_document,
     dumps_canonical,
@@ -33,8 +36,14 @@ from covertower.documents import (
     vaut_document,
 )
 from covertower.orbit import OrbitConfig, orbit_density_experiment
-from covertower.traintrack import three_branch_example
-from covertower.vauts import restrict_vaut, vaut_compose, vaut_from_automorphism
+from covertower.traintrack import lift_track, three_branch_example
+from covertower.vauts import (
+    restrict_vaut,
+    vaut_act,
+    vaut_act_track,
+    vaut_compose,
+    vaut_from_automorphism,
+)
 from covertower.verify import SUITES
 
 from conftest import double_cover_from_signs
@@ -68,6 +77,10 @@ GOLDEN = {
     "lift_track": (
         "e1efbbb278e44797ec9d458f436638f9"
         "c6e091fb7fd158738193199b12443efd"
+    ),
+    "chains": (
+        "aa939038d4c0c6e48b439744a958c117"
+        "24d15df55a2ba0fb7ae5b08e08acedf1"
     ),
 }
 
@@ -177,6 +190,45 @@ def test_lift_track_documents(tmp_path, capsys):
         for path in _cover_files(tmp_path, covers)
     ]
     assert _digest(chunks) == GOLDEN["lift_track"]
+
+
+def _chain_chunk(cover, chain) -> str:
+    return json.dumps([cover.perms, list(chain)], separators=(",", ":"))
+
+
+def test_path_chains():
+    """Chain payloads: homology bases, track shadows and vaut images."""
+    low = _low_covers()
+    mod2 = mod2_homology_cover(2)
+    chunks = []
+    for cover in low + [mod2]:
+        basis = surface_complex(cover).homology_basis()
+        chunks += [_chain_chunk(cover, chain) for chain in basis]
+    track = three_branch_example()
+    rng = random.Random(11)
+    for cover in low[:16] + low[16::20] + [mod2]:
+        lifted, matrix = lift_track(track, cover)
+        for base in ((1, 1, 0), (2, 1, 1), (3, 0, 3)):
+            chunks.append(_chain_chunk(cover, lifted.cycle_chain(matrix.apply(base))))
+        weights = [rng.randint(-3, 3) for _ in lifted.branches]
+        chunks.append(_chain_chunk(cover, lifted.cycle_chain(weights)))
+    vauts = _shipped_vauts()
+    vauts.append(restrict_vaut(vauts[-1], enumerate_covers(2, 2)[0]))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    elements = [base_class_element(2, e) for e in units]
+    for k, cover in enumerate(low[:16]):
+        cx = surface_complex(cover)
+        elements.append(cycle_element(cover, cx.transfer(units[k % 4])))
+    for vaut in vauts:
+        for element in elements:
+            moved = vaut_act(vaut, element)
+            chunks.append(_chain_chunk(moved.cover, moved.payload))
+    cover = enumerate_covers(2, 2)[3]
+    lifted, matrix = lift_track(track, cover)
+    element = track_element(track, cover, matrix.apply((2, 1, 1)))
+    moved = vaut_act_track(vauts[0], element)
+    chunks.append(_chain_chunk(moved.cover, moved.payload))
+    assert _digest(chunks) == GOLDEN["chains"]
 
 
 @pytest.mark.parametrize("steps, targets, seed", sorted(ORBIT_GOLDEN))
