@@ -15,7 +15,6 @@ from .covers import (
     SurfaceCover,
     _pointed_orbit,
     enumerate_covers,
-    identity_perm,
     search_budget,
     trivial_cover,
 )
@@ -144,9 +143,9 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
         need(aut, SurfaceAutomorphism, f"automorphisms[{k}]", IncompatibleTower)
         if aut.genus != cover.genus:
             raise InvalidAutomorphism("automorphism is for a different genus")
-    ident = identity_perm(cover.degree)
+    sheets = range(cover.degree)
     for loop in cover.loops:
-        if cover.word_permutation(loop) != ident:
+        if any(cover.act(loop, s) != s for s in sheets):
             return False
     for aut in automorphisms:
         for loop in cover.loops:

@@ -73,10 +73,6 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 @dataclass(frozen=True)
 class SurfaceCover:
     genus: int
@@ -92,7 +88,8 @@ class SurfaceCover:
             if len(p) != d or sorted(p) != list(range(d)):
                 raise BadDegree(f"{p} is not a permutation of 0..{d - 1}")
         object.__setattr__(self, "perms", perms)
-        if self.word_permutation(surface_relator(g)) != identity_perm(d):
+        relator = surface_relator(g)
+        if any(self.act(relator, s) != s for s in range(d)):
             raise RelatorNotTrivial("surface relator does not act as the identity")
         order, _, _ = _schreier_walk(self)
         if len(order) != d:
@@ -146,11 +143,15 @@ class SurfaceCover:
                 edges.append((-letter - 1, sheet, -1))
         return edges, sheet
 
-    def word_permutation(self, word) -> Perm:
-        out = identity_perm(self.degree)
-        for letter in word:
-            idx = abs(letter) - 1
-            out = perm_mul(out, self.perms[idx] if letter > 0 else self.inverse_perms[idx])
+    def chain(self, terms) -> list[int]:
+        """Sum of coeff times the edge chain of the lift of word from sheet,
+        over (word, sheet, coeff) terms.  Edge (i, s) sits at i * degree + s,
+        the block layout of pull_back."""
+        d = self.degree
+        out = [0] * (len(self.perms) * d)
+        for word, sheet, coeff in terms:
+            for i, s, sign in self.walk(word, sheet)[0]:
+                out[i * d + s] += coeff * sign
         return out
 
     def stabilizes_basepoint(self, word) -> bool:

@@ -56,11 +56,6 @@ def _rref(rows, n: int) -> list[int]:
     return pivots
 
 
-def rational_rank(mat) -> int:
-    n = len(mat[0]) if mat else 0
-    return len(_rref([[Fraction(x) for x in row] for row in mat], n))
-
-
 def rational_nullspace(mat, n_cols: int | None = None):
     """Basis of the right nullspace {x : mat @ x = 0}, as Fraction columns."""
     n = n_cols if n_cols is not None else (len(mat[0]) if mat else 0)

@@ -5,7 +5,8 @@ boundary spells the relator.  A degree-d cover lifts this to d vertices
 (sheets), 2gd edges, and d faces, the lifts of the relator (Hatcher,
 Algebraic Topology, 1.3).
 
-Edges are indexed e = i*d + s for generator i and source sheet s; the edge
+Edges are indexed e = i*d + s for generator i and source sheet s, the
+layout of SurfaceCover.chain, which builds every path chain; the edge
 runs from sheet s to the sheet the generator sends s to.  Each edge has two
 darts, 2e (forward) and 2e+1 (reverse).  The rotation at a vertex lists the
 darts leaving it in the cyclic order inherited from the base polygon; the
@@ -138,13 +139,6 @@ class CoverComplex:
         d = self.cover.degree
         return [sum(chain[e : e + d]) for e in range(0, self.n_edges, d)]
 
-    def word_path_chain(self, word, sheet: int):
-        """Edge chain of the lift of a base path word starting at a sheet."""
-        chain = self.zero_chain()
-        for i, s, sign in self.cover.walk(word, sheet)[0]:
-            chain[self.edge_index(i, s)] += sign
-        return chain
-
     # -- homology
 
     def _homology_data(self):
@@ -182,7 +176,7 @@ class CoverComplex:
         call and not kept: a sweep reads it once per cover."""
         edges = self._homology_data()["class_edges"]
         loops = (schreier_loop(self.cover, self.edge_of_index(e)) for e in edges)
-        return tuple(tuple(self.word_path_chain(w, 0)) for w in loops)
+        return tuple(tuple(self.cover.chain([(w, 0, 1)])) for w in loops)
 
     def class_coordinates(self, chain):
         """Coordinates of a cycle's homology class in the homology_basis."""

@@ -38,8 +38,8 @@ TrackPayload = tuple[TrainTrack, tuple[Fraction, ...]]
 class LimitElement:
     """Tower element presented over one cover.
 
-    kind "cycle": payload is an integer edge chain on the cover, indexed
-    edge (i, s) at i*degree + s, and must be a cycle.
+    kind "cycle": payload is an integer edge chain on the cover, in the
+    edge layout of SurfaceCover.chain, and must be a cycle.
     kind "track": payload is (base track, weights on the track's lift to
     the cover), weights in branch order (b, sheet), nonnegative, satisfying
     the lifted switch conditions.
@@ -63,6 +63,10 @@ class LimitElement:
         elif self.kind == "track":
             track, weights = sequence(self.payload, "payload", KindMismatch, length=2)
             need(track, TrainTrack, "payload[0]", KindMismatch)
+            if track.genus != self.cover.genus:
+                raise BaseMismatch(
+                    f"track has genus {track.genus}, cover has base genus {self.cover.genus}"
+                )
             weights = LiftedTrack(track, self.cover).track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:

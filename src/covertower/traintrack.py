@@ -22,7 +22,7 @@ from .errors import (
     SwitchViolation,
 )
 from .errors import integer, integral, need, rational, sequence, words
-from .exact_linalg import mat_vec, rational_nullspace, rational_rank
+from .exact_linalg import mat_vec, rational_nullspace
 from .surface import Word
 
 
@@ -96,7 +96,8 @@ class TrainTrack:
         return weights
 
     def chart_dimension(self) -> int:
-        return self.n_branches - rational_rank(self.switch_matrix())
+        # rank-nullity: the nullspace has n_branches - rank(S) vectors
+        return len(rational_nullspace(self.switch_matrix(), self.n_branches))
 
     def carried_branches(self) -> frozenset[int]:
         """Branches that some closed train path runs along.
@@ -168,8 +169,8 @@ class LiftedTrack:
         passes the TrainTrack checks by construction.  Branch words stay base
         words; which sheet lives in the branch order.
         """
-        d, base = self.cover.degree, self.base
-        arrives = [perm_inverse(self.cover.word_permutation(w)) for w in base.branch_words]
+        d, base, act = self.cover.degree, self.base, self.cover.act
+        arrives = [perm_inverse([act(w, s) for s in range(d)]) for w in base.branch_words]
 
         def side(halves, s: int) -> tuple[HalfBranch, ...]:
             return tuple((b * d + (arrives[b][s] if end else s), end) for b, end in halves)
@@ -181,17 +182,13 @@ class LiftedTrack:
         return _trusted(TrainTrack, genus=base.genus, switches=switches, branch_words=words)
 
     def cycle_chain(self, weights):
-        """Integer-weighted lifted branches as an edge chain on the cover,
-        edge (i, s) at i * degree + s."""
+        """Integer-weighted lifted branches as an edge chain on the cover, in
+        the layout of SurfaceCover.chain."""
         weights = sequence(weights, "weights", DimensionMismatch, len(self.branches))
-        d = self.cover.degree
-        chain = [0] * (len(self.cover.perms) * d)
-        for k, w in enumerate(weights):
-            w = integral(w, f"weights[{k}]")
-            if w:
-                for i, t, sign in self.cover.walk(self.base.branch_words[k // d], k % d)[0]:
-                    chain[i * d + t] += w * sign
-        return chain
+        words, d = self.base.branch_words, self.cover.degree
+        terms = [(words[k // d], k % d, integral(w, f"weights[{k}]"))
+                 for k, w in enumerate(weights)]
+        return self.cover.chain(terms)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
 def _homology_map(source: SurfaceCover, target: SurfaceCover, table):
     """Map a table of Schreier-generator images induces on homology, or None."""
     cx = surface_complex(target)
-    images = [cx.class_coordinates(cx.word_path_chain(w, 0)) for w in table]
+    images = [cx.class_coordinates(target.chain([(w, 0, 1)])) for w in table]
     return surface_complex(source).loop_map(images)
 
 
@@ -162,15 +162,10 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     w = fiber_product(element.cover, vaut.left)
     chain = transfer_along_arrow(w.to_first, element.payload)
     image = induced_cover(vaut.right, vaut.bwd, w.cover).cover
-    d = image.degree
-    out = [0] * (len(image.perms) * d)
-    for (i, s), loop in zip(w.cover.schreier.nontree, w.cover.loops):
-        coeff = chain[i * w.cover.degree + s]
-        if coeff:
-            moved = vaut.forward_word(loop)
-            for j, t, sign in image.walk(moved, 0)[0]:
-                out[j * d + t] += coeff * sign
-    return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(out))
+    d = w.cover.degree
+    coeffs = (chain[i * d + s] for i, s in w.cover.schreier.nontree)
+    terms = [(vaut.forward_word(loop), 0, c) for c, loop in zip(coeffs, w.cover.loops) if c]
+    return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(image.chain(terms)))
 
 
 def vaut_act_track(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:

@@ -22,7 +22,7 @@ from covertower.documents import (
     vaut_document,
 )
 from covertower.homology import surface_complex
-from covertower.limits import base_class_element, cycle_element, limit_equal
+from covertower.limits import base_class_element, cycle_element, limit_equal, track_element
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import identity_vaut, vaut_act
 from conftest import double_cover_from_signs
@@ -375,6 +375,19 @@ def test_bad_input_still_exits_2_without_a_traceback(tmp_path, capsys):
     code, err = run_err(capsys, "lift-cycle", "--cover", cp, "--class", "[1e999,0,0,0]")
     assert code == 2
     assert "bad class vector" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("branch_words", [[[5], [5], []], [[1], [1], []]])
+def test_track_element_of_another_genus_exits_2(tmp_path, capsys, branch_words):
+    track, cover = three_branch_example(), double_cover_from_signs(2, (1, 0, 0, 0))
+    _, matrix = lift_track(track, cover)
+    doc = element_document(track_element(track, cover, matrix.apply((2, 1, 1))))
+    doc["track"].update(genus=3, branch_words=branch_words)
+    vp = write_doc(tmp_path, "vaut.json", vaut_document(identity_vaut(2)))
+    ep = write_doc(tmp_path, "elem.json", doc)
+    code, err = run_err(capsys, "vaut-act", "--vaut", vp, "--elem", ep)
+    assert code == 2
+    assert "track has genus 3, cover has base genus 2" in err and "Traceback" not in err
 
 
 

@@ -24,7 +24,6 @@ from covertower.covers import (
     SurfaceCover,
     compose_covers,
     enumerate_covers,
-    identity_perm,
     trivial_cover,
 )
 from covertower.homology import surface_complex
@@ -158,7 +157,7 @@ def _compose_chunk(comp) -> str:
 
 def test_compose_covers_results():
     bottom = double_cover_from_signs(2, (1, 0, 0, 0))
-    cyc, swp, ident3 = (1, 2, 0), (0, 2, 1), identity_perm(3)
+    cyc, swp, ident3 = (1, 2, 0), (0, 2, 1), (0, 1, 2)
     tops = [trivial_cover(3), *enumerate_covers(3, 2)]
     tops.append(SurfaceCover(3, 3, (swp, cyc, cyc, swp, ident3, ident3)))
     chunks = [_compose_chunk(compose_covers(t, bottom, A1_SWAP_MARKING)) for t in tops]

@@ -129,7 +129,7 @@ def random_loop_cycle(cx, rng):
     cover = cx.cover
     chain = list(cx.zero_chain())
     loops = cover.schreier.nontree
-    parts = [cx.word_path_chain(schreier_loop(cover, e), 0) for e in rng.sample(loops, 2)]
+    parts = [cover.chain([(schreier_loop(cover, e), 0, 1)]) for e in rng.sample(loops, 2)]
     parts += [face_boundary_chain(cx, f) for f in rng.sample(cx.faces, min(2, len(cx.faces)))]
     parts.append(cx.transfer([rng.randint(-1, 1) for _ in range(cx.n_generators)]))
     for part in parts:
@@ -232,9 +232,9 @@ def test_base_pairing_is_standard_symplectic():
 
 def test_pairing_calibration_a1_b1():
     cx = CoverComplex(trivial_cover(2))
-    a1 = cx.word_path_chain((1,), 0)
-    b1 = cx.word_path_chain((2,), 0)
-    a2 = cx.word_path_chain((3,), 0)
+    a1 = cx.cover.chain([((1,), 0, 1)])
+    b1 = cx.cover.chain([((2,), 0, 1)])
+    a2 = cx.cover.chain([((3,), 0, 1)])
     assert cx.intersection(a1, b1) == 1
     assert cx.intersection(b1, a1) == -1
     assert cx.intersection(a1, a2) == 0
@@ -258,9 +258,9 @@ def test_cycles_and_boundaries():
         b = face_boundary_chain(cx, face)
         assert cx.is_cycle(b)
         assert all(c == 0 for c in cx.class_coordinates(b))
-    path = cx.word_path_chain((1,), 0)  # runs to the other sheet, stays open
+    path = cx.cover.chain([((1,), 0, 1)])  # runs to the other sheet, stays open
     assert not cx.is_cycle(path)
-    loop = cx.word_path_chain((1, 1), 0)
+    loop = cx.cover.chain([((1, 1), 0, 1)])
     assert cx.is_cycle(loop)
 
 
@@ -270,8 +270,57 @@ def test_word_path_pushforward():
     base = CoverComplex(trivial_cover(2))
     w = (1, -2, 3, 4)
     for sheet in range(cover.degree):
-        pushed = cx.pushforward(cx.word_path_chain(w, sheet))
-        assert list(pushed) == list(base.word_path_chain(w, 0))
+        pushed = cx.pushforward(cx.cover.chain([(w, sheet, 1)]))
+        assert list(pushed) == list(base.cover.chain([(w, 0, 1)]))
+
+
+def _chain_covers():
+    rng = random.Random(5)
+    return list(enumerate_covers(2, 2)) + rng.sample(enumerate_covers(2, 3), 8)
+
+
+def test_chain_sums_its_terms():
+    rng = random.Random(13)
+    for cover in _chain_covers():
+        terms = []
+        for _ in range(4):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 6)))
+            terms.append((word, rng.randrange(cover.degree), rng.randint(-3, 3)))
+        total = [0] * (4 * cover.degree)
+        for word, sheet, coeff in terms:
+            single = cover.chain([(word, sheet, 1)])
+            total = [x + coeff * y for x, y in zip(total, single)]
+        assert cover.chain(terms) == total
+        assert cover.chain(iter(terms)) == total  # terms are read once
+
+
+def test_chain_of_no_terms_is_zero():
+    for cover in [trivial_cover(2), *_chain_covers(), mod2_homology_cover(2)]:
+        assert cover.chain([]) == [0] * (2 * cover.genus * cover.degree)
+    assert trivial_cover(3).chain(()) == [0] * 6
+
+
+def test_closed_lift_is_a_cycle():
+    closes = set()
+    for cover in _chain_covers():
+        cx = CoverComplex(cover)
+        for sheet in range(cover.degree):
+            for w in ((1, 2, -1, -2), surface_relator(2), (3,) * 6):
+                closed = cover.act(w, sheet) == sheet
+                assert cx.is_cycle(cover.chain([(w, sheet, 1)])) == closed
+                closes.add(closed)
+        for loop in cover.loops:
+            assert cx.is_cycle(cover.chain([(loop, 0, 2)]))
+    assert closes == {True, False}
+
+
+def test_chain_of_every_sheet_is_the_transfer():
+    for cover in [trivial_cover(2), *_chain_covers(), mod2_homology_cover(2)]:
+        cx = CoverComplex(cover)
+        for i in range(cx.n_generators):
+            unit = [int(i == j) for j in range(cx.n_generators)]
+            lifts = cover.chain([((i + 1,), s, 1) for s in range(cover.degree)])
+            assert lifts == cx.transfer(unit)
 
 
 def test_transfer_laws():
@@ -385,4 +434,4 @@ def test_surface_complex_cache_and_validation():
         cx.intersection(cx.zero_chain(), [0] * (cx.n_edges + 1))
     with pytest.raises(ComplexMismatch):
         # open paths are not cycles, so they have no intersection number
-        cx.intersection(cx.word_path_chain((2,), 0), cx.zero_chain())
+        cx.intersection(cx.cover.chain([((2,), 0, 1)]), cx.zero_chain())

@@ -35,7 +35,13 @@ from covertower.limits import (
     pairing_table,
     track_element,
 )
-from covertower.traintrack import LiftedTrack, arrow_step_matrix, lift_track, three_branch_example
+from covertower.traintrack import (
+    LiftedTrack,
+    TrainTrack,
+    arrow_step_matrix,
+    lift_track,
+    three_branch_example,
+)
 from covertower.vauts import restrict_vaut, vaut_act, vaut_from_automorphism
 from conftest import double_cover_from_signs
 from test_homology import random_loop_cycle, strand_intersection
@@ -53,7 +59,7 @@ def test_constructors_and_validation():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     with pytest.raises(KindMismatch):
         cycle_element(cover, (1,) * 4)  # wrong length
-    open_path = surface_complex(cover).word_path_chain((1,), 0)
+    open_path = cover.chain([((1,), 0, 1)])
     with pytest.raises(KindMismatch):
         cycle_element(cover, open_path)
     with pytest.raises(SwitchViolation):
@@ -172,7 +178,7 @@ def test_limit_equality_is_an_equivalence_exhaustively():
 def test_single_lift_differs_from_the_transfer():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     cx = surface_complex(cover)
-    one_lift = cycle_element(cover, cx.word_path_chain((2,), 0))
+    one_lift = cycle_element(cover, cover.chain([((2,), 0, 1)]))
     assert not limit_equal(one_lift, base_class_element(2, (0, 1, 0, 0)))
 
 
@@ -499,3 +505,13 @@ def test_pairings_with_the_cover_itself_or_the_base_take_no_fiber_product():
     assert limit_equal(track, lift_element(track, down))
     after = fiber_product.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+
+
+@pytest.mark.parametrize("branch_words", [((5,), (5,), ()), ((1,), (1,), ())])
+def test_track_element_over_a_cover_of_another_genus(branch_words):
+    # letter 5 has no generator at genus 2; letter 1 has one, and a genus-3
+    # track must not be read as a genus-2 track through it
+    track = TrainTrack(3, three_branch_example().switches, branch_words)
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    with pytest.raises(BaseMismatch, match="track has genus 3, cover has base genus 2"):
+        track_element(track, cover, (2, 2, 1, 1, 1, 1))

@@ -24,7 +24,7 @@ from covertower.errors import (
     SearchBudgetExceeded,
     SwitchViolation,
 )
-from covertower.exact_linalg import mat_vec, rational_nullspace, rational_rank
+from covertower.exact_linalg import mat_vec, rational_nullspace
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, homology_shadow, limit_equal, track_element
 from covertower.surface import abelianized, inverse_word
@@ -52,7 +52,7 @@ def extreme_rays(eq_matrix, n_vars: int, budget: int = 200_000):
     rays = []
     supports: list[frozenset[int]] = []
     examined = 0
-    max_size = rational_rank(eq_matrix) + 1 if eq_matrix else 1
+    max_size = sympy.Matrix(eq_matrix).rank() + 1 if eq_matrix else 1
     for size in range(1, min(n_vars, max_size) + 1):
         for combo in combinations(range(n_vars), size):
             examined += 1

@@ -148,10 +148,10 @@ def _sympy_loop_map(source, target, table):
     """
     src, dst = surface_complex(source), surface_complex(target)
     a = sympy.Matrix([
-        src.class_coordinates(src.word_path_chain(schreier_loop(source, e), 0))
+        src.class_coordinates(source.chain([(schreier_loop(source, e), 0, 1)]))
         for e in source.schreier.nontree
     ])
-    f = sympy.Matrix([dst.class_coordinates(dst.word_path_chain(w, 0)) for w in table])
+    f = sympy.Matrix([dst.class_coordinates(target.chain([(w, 0, 1)])) for w in table])
     try:
         x, params = a.gauss_jordan_solve(f)
     except ValueError:
@@ -191,7 +191,7 @@ def test_loop_map_matches_sympy_solve():
     found = set()
     for source, target, table in cases:
         dst = surface_complex(target)
-        images = [dst.class_coordinates(dst.word_path_chain(w, 0)) for w in table]
+        images = [dst.class_coordinates(target.chain([(w, 0, 1)])) for w in table]
         got = surface_complex(source).loop_map(images)
         want = _sympy_loop_map(source, target, table)
         assert got == want
