@@ -69,8 +69,9 @@ def _package_names():
                     functions.append(value)
     members = {}
     for name, cls in classes.items():
-        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
-        members[name] = set(dir(cls)) | fields
+        members[name] = set(dir(cls))
+        if dataclasses.is_dataclass(cls):  # a field without a default is no class attribute
+            members[name] |= {f.name for f in dataclasses.fields(cls)}
         functions += [f for f in vars(cls).values() if inspect.isfunction(f)]
     params = {p for f in functions for p in inspect.signature(f).parameters}
     return modules, names, members, params
@@ -89,7 +90,10 @@ def _resolves(name: str, modules, names, members, params) -> bool:
         )
     if head in members:
         return rest in members[head]
-    obj = modules.get(head) or importlib.import_module(head)
+    try:
+        obj = modules.get(head) or importlib.import_module(head)
+    except ImportError:
+        return False
     for part in rest.split("."):
         if not hasattr(obj, part):
             return False
