@@ -2,11 +2,14 @@
 """Census of pointed covers by degree, with timing.
 
 Prints one row per degree: the number of covers, the genus of the total
-surface, and elapsed seconds.  Options are range-checked as the covertower
-CLI checks them (bad input exits 2), and a search over the budget exits 3.
+surface, elapsed seconds, and the process's peak resident memory so far in
+MB (ru_maxrss, which Linux reports in KiB).  Options are range-checked as
+the covertower CLI checks them (bad input exits 2), and a search over the
+budget exits 3.
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -21,7 +24,7 @@ def main() -> int:
     parser.add_argument("--budget", type=_int_at_least(1), default=None)
     args = parser.parse_args()
 
-    print("degree\tcovers\ttotal_genus\tseconds")
+    print("degree\tcovers\ttotal_genus\tseconds\tpeak_rss_mb")
     for degree in range(1, args.max_degree + 1):
         t0 = time.perf_counter()
         try:
@@ -34,7 +37,8 @@ def main() -> int:
             return 2
         dt = time.perf_counter() - t0
         total = covers[0].total_genus if covers else "-"
-        print(f"{degree}\t{len(covers)}\t{total}\t{dt:.2f}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{degree}\t{len(covers)}\t{total}\t{dt:.2f}\t{peak_mb:.1f}")
     return 0
 
 

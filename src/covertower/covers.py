@@ -14,10 +14,11 @@ canonical form.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import (
     BadDegree,
@@ -230,36 +231,34 @@ def trivial_cover(genus: int) -> SurfaceCover:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def _discovery_is_identity(perms: tuple[Perm, ...], inv: tuple[Perm, ...], degree: int) -> bool:
-    """True iff breadth-first discovery visits sheets exactly in order 0,1,2,...
+SEARCH_BLOCK = 4096  # candidates per filter pass; more raise peak memory, not speed
 
-    Implies transitivity.  Aborts at the first out-of-order discovery.  This
-    is the canonical walk of _schreier_walk, kept apart because the search
-    runs it on candidate tuples before any cover exists, and it must stop
-    early; inv holds the inverses of perms.
+
+def _read_table(perms, degree: int) -> np.ndarray:
+    """table[s, 0, i] = perms[i][s] and table[s, 1, i] = the inverse of
+    perms[i] at s, in the smallest unsigned type that holds degree itself."""
+    table = np.array([(p, perm_inverse(p)) for p in perms], dtype=np.min_scalar_type(degree))
+    return table.transpose(2, 1, 0).copy()
+
+
+def _canonical_columns(table: np.ndarray, columns: np.ndarray, degree: int) -> np.ndarray:
+    """Which candidates are canonical transitive tuples, columns[i] holding
+    each candidate's generator i as an index into table.
+
+    The read rule of _canonical_tuples on every candidate at once, in the
+    order of _schreier_walk: each sheet in turn reads the positive
+    generators by index, then the inverses.  The sheets seen before a read
+    are 0..top, top the highest sheet read so far (count = top + 1), and the
+    walk reaches sheet s only if it has seen it.  top + 1 never exceeds
+    degree, which the table's type holds, so nothing overflows.
     """
-    seen = [False] * degree
-    seen[0] = True
-    count = 1
-    head = 0
-    while head < count:
-        s = head
-        head += 1
-        for p in perms:
-            t = p[s]
-            if not seen[t]:
-                if t != count:
-                    return False
-                seen[t] = True
-                count += 1
-        for p in inv:
-            t = p[s]
-            if not seen[t]:
-                if t != count:
-                    return False
-                seen[t] = True
-                count += 1
-    return count == degree
+    reads = np.take(table, columns, axis=2).reshape(-1, columns.shape[1])  # walk order, candidate
+    top = np.zeros((len(reads) + 1, columns.shape[1]), table.dtype)  # top[j]: highest of j reads
+    for j, t in enumerate(reads):
+        np.maximum(top[j], t, out=top[j + 1])
+    ok = (reads <= top[:-1] + 1).all(axis=0)
+    reached = top[: -1 : 2 * len(columns)] >= np.arange(degree)[:, None]
+    return ok & reached.all(axis=0)
 
 
 def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
@@ -270,44 +269,83 @@ def _canonical_tuples(genus: int, degree: int) -> list[tuple[Perm, ...]]:
     determined; a table from commutator values to the pairs producing them
     completes each partial assignment.
 
-    The canonical walk reads p1[0] and then q1[0] before anything else, and
-    each must be a seen sheet or the next new one: a canonical tuple has
-    p1[0] <= 1 and q1[0] <= p1[0] + 1.  A first pair that fails this is
-    skipped with every completion of it.  The rule is exact, as the walk
-    rejects precisely those tuples at its first two reads.
+    A tuple is canonical iff the canonical walk of _schreier_walk discovers
+    the sheets in the order 0, 1, 2, ...  The sheets seen are then always
+    0..count-1, so the walk accepts iff every read t is a seen sheet or the
+    next new one, t <= count, and t == count discovers it.  The rule needs
+    nothing but the reads in walk order and one count, so it is exact, and
+    _canonical_columns applies it to a block of candidates at once.
 
-    The tuples come out sorted, in census order, with no sort: pair_comm is
-    built in lexicographic order, itertools.product over it is lexicographic,
-    and each comm_to_pairs list keeps that order.
+    The walk's first reads are p1[0], q1[0], p2[0], q2[0], ...  With k
+    sheets seen before a pair (p, q), the rule asks p[0] <= k, then q[0] <=
+    k', where k' is k plus one if p[0] == k, that is max(k, p[0] + 1); then
+    max(k', q[0] + 1) sheets are seen.  The pair tables are kept by k as
+    well as by commutator, so a pair that fails is skipped with all its
+    completions, each of which the walk would reject at that read.
+
+    The tuples come out sorted, in census order, with no sort: pairs are
+    numbered in lexicographic order, the heads are extended in that order,
+    each completion list keeps it, and a block keeps its candidates in order.
     """
     all_perms = list(itertools.permutations(range(degree)))
-    inv = {p: perm_inverse(p) for p in all_perms}
-    pair_comm: list[tuple[Perm, Perm, Perm]] = []
-    # commutator -> the pairs (p, q) with that commutator, each with (p^-1, q^-1)
-    comm_to_pairs: dict[Perm, list[tuple[tuple[Perm, Perm], tuple[Perm, Perm]]]] = {}
-    for p in all_perms:
-        pi = inv[p]
-        for q in all_perms:
-            qi = inv[q]
-            c = tuple(qi[pi[q[p[x]]]] for x in range(degree))
-            pair_comm.append((p, q, c))
-            comm_to_pairs.setdefault(c, []).append(((p, q), (pi, qi)))
+    n = len(all_perms)
+    index = {p: i for i, p in enumerate(all_perms)}
+    table = _read_table(all_perms, degree)
+    forward, inverse = table[:, 0].T, table[:, 1].T  # [i, s]: perm i and its inverse at s
+    # pair number a * n + b is (all_perms[a], all_perms[b]), lexicographic
+    pairs = np.arange(n * n)
+    pair_columns = np.array(np.divmod(pairs, n))
+    a, b = pair_columns
+    comm = inverse[b[:, None], inverse[a[:, None], forward[b[:, None], forward[a]]]]
+    comm = [index[c] for c in zip(*comm.T.tolist())]
+    p0, q0 = forward[a, 0], forward[b, 0]
+    passing, completions = {}, {}
+    for k in range(1, min(degree, 2 * genus - 1) + 1):
+        keep = pairs[(p0 <= k) & (q0 <= np.maximum(p0 + 1, k))].tolist()
+        if k <= 2 * genus - 3:  # the first g-1 pairs see at most 2g-3 sheets before them
+            passing[k] = keep
+        by_comm: dict[int, list[int]] = {}
+        for pair in keep:
+            by_comm.setdefault(comm[pair], []).append(pair)
+        for c, ids in by_comm.items():
+            completions[k, c] = pair_columns[:, ids]
+
+    def heads(row, k, running, pairs_left):
+        if not pairs_left:
+            yield row, k, running
+            return
+        for pair in passing[k]:
+            i, j = divmod(pair, n)
+            seen = max(k, all_perms[i][0] + 1, all_perms[j][0] + 1)
+            running_after = perm_mul(running, all_perms[comm[pair]])
+            yield from heads(row + (i, j), seen, running_after, pairs_left - 1)
 
     found: list[tuple[Perm, ...]] = []
-    for p1, q1, c1 in pair_comm:
-        if p1[0] > 1 or q1[0] > p1[0] + 1:
+    block_heads: list[tuple[int, ...]] = []
+    block_lasts: list[np.ndarray] = []
+    size = 0
+
+    def flush():
+        counts = [last.shape[1] for last in block_lasts]
+        head_columns = np.repeat(np.array(block_heads, dtype=np.intp).T, counts, axis=1)
+        columns = np.concatenate([head_columns, np.concatenate(block_lasts, axis=1)])
+        kept = columns[:, _canonical_columns(table, columns, degree)].tolist()
+        found.extend(zip(*(map(all_perms.__getitem__, column) for column in kept)))
+        block_heads.clear()
+        block_lasts.clear()
+
+    for row, k, running in heads((), 1, all_perms[0], genus - 1):
+        last = completions.get((k, index[perm_inverse(running)]))
+        if last is None:
             continue
-        for rest in itertools.product(pair_comm, repeat=genus - 2):
-            running = c1
-            head = (p1, q1)
-            for p, q, c in rest:
-                running = perm_mul(running, c)
-                head += (p, q)
-            head_inv = tuple(inv[p] for p in head)
-            for last, last_inv in comm_to_pairs.get(perm_inverse(running), ()):
-                perms = head + last
-                if _discovery_is_identity(perms, head_inv + last_inv, degree):
-                    found.append(perms)
+        block_heads.append(row)
+        block_lasts.append(last)
+        size += last.shape[1]
+        if size >= SEARCH_BLOCK:
+            flush()
+            size = 0
+    if block_lasts:
+        flush()
     return found
 
 
@@ -326,12 +364,17 @@ def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tupl
     limit = search_budget(budget)
     integer(genus, "genus", BadDegree, low=2)
     integer(degree, "degree", BadDegree, low=1)
-    candidates = math.factorial(degree) ** (2 * (genus - 1))
-    if candidates > limit:
-        raise SearchBudgetExceeded(
-            f"enumeration would examine {candidates} candidate assignments, "
-            f"budget is {limit}; raise COVERTOWER_BUDGET to override"
-        )
+    # the unpruned count d!^(2(g-1)), multiplied out only until it passes the
+    # limit: every factor is at least 2, so a huge degree or genus stays cheap
+    factors = itertools.repeat(range(2, degree + 1), 2 * (genus - 1) if degree > 1 else 0)
+    candidates = 1
+    for factor in itertools.chain.from_iterable(factors):
+        candidates *= factor
+        if candidates > limit:
+            raise SearchBudgetExceeded(
+                f"enumeration would examine more than {limit} candidate assignments; "
+                "raise COVERTOWER_BUDGET to override"
+            )
     return _enumerate_cached(genus, degree)
 
 

@@ -54,6 +54,16 @@ def test_enumerate_budget_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("genus, degree", [("2", "1000"), ("3", "500")])
+def test_enumerate_huge_degree_exits_3(capsys, monkeypatch, genus, degree):
+    # the unpruned count has thousands of digits; it used to end in exit 4
+    monkeypatch.delenv("COVERTOWER_BUDGET", raising=False)
+    code, err = run_err(capsys, "enumerate", "--genus", genus, "--degree", degree)
+    assert code == 3
+    assert "more than 1000000 candidate assignments" in err and "COVERTOWER_BUDGET" in err
+    assert "Traceback" not in err
+
+
 def test_genus_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     path = write_doc(tmp_path, "cover.json", cover_document(cover))
@@ -417,7 +427,7 @@ def test_census_script_checks_its_options(argv, env, code, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 0:
-        assert [row.split("\t")[:3] for row in proc.stdout.splitlines()[1:]] == [
-            ["1", "1", "2"],
-            ["2", "15", "3"],
-        ]
+        rows = [row.split("\t") for row in proc.stdout.splitlines()]
+        assert rows[0] == ["degree", "covers", "total_genus", "seconds", "peak_rss_mb"]
+        assert [row[:3] for row in rows[1:]] == [["1", "1", "2"], ["2", "15", "3"]]
+        assert all(float(row[4]) > 0 for row in rows[1:])

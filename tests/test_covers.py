@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from covertower.characteristic import (
@@ -12,9 +13,10 @@ from covertower.characteristic import (
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
+    _canonical_columns,
     _canonical_tuples,
-    _discovery_is_identity,
     _enumerate_cached,
+    _read_table,
     _schreier_walk,
     compose_covers,
     enumerate_covers,
@@ -222,6 +224,27 @@ def test_counts_match_subgroup_recursion():
     assert len(set(covers)) == len(covers) == oracle[5]
 
 
+def discovery_is_identity(perms, inv, degree):
+    """True iff breadth-first discovery visits sheets exactly in order
+    0, 1, 2, ...: the canonical walk, one candidate at a time, aborting at the
+    first out-of-order discovery.  inv holds the inverses of perms."""
+    seen = [False] * degree
+    seen[0] = True
+    count = 1
+    head = 0
+    while head < count:
+        s = head
+        head += 1
+        for p in (*perms, *inv):
+            t = p[s]
+            if not seen[t]:
+                if t != count:
+                    return False
+                seen[t] = True
+                count += 1
+    return count == degree
+
+
 def unpruned_canonical_tuples(genus, degree):
     """The commutator-table search with no pruning: every completion of
     every head is walked."""
@@ -247,7 +270,7 @@ def unpruned_canonical_tuples(genus, degree):
             for plast, qlast in comm_to_pairs.get(target, ()):
                 pairs = [(p1, q1)] + [(p, q) for p, q, _ in rest] + [(plast, qlast)]
                 perms = [p for pair in pairs for p in pair]
-                if _discovery_is_identity(perms, [inv[p] for p in perms], degree):
+                if discovery_is_identity(perms, [inv[p] for p in perms], degree):
                     found.append(tuple(perms))
     return found
 
@@ -262,6 +285,28 @@ def test_pruned_search_matches_the_unpruned_search(genus, degree):
 def test_search_emits_tuples_in_census_order(genus, degree):
     tuples = _canonical_tuples(genus, degree)
     assert tuples == sorted(tuples)
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 4), (3, 3)])
+def test_search_is_the_same_across_block_boundaries(monkeypatch, genus, degree):
+    whole = _canonical_tuples(genus, degree)
+    monkeypatch.setattr("covertower.covers.SEARCH_BLOCK", 7)
+    assert _canonical_tuples(genus, degree) == whole
+
+
+def test_read_filter_is_exact_past_one_byte():
+    # degree 300 needs reads wider than a byte; a count that wrapped at 256
+    # would misjudge the sheets past it
+    d = 300
+    shift = tuple((s + 1) % d for s in range(d))
+    ident = tuple(range(d))
+    cover = SurfaceCover(2, d, (shift, ident, ident, ident)).canonical()
+    moved = cover.relabel((0, 2, 1, *range(3, d)))
+    assert moved.canonical() == cover and moved != cover
+    table = _read_table(cover.perms + moved.perms, d)
+    assert np.iinfo(table.dtype).max >= d
+    columns = np.array([[0, 4], [1, 5], [2, 6], [3, 7]])
+    assert _canonical_columns(table, columns, d).tolist() == [True, False]
 
 
 def test_genus3_counts():
@@ -322,6 +367,26 @@ def test_search_budget(monkeypatch):
         enumerate_covers(3, 5)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_covers(2, 3, budget=10)
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 800), (2, 1000), (3, 500)])
+def test_budget_gate_on_huge_degrees(monkeypatch, genus, degree):
+    # d!^(2(g-1)) has thousands of digits here; the gate must not print it
+    monkeypatch.delenv("COVERTOWER_BUDGET", raising=False)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        enumerate_covers(genus, degree)
+    assert str(exc.value) == (
+        "enumeration would examine more than 1000000 candidate assignments; "
+        "raise COVERTOWER_BUDGET to override"
+    )
+
+
+def test_budget_gate_counts_unpruned_candidates():
+    # 3!^2 = 36 candidate assignments at genus 2, degree 3
+    assert len(enumerate_covers(2, 3, budget=36)) == 220
+    with pytest.raises(SearchBudgetExceeded, match="more than 35 candidate"):
+        enumerate_covers(2, 3, budget=35)
+    assert len(enumerate_covers(2, 1, budget=1)) == 1
 
 
 @pytest.mark.parametrize("bad", [-5, 0, True, False, 1.5, "10"])
