@@ -69,6 +69,14 @@ GOLDEN = {
         "fbdf208aa79ab5d770726a83c4e4bfc7"
         "9a3ea3980200288a3a8915aaf121210d"
     ),
+    "enumerate_degree_4": (
+        "6b4edb2b75abe4310752ee5887ca8300"
+        "1a73e3e428c247691687aa0fdb667913"
+    ),
+    "enumerate_genus_3": (
+        "16770661ef42b4c9c9e37f6bb3bfc0c7"
+        "d97119743e90fc0e301c107935e4bb71"
+    ),
     "verify": (
         "781177879ac46a94101070d1e1b24df8"
         "f1ce5dd137d85c28279217cecbcf0b82"
@@ -169,6 +177,19 @@ def test_enumerate_stream(capsys):
         _cli(capsys, "enumerate", "--genus", "2", "--degree", str(d)) for d in (1, 2, 3)
     ]
     assert _digest(chunks) == GOLDEN["enumerate"]
+
+
+def test_enumerate_stream_degree_4(capsys):
+    chunk = _cli(capsys, "enumerate", "--genus", "2", "--degree", "4")
+    assert chunk.count('"type":"cover"') == 5275
+    assert _digest([chunk]) == GOLDEN["enumerate_degree_4"]
+
+
+def test_enumerate_stream_genus_3(capsys):
+    chunks = [
+        _cli(capsys, "enumerate", "--genus", "3", "--degree", str(d)) for d in (1, 2, 3)
+    ]
+    assert _digest(chunks) == GOLDEN["enumerate_genus_3"]
 
 
 def test_verify_reports(capsys):
