@@ -506,7 +506,6 @@ class FiberProduct:
     to_second: CoverArrow
 
 
-@lru_cache(maxsize=None)
 def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     """Pointed component of the diagonal action on sheet pairs.
 
@@ -516,8 +515,14 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     is not the canonical order, which tries every generator forward before
     any inverse; call canonical() for the canonical labeling.
     """
+    # checked before the cache lookup, which would hash a bad argument first
     need(first, SurfaceCover, "first", IncompatibleTower)
     need(second, SurfaceCover, "second", IncompatibleTower)
+    return _fiber_product(first, second)
+
+
+@lru_cache(maxsize=None)
+def _fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     p, q = first.perms, second.perms
@@ -533,6 +538,9 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     to_first = _trusted(CoverArrow, source=cover, target=first, sheet_map=firsts)
     to_second = _trusted(CoverArrow, source=cover, target=second, sheet_map=seconds)
     return FiberProduct(cover, to_first, to_second)
+
+
+fiber_product.cache_info = _fiber_product.cache_info
 
 
 @dataclass(frozen=True)

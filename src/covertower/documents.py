@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .covers import SurfaceCover
 from .errors import CovertowerError, integer, integers, words
@@ -23,6 +24,12 @@ from .characteristic import SurfaceAutomorphism
 SCHEMA = "covertower/1"
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder behind _ENCODER.encode, built once instead of per document.
+# It keeps no circular-reference markers, since documents are trees: a cyclic
+# input ends in RecursionError.  None where Python has no _json accelerator.
+_ITERENCODE = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 class DocumentError(CovertowerError):
@@ -30,7 +37,9 @@ class DocumentError(CovertowerError):
 
 
 def dumps_canonical(doc) -> str:
-    return _ENCODER.encode(doc) + "\n"
+    if _ITERENCODE is None:
+        return _ENCODER.encode(doc) + "\n"
+    return "".join(_ITERENCODE(doc, 0)) + "\n"
 
 
 def _expect(doc, doc_type: str) -> None:

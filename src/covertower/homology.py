@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 
 from .covers import SurfaceCover, pull_back, schreier_loop
-from .errors import ComplexMismatch, DimensionMismatch
+from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower, need
 from .surface import generator_count, surface_relator
 
 
@@ -261,9 +261,18 @@ class CoverComplex:
         return -sum(map(mul, self.pairing_covector(chain1), chain2))
 
 
-@lru_cache(maxsize=None)
 def surface_complex(cover: SurfaceCover) -> CoverComplex:
+    # checked before the cache lookup, which would hash a bad argument first
+    need(cover, SurfaceCover, "cover", IncompatibleTower)
+    return _surface_complex(cover)
+
+
+@lru_cache(maxsize=None)
+def _surface_complex(cover: SurfaceCover) -> CoverComplex:
     return CoverComplex(cover)
+
+
+surface_complex.cache_info = _surface_complex.cache_info
 
 
 def transfer_along_arrow(arrow, chain):

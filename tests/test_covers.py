@@ -16,6 +16,7 @@ from covertower.covers import (
     _canonical_columns,
     _canonical_tuples,
     _enumerate_cached,
+    _fiber_product,
     _read_table,
     _schreier_walk,
     compose_covers,
@@ -34,11 +35,13 @@ from covertower.errors import (
     BadDegree,
     CovertowerError,
     GenusMismatch,
+    IncompatibleTower,
     InvalidIdentification,
     NotTransitive,
     RelatorNotTrivial,
     SearchBudgetExceeded,
 )
+from covertower.homology import surface_complex
 from covertower.surface import free_reduce, inverse_word, substitute
 from conftest import double_cover_from_signs
 
@@ -624,6 +627,20 @@ def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
         build(*args)
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (fiber_product, ([1], trivial_cover(2)), "first"),
+    (fiber_product, (trivial_cover(2), [1]), "second"),
+    (surface_complex, ([1],), "cover"),
+    (surface_complex, ("x",), "cover"),
+])
+def test_cached_builders_check_arguments_before_the_cache(build, args, name):
+    """An unhashable or wrong argument is named, not hashed or half-built."""
+    before = build.cache_info()
+    with pytest.raises(IncompatibleTower, match=f"{name} must be a SurfaceCover"):
+        build(*args)
+    assert build.cache_info() == before
+
+
 def test_fiber_product_is_the_stabilizer_intersection():
     rng = random.Random(31)
     covers = enumerate_covers(2, 2)
@@ -807,5 +824,5 @@ def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch)
     covers = [c for d in range(1, 5) for c in enumerate_covers(2, d)]
     rng = random.Random(67)
     for _ in range(20):
-        fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
+        _fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
     assert calls == []

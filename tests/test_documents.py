@@ -1,11 +1,13 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from covertower import documents
 from covertower.characteristic import is_characteristic, shipped_automorphisms
 from covertower.covers import enumerate_covers, trivial_cover
 from covertower.documents import (
@@ -61,6 +63,53 @@ def test_dumps_canonical_is_deterministic():
     assert out == dumps_canonical(json.loads(out))
     assert out.endswith("\n")
     assert out == '{"a":[3,2],"b":1,"c":{"x":1,"y":0}}\n'
+
+
+# Both encoder paths: the C encoder built at import, and the JSONEncoder
+# fallback that runs where Python has no _json accelerator.
+ENCODER_PATHS = {"c": documents._ITERENCODE, "fallback": None}
+
+# Strings lean towards what JSON must escape: quotes, backslashes, control
+# characters, non-ASCII and astral characters.
+ESCAPES = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'))
+ENCODABLE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64), 10**100])
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+    | ESCAPES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(ESCAPES, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def test_the_c_encoder_is_built():
+    assert callable(documents._ITERENCODE)
+
+
+@pytest.mark.parametrize("path", sorted(ENCODER_PATHS))
+@settings(max_examples=100)
+@given(ENCODABLE)
+def test_dumps_canonical_matches_json_dumps(path, value):
+    with mock.patch.object(documents, "_ITERENCODE", ENCODER_PATHS[path]):
+        out = dumps_canonical(value)
+    assert out == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(ENCODER_PATHS))
+@pytest.mark.parametrize("bad", [object(), {1, 2}, Fraction(1, 3)], ids=type)
+def test_unencodable_values_raise_json_dumps_type_error(path, bad):
+    for value in (bad, [1, {"a": bad}]):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with mock.patch.object(documents, "_ITERENCODE", ENCODER_PATHS[path]):
+            with pytest.raises(TypeError) as got:
+                dumps_canonical(value)
+        assert str(got.value) == str(expected.value)
 
 
 def test_cover_round_trip_is_one_based():
