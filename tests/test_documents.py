@@ -87,8 +87,14 @@ ENCODABLE = st.recursive(
 )
 
 
-def test_the_c_encoder_is_built():
-    assert callable(documents._ITERENCODE)
+def test_cyclic_input_ends_in_recursion_error():
+    """The C encoder is built, and keeps no circular-reference markers:
+    documents are trees.  The fallback would raise ValueError here."""
+    loop = []
+    loop.append({"a": loop})
+    with pytest.raises(RecursionError):
+        dumps_canonical(loop)
+    assert dumps_canonical([{"a": []}]) == '[{"a":[]}]\n'
 
 
 @pytest.mark.parametrize("path", sorted(ENCODER_PATHS))
