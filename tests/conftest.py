@@ -1,8 +1,12 @@
+from functools import lru_cache
+
 from hypothesis import settings
 
-from covertower.covers import SurfaceCover
+from covertower.characteristic import shipped_automorphisms
+from covertower.covers import SurfaceCover, enumerate_covers, induced_cover
 from covertower.surface import generator_count
 from covertower.traintrack import CarryingMatrix, TrainTrack, _gather
+from covertower.vauts import restrict_vaut, vaut_from_automorphism
 
 settings.register_profile("covertower", deadline=None)
 settings.load_profile("covertower")
@@ -28,3 +32,19 @@ def face_boundary_chain(cx, face):
         e, rev = divmod(dart, 2)
         chain[e] += -1 if rev else 1
     return chain
+
+
+@lru_cache(maxsize=None)
+def induced_corpus():
+    """(outer, table, target, induced) for each shipped vaut restricted to each
+    degree-2 cover, induced through its backward table over every cover of
+    degree <= 3: 90 tables, 21,240 induced covers."""
+    vauts = [
+        restrict_vaut(vaut_from_automorphism(aut), cover)
+        for aut in shipped_automorphisms(2)
+        for cover in enumerate_covers(2, 2)
+    ]
+    targets = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    return tuple(
+        (v.right, v.bwd, t, induced_cover(v.right, v.bwd, t)) for v in vauts for t in targets
+    )

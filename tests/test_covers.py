@@ -43,7 +43,7 @@ from covertower.errors import (
 )
 from covertower.homology import surface_complex
 from covertower.surface import free_reduce, inverse_word, substitute
-from conftest import double_cover_from_signs
+from conftest import double_cover_from_signs, induced_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +801,11 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
     for top in enumerate_covers(3, 2)[:20]:
         composed = compose_covers(top, bottom, A1_SWAP_MARKING)
         assert public_arrow(composed.to_bottom) == composed.to_bottom
+
+
+def test_induced_covers_pass_the_public_constructor():
+    for _, _, _, induced in induced_corpus():
+        assert public_cover(induced.cover) == induced.cover
 
 
 def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch):

@@ -37,15 +37,16 @@ from covertower.documents import (
 from covertower.orbit import OrbitConfig, orbit_density_experiment
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import (
+    certified_in_caut,
     restrict_vaut,
     vaut_act,
     vaut_act_track,
     vaut_compose,
     vaut_from_automorphism,
 )
-from covertower.verify import SUITES
+from covertower.verify import SUITES, _law_pool
 
-from conftest import double_cover_from_signs
+from conftest import double_cover_from_signs, induced_corpus
 from test_covers import A1_SWAP_MARKING
 
 GOLDEN = {
@@ -88,6 +89,10 @@ GOLDEN = {
     "chains": (
         "aa939038d4c0c6e48b439744a958c117"
         "24d15df55a2ba0fb7ae5b08e08acedf1"
+    ),
+    "induced": (
+        "6bedda7f4cce8cddd6d4a793aa402b15"
+        "2afa56a28694e10b2ee48475177102a4"
     ),
 }
 
@@ -249,6 +254,18 @@ def test_path_chains():
     moved = vaut_act_track(vauts[0], element)
     chunks.append(_chain_chunk(moved.cover, moved.payload))
     assert _digest(chunks) == GOLDEN["chains"]
+
+
+def test_induced_covers_and_certificates():
+    """Induced covers through restricted backward tables, and the depth-1
+    certificates of the vaut-laws pool."""
+    chunks = [
+        json.dumps([ind.states, ind.cover.perms, ind.to_outer.sheet_map], separators=(",", ":"))
+        for _, _, _, ind in induced_corpus()
+    ]
+    vauts = _law_pool(2, 2)[0]
+    chunks.append(json.dumps([certified_in_caut(v, 1) for v in vauts]))
+    assert _digest(chunks) == GOLDEN["induced"]
 
 
 @pytest.mark.parametrize("steps, targets, seed", sorted(ORBIT_GOLDEN))

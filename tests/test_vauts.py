@@ -21,6 +21,7 @@ from covertower.errors import (
     IncompatibleTower,
     InvalidAutomorphism,
     KindMismatch,
+    RelatorNotTrivial,
 )
 from covertower.homology import surface_complex
 from covertower.limits import (
@@ -508,3 +509,22 @@ def test_caut_certification():
         double_cover_from_signs(2, (1, 0, 0, 0)),
     )
     assert certified_in_caut(restricted, depth=1)
+
+
+def test_relator_check_rejects_a_table_that_is_not_a_homomorphism():
+    """A fwd word changed by a commutator passes the homology check, and only
+    the relator check of the induced cover catches it."""
+    twist = vaut_from_automorphism(by_name("twist_b1_along_a1"))
+    v = restrict_vaut(twist, enumerate_covers(2, 2)[0])
+    w0, w1 = v.fwd[0], v.fwd[1]
+    bad = free_reduce(w0 + w1 + inverse_word(w0) + inverse_word(w1) + w0)
+    perturbed = vaut_inverse(TwoArrowVaut(v.left, v.right, (bad,) + v.fwd[1:], v.bwd))
+    rejected = 0
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    for cover in covers:
+        element = cycle_element(cover, surface_complex(cover).transfer((1, 0, 0, 0)))
+        try:
+            vaut_act(perturbed, element)
+        except RelatorNotTrivial:
+            rejected += 1
+    assert (rejected, len(covers) - rejected) == (36, 200)
