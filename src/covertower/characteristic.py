@@ -101,15 +101,20 @@ def _twist(genus: int, moving: int, along: int, name: str) -> SurfaceAutomorphis
     return SurfaceAutomorphism(genus, tuple(images), tuple(inverses), name)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def shipped_automorphisms(genus: int = 2) -> tuple[SurfaceAutomorphism, ...]:
     """Generating data for characteristic testing at genus 2.
 
     Four handle twists, the swap of the two handles, and an
     orientation-reversing exchange of the two curves in every handle.
     """
+    # checked before the cache lookup, which would hash a bad argument first
     if integer(genus, "genus", InvalidAutomorphism, low=2) != 2:
         raise InvalidAutomorphism("shipped automorphism list is genus-2 only")
+    return _shipped_automorphisms()
+
+
+@lru_cache(maxsize=None)
+def _shipped_automorphisms() -> tuple[SurfaceAutomorphism, ...]:
     twists = (
         _twist(2, 1, 0, "twist_b1_along_a1"),
         _twist(2, 0, 1, "twist_a1_along_b1"),
@@ -129,6 +134,9 @@ def shipped_automorphisms(genus: int = 2) -> tuple[SurfaceAutomorphism, ...]:
         name="ab_flip",
     )
     return twists + (swap, flip)
+
+
+shipped_automorphisms.cache_info = _shipped_automorphisms.cache_info
 
 
 def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
@@ -154,15 +162,23 @@ def is_characteristic(cover: SurfaceCover, automorphisms) -> bool:
     return True
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def mod2_homology_cover(genus: int) -> SurfaceCover:
     """Regular cover with deck group (Z/2)^2g: sheets are mod-2 class vectors."""
-    n = generator_count(integer(genus, "genus", BadDegree, low=2))
+    # checked before the cache lookup, which would hash a bad argument first
+    return _mod2_homology_cover(integer(genus, "genus", BadDegree, low=2))
+
+
+@lru_cache(maxsize=None)
+def _mod2_homology_cover(genus: int) -> SurfaceCover:
+    n = generator_count(genus)
     degree = 1 << n
     perms = tuple(
         tuple(s ^ (1 << i) for s in range(degree)) for i in range(n)
     )
     return SurfaceCover(genus, degree, perms).canonical()
+
+
+mod2_homology_cover.cache_info = _mod2_homology_cover.cache_info
 
 
 def characteristic_refinement(

@@ -89,9 +89,7 @@ class SurfaceCover:
             if len(p) != d or sorted(p) != list(range(d)):
                 raise BadDegree(f"{p} is not a permutation of 0..{d - 1}")
         object.__setattr__(self, "perms", perms)
-        relator = surface_relator(g)
-        if any(self.act(relator, s) != s for s in range(d)):
-            raise RelatorNotTrivial("surface relator does not act as the identity")
+        _check_relator(self)
         order, _, _ = _schreier_walk(self)
         if len(order) != d:
             raise NotTransitive("permutation action is not transitive on sheets")
@@ -126,6 +124,14 @@ class SurfaceCover:
         for letter in word:
             sheet = perms[letter - 1][sheet] if letter > 0 else inverse_perms[-letter - 1][sheet]
         return sheet
+
+    def word_perm(self, word) -> Perm:
+        """The permutation a word induces on sheets: s goes to act(word, s)."""
+        perm = tuple(range(self.degree))
+        for letter in word:
+            step = self.perms[letter - 1] if letter > 0 else self.inverse_perms[-letter - 1]
+            perm = tuple(map(step.__getitem__, perm))
+        return perm
 
     def walk(self, word, sheet: int):
         """The edges the lift of a word from a sheet runs along, and its end sheet.
@@ -177,6 +183,19 @@ class SurfaceCover:
         return SurfaceCover(self.genus, self.degree, tuple(perms))
 
 
+def _check_relator(cover: SurfaceCover) -> None:
+    if cover.word_perm(surface_relator(cover.genus)) != tuple(range(cover.degree)):
+        raise RelatorNotTrivial("surface relator does not act as the identity")
+
+
+def _orbit_cover(genus: int, perms) -> SurfaceCover:
+    """The cover of a pointed orbit of bijective moves, checked for the relator
+    alone: such an orbit is a transitive permutation action by construction."""
+    cover = _trusted(SurfaceCover, genus=genus, degree=len(perms[0]), perms=perms)
+    _check_relator(cover)
+    return cover
+
+
 @dataclass(frozen=True)
 class SchreierTransversal:
     """Breadth-first spanning tree of the Schreier graph from sheet 0.
@@ -222,10 +241,17 @@ def _schreier_walk(cover: SurfaceCover):
     return order, tree, words
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def trivial_cover(genus: int) -> SurfaceCover:
-    n = generator_count(integer(genus, "genus", BadDegree, low=2))
-    return SurfaceCover(genus, 1, tuple(((0,),) * n))
+    # checked before the cache lookup, which would hash a bad argument first
+    return _trivial_cover(integer(genus, "genus", BadDegree, low=2))
+
+
+@lru_cache(maxsize=None)
+def _trivial_cover(genus: int) -> SurfaceCover:
+    return SurfaceCover(genus, 1, ((0,),) * generator_count(genus))
+
+
+trivial_cover.cache_info = _trivial_cover.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +386,8 @@ def _enumerate_cached(genus: int, degree: int) -> tuple[SurfaceCover, ...]:
 
 def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tuple[SurfaceCover, ...]:
     """All pointed-isomorphism classes of degree-d covers, canonical, sorted.
-    The budget gates the search and is not part of the cache key."""
+    The budget gates the search and is not part of the cache key: it bounds
+    both the unpruned candidates and the 2g*d permutation entries of a cover."""
     limit = search_budget(budget)
     integer(genus, "genus", BadDegree, low=2)
     integer(degree, "degree", BadDegree, low=1)
@@ -375,6 +402,12 @@ def enumerate_covers(genus: int, degree: int, budget: int | None = None) -> tupl
                 f"enumeration would examine more than {limit} candidate assignments; "
                 "raise COVERTOWER_BUDGET to override"
             )
+    entries = generator_count(genus) * degree
+    if entries > limit:
+        raise SearchBudgetExceeded(
+            f"a cover would hold {entries} permutation entries, more than {limit}; "
+            "raise COVERTOWER_BUDGET to override"
+        )
     return _enumerate_cached(genus, degree)
 
 
@@ -563,7 +596,7 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     action moves (t, s) along a generator by moving t in outer and moving s in
     target by the word of the traversed Schreier loop.  table must represent a
     homomorphism into the surface group (the relator must die), otherwise
-    construction fails validation.
+    construction raises RelatorNotTrivial.
     """
     need(outer, SurfaceCover, "outer", IncompatibleTower)
     need(target, SurfaceCover, "target", IncompatibleTower)
@@ -571,8 +604,14 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
         raise BaseMismatch("outer and target covers have different base surfaces")
     table = sequence(table, "table", IncompatibleTower, len(outer.schreier.nontree))
     table = words(table, "table", outer.genus, IncompatibleTower)
+    return _induced_cover(outer, table, target)
+
+
+def _induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCover:
+    """induced_cover for a checked table: one word per Schreier generator of
+    outer, over the base of target.  Only the relator can fail."""
     states, perms = _transport(outer, table, target)
-    cover = SurfaceCover(outer.genus, len(states), perms)
+    cover = _orbit_cover(outer.genus, perms)
     outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action
     to_outer = _trusted(CoverArrow, source=cover, target=outer, sheet_map=outer_sheets)
     return InducedCover(cover, tuple(states), to_outer)
@@ -583,21 +622,26 @@ def _transport(outer: SurfaceCover, table, target: SurfaceCover):
 
     A generator moves the outer sheet by outer's action and the target sheet
     by the table word of the Schreier edge of outer it crosses, if any; a
-    tree edge leaves the target sheet in place.  Returns _pointed_orbit's
-    (states, perms).
+    tree edge leaves the target sheet in place.  Each word moves target
+    sheets by one permutation, read once: crossing edge (i, t) forward
+    applies moves[i][t], crossing it backward backs[i][t].  Returns
+    _pointed_orbit's (states, perms).
     """
-    index = outer.schreier.index
+    stay = tuple(range(target.degree))
+    moves = [[stay] * outer.degree for _ in outer.perms]
+    backs = [[stay] * outer.degree for _ in outer.perms]
+    for (i, t), k in outer.schreier.index.items():
+        moves[i][t] = target.word_perm(table[k])
+        backs[i][t] = perm_inverse(moves[i][t])
+    p, p_inv = outer.perms, outer.inverse_perms
 
     def forward(i: int, state) -> tuple[int, int]:
         t, s = state
-        k = index.get((i, t))
-        return outer.perms[i][t], s if k is None else target.act(table[k], s)
+        return p[i][t], moves[i][t][s]
 
     def backward(i: int, state) -> tuple[int, int]:
-        t, s = state
-        t2 = outer.inverse_perms[i][t]
-        k = index.get((i, t2))
-        return t2, s if k is None else target.act(inverse_word(table[k]), s)
+        t2 = p_inv[i][state[0]]
+        return t2, backs[i][t2][state[1]]
 
     return _pointed_orbit(generator_count(outer.genus), forward, backward)
 
@@ -652,7 +696,7 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
             "identification words do not generate the covering surface group"
         )
     try:
-        cover = SurfaceCover(bottom.genus, len(states), perms)
+        cover = _orbit_cover(bottom.genus, perms)
     except RelatorNotTrivial as exc:
         raise InvalidIdentification(
             "identification words do not kill the lifted relator"

@@ -169,8 +169,8 @@ class LiftedTrack:
         passes the TrainTrack checks by construction.  Branch words stay base
         words; which sheet lives in the branch order.
         """
-        d, base, act = self.cover.degree, self.base, self.cover.act
-        arrives = [perm_inverse([act(w, s) for s in range(d)]) for w in base.branch_words]
+        d, base = self.cover.degree, self.base
+        arrives = [perm_inverse(self.cover.word_perm(w)) for w in base.branch_words]
 
         def side(halves, s: int) -> tuple[HalfBranch, ...]:
             return tuple((b * d + (arrives[b][s] if end else s), end) for b, end in halves)

@@ -14,14 +14,15 @@ from functools import lru_cache
 from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
 from .covers import (
     SurfaceCover,
+    _induced_cover,
     _trusted,
     factors_through,
     fiber_product,
-    induced_cover,
     rewrite_in_schreier,
     trivial_cover,
 )
 from .errors import (
+    BadDegree,
     BaseMismatch,
     DimensionMismatch,
     GenusMismatch,
@@ -161,7 +162,7 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
         raise BaseMismatch("element and vaut live over different bases")
     w = fiber_product(element.cover, vaut.left)
     chain = transfer_along_arrow(w.to_first, element.payload)
-    image = induced_cover(vaut.right, vaut.bwd, w.cover).cover
+    image = _induced_cover(vaut.right, vaut.bwd, w.cover).cover
     d = w.cover.degree
     coeffs = (chain[i * d + s] for i, s in w.cover.schreier.nontree)
     terms = [(vaut.forward_word(loop), 0, c) for c, loop in zip(coeffs, w.cover.loops) if c]
@@ -198,17 +199,25 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     if outer.base_genus != inner.base_genus:
         raise BaseMismatch("vauts live over different bases")
     mid = fiber_product(outer.left, inner.right)
-    new_left = induced_cover(inner.left, inner.fwd, mid.cover)
-    new_right = induced_cover(outer.right, outer.bwd, mid.cover)
+    new_left = _induced_cover(inner.left, inner.fwd, mid.cover)
+    new_right = _induced_cover(outer.right, outer.bwd, mid.cover)
     fwd = tuple(outer.forward_word(inner.forward_word(w)) for w in new_left.cover.loops)
     bwd = tuple(inner.backward_word(outer.backward_word(w)) for w in new_right.cover.loops)
     return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss the cache and are rejected
 def identity_vaut(genus: int) -> TwoArrowVaut:
+    # checked before the cache lookup, which would hash a bad argument first
+    return _identity_vaut(integer(genus, "genus", BadDegree, low=2))
+
+
+@lru_cache(maxsize=None)
+def _identity_vaut(genus: int) -> TwoArrowVaut:
     cover = trivial_cover(genus)
     return TwoArrowVaut(cover, cover, cover.loops, cover.loops)
+
+
+identity_vaut.cache_info = _identity_vaut.cache_info
 
 
 def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
@@ -230,7 +239,7 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     need(finer, SurfaceCover, "finer", IncompatibleTower)
     if factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
-    new_right = induced_cover(vaut.right, vaut.bwd, finer)
+    new_right = _induced_cover(vaut.right, vaut.bwd, finer)
     fwd = tuple(map(vaut.forward_word, finer.loops))
     bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
     return _trusted(TwoArrowVaut, left=finer, right=new_right.cover, fwd=fwd, bwd=bwd)
@@ -258,7 +267,7 @@ def _restricts_to(left: SurfaceCover, right: SurfaceCover, table, characteristic
     """Whether the vaut from left to right with backward table table, restricted
     over characteristic, lands on a cover of it; builds no vaut, only that cover."""
     refined = fiber_product(left, characteristic).cover
-    return factors_through(induced_cover(right, table, refined).cover, characteristic) is not None
+    return factors_through(_induced_cover(right, table, refined).cover, characteristic) is not None
 
 
 def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:

@@ -54,6 +54,11 @@ def test_enumerate_budget_exit(capsys):
     assert code == 3
 
 
+def test_enumerate_huge_genus_at_degree_1_exits_3(capsys):
+    code, out = run(capsys, "enumerate", "--genus", "50", "--degree", "1", "--budget", "10")
+    assert (code, out) == (3, "")
+
+
 @pytest.mark.parametrize("genus, degree", [("2", "1000"), ("3", "500")])
 def test_enumerate_huge_degree_exits_3(capsys, monkeypatch, genus, degree):
     # the unpruned count has thousands of digits; it used to end in exit 4

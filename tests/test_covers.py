@@ -389,7 +389,18 @@ def test_budget_gate_counts_unpruned_candidates():
     assert len(enumerate_covers(2, 3, budget=36)) == 220
     with pytest.raises(SearchBudgetExceeded, match="more than 35 candidate"):
         enumerate_covers(2, 3, budget=35)
-    assert len(enumerate_covers(2, 1, budget=1)) == 1
+    # degree 1 has one candidate; its 2g*d = 4 permutation entries count too
+    assert len(enumerate_covers(2, 1, budget=4)) == 1
+    with pytest.raises(SearchBudgetExceeded, match="4 permutation entries, more than 3"):
+        enumerate_covers(2, 1, budget=3)
+
+
+def test_budget_gate_counts_permutation_entries_of_a_huge_genus():
+    # one candidate at degree 1, but 2g*d = 100 entries: gated, never allocated
+    before = _enumerate_cached.cache_info()
+    with pytest.raises(SearchBudgetExceeded, match="100 permutation entries, more than 10"):
+        enumerate_covers(50, 1, budget=10)
+    assert _enumerate_cached.cache_info() == before
 
 
 @pytest.mark.parametrize("bad", [-5, 0, True, False, 1.5, "10"])
@@ -733,7 +744,7 @@ def test_compose_rejects_bad_marking():
     assert compose_covers(top, bottom, A1_SWAP_MARKING).cover.degree == 6
     broken = dict(A1_SWAP_MARKING)
     broken[(1, 1)] = (2,)
-    with pytest.raises(InvalidIdentification):
+    with pytest.raises(InvalidIdentification, match="kill the lifted relator"):
         compose_covers(top, bottom, broken)
     missing = dict(A1_SWAP_MARKING)
     del missing[(3, 1)]
@@ -806,6 +817,32 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
 def test_induced_covers_pass_the_public_constructor():
     for _, _, _, induced in induced_corpus():
         assert public_cover(induced.cover) == induced.cover
+
+
+def test_word_permutations_follow_the_lifts():
+    """The per-word moves of the induced-cover walk against act, sheet by sheet."""
+    tables = {(outer, table) for outer, table, _, _ in induced_corpus()}
+    targets = {target for _, _, target, _ in induced_corpus()}
+    for cover in targets:
+        for word in {w for _, table in tables for w in table}:
+            assert cover.word_perm(word) == tuple(cover.act(word, s) for s in range(cover.degree))
+    assert cover.word_perm(()) == tuple(range(cover.degree))
+
+
+def test_induced_cover_rejects_a_table_that_is_not_a_homomorphism():
+    """Only the relator check can fail a checked table, and it does."""
+    outer = double_cover_from_signs(2, (1, 0, 0, 0))
+    table = list(outer.loops)
+    w0, w1 = table[0], table[1]
+    table[0] = free_reduce(w0 + w1 + inverse_word(w0) + inverse_word(w1) + w0)
+    assert induced_cover(outer, outer.loops, trivial_cover(2)).cover == outer
+    failures = 0
+    for target in enumerate_covers(2, 3):
+        try:
+            induced_cover(outer, table, target)
+        except RelatorNotTrivial:
+            failures += 1
+    assert failures == 27  # of 220, as the full constructor checks found
 
 
 def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch):

@@ -8,9 +8,16 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from covertower.characteristic import shipped_automorphisms
+from covertower.covers import arrow_to_trivial, enumerate_covers
+from covertower.limits import base_class_element, lift_element
+from covertower.vauts import restrict_vaut, vaut_from_automorphism
+from covertower.verify import _inverse_law
 
 pytestmark = pytest.mark.slow
 
@@ -35,3 +42,23 @@ def test_enumerate_degree_5_stream():
     assert proc.wait(timeout=600) == 0
     assert lines == 151_086  # Mednykh's count of index-5 subgroups of the genus-2 group
     assert digest.hexdigest() == DEGREE_5_CENSUS
+
+
+def test_inverse_law_on_every_restriction_of_degree_at_most_3():
+    """v(v^-1(e)) = e for the a1 class lifted to each restriction's left cover,
+    over the six shipped vauts restricted to every cover of degree <= 3."""
+    a1 = base_class_element(2, (1, 0, 0, 0))
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
+    start = time.perf_counter()
+    failures, checked = [], 0
+    for aut in shipped_automorphisms(2):
+        vaut = vaut_from_automorphism(aut)
+        for k, cover in enumerate(covers):
+            restricted = restrict_vaut(vaut, cover)
+            if not _inverse_law(restricted, lift_element(a1, arrow_to_trivial(cover))):
+                failures.append((aut.name, k))
+            checked += 1
+    wall = time.perf_counter() - start
+    print(f"inverse law on {checked} restrictions of degree <= 3: {wall:.2f} s")
+    assert checked == 1416
+    assert failures == []
