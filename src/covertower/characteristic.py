@@ -201,8 +201,10 @@ def characteristic_refinement(
         family.extend(enumerate_covers(cover.genus, deg, budget=limit))
     orbit = _pointed_orbit(
         generator_count(cover.genus),
-        lambda i, state: tuple(c.perms[i][s] for c, s in zip(family, state)),
-        lambda i, state: tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
+        lambda i, state: (
+            tuple(c.perms[i][s] for c, s in zip(family, state)),
+            tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
+        ),
         budget=limit,
         start=(0,) * len(family),
     )

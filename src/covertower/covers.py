@@ -127,11 +127,11 @@ class SurfaceCover:
 
     def word_perm(self, word) -> Perm:
         """The permutation a word induces on sheets: s goes to act(word, s)."""
-        perm = tuple(range(self.degree))
+        perm = None
         for letter in word:
             step = self.perms[letter - 1] if letter > 0 else self.inverse_perms[-letter - 1]
-            perm = tuple(map(step.__getitem__, perm))
-        return perm
+            perm = step if perm is None else tuple(map(step.__getitem__, perm))
+        return tuple(range(self.degree)) if perm is None else perm
 
     def walk(self, word, sheet: int):
         """The edges the lift of a word from a sheet runs along, and its end sheet.
@@ -437,14 +437,15 @@ def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Pointed orbits of product actions
 
-def _pointed_orbit(n: int, forward, backward, budget: int | None = None, start=(0, 0)):
+def _pointed_orbit(n: int, moves, budget: int | None = None, start=(0, 0)):
     """Orbit of a start state under a generator action, with its coset table.
 
-    forward(i, state) and backward(i, state) move a state along generator i
-    and its inverse.  States are labeled in discovery order: each state in
+    moves(i, state) is the pair of states that generator i and its inverse
+    move a state to.  States are labeled in discovery order: each state in
     turn explores generator i forward, then backward, for i = 0..n-1.
-    Returns (states, perms) with perms[i][k] the label of forward(i,
-    states[k]), or None when the orbit has more than budget states.
+    Returns (states, perms) with perms[i][k] the label of the forward move
+    of states[k] along generator i, or None when the orbit has more than
+    budget states.
 
     This order interleaves each generator with its inverse, unlike the
     canonical order of _schreier_walk; the sheet labels of fiber products
@@ -454,15 +455,15 @@ def _pointed_orbit(n: int, forward, backward, budget: int | None = None, start=(
     states = [start]
     rows: list[list[int]] = [[] for _ in range(n)]
     for state in states:  # the walk appends to states as it discovers them
-        for i in range(n):
-            image = forward(i, state)
-            for step in (image, backward(i, state)):
+        for i, row in enumerate(rows):
+            both = moves(i, state)
+            for step in both:
                 if step not in label:
                     if budget is not None and len(states) >= budget:
                         return None
                     label[step] = len(states)
                     states.append(step)
-            rows[i].append(label[image])
+            row.append(label[both[0]])
     return states, tuple(tuple(row) for row in rows)
 
 
@@ -562,8 +563,7 @@ def _fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     p_inv, q_inv = first.inverse_perms, second.inverse_perms
     states, perms = _pointed_orbit(
         generator_count(first.genus),
-        lambda i, pair: (p[i][pair[0]], q[i][pair[1]]),
-        lambda i, pair: (p_inv[i][pair[0]], q_inv[i][pair[1]]),
+        lambda i, pair: ((p[i][pair[0]], q[i][pair[1]]), (p_inv[i][pair[0]], q_inv[i][pair[1]])),
     )
     # a pointed orbit of two relator-killing actions is a cover over both
     cover = _trusted(SurfaceCover, genus=first.genus, degree=len(states), perms=perms)
@@ -635,15 +635,12 @@ def _transport(outer: SurfaceCover, table, target: SurfaceCover):
         backs[i][t] = perm_inverse(moves[i][t])
     p, p_inv = outer.perms, outer.inverse_perms
 
-    def forward(i: int, state) -> tuple[int, int]:
+    def step(i: int, state):
         t, s = state
-        return p[i][t], moves[i][t][s]
+        t2 = p_inv[i][t]
+        return (p[i][t], moves[i][t][s]), (t2, backs[i][t2][s])
 
-    def backward(i: int, state) -> tuple[int, int]:
-        t2 = p_inv[i][state[0]]
-        return t2, backs[i][t2][state[1]]
-
-    return _pointed_orbit(generator_count(outer.genus), forward, backward)
+    return _pointed_orbit(generator_count(outer.genus), step)
 
 
 # ---------------------------------------------------------------------------
