@@ -31,7 +31,7 @@ from .errors import (
     RelatorNotTrivial,
     SearchBudgetExceeded,
 )
-from .errors import integer, integers, need, sequence, words
+from .errors import checked_cache, genus_key, integer, integers, need, sequence, words
 from .surface import Word, free_reduce, generator_count, inverse_word, surface_relator
 
 Perm = tuple[int, ...]
@@ -241,17 +241,9 @@ def _schreier_walk(cover: SurfaceCover):
     return order, tree, words
 
 
+@checked_cache(genus_key)
 def trivial_cover(genus: int) -> SurfaceCover:
-    # checked before the cache lookup, which would hash a bad argument first
-    return _trivial_cover(integer(genus, "genus", BadDegree, low=2))
-
-
-@lru_cache(maxsize=None)
-def _trivial_cover(genus: int) -> SurfaceCover:
     return SurfaceCover(genus, 1, ((0,),) * generator_count(genus))
-
-
-trivial_cover.cache_info = _trivial_cover.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +532,10 @@ class FiberProduct:
     to_second: CoverArrow
 
 
+@checked_cache(lambda first, second: (
+    need(first, SurfaceCover, "first", IncompatibleTower),
+    need(second, SurfaceCover, "second", IncompatibleTower),
+))
 def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     """Pointed component of the diagonal action on sheet pairs.
 
@@ -549,14 +545,6 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     is not the canonical order, which tries every generator forward before
     any inverse; call canonical() for the canonical labeling.
     """
-    # checked before the cache lookup, which would hash a bad argument first
-    need(first, SurfaceCover, "first", IncompatibleTower)
-    need(second, SurfaceCover, "second", IncompatibleTower)
-    return _fiber_product(first, second)
-
-
-@lru_cache(maxsize=None)
-def _fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
     p, q = first.perms, second.perms
@@ -571,9 +559,6 @@ def _fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     to_first = _trusted(CoverArrow, source=cover, target=first, sheet_map=firsts)
     to_second = _trusted(CoverArrow, source=cover, target=second, sheet_map=seconds)
     return FiberProduct(cover, to_first, to_second)
-
-
-fiber_product.cache_info = _fiber_product.cache_info
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ distinguish "the input is malformed" from "the search gave up".
 
 import numbers
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import chain
 
 
@@ -87,9 +88,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def need(value, cls, name: str, error) -> None:
+def need(value, cls, name: str, error):
+    """value, once it is an instance of cls."""
     if not isinstance(value, cls):
         raise error(f"{name} must be a {cls.__name__}, got {value!r:.40}")
+    return value
 
 
 def integer(value, name: str, error, low: int | None = None) -> int:
@@ -158,3 +161,26 @@ def integral(value, name: str) -> int:
     if f.denominator != 1:
         raise NonIntegerWeights(f"{name} must be an integer, got {value!r:.40}")
     return f.numerator
+
+
+def checked_cache(check):
+    """Decorator: an unbounded lru_cache behind check, which takes the public
+    arguments, raises its caller's error for a bad one and returns the key
+    (the body's arguments).  An accepted call is one cache lookup; the public
+    name keeps the body's signature, cache_info, cache_clear and __wrapped__."""
+    def decorate(body):
+        cached = lru_cache(maxsize=None)(body)
+
+        @wraps(body)
+        def checked(*args, **kwargs):
+            return cached(*check(*args, **kwargs))
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
+
+
+def genus_key(genus) -> tuple[int]:
+    """The check of a per-genus cache: BadDegree unless genus is an integer >= 2."""
+    return (integer(genus, "genus", BadDegree, low=2),)

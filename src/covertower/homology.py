@@ -16,11 +16,11 @@ independent computation rather than a definition.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import mul
 
-from .covers import SurfaceCover, pull_back, schreier_loop
-from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower, need
+from .covers import CoverArrow, SurfaceCover, pull_back, schreier_loop
+from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
+from .errors import checked_cache, need, sequence
 from .surface import generator_count, surface_relator
 
 
@@ -261,22 +261,15 @@ class CoverComplex:
         return -sum(map(mul, self.pairing_covector(chain1), chain2))
 
 
+@checked_cache(lambda cover: (need(cover, SurfaceCover, "cover", IncompatibleTower),))
 def surface_complex(cover: SurfaceCover) -> CoverComplex:
-    # checked before the cache lookup, which would hash a bad argument first
-    need(cover, SurfaceCover, "cover", IncompatibleTower)
-    return _surface_complex(cover)
-
-
-@lru_cache(maxsize=None)
-def _surface_complex(cover: SurfaceCover) -> CoverComplex:
     return CoverComplex(cover)
-
-
-surface_complex.cache_info = _surface_complex.cache_info
 
 
 def transfer_along_arrow(arrow, chain):
     """Pull a chain on the arrow's target back to the full preimage chain."""
+    need(arrow, CoverArrow, "arrow", IncompatibleTower)
+    chain = sequence(chain, "chain", DimensionMismatch)
     d = arrow.target.degree
     if len(chain) != len(arrow.target.perms) * d:
         raise DimensionMismatch("chain does not fit the arrow's target")

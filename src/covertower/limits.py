@@ -148,6 +148,8 @@ def limit_equal(e1: LimitElement, e2: LimitElement) -> bool:
     agreement at every deeper level.  Track payloads must share the base
     track and are compared weight by weight.
     """
+    need(e1, LimitElement, "e1", IncompatibleTower)
+    need(e2, LimitElement, "e2", IncompatibleTower)
     if e1.kind == "track" and e2.kind == "track":
         if e1.payload[0] != e2.payload[0]:
             raise IncompatibleTower("track elements over different base tracks")
@@ -167,7 +169,7 @@ def pairing_table(rows, cols) -> list[list[Fraction]]:
     fiber product only when the covers differ and neither is trivial), and
     each element one lift per refinement that is not its own cover.
     """
-    rows, cols = tuple(rows), tuple(cols)
+    rows, cols = _elements(rows, "rows"), _elements(cols, "cols")
     if any(e.kind != "cycle" for e in (*rows, *cols)):
         raise KindMismatch("normalized pairing is defined for cycle elements")
     if len({e.base_genus for e in (*rows, *cols)}) > 1:
@@ -185,6 +187,14 @@ def pairing_table(rows, cols) -> list[list[Fraction]]:
     return table
 
 
+def _elements(elements, name: str) -> tuple[LimitElement, ...]:
+    """elements as a tuple of limit elements; a bad entry is named name[k]."""
+    items = sequence(elements, name, IncompatibleTower)
+    for k, e in enumerate(items):
+        need(e, LimitElement, f"{name}[{k}]", IncompatibleTower)
+    return items
+
+
 def _by_cover(elements):
     """(cover, positions) for each cover among the elements, by identity."""
     groups = {}
@@ -200,11 +210,14 @@ def normalized_pairing(e1: LimitElement, e2: LimitElement) -> Fraction:
     genus(total) - 1, making the ratio independent of the representative
     level.  Exact rational output.
     """
+    need(e1, LimitElement, "e1", IncompatibleTower)
+    need(e2, LimitElement, "e2", IncompatibleTower)
     return pairing_table((e1,), (e2,))[0][0]
 
 
 def homology_shadow(element: LimitElement) -> LimitElement:
     """Cycle-kind element carried by an integrally weighted track element."""
+    need(element, LimitElement, "element", IncompatibleTower)
     if element.kind != "track":
         raise KindMismatch("homology shadow takes a track element")
     track, weights = element.payload

@@ -294,6 +294,8 @@ def arrow_step_matrix(lifted: LiftedTrack, arrow: CoverArrow) -> CarryingMatrix:
 def carrying_compose(first: CarryingMatrix, second: CarryingMatrix) -> CarryingMatrix:
     """Apply first, then second.  A composite of cone maps is a cone map, so
     the product skips the cone check."""
+    need(first, CarryingMatrix, "first", IncompatibleTower)
+    need(second, CarryingMatrix, "second", IncompatibleTower)
     if second.source != first.target:
         raise DimensionMismatch("second matrix's source track is not first's target")
     columns = tuple(zip(*first.matrix)) or ((),) * first.source.n_branches

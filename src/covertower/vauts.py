@@ -9,7 +9,6 @@ per Schreier generator of the source stabilizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
 from .covers import (
@@ -22,7 +21,6 @@ from .covers import (
     trivial_cover,
 )
 from .errors import (
-    BadDegree,
     BaseMismatch,
     DimensionMismatch,
     GenusMismatch,
@@ -30,7 +28,7 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
-from .errors import integer, need
+from .errors import checked_cache, genus_key, integer, need
 from .exact_linalg import mat_vec
 from .homology import surface_complex, transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
@@ -206,22 +204,15 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
 
 
+@checked_cache(genus_key)
 def identity_vaut(genus: int) -> TwoArrowVaut:
-    # checked before the cache lookup, which would hash a bad argument first
-    return _identity_vaut(integer(genus, "genus", BadDegree, low=2))
-
-
-@lru_cache(maxsize=None)
-def _identity_vaut(genus: int) -> TwoArrowVaut:
     cover = trivial_cover(genus)
     return TwoArrowVaut(cover, cover, cover.loops, cover.loops)
 
 
-identity_vaut.cache_info = _identity_vaut.cache_info
-
-
 def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
     """Mapping-class-like vaut with both arrows trivial."""
+    need(aut, SurfaceAutomorphism, "aut", IncompatibleTower)
     cover = trivial_cover(aut.genus)
     fwd = tuple(map(aut.apply, cover.loops))
     bwd = tuple(map(aut.apply_inverse, cover.loops))
@@ -251,6 +242,7 @@ def is_mapping_class_like(vaut: TwoArrowVaut) -> bool:
     Decided after canonical relabeling.  False only means not witnessed by
     this representative; a finer one may still exhibit it.
     """
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
     return vaut.left.canonical() == vaut.right.canonical()
 
 
@@ -258,6 +250,7 @@ def pairing_preserved(
     vaut: TwoArrowVaut, e1: LimitElement, e2: LimitElement
 ) -> bool:
     """Exact equality of normalized pairings before and after acting."""
+    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
     before = normalized_pairing(e1, e2)
     after = normalized_pairing(vaut_act(vaut, e1), vaut_act(vaut, e2))
     return before == after
@@ -274,13 +267,15 @@ def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:
     """Depth-bounded certificate that the vaut descends to characteristic covers.
 
     Depth 0 checks the trivial cover, depth 1 adds the mod-2 homology
-    cover.  True certifies a representative over each tested characteristic
-    cover in both directions; False is inconclusive beyond the tested depth.
+    cover; no deeper level is implemented.  True certifies a representative
+    over each tested characteristic cover in both directions; False is
+    inconclusive beyond the tested depth.
     """
     need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
-    integer(depth, "depth", IncompatibleTower, low=0)
+    if integer(depth, "depth", IncompatibleTower, low=0) > 1:
+        raise IncompatibleTower(f"depth must be 0 or 1, got {depth}")
     candidates = [trivial_cover(vaut.base_genus)]
-    if depth >= 1:
+    if depth == 1:
         candidates.append(mod2_homology_cover(vaut.base_genus))
     for cover in candidates:
         if not _restricts_to(vaut.left, vaut.right, vaut.bwd, cover):

@@ -30,7 +30,7 @@ from .documents import (
     vaut_document,
     DocumentError,
 )
-from .errors import CovertowerError
+from .errors import BadDegree, CovertowerError, integer
 from .homology import surface_complex
 from .limits import (
     base_class_element,
@@ -424,6 +424,8 @@ def run_suite(
         raise ValueError(f"jobs must be 1, got {jobs}: sweeps run serially")
     if suite not in SUITES:
         raise DocumentError(f"unknown suite {suite!r}")
+    integer(genus, "genus", BadDegree, low=2)
+    integer(max_degree, "max_degree", BadDegree, low=1)
     return SUITES[suite](genus, max_degree, seed)
 
 

@@ -112,20 +112,6 @@ def test_genus_is_an_integer_at_least_2(build, genus, error):
         build(genus)
 
 
-@pytest.mark.parametrize("build, error", [
-    (trivial_cover, BadDegree),
-    (mod2_homology_cover, BadDegree),
-    (shipped_automorphisms, InvalidAutomorphism),
-    (identity_vaut, BadDegree),
-])
-def test_per_genus_caches_check_the_genus_before_the_cache(build, error):
-    """A list genus is named, not hashed by the cache."""
-    before = build.cache_info()
-    with pytest.raises(error, match=r"^genus must be an integer at least 2, got \[2\]$"):
-        build([2])
-    assert build.cache_info() == before
-
-
 def test_substitution_respects_relator_on_shipped():
     from covertower.surface import are_conjugate, inverse_word, surface_relator
 

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from covertower.characteristic import (
     characteristic_refinement,
     is_characteristic,
+    mod2_homology_cover,
     shipped_automorphisms,
 )
 from covertower.covers import (
@@ -16,7 +19,6 @@ from covertower.covers import (
     _canonical_columns,
     _canonical_tuples,
     _enumerate_cached,
-    _fiber_product,
     _read_table,
     _schreier_walk,
     compose_covers,
@@ -36,6 +38,7 @@ from covertower.errors import (
     CovertowerError,
     GenusMismatch,
     IncompatibleTower,
+    InvalidAutomorphism,
     InvalidIdentification,
     NotTransitive,
     RelatorNotTrivial,
@@ -43,6 +46,7 @@ from covertower.errors import (
 )
 from covertower.homology import surface_complex
 from covertower.surface import free_reduce, inverse_word, substitute
+from covertower.vauts import identity_vaut
 from conftest import double_cover_from_signs, induced_corpus
 
 
@@ -638,18 +642,51 @@ def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
         build(*args)
 
 
+COVER = double_cover_from_signs(2, (1, 0, 0, 0))
+
+# The six caches behind errors.checked_cache: the error a bad argument
+# raises, what the argument must be, an accepted call and the pinned
+# public signature.
+CHECKED_CACHES = {
+    trivial_cover: (BadDegree, "an integer at least 2", (2,), "(genus: 'int') -> 'SurfaceCover'"),
+    fiber_product: (IncompatibleTower, "a SurfaceCover", (COVER, COVER),
+                    "(first: 'SurfaceCover', second: 'SurfaceCover') -> 'FiberProduct'"),
+    surface_complex: (IncompatibleTower, "a SurfaceCover", (COVER,),
+                      "(cover: 'SurfaceCover') -> 'CoverComplex'"),
+    mod2_homology_cover: (BadDegree, "an integer at least 2", (2,),
+                          "(genus: 'int') -> 'SurfaceCover'"),
+    shipped_automorphisms: (InvalidAutomorphism, "an integer at least 2", (),
+                            "(genus: 'int' = 2) -> 'tuple[SurfaceAutomorphism, ...]'"),
+    identity_vaut: (BadDegree, "an integer at least 2", (2,), "(genus: 'int') -> 'TwoArrowVaut'"),
+}
+
+
 @pytest.mark.parametrize("build, args, name", [
     (fiber_product, ([1], trivial_cover(2)), "first"),
     (fiber_product, (trivial_cover(2), [1]), "second"),
     (surface_complex, ([1],), "cover"),
     (surface_complex, ("x",), "cover"),
+    (trivial_cover, ([2],), "genus"),
+    (mod2_homology_cover, ([2],), "genus"),
+    (shipped_automorphisms, ([2],), "genus"),
+    (identity_vaut, ([2],), "genus"),
 ])
 def test_cached_builders_check_arguments_before_the_cache(build, args, name):
-    """An unhashable or wrong argument is named, not hashed or half-built."""
+    """An unhashable or wrong argument is named, not hashed or half-built; an
+    accepted call is one cache lookup, as perfbench's binding check counts
+    them; and the public name keeps its signature."""
+    error, must, accepted, signature = CHECKED_CACHES[build]
+    (bad,) = [a for a in args if isinstance(a, (list, str))]
     before = build.cache_info()
-    with pytest.raises(IncompatibleTower, match=f"{name} must be a SurfaceCover"):
+    with pytest.raises(error, match=rf"^{name} must be {must}, got {re.escape(repr(bad))}$"):
         build(*args)
     assert build.cache_info() == before
+    build(*accepted)
+    after = build.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert str(inspect.signature(build)) == signature
+    build.__wrapped__(*accepted)  # the uncached body
+    assert build.cache_info() == after and callable(build.cache_clear)
 
 
 def test_fiber_product_is_the_stabilizer_intersection():
@@ -866,5 +903,5 @@ def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch)
     covers = [c for d in range(1, 5) for c in enumerate_covers(2, d)]
     rng = random.Random(67)
     for _ in range(20):
-        _fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
+        fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
     assert calls == []

@@ -1,5 +1,6 @@
 """The input policy: one set of field checks, in errors.py and nowhere else."""
 
+import ast
 import enum
 import re
 from pathlib import Path
@@ -8,8 +9,12 @@ import pytest
 
 from covertower import errors
 from covertower.errors import (
+    BadDegree,
     DimensionMismatch,
+    IncompatibleTower,
     NonIntegerWeights,
+    checked_cache,
+    genus_key,
     integer,
     integers,
     integral,
@@ -17,6 +22,22 @@ from covertower.errors import (
     rational,
     sequence,
     words,
+)
+from covertower.covers import arrow_to_trivial, trivial_cover
+from covertower.homology import transfer_along_arrow
+from covertower.limits import (
+    base_class_element,
+    homology_shadow,
+    limit_equal,
+    normalized_pairing,
+    pairing_table,
+)
+from covertower.traintrack import carrying_compose, lift_track, three_branch_example
+from covertower.vauts import (
+    identity_vaut,
+    is_mapping_class_like,
+    pairing_preserved,
+    vaut_from_automorphism,
 )
 
 # an isinstance test against bool, or an exact type test against int
@@ -70,6 +91,8 @@ def test_messages_begin_with_the_field(check, message):
 
 
 def test_checks_return_the_value_as_read():
+    value = object()
+    assert need(value, object, "x", DimensionMismatch) is value
     assert integer(3, "n", DimensionMismatch, low=3) == 3
     assert sequence([1, 2], "xs", DimensionMismatch, 2) == (1, 2)
     assert integers([0, -4], "xs", DimensionMismatch) == (0, -4)
@@ -99,3 +122,71 @@ def test_integral_rejects_everything_else(value):
     if value != 1.5:
         with pytest.raises(NonIntegerWeights, match="^x must be a number"):
             rational(value, "x")
+
+
+ELEMENT = base_class_element(2, (1, 0, 0, 0))
+VAUT = identity_vaut(2)
+MATRIX = lift_track(three_branch_example(), trivial_cover(2))[1]
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (limit_equal, (1, 2), "e1 must be a LimitElement"),
+    (limit_equal, (ELEMENT, 2), "e2 must be a LimitElement"),
+    (normalized_pairing, ("e", ELEMENT), "e1 must be a LimitElement"),
+    (normalized_pairing, (ELEMENT, None), "e2 must be a LimitElement"),
+    (pairing_table, ([ELEMENT, 1], [ELEMENT]), r"rows\[1\] must be a LimitElement"),
+    (pairing_table, ([ELEMENT], (ELEMENT, "x")), r"cols\[1\] must be a LimitElement"),
+    (pairing_table, (1, [ELEMENT]), "rows must be a sequence"),
+    (pairing_preserved, (1, ELEMENT, ELEMENT), "vaut must be a TwoArrowVaut"),
+    (pairing_preserved, (VAUT, 1, ELEMENT), "e1 must be a LimitElement"),
+    (pairing_preserved, (VAUT, ELEMENT, [1]), "e2 must be a LimitElement"),
+    (homology_shadow, (1,), "element must be a LimitElement"),
+    (transfer_along_arrow, (1, (0, 0, 0, 0)), "arrow must be a CoverArrow"),
+    (vaut_from_automorphism, (1,), "aut must be a SurfaceAutomorphism"),
+    (is_mapping_class_like, ("vaut",), "vaut must be a TwoArrowVaut"),
+    (carrying_compose, (1, MATRIX), "first must be a CarryingMatrix"),
+    (carrying_compose, (MATRIX, 1), "second must be a CarryingMatrix"),
+])
+def test_public_functions_name_an_argument_of_the_wrong_type(function, args, message):
+    """IncompatibleTower names the parameter; no bare AttributeError or TypeError."""
+    with pytest.raises(IncompatibleTower, match=f"^{message}, got "):
+        function(*args)
+
+
+def test_a_chain_that_is_not_a_sequence_is_named():
+    with pytest.raises(DimensionMismatch, match="^chain must be a sequence, got 5$"):
+        transfer_along_arrow(arrow_to_trivial(trivial_cover(2)), 5)
+
+
+def test_checked_cache_keys_a_call_by_what_check_returns():
+    """Positional and keyword calls share one entry, because the key is the
+    check's return value; a rejected call is no lookup."""
+    @checked_cache(genus_key)
+    def build(genus: int) -> list:
+        return [genus]
+
+    assert build(2) is build(genus=2)
+    with pytest.raises(BadDegree, match=r"^genus must be an integer at least 2, got \[2\]$"):
+        build([2])
+    info = build.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert build.__wrapped__(3) == [3] and build.cache_info() == info
+    build.cache_clear()
+    assert build.cache_info().currsize == 0
+
+
+def test_lru_cache_only_behind_checked_cache():
+    """The package caches only through errors.checked_cache, apart from
+    covers._enumerate_cached, which perfbench reads by that name; so a new
+    cached builder checks its arguments before the cache hashes them."""
+    package = Path(errors.__file__).resolve().parent
+    uses = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    uses.add((path.name, getattr(top, "name", None)))
+    assert uses == {("errors.py", "checked_cache"), ("covers.py", "_enumerate_cached")}

@@ -493,6 +493,8 @@ def test_certificate_matches_the_checked_restriction_oracle():
     (vaut_act_track, (identity_vaut(2), None), "element"),
     (vaut_compose, (5, identity_vaut(2)), "outer"),
     (vaut_compose, (identity_vaut(2), "inner"), "inner"),
+    (certified_in_caut, (identity_vaut(2), 2), "^depth must be 0 or 1, got 2$"),
+    (certified_in_caut, (identity_vaut(2), 10**6), "^depth must be 0 or 1, got 1000000$"),
 ])
 def test_trusted_vaut_builders_name_a_bad_argument(build, args, name):
     with pytest.raises(IncompatibleTower, match=name):

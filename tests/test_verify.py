@@ -23,6 +23,7 @@ from covertower.documents import (
     rational_str,
     vaut_document,
 )
+from covertower.errors import BadDegree
 from covertower.homology import surface_complex
 from covertower.limits import (
     base_class_element,
@@ -55,6 +56,22 @@ def test_all_suites_pass_at_degree2():
 def test_run_suite_accepts_only_one_job():
     with pytest.raises(ValueError, match="jobs"):
         run_suite("riemann-hurwitz", genus=2, max_degree=2, jobs=2)
+
+
+@pytest.mark.parametrize("genus, max_degree, message", [
+    (2, 0, "max_degree must be an integer at least 1, got 0"),
+    (2, -1, "max_degree must be an integer at least 1, got -1"),
+    (2, True, "max_degree must be an integer at least 1, got True"),
+    (2, 2.5, r"max_degree must be an integer at least 1, got 2\.5"),
+    (2, "3", "max_degree must be an integer at least 1, got '3'"),
+    (1, 2, "genus must be an integer at least 2, got 1"),
+    (2.0, 2, r"genus must be an integer at least 2, got 2\.0"),
+])
+def test_run_suite_names_a_bad_genus_or_degree_before_it_runs(genus, max_degree, message):
+    """Never a vacuous ok with no lines, a bool read as degree 1, or a bare TypeError."""
+    for suite in SUITES:
+        with pytest.raises(BadDegree, match=f"^{message}$"):
+            run_suite(suite, genus, max_degree)
 
 
 def test_sweep_stops_at_first_failure():
