@@ -187,7 +187,7 @@ def characteristic_refinement(
     for deg in range(2, d + 1):
         family.extend(enumerate_covers(cover.genus, deg, budget=limit))
     orbit = _pointed_orbit(
-        generator_count(cover.genus),
+        cover.genus,
         lambda i, state: (
             tuple(c.perms[i][s] for c, s in zip(family, state)),
             tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
@@ -200,5 +200,4 @@ def characteristic_refinement(
             f"characteristic refinement exceeded {limit} sheets; "
             "raise COVERTOWER_BUDGET or pass a larger budget"
         )
-    states, perms = orbit
-    return SurfaceCover(cover.genus, len(states), perms).canonical()
+    return orbit[0].canonical()

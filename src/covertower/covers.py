@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .errors import (
     RelatorNotTrivial,
     SearchBudgetExceeded,
 )
-from .errors import checked_cache, genus_key, integer, integers, need, sequence, words
-from .surface import Word, free_reduce, generator_count, inverse_word, surface_relator
+from .errors import checked_cache, genus_key, integer, integers, need, sequence, word, words
+from .exact_linalg import generates_integer_lattice
+from .surface import Word, abelianized, free_reduce, generator_count, inverse_word, surface_relator
 
 Perm = tuple[int, ...]
 
@@ -186,14 +189,6 @@ class SurfaceCover:
 def _check_relator(cover: SurfaceCover) -> None:
     if cover.word_perm(surface_relator(cover.genus)) != tuple(range(cover.degree)):
         raise RelatorNotTrivial("surface relator does not act as the identity")
-
-
-def _orbit_cover(genus: int, perms) -> SurfaceCover:
-    """The cover of a pointed orbit of bijective moves, checked for the relator
-    alone: such an orbit is a transitive permutation action by construction."""
-    cover = _trusted(SurfaceCover, genus=genus, degree=len(perms[0]), perms=perms)
-    _check_relator(cover)
-    return cover
 
 
 @dataclass(frozen=True)
@@ -429,15 +424,16 @@ def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Pointed orbits of product actions
 
-def _pointed_orbit(n: int, moves, budget: int | None = None, start=(0, 0)):
-    """Orbit of a start state under a generator action, with its coset table.
+def _pointed_orbit(genus: int, moves, budget: int | None = None, start=(0, 0)):
+    """Orbit of a start state under a generator action, as a cover.
 
     moves(i, state) is the pair of states that generator i and its inverse
     move a state to.  States are labeled in discovery order: each state in
-    turn explores generator i forward, then backward, for i = 0..n-1.
-    Returns (states, perms) with perms[i][k] the label of the forward move
-    of states[k] along generator i, or None when the orbit has more than
-    budget states.
+    turn explores generator i forward, then backward, for i = 0..2g-1.
+    Returns (cover, states), sheet k of cover being states[k], or None when
+    the orbit has more than budget states.  The cover is built unchecked: a
+    pointed orbit of bijective moves is a transitive permutation action by
+    construction, and the caller answers for the relator.
 
     This order interleaves each generator with its inverse, unlike the
     canonical order of _schreier_walk; the sheet labels of fiber products
@@ -445,7 +441,7 @@ def _pointed_orbit(n: int, moves, budget: int | None = None, start=(0, 0)):
     """
     label = {start: 0}
     states = [start]
-    rows: list[list[int]] = [[] for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(generator_count(genus))]
     for state in states:  # the walk appends to states as it discovers them
         for i, row in enumerate(rows):
             both = moves(i, state)
@@ -456,7 +452,8 @@ def _pointed_orbit(n: int, moves, budget: int | None = None, start=(0, 0)):
                     label[step] = len(states)
                     states.append(step)
             row.append(label[both[0]])
-    return states, tuple(tuple(row) for row in rows)
+    perms = tuple(tuple(row) for row in rows)
+    return _trusted(SurfaceCover, genus=genus, degree=len(states), perms=perms), states
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +522,13 @@ def arrow_to_trivial(cover: SurfaceCover) -> CoverArrow:
     return _trusted(CoverArrow, source=cover, target=trivial, sheet_map=(0,) * cover.degree)
 
 
+def _projection(cover: SurfaceCover, states, k: int, target: SurfaceCover) -> CoverArrow:
+    """The arrow from a pointed-orbit cover to target reading component k of
+    each state, for a walk that moves that component by target's own action."""
+    sheet_map = tuple(map(itemgetter(k), states))
+    return _trusted(CoverArrow, source=cover, target=target, sheet_map=sheet_map)
+
+
 @dataclass(frozen=True)
 class FiberProduct:
     cover: SurfaceCover
@@ -549,16 +553,13 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
         raise BaseMismatch("covers have different base surfaces")
     p, q = first.perms, second.perms
     p_inv, q_inv = first.inverse_perms, second.inverse_perms
-    states, perms = _pointed_orbit(
-        generator_count(first.genus),
+    # a pointed orbit of two relator-killing actions is a cover over both
+    cover, states = _pointed_orbit(
+        first.genus,
         lambda i, pair: ((p[i][pair[0]], q[i][pair[1]]), (p_inv[i][pair[0]], q_inv[i][pair[1]])),
     )
-    # a pointed orbit of two relator-killing actions is a cover over both
-    cover = _trusted(SurfaceCover, genus=first.genus, degree=len(states), perms=perms)
-    firsts, seconds = zip(*states)
-    to_first = _trusted(CoverArrow, source=cover, target=first, sheet_map=firsts)
-    to_second = _trusted(CoverArrow, source=cover, target=second, sheet_map=seconds)
-    return FiberProduct(cover, to_first, to_second)
+    to_first = _projection(cover, states, 0, first)
+    return FiberProduct(cover, to_first, _projection(cover, states, 1, second))
 
 
 @dataclass(frozen=True)
@@ -594,23 +595,14 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
 
 def _induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCover:
     """induced_cover for a checked table: one word per Schreier generator of
-    outer, over the base of target.  Only the relator can fail."""
-    states, perms = _transport(outer, table, target)
-    cover = _orbit_cover(outer.genus, perms)
-    outer_sheets, _ = zip(*states)  # the walk moves these by outer's own action
-    to_outer = _trusted(CoverArrow, source=cover, target=outer, sheet_map=outer_sheets)
-    return InducedCover(cover, tuple(states), to_outer)
+    outer, over the base of target.  Only the relator can fail.
 
-
-def _transport(outer: SurfaceCover, table, target: SurfaceCover):
-    """Pointed orbit of (outer sheet, target sheet) pairs under a word table.
-
-    A generator moves the outer sheet by outer's action and the target sheet
-    by the table word of the Schreier edge of outer it crosses, if any; a
-    tree edge leaves the target sheet in place.  Each word moves target
-    sheets by one permutation, read once: crossing edge (i, t) forward
-    applies moves[i][t], crossing it backward backs[i][t].  Returns
-    _pointed_orbit's (states, perms).
+    The walk moves (outer sheet, target sheet) pairs.  A generator moves the
+    outer sheet by outer's action and the target sheet by the table word of
+    the Schreier edge of outer it crosses, if any; a tree edge leaves the
+    target sheet in place.  Each word moves target sheets by one
+    permutation, read once: crossing edge (i, t) forward applies
+    moves[i][t], crossing it backward backs[i][t].
     """
     stay = tuple(range(target.degree))
     moves = [[stay] * outer.degree for _ in outer.perms]
@@ -625,20 +617,15 @@ def _transport(outer: SurfaceCover, table, target: SurfaceCover):
         t2 = p_inv[i][t]
         return (p[i][t], moves[i][t][s]), (t2, backs[i][t2][s])
 
-    return _pointed_orbit(generator_count(outer.genus), step)
+    cover, states = _pointed_orbit(outer.genus, step)
+    _check_relator(cover)
+    return InducedCover(cover, tuple(states), _projection(cover, states, 0, outer))
 
 
 # ---------------------------------------------------------------------------
 # Composition of covers
 
-@dataclass(frozen=True)
-class ComposedCover:
-    cover: SurfaceCover
-    to_bottom: CoverArrow
-    states: tuple[tuple[int, int], ...]
-
-
-def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCover:
+def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> InducedCover:
     """Compose a cover of the covering surface with a cover of the base.
 
     bottom covers the base; its covering surface has genus d*(g-1)+1, and top
@@ -646,7 +633,8 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
     the identification: for every Schreier edge (generator index, sheet) of
     bottom, the word in the marking that spells that lift of the base
     generator.  Edge-path words must therefore compose; in particular the
-    relator lift at each sheet must spell a trivially-acting word.
+    relator lift at each sheet must spell a trivially-acting word.  The
+    composite is induced from bottom; to_outer is its arrow to bottom.
     """
     need(top, SurfaceCover, "top", IncompatibleTower)
     need(bottom, SurfaceCover, "bottom", IncompatibleTower)
@@ -655,37 +643,36 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> ComposedCo
             f"top cover has base genus {top.genus}, "
             f"bottom covering surface has genus {bottom.total_genus}"
         )
-    n = generator_count(bottom.genus)
-    missing = [e for e in itertools.product(range(n), range(bottom.degree)) if e not in ident]
+    need(ident, Mapping, "ident", InvalidIdentification)
+    edges = list(itertools.product(range(generator_count(bottom.genus)), range(bottom.degree)))
+    missing = [e for e in edges if e not in ident]
     if missing:
         raise InvalidIdentification(f"identification missing edges {missing}")
+    marks = {e: word(ident[e], f"ident[{e}]", top.genus, InvalidIdentification) for e in edges}
 
-    def spell(word) -> Word:
+    def spell(loop) -> Word:
         """Identification words along the lift of a base path from sheet 0."""
         out: list[int] = []
-        for i, s, sign in bottom.walk(word, 0)[0]:
-            out += ident[(i, s)] if sign > 0 else inverse_word(ident[(i, s)])
+        for i, s, sign in bottom.walk(loop, 0)[0]:
+            out += marks[i, s] if sign > 0 else inverse_word(marks[i, s])
         return free_reduce(out)
 
     # a tree edge's loop is trivial, so the table needs only the nontree loops
     table = tuple(map(spell, bottom.loops))
     _check_marking_surjective(top, table)
-    states, perms = _transport(bottom, table, top)
-    expected = bottom.degree * top.degree
-    if len(states) != expected:
-        raise InvalidIdentification(
-            f"composite has {len(states)} sheets, expected {expected}; "
-            "identification words do not generate the covering surface group"
-        )
     try:
-        cover = _orbit_cover(bottom.genus, perms)
+        composite = _induced_cover(bottom, table, top)
     except RelatorNotTrivial as exc:
         raise InvalidIdentification(
             "identification words do not kill the lifted relator"
         ) from exc
-    bottom_sheets, _ = zip(*states)  # the walk moves these by bottom's own action
-    to_bottom = _trusted(CoverArrow, source=cover, target=bottom, sheet_map=bottom_sheets)
-    return ComposedCover(cover, to_bottom, tuple(states))
+    expected = bottom.degree * top.degree
+    if composite.cover.degree != expected:
+        raise InvalidIdentification(
+            f"composite has {composite.cover.degree} sheets, expected {expected}; "
+            "identification words do not generate the covering surface group"
+        )
+    return composite
 
 
 def _check_marking_surjective(top: SurfaceCover, loop_words) -> None:
@@ -694,9 +681,6 @@ def _check_marking_surjective(top: SurfaceCover, loop_words) -> None:
     The Schreier loops generate the covering surface group, so the exponent
     vectors of their identification words must generate its abelianization.
     """
-    from .exact_linalg import generates_integer_lattice
-    from .surface import abelianized
-
     rows = [abelianized(w, top.genus) for w in loop_words]
     if not generates_integer_lattice(rows, generator_count(top.genus)):
         raise InvalidIdentification(

@@ -137,10 +137,16 @@ def words(table, name: str, genus: int, error) -> tuple[tuple[int, ...], ...]:
     except TypeError:  # a row that is not a sequence: the loop below names it
         clean = False
     for k, w in enumerate(() if clean else rows):
-        w = integers(w, f"{name}[{k}]", error)
-        if 0 in w or max(map(abs, w), default=0) > n:
-            raise error(f"{name}[{k}] must be a word in letters 0 < |x| <= {n}, got {w!r:.40}")
+        word(w, f"{name}[{k}]", genus, error)
     return out
+
+
+def word(value, name: str, genus: int, error) -> tuple[int, ...]:
+    """value as a word in the 2*genus generators, letters 0 < |x| <= 2*genus."""
+    w = integers(value, name, error)
+    if 0 in w or max(map(abs, w), default=0) > 2 * genus:
+        raise error(f"{name} must be a word in letters 0 < |x| <= {2 * genus}, got {w!r:.40}")
+    return w
 
 
 def rational(value, name: str) -> Fraction:

@@ -20,7 +20,7 @@ from operator import mul
 
 from .covers import CoverArrow, SurfaceCover, pull_back, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
-from .errors import checked_cache, need, sequence
+from .errors import checked_cache, integral, need, sequence
 from .surface import generator_count, surface_relator
 
 
@@ -128,8 +128,11 @@ class CoverComplex:
 
     def transfer(self, base_class):
         """Sum of all lifts of each base generator loop, as a cycle."""
+        base_class = sequence(base_class, "base_class", DimensionMismatch)
         if len(base_class) != self.n_generators:
             raise DimensionMismatch("base class has wrong length")
+        if not set(map(type, base_class)) <= {int}:
+            base_class = [integral(x, f"base_class[{k}]") for k, x in enumerate(base_class)]
         return [coeff for coeff in base_class for _ in range(self.cover.degree)]
 
     def pushforward(self, chain):

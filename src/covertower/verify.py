@@ -426,6 +426,7 @@ def run_suite(
         raise DocumentError(f"unknown suite {suite!r}")
     integer(genus, "genus", BadDegree, low=2)
     integer(max_degree, "max_degree", BadDegree, low=1)
+    integer(seed, "seed", CovertowerError)
     return SUITES[suite](genus, max_degree, seed)
 
 

@@ -1,8 +1,10 @@
+import ast
 import inspect
 import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from covertower.characteristic import (
     mod2_homology_cover,
     shipped_automorphisms,
 )
+from covertower import covers
 from covertower.covers import (
     CoverArrow,
     SurfaceCover,
     _canonical_columns,
     _canonical_tuples,
     _enumerate_cached,
+    _induced_cover,
     _read_table,
     _schreier_walk,
     compose_covers,
@@ -761,8 +765,8 @@ def test_compose_degree2_tops():
         comp = compose_covers(top, bottom, A1_SWAP_MARKING)
         assert comp.cover.degree == 4
         assert comp.cover.total_genus == 5
-        assert comp.to_bottom.source is comp.cover
-        assert comp.to_bottom.target is bottom
+        assert comp.to_outer.source is comp.cover
+        assert comp.to_outer.target is bottom
         assert factors_through(comp.cover, bottom) is not None
         seen.add(comp.cover.canonical())
     # distinct index-2 subgroups upstairs give distinct composites
@@ -793,6 +797,31 @@ def test_compose_rejects_bad_marking():
         compose_covers(top, bottom, collapsed)
     with pytest.raises(GenusMismatch):
         compose_covers(trivial_cover(2), bottom, A1_SWAP_MARKING)
+
+
+@pytest.mark.parametrize("mark, message", [
+    ((0,), r"ident\[\(0, 1\)\] must be a word in letters 0 < \|x\| <= 6, got \(0,\)"),
+    ((7,), r"ident\[\(0, 1\)\] must be a word in letters 0 < \|x\| <= 6, got \(7,\)"),
+    ((1.0,), r"ident\[\(0, 1\)\]\[0\] must be an integer, got 1\.0"),
+    ((True,), r"ident\[\(0, 1\)\]\[0\] must be an integer, got True"),
+    (5, r"ident\[\(0, 1\)\] must be a sequence, got 5"),
+    (None, r"ident\[\(0, 1\)\] must be a sequence, got None"),
+], ids=["letter-0", "letter-7", "float", "bool", "int", "none"])
+def test_compose_names_an_identification_word_that_is_not_a_word(mark, message):
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    ident = dict(A1_SWAP_MARKING)
+    ident[(0, 1)] = mark
+    with pytest.raises(InvalidIdentification, match=f"^{message}$"):
+        compose_covers(trivial_cover(3), bottom, ident)
+
+
+@pytest.mark.parametrize(
+    "ident", [None, 5, list(A1_SWAP_MARKING.items())], ids=["none", "int", "pairs"]
+)
+def test_compose_names_an_identification_that_is_not_a_mapping(ident):
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    with pytest.raises(InvalidIdentification, match="^ident must be a Mapping, got "):
+        compose_covers(trivial_cover(3), bottom, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +863,18 @@ def test_fiber_products_and_factoring_arrows_pass_the_public_constructors():
     assert checked >= 240
 
 
+def spelled_loops(bottom, ident):
+    """The words ident spells along bottom's Schreier loops, walked edge by edge."""
+    table = []
+    for loop in bottom.loops:
+        out = []
+        for i, s, sign in bottom.walk(loop, 0)[0]:
+            out += ident[i, s] if sign > 0 else inverse_word(ident[i, s])
+        table.append(free_reduce(out))
+    return table
+
+
 def test_induced_and_composed_projections_pass_the_public_constructor():
-    from covertower.characteristic import shipped_automorphisms
     from covertower.vauts import restrict_vaut, vaut_from_automorphism
 
     rng = random.Random(61)
@@ -848,7 +887,19 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
     bottom = double_cover_from_signs(2, (1, 0, 0, 0))
     for top in enumerate_covers(3, 2)[:20]:
         composed = compose_covers(top, bottom, A1_SWAP_MARKING)
-        assert public_arrow(composed.to_bottom) == composed.to_bottom
+        assert public_arrow(composed.to_outer) == composed.to_outer
+    # a composite is the cover induced from bottom by the spelled loops; the
+    # private builder, as the public one asks for a target over bottom's base
+    table = spelled_loops(bottom, A1_SWAP_MARKING)
+    tops = enumerate_covers(3, 2)
+    assert len(tops) == 63
+    for top in tops:
+        assert compose_covers(top, bottom, A1_SWAP_MARKING) == _induced_cover(bottom, table, top)
+    # the characteristic refinement comes out of the same unchecked walk
+    for cover in (c for d in (1, 2) for c in enumerate_covers(2, d)):
+        refined = characteristic_refinement(cover)
+        assert public_cover(refined) == refined
+        assert factors_through(refined, cover) is not None
 
 
 def test_induced_covers_pass_the_public_constructor():
@@ -905,3 +956,20 @@ def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch)
     for _ in range(20):
         fiber_product.__wrapped__(rng.choice(covers), rng.choice(covers))
     assert calls == []
+
+
+def test_walked_covers_come_from_the_one_orbit_builder():
+    """Covers skip their checks only in the enumeration and in _pointed_orbit,
+    so a new walked cover goes through the builder and its projections."""
+    package = Path(covers.__file__).resolve().parent
+    trusted = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_trusted"
+                    and getattr(node.args[0], "id", None) == "SurfaceCover"
+                ):
+                    trusted.add((path.name, getattr(top, "name", None)))
+    assert trusted == {("covers.py", "_enumerate_cached"), ("covers.py", "_pointed_orbit")}

@@ -163,7 +163,7 @@ def test_restricted_and_composed_vauts():
 
 def _compose_chunk(comp) -> str:
     return json.dumps(
-        [comp.cover.perms, comp.to_bottom.sheet_map, comp.states],
+        [comp.cover.perms, comp.to_outer.sheet_map, comp.states],
         separators=(",", ":"),
     )
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -11,7 +12,7 @@ from covertower.covers import (
     schreier_loop,
     trivial_cover,
 )
-from covertower.errors import ComplexMismatch
+from covertower.errors import ComplexMismatch, DimensionMismatch, NonIntegerWeights
 from covertower.homology import CoverComplex, surface_complex, transfer_along_arrow
 from covertower.surface import standard_symplectic, surface_relator
 from conftest import double_cover_from_signs, face_boundary_chain
@@ -336,6 +337,23 @@ def test_transfer_laws():
                 base = CoverComplex(trivial_cover(2))
                 back = base.class_coordinates(pushed)
                 assert list(back) == [d * x for x in cls]
+
+
+@pytest.mark.parametrize("base_class, message", [
+    ((1.5, 0, 0, 0), r"base_class\[0\] must be an integer, got 1\.5"),
+    (("a", 0, 0, 0), r"base_class\[0\] must be a number, got 'a'"),
+    ((0, 0, 0, True), r"base_class\[3\] must be a number, got True"),
+    ((0, Fraction(1, 2), 0, 0), r"base_class\[1\] must be an integer, got Fraction\(1, 2\)"),
+], ids=["float", "str", "bool", "fraction"])
+def test_transfer_names_a_coefficient_that_is_not_an_integer(base_class, message):
+    cx = CoverComplex(double_cover_from_signs(2, (1, 0, 0, 0)))
+    with pytest.raises(NonIntegerWeights, match=f"^{message}$"):
+        cx.transfer(base_class)
+    with pytest.raises(DimensionMismatch, match="^base_class must be a sequence, got 5$"):
+        cx.transfer(5)
+    lifted = cx.transfer((2.0, Fraction(-1), 0, 0))
+    assert lifted == [2, 2, -1, -1, 0, 0, 0, 0]
+    assert set(map(type, lifted)) == {int}
 
 
 def test_transfer_pairing_scales_by_degree():

@@ -23,7 +23,7 @@ from covertower.documents import (
     rational_str,
     vaut_document,
 )
-from covertower.errors import BadDegree
+from covertower.errors import BadDegree, CovertowerError
 from covertower.homology import surface_complex
 from covertower.limits import (
     base_class_element,
@@ -72,6 +72,17 @@ def test_run_suite_names_a_bad_genus_or_degree_before_it_runs(genus, max_degree,
     for suite in SUITES:
         with pytest.raises(BadDegree, match=f"^{message}$"):
             run_suite(suite, genus, max_degree)
+
+
+@pytest.mark.parametrize("seed, shown", [
+    (True, "True"), (2.0, r"2\.0"), (None, "None"), ([1], r"\[1\]"), ("x", "'x'"),
+], ids=["bool", "float", "none", "list", "str"])
+def test_run_suite_names_a_seed_that_is_not_an_integer(seed, shown):
+    """Never an ok run on a seed that is no integer, nor True read apart from 1."""
+    for suite in SUITES:
+        with pytest.raises(CovertowerError, match=f"^seed must be an integer, got {shown}$"):
+            run_suite(suite, 2, 2, seed)
+    assert run_suite("pairing-invariance", 2, 2, -3).ok
 
 
 def test_sweep_stops_at_first_failure():
