@@ -200,4 +200,5 @@ def characteristic_refinement(
             f"characteristic refinement exceeded {limit} sheets; "
             "raise COVERTOWER_BUDGET or pass a larger budget"
         )
+    # every factor kills the relator, so their diagonal orbit does too
     return orbit[0].canonical()

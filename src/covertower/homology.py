@@ -131,8 +131,7 @@ class CoverComplex:
         base_class = sequence(base_class, "base_class", DimensionMismatch)
         if len(base_class) != self.n_generators:
             raise DimensionMismatch("base class has wrong length")
-        if not set(map(type, base_class)) <= {int}:
-            base_class = [integral(x, f"base_class[{k}]") for k, x in enumerate(base_class)]
+        base_class = [integral(x, f"base_class[{k}]") for k, x in enumerate(base_class)]
         return [coeff for coeff in base_class for _ in range(self.cover.degree)]
 
     def pushforward(self, chain):

@@ -22,7 +22,6 @@ from covertower.covers import (
     _canonical_columns,
     _canonical_tuples,
     _enumerate_cached,
-    _induced_cover,
     _read_table,
     _schreier_walk,
     compose_covers,
@@ -787,6 +786,29 @@ def test_compose_rejects_bad_marking():
     broken[(1, 1)] = (2,)
     with pytest.raises(InvalidIdentification, match="kill the lifted relator"):
         compose_covers(top, bottom, broken)
+    # appending a power of a commutator keeps a word's homology and moves its
+    # action within its coset of A3, so every word can be made to act as the
+    # identity or as one given transposition of top's three sheets
+    comm = (1, 2, -1, -2)
+
+    def acting_within(ident, allowed):
+        return {
+            edge: next(w for w in (mark + comm * k for k in range(3)) if top.word_perm(w) in allowed)
+            for edge, mark in ident.items()
+        }
+
+    # words fixing sheet 0 span homology and kill the relator, but their
+    # composite stays on top's sheet 0: 2 sheets, not 6
+    fixing = acting_within(A1_SWAP_MARKING, {ident3, swp})
+    with pytest.raises(InvalidIdentification, match="2 sheets, expected 6; .* do not generate"):
+        compose_covers(top, bottom, fixing)
+    # words in {1, (0 1)}: the walk reaches 4 sheets, and b1's two lifts,
+    # one of them odd, leave the lifted relator acting as (0 1); the relator
+    # is reported first
+    odd = dict(A1_SWAP_MARKING)
+    odd[(1, 1)] = (4, 3, -4, -3, 2, 1)
+    with pytest.raises(InvalidIdentification, match="kill the lifted relator"):
+        compose_covers(top, bottom, acting_within(odd, {ident3, (1, 0, 2)}))
     missing = dict(A1_SWAP_MARKING)
     del missing[(3, 1)]
     with pytest.raises(InvalidIdentification):
@@ -863,15 +885,14 @@ def test_fiber_products_and_factoring_arrows_pass_the_public_constructors():
     assert checked >= 240
 
 
-def spelled_loops(bottom, ident):
-    """The words ident spells along bottom's Schreier loops, walked edge by edge."""
-    table = []
-    for loop in bottom.loops:
-        out = []
-        for i, s, sign in bottom.walk(loop, 0)[0]:
-            out += ident[i, s] if sign > 0 else inverse_word(ident[i, s])
-        table.append(free_reduce(out))
-    return table
+def spelled_through(arrow, ident, loop):
+    """The word ident spells along the image, under arrow, of the lift of
+    loop from sheet 0 of arrow's source."""
+    out = []
+    for i, s, sign in arrow.source.walk(loop, 0)[0]:
+        mark = ident[i, arrow.sheet_map[s]]
+        out += mark if sign > 0 else inverse_word(mark)
+    return out
 
 
 def test_induced_and_composed_projections_pass_the_public_constructor():
@@ -888,13 +909,15 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
     for top in enumerate_covers(3, 2)[:20]:
         composed = compose_covers(top, bottom, A1_SWAP_MARKING)
         assert public_arrow(composed.to_outer) == composed.to_outer
-    # a composite is the cover induced from bottom by the spelled loops; the
-    # private builder, as the public one asks for a target over bottom's base
-    table = spelled_loops(bottom, A1_SWAP_MARKING)
+    # the composite's stabilizer maps into top's, and has index
+    # bottom.degree * top.degree: it is the composite, by any construction
     tops = enumerate_covers(3, 2)
     assert len(tops) == 63
     for top in tops:
-        assert compose_covers(top, bottom, A1_SWAP_MARKING) == _induced_cover(bottom, table, top)
+        composed = compose_covers(top, bottom, A1_SWAP_MARKING)
+        assert composed.cover.degree == bottom.degree * top.degree
+        for loop in composed.cover.loops:
+            assert top.act(spelled_through(composed.to_outer, A1_SWAP_MARKING, loop), 0) == 0
     # the characteristic refinement comes out of the same unchecked walk
     for cover in (c for d in (1, 2) for c in enumerate_covers(2, d)):
         refined = characteristic_refinement(cover)
