@@ -6,7 +6,9 @@ fiber-product, induced-cover, composition and refinement builders, the
 exact solves behind every vaut, the train-track lift and the path chains
 of homology bases, track shadows and vaut images, so a refactor of
 those kernels that changes a single sheet label, table word or report line
-fails here.  The orbit walk's reports are pinned the same way, one plain
+fails here.  The five ``verify`` reports are pinned at genus 2 up to
+degrees 2 and 3, at genus 3 up to degree 2, and (slow tier) at genus 2 up
+to degree 4.  The orbit walk's reports are pinned the same way, one plain
 sha256 of ``result.report()`` per configuration.  To regenerate
 after a deliberate output change, print ``_digest(...)`` for the corpus and
 say why in the change log.
@@ -81,6 +83,18 @@ GOLDEN = {
     "verify": (
         "781177879ac46a94101070d1e1b24df8"
         "f1ce5dd137d85c28279217cecbcf0b82"
+    ),
+    "verify_degree_3": (
+        "b9d4ea675fdd0530122745713f586a8b"
+        "a75267324fcda805d5b72eaeb2297b6e"
+    ),
+    "verify_genus_3": (
+        "f6fdde0be319a8d4c02eb9ba5275553d"
+        "e1e3650cc2876590200b3ff47613d19f"
+    ),
+    "verify_degree_4": (
+        "e6dcd3ca0d79c00480a8d1e2a461e545"
+        "502488b20b216ff7228fcabbb972b3ae"
     ),
     "lift_track": (
         "e1efbbb278e44797ec9d458f436638f9"
@@ -197,11 +211,28 @@ def test_enumerate_stream_genus_3(capsys):
     assert _digest(chunks) == GOLDEN["enumerate_genus_3"]
 
 
+def _verify_chunks(capsys, genus, max_degree):
+    return [
+        _cli(capsys, "verify", "--suite", suite, "--genus", str(genus),
+             "--max-degree", str(max_degree))
+        for suite in SUITES
+    ]
+
+
 def test_verify_reports(capsys):
     chunks = [
         _cli(capsys, "verify", "--suite", suite, "--max-degree", "2") for suite in SUITES
     ]
     assert _digest(chunks) == GOLDEN["verify"]
+
+
+@pytest.mark.parametrize("genus, max_degree, name", [
+    (2, 3, "verify_degree_3"),
+    (3, 2, "verify_genus_3"),
+    pytest.param(2, 4, "verify_degree_4", marks=pytest.mark.slow),
+])
+def test_verify_reports_deeper(capsys, genus, max_degree, name):
+    assert _digest(_verify_chunks(capsys, genus, max_degree)) == GOLDEN[name]
 
 
 def test_lift_track_documents(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -24,7 +25,7 @@ from covertower.documents import (
     vaut_document,
 )
 from covertower.errors import BadDegree, CovertowerError
-from covertower.homology import surface_complex
+from covertower.homology import CoverComplex, surface_complex
 from covertower.limits import (
     base_class_element,
     cycle_element,
@@ -295,3 +296,83 @@ def test_first_counterexample_matches_per_pair_reference(monkeypatch, suite, cal
     assert dumps_canonical(result.counterexample) == dumps_canonical(
         counterexample_document(suite, want)
     )
+
+
+# -- failure paths that no other test reaches through run_suite.  Each test
+# breaks a name on one case, then pins the report lines and the sha256 of the
+# canonical counterexample bytes, and replays the document with the break
+# in place (it reproduces) and undone (the property holds).
+
+
+def _pinned_failure(monkeypatch, suite, max_degree, lines, digest):
+    result = run_suite(suite, genus=2, max_degree=max_degree)
+    assert not result.ok
+    assert result.lines == lines
+    doc = dumps_canonical(result.counterexample)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    got_suite, data = parse_counterexample(json.loads(doc))
+    assert got_suite == suite
+    assert not replay_counterexample(suite, data)
+    monkeypatch.undo()
+    assert replay_counterexample(suite, data)
+    return data
+
+
+def test_pairing_invariance_reports_a_broken_intersection(monkeypatch):
+    target = enumerate_covers(2, 3)[17]
+    intersection = CoverComplex.intersection
+
+    def broken(self, chain1, chain2):
+        return intersection(self, chain1, chain2) + (self.cover == target)
+
+    monkeypatch.setattr(CoverComplex, "intersection", broken)
+    lines = ("degree 1: 1 covers checked", "degree 2: 15 covers checked",
+             "degree 3: counterexample found")
+    digest = "9ee5aafc81469ed45d6af2029c5f668d449a54a2be9bbc38f90b8b36182530b0"
+    data = _pinned_failure(monkeypatch, "pairing-invariance", 3, lines, digest)
+    assert data["cover"] == cover_document(target)
+
+
+def _break_one_call(monkeypatch, name, suite, call):
+    """Make the predicate verify.<name> answer False on the arguments of its
+    call-th call (from 0) in an unbroken run of the suite."""
+    check = getattr(verify, name)
+    calls = []
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(args) or check(*args))
+    assert run_suite(suite, genus=2, max_degree=2).ok
+    target = calls[call]
+    monkeypatch.setattr(verify, name, lambda *args: check(*args) and args != target)
+
+
+LAW_LINES = (
+    "identity law: 6 elements",
+    "inverse law: 9 vauts",
+    "representative independence: checked",
+)
+
+
+# Calls 0-5 of limit_equal are the identity law's, 6-14 the inverse law's,
+# 15-22 representative independence's and 23-42 composition's; each chosen
+# call is the first with its arguments.
+@pytest.mark.parametrize("law, call, stages_passed, digest", [
+    ("identity", 2, 0,
+     "896d56cde350a15542189c1489e0dcb3dd8086f916ae6d28cf30312cbdf8cf55"),
+    ("inverse", 14, 1,
+     "0ffc2a086e38b1502dd7408957b5037d20539ca410bc6f49658a7a0755d58d8d"),
+    ("representative-independence", 20, 2,
+     "4eb02148a68e93f20eeedf8e0cf36c965c7751ad17f8a109b1cdbe0715b5236a"),
+    ("composition", 31, 3,
+     "fcd8b93fc3ac17667b526328b07e4d50c31c86fa015a0798d758a73c2627ef00"),
+])
+def test_vaut_laws_report_each_broken_law(monkeypatch, law, call, stages_passed, digest):
+    _break_one_call(monkeypatch, "limit_equal", "vaut-laws", call)
+    data = _pinned_failure(monkeypatch, "vaut-laws", 2, LAW_LINES[:stages_passed], digest)
+    assert data["law"] == law
+
+
+def test_theorem3_reports_a_vaut_that_breaks_the_pairing(monkeypatch):
+    _break_one_call(monkeypatch, "pairing_preserved", "theorem3", 6)
+    lines = ("degree 1: 1 covers checked", "degree 2: 15 covers checked")
+    digest = "f0c3bf219b0170e77df0e2d89bbc7e65ae52ccd48cab5040c36c26263fd8af22"
+    data = _pinned_failure(monkeypatch, "theorem3", 2, lines, digest)
+    assert data["what"] == "vaut-preservation"
