@@ -169,6 +169,17 @@ def integral(value, name: str) -> int:
     return f.numerator
 
 
+def integrals(items, name: str) -> list[int]:
+    """Each entry of a sequence read by integral; a bad entry is named
+    name[k].  The entry names are built only once an entry is bad."""
+    try:
+        return [integral(x, name) for x in items]
+    except NonIntegerWeights:
+        for k, x in enumerate(items):
+            integral(x, f"{name}[{k}]")  # raises at the bad entry
+        raise
+
+
 def checked_cache(check):
     """Decorator: an unbounded lru_cache behind check, which takes the public
     arguments, raises its caller's error for a bad one and returns the key

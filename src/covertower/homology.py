@@ -20,7 +20,7 @@ from operator import mul
 
 from .covers import CoverArrow, SurfaceCover, pull_back, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
-from .errors import checked_cache, integral, need, sequence
+from .errors import checked_cache, integrals, need, sequence
 from .surface import generator_count, surface_relator
 
 
@@ -131,13 +131,15 @@ class CoverComplex:
         base_class = sequence(base_class, "base_class", DimensionMismatch)
         if len(base_class) != self.n_generators:
             raise DimensionMismatch("base class has wrong length")
-        base_class = [integral(x, f"base_class[{k}]") for k, x in enumerate(base_class)]
+        base_class = integrals(base_class, "base_class")
         return [coeff for coeff in base_class for _ in range(self.cover.degree)]
 
     def pushforward(self, chain):
         """Image of a cover chain in the base: forget the sheet of every edge."""
+        chain = sequence(chain, "chain", DimensionMismatch)
         if len(chain) != self.n_edges:
             raise DimensionMismatch("chain has wrong length")
+        chain = integrals(chain, "chain")
         d = self.cover.degree
         return [sum(chain[e : e + d]) for e in range(0, self.n_edges, d)]
 

@@ -26,7 +26,7 @@ from .covers import (
     trivial_cover,
 )
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
-from .errors import integral, need, sequence
+from .errors import integrals, need, sequence
 from .homology import surface_complex, transfer_along_arrow
 from .traintrack import LiftedTrack, TrainTrack
 
@@ -54,7 +54,7 @@ class LimitElement:
         if self.kind == "cycle":
             cx = surface_complex(self.cover)
             entries = sequence(self.payload, "payload", KindMismatch)
-            chain = tuple(integral(c, f"payload[{k}]") for k, c in enumerate(entries))
+            chain = tuple(integrals(entries, "payload"))
             if len(chain) != cx.n_edges:
                 raise KindMismatch("chain length does not match the cover")
             if not cx.is_cycle(chain):

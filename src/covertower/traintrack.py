@@ -21,7 +21,7 @@ from .errors import (
     NegativeWeight,
     SwitchViolation,
 )
-from .errors import integer, integral, need, rational, sequence, words
+from .errors import integer, integrals, need, rational, sequence, words
 from .exact_linalg import mat_vec, rational_nullspace
 from .surface import Word
 
@@ -186,8 +186,7 @@ class LiftedTrack:
         the layout of SurfaceCover.chain."""
         weights = sequence(weights, "weights", DimensionMismatch, len(self.branches))
         words, d = self.base.branch_words, self.cover.degree
-        terms = [(words[k // d], k % d, integral(w, f"weights[{k}]"))
-                 for k, w in enumerate(weights)]
+        terms = [(words[k // d], k % d, w) for k, w in enumerate(integrals(weights, "weights"))]
         return self.cover.chain(terms)
 
 
@@ -209,10 +208,7 @@ class CarryingMatrix:
     def __post_init__(self) -> None:
         rows = sequence(self.matrix, "matrix", DimensionMismatch)
         rows = [sequence(row, f"matrix[{r}]", DimensionMismatch) for r, row in enumerate(rows)]
-        matrix = tuple(
-            tuple(integral(x, f"matrix[{r}][{c}]") for c, x in enumerate(row))
-            for r, row in enumerate(rows)
-        )
+        matrix = tuple(tuple(integrals(row, f"matrix[{r}]")) for r, row in enumerate(rows))
         if len(matrix) != self.target.n_branches or any(
             len(row) != self.source.n_branches for row in matrix
         ):

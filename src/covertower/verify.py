@@ -1,10 +1,13 @@
 """Verification sweeps over enumerated covers, with replayable counterexamples.
 
-Each suite checks one family of exact identities across all covers up to a
-degree bound; vaut-laws checks its laws on a fixed pool instead.  On
-failure it stops at the first counterexample (in enumeration order, so
-deterministic) and packages enough data to re-run that single instance
-later.
+A suite is an ordered tuple of stages in ``SUITES``.  A stage draws its
+cases from the census (every cover up to the degree bound, one report line
+per degree) or from a fixed pool (one report line), and runs its check on
+each.  A check returns counterexample data, or None when the property
+holds.  ``run_suite`` stops at the first failure (in enumeration order, so
+deterministic) and writes each of the check's arguments by its kind (cover,
+cycle, element or vaut); ``replay_counterexample`` reads them back by kind
+and reruns that stage's check.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import mul
+from typing import Callable
 
 from .characteristic import shipped_automorphisms
-from .covers import SurfaceCover, arrow_to_trivial, enumerate_covers
+from .covers import arrow_to_trivial, enumerate_covers
 from .documents import (
     counterexample_document,
     cover_document,
@@ -64,57 +67,33 @@ class SuiteResult:
         return f"suite {self.suite}: {status}\n{body}\n"
 
 
-def _sweep(suite: str, worker, genus: int, max_degree: int) -> SuiteResult:
-    lines = []
-    for degree in range(1, max_degree + 1):
-        covers = enumerate_covers(genus, degree)
-        for cover in covers:
-            failure = worker(cover)
-            if failure is not None:
-                return SuiteResult(
-                    suite,
-                    False,
-                    tuple(lines + [f"degree {degree}: counterexample found"]),
-                    counterexample_document(suite, failure),
-                )
-        lines.append(f"degree {degree}: {len(covers)} covers checked")
-    return SuiteResult(suite, True, tuple(lines))
+@dataclass(frozen=True)
+class Stage:
+    """One row of a suite: check(*case, **constants(genus)) on each case
+    returns None when the property holds, else data to add to the written
+    case (an entry may replace a written argument).
+
+    fields gives the key and kind of each check argument.  A census stage
+    (pool None) takes cases(cover, seed) for every cover; a pool stage takes
+    pool(genus, max_degree, seed)[name], the pool built once per run for all
+    stages that share it, and reports line with {n} its case count.  In a
+    suite of several stages the data carries name under key; untagged marks
+    the stage that data without that entry names (theorem3's lift-invariance,
+    which documents built by hand leave out).
+    """
+
+    name: str
+    check: Callable
+    fields: tuple[tuple[str, str], ...]
+    key: str | None = None
+    untagged: bool = False
+    cases: Callable = lambda cover, seed: ((cover,),)
+    constants: Callable = lambda genus: {}
+    pool: Callable | None = None
+    line: str = ""
 
 
-# -- riemann-hurwitz
-
-def _rh_one(cover: SurfaceCover):
-    got = surface_complex(cover).genus
-    if got != cover.total_genus:
-        return {
-            "cover": cover_document(cover),
-            "expected_genus": cover.total_genus,
-            "got_genus": got,
-        }
-    return None
-
-
-def suite_riemann_hurwitz(genus: int, max_degree: int, seed: int):
-    return _sweep("riemann-hurwitz", _rh_one, genus, max_degree)
-
-
-def _field(data, key: str, parse):
-    """Parse one counterexample field; a missing or malformed one is named."""
-    if key not in data:
-        raise DocumentError(f"counterexample data lacks the {key!r} field")
-    try:
-        return parse(data[key])
-    except (CovertowerError, ValueError) as exc:
-        raise DocumentError(f"counterexample field {key!r}: {exc}") from exc
-
-
-def _replay_sweep(worker_of):
-    """Replay of a sweep counterexample: rerun the suite's per-cover check,
-    worker_of(genus), on the cover the counterexample names."""
-    def replay(data) -> bool:
-        cover = _field(data, "cover", parse_cover)
-        return worker_of(cover.genus)(cover) is None
-    return replay
+_COVER = (("cover", "cover"),)
 
 
 def _unit_basis(genus: int) -> tuple[tuple[int, ...], ...]:
@@ -127,14 +106,22 @@ def _base_elements(genus: int) -> list:
     return [base_class_element(genus, v) for v in _unit_basis(genus)]
 
 
+# -- riemann-hurwitz
+
+def _rh_one(cover):
+    got = surface_complex(cover).genus
+    if got != cover.total_genus:
+        return {"expected_genus": cover.total_genus, "got_genus": got}
+    return None
+
+
 # -- transfer-scaling
 
-def _ts_worker(genus: int):
-    """_ts_one with the suite's constants, which every cover shares, built once."""
-    return partial(_ts_one, form=standard_symplectic(genus), basis=_unit_basis(genus))
+def _ts_constants(genus: int):
+    return {"form": standard_symplectic(genus), "basis": _unit_basis(genus)}
 
 
-def _ts_one(cover: SurfaceCover, form, basis):
+def _ts_one(cover, form, basis):
     cx = surface_complex(cover)
     d, n = cover.degree, len(basis)
     transfers = [cx.transfer(v) for v in basis]
@@ -144,7 +131,6 @@ def _ts_one(cover: SurfaceCover, form, basis):
         expected = tuple(d * v for v in basis[i])
         if tuple(pushed) != expected:
             return {
-                "cover": cover_document(cover),
                 "what": "pushforward",
                 "class_index": i,
                 "expected": list(expected),
@@ -154,18 +140,8 @@ def _ts_one(cover: SurfaceCover, form, basis):
             got = -sum(map(mul, covectors[i], transfers[j]))
             want = d * form[i][j]
             if got != want:
-                return {
-                    "cover": cover_document(cover),
-                    "what": "pairing",
-                    "pair": [i, j],
-                    "expected": want,
-                    "got": got,
-                }
+                return {"what": "pairing", "pair": [i, j], "expected": want, "got": got}
     return None
-
-
-def suite_transfer_scaling(genus: int, max_degree: int, seed: int):
-    return _sweep("transfer-scaling", _ts_worker(genus), genus, max_degree)
 
 
 # -- pairing-invariance
@@ -191,22 +167,8 @@ def _random_boundary(cx, rng):
     return chain
 
 
-def _pi_witness(cx, c1, c2, moved1, moved2):
-    """Cycles of the first failing check, or None when all hold.
-
-    Boundary moves must keep the pairing and the class, and a cycle must
-    pair to zero with itself.
-    """
-    if cx.intersection(moved1, moved2) != cx.intersection(c1, c2) or (
-        cx.class_coordinates(moved1) != cx.class_coordinates(c1)
-    ):
-        return c1, c2, moved1, moved2
-    if cx.intersection(c1, c1) != 0:
-        return c1, c1, c1, c1
-    return None
-
-
-def _pi_one(cover: SurfaceCover, seed: int):
+def _pi_cases(cover, seed):
+    """Three seeded pairs of cycles on the cover, each moved by a boundary."""
     cx = surface_complex(cover)
     rng = random.Random(f"{seed}:{cover.genus}:{cover.perms}")
     basis = [[(k, v) for k, v in enumerate(row) if v] for row in cx.homology_basis()]
@@ -215,35 +177,29 @@ def _pi_one(cover: SurfaceCover, seed: int):
         c2 = _random_cycle(cx, rng, basis)
         p1 = _random_boundary(cx, rng)
         p2 = _random_boundary(cx, rng)
-        moved1 = [a + b for a, b in zip(c1, p1)]
-        moved2 = [a + b for a, b in zip(c2, p2)]
-        witness = _pi_witness(cx, c1, c2, moved1, moved2)
-        if witness is not None:
-            data = {"cover": cover_document(cover)}
-            for key, chain in zip(("c1", "c2", "moved1", "moved2"), witness):
-                data[key] = cycle_document(cycle_element(cover, chain))
-            return data
+        yield cover, c1, c2, [a + b for a, b in zip(c1, p1)], [a + b for a, b in zip(c2, p2)]
+
+
+def _pi_one(cover, c1, c2, moved1, moved2):
+    """Boundary moves must keep the pairing and the class, and a cycle must
+    pair to zero with itself; a failure of the latter names c1 alone."""
+    cx = surface_complex(cover)
+    if cx.intersection(moved1, moved2) != cx.intersection(c1, c2) or (
+        cx.class_coordinates(moved1) != cx.class_coordinates(c1)
+    ):
+        return {}
+    if cx.intersection(c1, c1) != 0:
+        alone = cycle_document(cycle_element(cover, c1))
+        return {"c2": alone, "moved1": alone, "moved2": alone}
     return None
-
-
-def suite_pairing_invariance(genus: int, max_degree: int, seed: int):
-    return _sweep("pairing-invariance", partial(_pi_one, seed=seed), genus, max_degree)
-
-
-def _replay_pairing_invariance(data) -> bool:
-    cover = _field(data, "cover", parse_cover)
-    cycles = []
-    for key in ("c1", "c2", "moved1", "moved2"):
-        element = _field(data, key, parse_cycle)
-        if element.cover != cover:
-            raise DocumentError(f"counterexample field {key!r} lies on another cover")
-        cycles.append(element.payload)
-    return _pi_witness(surface_complex(cover), *cycles) is None
 
 
 # -- vaut-laws
 
-def _law_pool(genus: int, max_degree: int):
+def _law_pool(genus: int, max_degree: int, seed: int):
+    """The cases of each law: the identity, the shipped automorphisms at
+    genus 2 and their restrictions to the first covers of degree at most 2,
+    acting on the base classes, their transfers and 20 seeded triples."""
     vauts = [identity_vaut(genus)]
     if genus == 2:
         for aut in shipped_automorphisms(2):
@@ -256,50 +212,6 @@ def _law_pool(genus: int, max_degree: int):
     for cover in covers:
         cx = surface_complex(cover)
         elements.append(cycle_element(cover, cx.transfer(elements[0].payload)))
-    return vauts, elements, covers
-
-
-def _identity_law(e) -> bool:
-    return limit_equal(vaut_act(identity_vaut(e.base_genus), e), e)
-
-
-def _inverse_law(v, e) -> bool:
-    return limit_equal(vaut_act(v, vaut_act(vaut_inverse(v), e)), e)
-
-
-def _independence_law(v, e, fine) -> bool:
-    return limit_equal(vaut_act(v, fine), vaut_act(v, e))
-
-
-def _composition_law(v1, v2, e) -> bool:
-    return limit_equal(vaut_act(vaut_compose(v1, v2), e), vaut_act(v1, vaut_act(v2, e)))
-
-
-# Law name -> (check, counterexample field of each argument); fields named
-# vaut* hold vauts, the others limit elements.
-_LAWS = {
-    "identity": (_identity_law, ("element",)),
-    "inverse": (_inverse_law, ("vaut", "element")),
-    "representative-independence": (_independence_law, ("vaut", "element", "fine")),
-    "composition": (_composition_law, ("vaut1", "vaut2", "element")),
-}
-
-
-def _law_failure(law: str, args):
-    """Counterexample data when the law fails on args, else None."""
-    check, fields = _LAWS[law]
-    if check(*args):
-        return None
-    data = {"law": law}
-    for field, value in zip(fields, args):
-        dump = vaut_document if field.startswith("vaut") else element_document
-        data[field] = dump(value)
-    return data
-
-
-def suite_vaut_laws(genus: int, max_degree: int, seed: int):
-    suite = "vaut-laws"
-    vauts, elements, covers = _law_pool(genus, max_degree)
     e = elements[0]
     rng = random.Random(seed)
     triples = [
@@ -307,45 +219,40 @@ def suite_vaut_laws(genus: int, max_degree: int, seed: int):
         for _ in range(20)
     ]
     fines = [lift_element(e, arrow_to_trivial(cover)) for cover in covers]
-    stages = (
-        ("identity", [(x,) for x in elements], f"identity law: {len(elements)} elements"),
-        ("inverse", [(v, e) for v in vauts], f"inverse law: {len(vauts)} vauts"),
-        ("representative-independence", [(v, e, f) for v in vauts[:4] for f in fines],
-         "representative independence: checked"),
-        ("composition", [(vauts[a], vauts[b], elements[c]) for a, b, c in triples],
-         "composition functoriality: 20 seeded triples"),
-    )
-    lines = []
-    for law, cases, line in stages:
-        for args in cases:
-            data = _law_failure(law, args)
-            if data is not None:
-                return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-        lines.append(line)
-    return SuiteResult(suite, True, tuple(lines))
+    return {
+        "identity": [(x,) for x in elements],
+        "inverse": [(v, e) for v in vauts],
+        "representative-independence": [(v, e, f) for v in vauts[:4] for f in fines],
+        "composition": [(vauts[a], vauts[b], elements[c]) for a, b, c in triples],
+    }
 
 
-def _replay_vaut_laws(data) -> bool:
-    law = data.get("law")
-    if not isinstance(law, str) or law not in _LAWS:
-        raise DocumentError(f"unknown vaut law {law!r}")
-    check, fields = _LAWS[law]
-    args = [
-        _field(data, f, parse_vaut if f.startswith("vaut") else parse_element)
-        for f in fields
-    ]
-    return check(*args)
+def _identity_law(e):
+    return None if limit_equal(vaut_act(identity_vaut(e.base_genus), e), e) else {}
+
+
+def _inverse_law(v, e):
+    return None if limit_equal(vaut_act(v, vaut_act(vaut_inverse(v), e)), e) else {}
+
+
+def _independence_law(v, e, fine):
+    return None if limit_equal(vaut_act(v, fine), vaut_act(v, e)) else {}
+
+
+def _composition_law(v1, v2, e):
+    same = limit_equal(vaut_act(vaut_compose(v1, v2), e), vaut_act(v1, vaut_act(v2, e)))
+    return None if same else {}
 
 
 # -- theorem3 (normalized-pairing invariance; the suite name is part of the CLI)
 
-def _t3_worker(genus: int):
-    """_t3_one with the base elements and the expected normalized pairings."""
+def _t3_constants(genus: int):
+    """The base elements and the expected normalized pairings."""
     wants = [[Fraction(x, genus - 1) for x in row] for row in standard_symplectic(genus)]
-    return partial(_t3_one, wants=wants, base=_base_elements(genus))
+    return {"wants": wants, "base": _base_elements(genus)}
 
 
-def _t3_one(cover: SurfaceCover, wants, base):
+def _t3_one(cover, wants, base):
     # lifting along the constant arrow is the transfer, valid by construction
     down = arrow_to_trivial(cover)
     lifted = [lift_element(e, down) for e in base]
@@ -354,22 +261,11 @@ def _t3_one(cover: SurfaceCover, wants, base):
         for j, want in enumerate(row):
             for after in (table[i][j] for table in tables):
                 if after != want:
-                    return {
-                        "what": "lift-invariance",
-                        "cover": cover_document(cover),
-                        "pair": [i, j],
-                        "before": rational_str(want),
-                        "after": rational_str(after),
-                    }
+                    return {"pair": [i, j], "before": rational_str(want), "after": rational_str(after)}
     return None
 
 
-def suite_theorem3(genus: int, max_degree: int, seed: int):
-    suite = "theorem3"
-    result = _sweep(suite, _t3_worker(genus), genus, max_degree)
-    if not result.ok:
-        return result
-    lines = list(result.lines)
+def _preservation_pool(genus: int, max_degree: int, seed: int):
     e1, e2 = _base_elements(genus)[:2]
     vauts = [identity_vaut(genus)]
     if genus == 2:
@@ -378,42 +274,80 @@ def suite_theorem3(genus: int, max_degree: int, seed: int):
             if aut.is_orientation_preserving():
                 vauts.append(vaut_from_automorphism(aut))
         vauts.append(restrict_vaut(vauts[-1], enumerate_covers(2, min(2, max_degree))[0]))
-    for v in vauts:
-        if not pairing_preserved(v, e1, e2):
-            data = {
-                "what": "vaut-preservation",
-                "vaut": vaut_document(v),
-                "e1": element_document(e1),
-                "e2": element_document(e2),
-            }
-            return SuiteResult(suite, False, tuple(lines), counterexample_document(suite, data))
-    lines.append(f"vaut preservation: {len(vauts)} vauts on the (a1, b1) pair")
-    return SuiteResult(suite, True, tuple(lines))
+    return {"vaut-preservation": [(v, e1, e2) for v in vauts]}
 
 
-def _replay_theorem3(data) -> bool:
-    if data.get("what") == "vaut-preservation":
-        v = _field(data, "vaut", parse_vaut)
-        e1, e2 = (_field(data, key, parse_element) for key in ("e1", "e2"))
-        return pairing_preserved(v, e1, e2)
-    return _replay_sweep(_t3_worker)(data)
+def _preserves(v, e1, e2):
+    return None if pairing_preserved(v, e1, e2) else {}
+
+
+def _law(name: str, check, fields, line: str) -> Stage:
+    return Stage(name, check, fields, key="law", pool=_law_pool, line=line)
 
 
 SUITES = {
-    "riemann-hurwitz": suite_riemann_hurwitz,
-    "transfer-scaling": suite_transfer_scaling,
-    "pairing-invariance": suite_pairing_invariance,
-    "vaut-laws": suite_vaut_laws,
-    "theorem3": suite_theorem3,
+    "riemann-hurwitz": (Stage("riemann-hurwitz", _rh_one, _COVER),),
+    "transfer-scaling": (
+        Stage("transfer-scaling", _ts_one, _COVER, constants=_ts_constants),
+    ),
+    "pairing-invariance": (
+        Stage(
+            "pairing-invariance",
+            _pi_one,
+            _COVER + tuple((key, "cycle") for key in ("c1", "c2", "moved1", "moved2")),
+            cases=_pi_cases,
+        ),
+    ),
+    "vaut-laws": (
+        _law("identity", _identity_law, (("element", "element"),),
+             "identity law: {n} elements"),
+        _law("inverse", _inverse_law, (("vaut", "vaut"), ("element", "element")),
+             "inverse law: {n} vauts"),
+        _law("representative-independence", _independence_law,
+             (("vaut", "vaut"), ("element", "element"), ("fine", "element")),
+             "representative independence: checked"),
+        _law("composition", _composition_law,
+             (("vaut1", "vaut"), ("vaut2", "vaut"), ("element", "element")),
+             "composition functoriality: {n} seeded triples"),
+    ),
+    "theorem3": (
+        Stage("lift-invariance", _t3_one, _COVER, key="what", untagged=True,
+              constants=_t3_constants),
+        Stage("vaut-preservation", _preserves,
+              (("vaut", "vaut"), ("e1", "element"), ("e2", "element")),
+              key="what", pool=_preservation_pool,
+              line="vaut preservation: {n} vauts on the (a1, b1) pair"),
+    ),
 }
 
-_REPLAYS = {
-    "riemann-hurwitz": _replay_sweep(lambda genus: _rh_one),
-    "transfer-scaling": _replay_sweep(_ts_worker),
-    "pairing-invariance": _replay_pairing_invariance,
-    "vaut-laws": _replay_vaut_laws,
-    "theorem3": _replay_theorem3,
-}
+def _rounds(stage: Stage, genus: int, max_degree: int, seed: int, pools: dict):
+    """(cases, line when all hold, lines when one fails) of each report line."""
+    if stage.pool is None:
+        for degree in range(1, max_degree + 1):
+            covers = enumerate_covers(genus, degree)
+            cases = (case for cover in covers for case in stage.cases(cover, seed))
+            yield (cases, f"degree {degree}: {len(covers)} covers checked",
+                   (f"degree {degree}: counterexample found",))
+        return
+    if stage.pool not in pools:
+        pools[stage.pool] = stage.pool(genus, max_degree, seed)
+    cases = pools[stage.pool][stage.name]
+    yield cases, stage.line.format(n=len(cases)), ()
+
+
+def _written(stage: Stage, case, found: dict) -> dict:
+    """Counterexample data: the stage's tag, each argument written by its
+    kind (a cycle on the stage's cover), then the check's own data."""
+    write = {"cover": cover_document, "cycle": cycle_document, "element": element_document,
+             "vaut": vaut_document}
+    data = {} if stage.key is None else {stage.key: stage.name}
+    for (key, kind), value in zip(stage.fields, case):
+        if kind == "cover":
+            cover = value
+        elif kind == "cycle":
+            value = cycle_element(cover, value)
+        data[key] = write[kind](value)
+    return data | found
 
 
 def run_suite(
@@ -427,13 +361,48 @@ def run_suite(
     integer(genus, "genus", BadDegree, low=2)
     integer(max_degree, "max_degree", BadDegree, low=1)
     integer(seed, "seed", CovertowerError)
-    return SUITES[suite](genus, max_degree, seed)
+    lines, pools = [], {}
+    for stage in SUITES[suite]:
+        constants = stage.constants(genus)
+        for cases, held, failed in _rounds(stage, genus, max_degree, seed, pools):
+            for case in cases:
+                found = stage.check(*case, **constants)
+                if found is not None:
+                    document = counterexample_document(suite, _written(stage, case, found))
+                    return SuiteResult(suite, False, (*lines, *failed), document)
+            lines.append(held)
+    return SuiteResult(suite, True, tuple(lines))
 
 
 def replay_counterexample(suite: str, data: dict) -> bool:
     """Re-run one packaged counterexample; True when the property now holds."""
-    if suite not in _REPLAYS:
+    if suite not in SUITES:
         raise DocumentError(f"unknown suite {suite!r}")
     if not isinstance(data, dict):
         raise DocumentError("counterexample data must be a JSON object")
-    return _REPLAYS[suite](data)
+    stages = SUITES[suite]
+    key = stages[0].key
+    if key is not None:
+        name = data.get(key)
+        stages = [s for s in stages if name == s.name or (name is None and s.untagged)]
+        if not stages:
+            raise DocumentError(f"counterexample field {key!r}: unknown stage {name!r:.40}")
+    stage = stages[0]
+    read = {"cover": parse_cover, "cycle": parse_cycle, "element": parse_element, "vaut": parse_vaut}
+    case, cover = [], None
+    for field, kind in stage.fields:
+        if field not in data:
+            raise DocumentError(f"counterexample data lacks the {field!r} field")
+        try:
+            value = read[kind](data[field])
+        except (CovertowerError, ValueError) as exc:
+            raise DocumentError(f"counterexample field {field!r}: {exc}") from exc
+        if kind == "cover":
+            cover = value
+        elif kind == "cycle":
+            if value.cover != cover:
+                raise DocumentError(f"counterexample field {field!r} lies on another cover")
+            value = value.payload
+        case.append(value)
+    constants = {} if cover is None else stage.constants(cover.genus)
+    return stage.check(*case, **constants) is None

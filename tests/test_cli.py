@@ -212,11 +212,11 @@ def test_lift_cycle_takes_integer_class_entries_only(tmp_path, capsys, vector):
 
 def test_verify_suite_choices_are_the_suites():
     from covertower.cli import build_parser
-    from covertower.verify import _REPLAYS, SUITES
+    from covertower.verify import SUITES
 
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
-    assert list(suite.choices) == list(SUITES) == list(_REPLAYS)
+    assert list(suite.choices) == list(SUITES)
 
 
 def test_verify_replay_missing_field_exit_2(tmp_path, capsys):
@@ -234,6 +234,11 @@ def test_verify_replay_missing_field_exit_2(tmp_path, capsys):
     code, err = run_err(capsys, "verify", "--replay", write_doc(tmp_path, "t3.json", vaut))
     assert code == 2
     assert "'vaut'" in err
+    # an unknown stage is bad input, not the lift-invariance stage
+    mystery = counterexample_document("theorem3", {"what": "mystery", "cover": cover_document(cover)})
+    code, err = run_err(capsys, "verify", "--replay", write_doc(tmp_path, "t3.json", mystery))
+    assert code == 2
+    assert "'what'" in err and "Traceback" not in err
 
 
 def test_verify_replay_cycles_on_another_cover_exit_2(tmp_path, capsys):

@@ -24,7 +24,7 @@ from covertower.errors import (
     words,
 )
 from covertower.covers import arrow_to_trivial, trivial_cover
-from covertower.homology import transfer_along_arrow
+from covertower.homology import surface_complex, transfer_along_arrow
 from covertower.limits import (
     base_class_element,
     homology_shadow,
@@ -156,6 +156,22 @@ def test_public_functions_name_an_argument_of_the_wrong_type(function, args, mes
 def test_a_chain_that_is_not_a_sequence_is_named():
     with pytest.raises(DimensionMismatch, match="^chain must be a sequence, got 5$"):
         transfer_along_arrow(arrow_to_trivial(trivial_cover(2)), 5)
+
+
+@pytest.mark.parametrize("chain, error, message", [
+    (5, DimensionMismatch, "chain must be a sequence, got 5"),
+    ([1, 0, 0], DimensionMismatch, "chain has wrong length"),
+    ([1.5] * 4, NonIntegerWeights, r"chain\[0\] must be an integer, got 1\.5"),
+    ([0, "a", 0, 0], NonIntegerWeights, r"chain\[1\] must be a number, got 'a'"),
+    ([0, 0, True, 0], NonIntegerWeights, r"chain\[2\] must be a number, got True"),
+], ids=["int", "short", "float", "str", "bool"])
+def test_pushforward_names_a_chain_entry_that_is_not_an_integer(chain, error, message):
+    """Never a float image, a bool read as 1, or a bare TypeError."""
+    cx = surface_complex(trivial_cover(2))
+    with pytest.raises(error, match=f"^{message}$"):
+        cx.pushforward(chain)
+    got = cx.pushforward([2.0, 0, 0, -1])
+    assert got == [2, 0, 0, -1] and all(type(x) is int for x in got)
 
 
 def test_checked_cache_keys_a_call_by_what_check_returns():

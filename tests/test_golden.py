@@ -294,7 +294,7 @@ def test_induced_covers_and_certificates():
         json.dumps([ind.states, ind.cover.perms, ind.to_outer.sheet_map], separators=(",", ":"))
         for _, _, _, ind in induced_corpus()
     ]
-    vauts = _law_pool(2, 2)[0]
+    vauts = [v for v, _ in _law_pool(2, 2, 0)["inverse"]]
     chunks.append(json.dumps([certified_in_caut(v, 1) for v in vauts]))
     assert _digest(chunks) == GOLDEN["induced"]
 

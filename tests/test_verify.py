@@ -1,7 +1,10 @@
+import ast
+import dataclasses
 import hashlib
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +37,7 @@ from covertower.limits import (
 )
 from covertower.surface import standard_symplectic
 from covertower.vauts import restrict_vaut, vaut_from_automorphism
-from covertower.verify import SUITES, _sweep, replay_counterexample, run_suite
+from covertower.verify import SUITES, replay_counterexample, run_suite
 from conftest import double_cover_from_signs
 
 
@@ -86,16 +89,23 @@ def test_run_suite_names_a_seed_that_is_not_an_integer(seed, shown):
     assert run_suite("pairing-invariance", 2, 2, -3).ok
 
 
-def test_sweep_stops_at_first_failure():
+def _with_check(monkeypatch, suite, check):
+    """Run the suite's first stage with check in place of its own."""
+    first, *rest = SUITES[suite]
+    monkeypatch.setitem(SUITES, suite, (dataclasses.replace(first, check=check), *rest))
+
+
+def test_sweep_stops_at_first_failure(monkeypatch):
     # degree 1 has one cover, so the 4th cover is the 3rd of degree 2
     order = list(enumerate_covers(2, 1) + enumerate_covers(2, 2))
     calls = []
 
-    def worker(cover):
+    def check(cover):
         calls.append(cover)
-        return {"cover": cover_document(cover)} if len(calls) == 4 else None
+        return {} if len(calls) == 4 else None
 
-    result = _sweep("riemann-hurwitz", worker, 2, 3)
+    _with_check(monkeypatch, "riemann-hurwitz", check)
+    result = run_suite("riemann-hurwitz", 2, 3)
     assert calls == order[:4]
     assert not result.ok
     assert result.lines == ("degree 1: 1 covers checked", "degree 2: counterexample found")
@@ -206,6 +216,15 @@ def test_replay_theorem3_detects_orientation_reversal():
     assert not replay_counterexample("theorem3", data)
 
 
+@pytest.mark.parametrize("suite, key", [("theorem3", "what"), ("vaut-laws", "law")])
+@pytest.mark.parametrize("name", ["mystery", 3, ["lift-invariance"], "pushforward"])
+def test_replay_names_an_unknown_stage(suite, key, name):
+    """An unknown stage tag is bad input, never read as another stage."""
+    data = {key: name, "cover": cover_document(double_cover_from_signs(2, (0, 1, 1, 0)))}
+    with pytest.raises(DocumentError, match=f"^counterexample field '{key}': unknown stage"):
+        replay_counterexample(suite, data)
+
+
 def test_counterexample_documents_serialize():
     cover = enumerate_covers(2, 2)[0]
     doc = counterexample_document("riemann-hurwitz", {"cover": cover_document(cover)})
@@ -265,25 +284,20 @@ def _reference_failure(suite, form_of, max_degree):
 def _check_each_cover_against(monkeypatch, suite, form_of):
     """Make the suite take its expected form from form_of(genus), once per cover.
 
-    The suites build their constants once; wrapping the per-cover check
-    puts a fault on exactly one cover, as _reference_failure does.
+    The suites build their constants once; wrapping the stage's check puts
+    a fault on exactly one cover, as _reference_failure does.
     """
+    check = SUITES[suite][0].check
     if suite == "theorem3":
-        check = verify._t3_one
-
         def one(cover, wants, base):
             g = cover.genus
             wants = [[Fraction(x, g - 1) for x in row] for row in form_of(g)]
             return check(cover, wants=wants, base=base)
-
-        monkeypatch.setattr(verify, "_t3_one", one)
     else:
-        check = verify._ts_one
-
         def one(cover, form, basis):
             return check(cover, form=form_of(cover.genus), basis=basis)
 
-        monkeypatch.setattr(verify, "_ts_one", one)
+    _with_check(monkeypatch, suite, one)
 
 
 @pytest.mark.parametrize("suite", ["theorem3", "transfer-scaling"])
@@ -376,3 +390,22 @@ def test_theorem3_reports_a_vaut_that_breaks_the_pairing(monkeypatch):
     digest = "f0c3bf219b0170e77df0e2d89bbc7e65ae52ccd48cab5040c36c26263fd8af22"
     data = _pinned_failure(monkeypatch, "theorem3", 2, lines, digest)
     assert data["what"] == "vaut-preservation"
+
+
+def test_one_runner_and_one_replay():
+    """In verify.py only run_suite builds a SuiteResult or a counterexample
+    document, and only replay_counterexample reads one with a parse_* reader."""
+    users = {}
+    for top in ast.parse(Path(verify.__file__).read_text()).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        for node in ast.walk(top):
+            name = getattr(node, "id", "")
+            name = "parse_*" if name.startswith("parse_") else name
+            if name in ("SuiteResult", "counterexample_document", "parse_*"):
+                users.setdefault(name, set()).add(getattr(top, "name", None))
+    assert users == {
+        "SuiteResult": {"run_suite"},
+        "counterexample_document": {"run_suite"},
+        "parse_*": {"replay_counterexample"},
+    }
