@@ -211,14 +211,6 @@ def test_enumerate_stream_genus_3(capsys):
     assert _digest(chunks) == GOLDEN["enumerate_genus_3"]
 
 
-def _verify_chunks(capsys, genus, max_degree):
-    return [
-        _cli(capsys, "verify", "--suite", suite, "--genus", str(genus),
-             "--max-degree", str(max_degree))
-        for suite in SUITES
-    ]
-
-
 def test_verify_reports(capsys):
     chunks = [
         _cli(capsys, "verify", "--suite", suite, "--max-degree", "2") for suite in SUITES
@@ -232,7 +224,12 @@ def test_verify_reports(capsys):
     pytest.param(2, 4, "verify_degree_4", marks=pytest.mark.slow),
 ])
 def test_verify_reports_deeper(capsys, genus, max_degree, name):
-    assert _digest(_verify_chunks(capsys, genus, max_degree)) == GOLDEN[name]
+    chunks = [
+        _cli(capsys, "verify", "--suite", suite, "--genus", str(genus),
+             "--max-degree", str(max_degree))
+        for suite in SUITES
+    ]
+    assert _digest(chunks) == GOLDEN[name]
 
 
 def test_lift_track_documents(tmp_path, capsys):

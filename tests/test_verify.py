@@ -171,6 +171,9 @@ def test_replay_vaut_laws():
     assert replay_counterexample("vaut-laws", data)
     with pytest.raises(DocumentError):
         replay_counterexample("vaut-laws", {"law": "mystery"})
+    # only theorem3 reads a missing tag as its first stage
+    with pytest.raises(DocumentError, match="'law'"):
+        replay_counterexample("vaut-laws", {"element": element_document(e)})
 
     auts = {a.name: vaut_from_automorphism(a) for a in shipped_automorphisms(2)}
     twist = auts["twist_b1_along_a1"]
