@@ -170,14 +170,9 @@ def integral(value, name: str) -> int:
 
 
 def integrals(items, name: str) -> list[int]:
-    """Each entry of a sequence read by integral; a bad entry is named
-    name[k].  The entry names are built only once an entry is bad."""
-    try:
-        return [integral(x, name) for x in items]
-    except NonIntegerWeights:
-        for k, x in enumerate(items):
-            integral(x, f"{name}[{k}]")  # raises at the bad entry
-        raise
+    """Each entry of a sequence read by integral, the k-th named name[k]; an
+    int is taken as it is, so a name is built only for another entry."""
+    return [x if type(x) is int else integral(x, f"{name}[{k}]") for k, x in enumerate(items)]
 
 
 def checked_cache(check):

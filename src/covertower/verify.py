@@ -6,8 +6,10 @@ per degree) or from a fixed pool (one report line), and runs its check on
 each.  A check returns counterexample data, or None when the property
 holds.  ``run_suite`` stops at the first failure (in enumeration order, so
 deterministic) and writes each of the check's arguments by its kind (cover,
-cycle, element or vaut); ``replay_counterexample`` reads them back by kind
-and reruns that stage's check.
+cycle, element or vaut, one writer and reader each in ``_KINDS``), and in a
+suite of several stages the stage's name under the suite's key in ``_TAGS``;
+``replay_counterexample`` picks the stage by that name, reads the arguments
+back by kind and reruns the check.
 """
 
 from __future__ import annotations
@@ -76,17 +78,12 @@ class Stage:
     fields gives the key and kind of each check argument.  A census stage
     (pool None) takes cases(cover, seed) for every cover; a pool stage takes
     pool(genus, max_degree, seed)[name], the pool built once per run for all
-    stages that share it, and reports line with {n} its case count.  In a
-    suite of several stages the data carries name under key; untagged marks
-    the stage that data without that entry names (theorem3's lift-invariance,
-    which documents built by hand leave out).
+    stages that share it, and reports line with {n} its case count.
     """
 
     name: str
     check: Callable
     fields: tuple[tuple[str, str], ...]
-    key: str | None = None
-    untagged: bool = False
     cases: Callable = lambda cover, seed: ((cover,),)
     constants: Callable = lambda genus: {}
     pool: Callable | None = None
@@ -282,7 +279,7 @@ def _preserves(v, e1, e2):
 
 
 def _law(name: str, check, fields, line: str) -> Stage:
-    return Stage(name, check, fields, key="law", pool=_law_pool, line=line)
+    return Stage(name, check, fields, pool=_law_pool, line=line)
 
 
 SUITES = {
@@ -311,14 +308,18 @@ SUITES = {
              "composition functoriality: {n} seeded triples"),
     ),
     "theorem3": (
-        Stage("lift-invariance", _t3_one, _COVER, key="what", untagged=True,
-              constants=_t3_constants),
+        Stage("lift-invariance", _t3_one, _COVER, constants=_t3_constants),
         Stage("vaut-preservation", _preserves,
               (("vaut", "vaut"), ("e1", "element"), ("e2", "element")),
-              key="what", pool=_preservation_pool,
+              pool=_preservation_pool,
               line="vaut preservation: {n} vauts on the (a1, b1) pair"),
     ),
 }
+
+# In a suite of several stages, the key that names the stage in the data and
+# the stage that data without it names (documents built by hand leave it out).
+_TAGS = {"vaut-laws": ("law", None), "theorem3": ("what", "lift-invariance")}
+
 
 def _rounds(stage: Stage, genus: int, max_degree: int, seed: int, pools: dict):
     """(cases, line when all hold, lines when one fails) of each report line."""
@@ -333,21 +334,6 @@ def _rounds(stage: Stage, genus: int, max_degree: int, seed: int, pools: dict):
         pools[stage.pool] = stage.pool(genus, max_degree, seed)
     cases = pools[stage.pool][stage.name]
     yield cases, stage.line.format(n=len(cases)), ()
-
-
-def _written(stage: Stage, case, found: dict) -> dict:
-    """Counterexample data: the stage's tag, each argument written by its
-    kind (a cycle on the stage's cover), then the check's own data."""
-    write = {"cover": cover_document, "cycle": cycle_document, "element": element_document,
-             "vaut": vaut_document}
-    data = {} if stage.key is None else {stage.key: stage.name}
-    for (key, kind), value in zip(stage.fields, case):
-        if kind == "cover":
-            cover = value
-        elif kind == "cycle":
-            value = cycle_element(cover, value)
-        data[key] = write[kind](value)
-    return data | found
 
 
 def run_suite(
@@ -368,10 +354,32 @@ def run_suite(
             for case in cases:
                 found = stage.check(*case, **constants)
                 if found is not None:
-                    document = counterexample_document(suite, _written(stage, case, found))
+                    document = counterexample_document(suite, _written(suite, stage, case, found))
                     return SuiteResult(suite, False, (*lines, *failed), document)
             lines.append(held)
     return SuiteResult(suite, True, tuple(lines))
+
+
+# Writer and reader of each argument kind.  A cycle argument is a chain on
+# the stage's cover argument, written as a cycle on it and read back from one.
+_KINDS = {
+    "cover": (cover_document, parse_cover),
+    "cycle": (cycle_document, parse_cycle),
+    "element": (element_document, parse_element),
+    "vaut": (vaut_document, parse_vaut),
+}
+
+
+def _written(suite: str, stage: Stage, case, found: dict) -> dict:
+    """Counterexample data: the stage's tag, each argument by kind, then found."""
+    data = {_TAGS[suite][0]: stage.name} if suite in _TAGS else {}
+    for (key, kind), value in zip(stage.fields, case):
+        if kind == "cover":
+            cover = value
+        elif kind == "cycle":
+            value = cycle_element(cover, value)
+        data[key] = _KINDS[kind][0](value)
+    return data | found
 
 
 def replay_counterexample(suite: str, data: dict) -> bool:
@@ -380,21 +388,19 @@ def replay_counterexample(suite: str, data: dict) -> bool:
         raise DocumentError(f"unknown suite {suite!r}")
     if not isinstance(data, dict):
         raise DocumentError("counterexample data must be a JSON object")
-    stages = SUITES[suite]
-    key = stages[0].key
-    if key is not None:
-        name = data.get(key)
-        stages = [s for s in stages if name == s.name or (name is None and s.untagged)]
-        if not stages:
+    stage = SUITES[suite][0]
+    if suite in _TAGS:
+        key, untagged = _TAGS[suite]
+        name = untagged if data.get(key) is None else data[key]
+        stage = next((s for s in SUITES[suite] if s.name == name), None)
+        if stage is None:
             raise DocumentError(f"counterexample field {key!r}: unknown stage {name!r:.40}")
-    stage = stages[0]
-    read = {"cover": parse_cover, "cycle": parse_cycle, "element": parse_element, "vaut": parse_vaut}
     case, cover = [], None
     for field, kind in stage.fields:
         if field not in data:
             raise DocumentError(f"counterexample data lacks the {field!r} field")
         try:
-            value = read[kind](data[field])
+            value = _KINDS[kind][1](data[field])
         except (CovertowerError, ValueError) as exc:
             raise DocumentError(f"counterexample field {field!r}: {exc}") from exc
         if kind == "cover":

@@ -397,18 +397,29 @@ def test_theorem3_reports_a_vaut_that_breaks_the_pairing(monkeypatch):
 
 def test_one_runner_and_one_replay():
     """In verify.py only run_suite builds a SuiteResult or a counterexample
-    document, and only replay_counterexample reads one with a parse_* reader."""
+    document, only the _KINDS table names a parse_* reader, and only the
+    runner's _written and replay_counterexample look a kind up in it."""
     users = {}
     for top in ast.parse(Path(verify.__file__).read_text()).body:
         if isinstance(top, (ast.Import, ast.ImportFrom)):
             continue
+        targets = getattr(top, "targets", ())
+        owner = getattr(top, "name", None) or (targets[0].id if targets else None)
         for node in ast.walk(top):
-            name = getattr(node, "id", "")
-            name = "parse_*" if name.startswith("parse_") else name
-            if name in ("SuiteResult", "counterexample_document", "parse_*"):
-                users.setdefault(name, set()).add(getattr(top, "name", None))
-    assert users == {
-        "SuiteResult": {"run_suite"},
-        "counterexample_document": {"run_suite"},
-        "parse_*": {"replay_counterexample"},
-    }
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = "parse_*" if node.id.startswith("parse_") else node.id
+                users.setdefault(name, set()).add(owner)
+    assert users["SuiteResult"] == users["counterexample_document"] == {"run_suite"}
+    assert users["_written"] == {"run_suite"}
+    assert users["parse_*"] == {"_KINDS"}
+    assert users["_KINDS"] == {"_written", "replay_counterexample"}
+
+
+def test_the_stage_tag_belongs_to_the_suite():
+    """Every suite of several stages, and no other, names its stages under
+    one key; names are unique in a suite, and untagged data names a stage."""
+    assert {s for s, stages in SUITES.items() if len(stages) > 1} == set(verify._TAGS)
+    for suite, stages in SUITES.items():
+        names = [stage.name for stage in stages]
+        assert len(set(names)) == len(names)
+        assert verify._TAGS.get(suite, (None, None))[1] in (None, *names)
