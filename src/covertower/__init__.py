@@ -64,7 +64,6 @@ from .vauts import (
     TwoArrowVaut,
     certified_in_caut,
     identity_vaut,
-    is_mapping_class_like,
     pairing_preserved,
     restrict_vaut,
     vaut_act,

@@ -14,6 +14,7 @@ from .covers import (
     SurfaceCover,
     _pointed_orbit,
     enumerate_covers,
+    rewrite_in_schreier,
     search_budget,
     trivial_cover,
 )
@@ -21,12 +22,14 @@ from .errors import IncompatibleTower, InvalidAutomorphism, SearchBudgetExceeded
 from .errors import checked_cache, genus_key, integer, need, sequence, words
 from .surface import (
     Word,
-    are_conjugate,
+    abelianized,
     free_reduce,
     generator_count,
     inverse_word,
+    is_trivial,
     substitute,
     surface_relator,
+    symplectic_product,
 )
 
 
@@ -35,15 +38,40 @@ def _word_table(table, name: str, genus: int) -> tuple[Word, ...]:
     return tuple(map(free_reduce, words(table, name, genus, InvalidAutomorphism)))
 
 
+def _check_isomorphism(left: SurfaceCover, right: SurfaceCover, fwd, bwd, names) -> None:
+    """Raise InvalidAutomorphism unless two tables, whose words already lie in
+    the right stabilizers, are inverse isomorphisms of the stabilizers of
+    left and right; names holds the tables' field names, for the messages.
+
+    By Reidemeister-Schreier a stabilizer is presented by its Schreier
+    generators and the lifted faces t_s.R.t_s^-1, one per sheet s.  So a
+    table is a homomorphism iff it sends every lifted face to 1, and two
+    homomorphisms are inverse iff each undoes the other on the generators.
+    Surface groups are Hopfian, so the second undo check follows from the
+    first; both run so that a swapped pair passes iff the pair does.
+    """
+    genus, relator = left.genus, surface_relator(left.genus)
+    sides = ((left, right, fwd, bwd, names), (right, left, bwd, fwd, names[::-1]))
+    for source, _, table, _, (name, _) in sides:
+        for s, tree in enumerate(source.schreier.words):
+            face = rewrite_in_schreier(source, tree + relator + inverse_word(tree))
+            if not is_trivial(substitute(face, table), genus):
+                raise InvalidAutomorphism(f"{name} does not kill the relator lifted at sheet {s}")
+    for source, target, table, back, (name, back_name) in sides:
+        for k, (loop, image) in enumerate(zip(source.loops, table)):
+            undone = substitute(rewrite_in_schreier(target, image), back)
+            if not is_trivial(undone + inverse_word(loop), genus):
+                raise InvalidAutomorphism(f"{back_name} does not undo {name}[{k}]")
+
+
 @dataclass(frozen=True)
 class SurfaceAutomorphism:
     """Automorphism of the surface group given by generator images.
 
-    Constructor accepts only tame presentations: the two substitution tables
-    must compose to the identity after free reduction, and the relator image
-    must be freely conjugate to the relator or its inverse.  That is
-    sufficient for a genuine automorphism; presentations needing relator
-    rewriting to verify are out of scope and rejected.
+    The constructor checks that both tables send the relator to 1 and undo
+    each other on every generator in the surface group, by the same exact
+    check as a TwoArrowVaut over the trivial cover, whose Schreier
+    generators are the generators.
     """
 
     genus: int
@@ -59,25 +87,8 @@ class SurfaceAutomorphism:
             raise InvalidAutomorphism("need one image word per generator")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "inverse_images", inverses)
-        for i in range(n):
-            gen = (i + 1,)
-            if substitute(substitute(gen, self.images), self.inverse_images) != gen:
-                raise InvalidAutomorphism(
-                    f"inverse images do not undo generator {i + 1}"
-                )
-            if substitute(substitute(gen, self.inverse_images), self.images) != gen:
-                raise InvalidAutomorphism(
-                    f"images do not undo inverse generator {i + 1}"
-                )
-        relator = surface_relator(self.genus)
-        image = substitute(relator, self.images)
-        if not (
-            are_conjugate(image, relator)
-            or are_conjugate(image, inverse_word(relator))
-        ):
-            raise InvalidAutomorphism(
-                "relator image is not conjugate to the relator or its inverse"
-            )
+        cover = trivial_cover(self.genus)
+        _check_isomorphism(cover, cover, images, inverses, ("images", "inverse_images"))
 
     def apply(self, word) -> Word:
         return substitute(word, self.images)
@@ -86,8 +97,10 @@ class SurfaceAutomorphism:
         return substitute(word, self.inverse_images)
 
     def is_orientation_preserving(self) -> bool:
-        relator = surface_relator(self.genus)
-        return are_conjugate(substitute(relator, self.images), relator)
+        """Whether the images of a1 and b1 keep the sign of their
+        intersection number; for an automorphism it is +1 or -1."""
+        a, b = (abelianized(w, self.genus) for w in self.images[:2])
+        return symplectic_product(a, b) == 1
 
 
 def _twist(genus: int, moving: int, along: int, name: str) -> SurfaceAutomorphism:

@@ -197,25 +197,6 @@ class CoverComplex:
                     x[dart >> 1] += c if dart & 1 else -c
         return tuple(x[e] for e in data["class_edges"])
 
-    def loop_map(self, images):
-        """Matrix of the homology map that sends each Schreier loop to a class.
-
-        images[k] holds the class coordinates, on the target surface, of the
-        image of the loop through nontree edge k.  A cycle is fixed by its
-        nontree coordinates and the faces span the boundaries, so the images
-        define a map on homology iff they cancel around every face.  Returns
-        None when they do not, else X: the class edges' rows of images, as
-        their loops are the basis.
-        """
-        edges = (self.edge_index(i, s) for (i, s) in self.cover.schreier.nontree)
-        image_of = dict(zip(edges, images))
-        for face in self.faces:
-            signed = [[-c for c in image_of[d >> 1]] if d & 1 else image_of[d >> 1]
-                      for d in face if d >> 1 in image_of]
-            if any(map(sum, zip(*signed))):
-                return None
-        return [list(image_of[e]) for e in self._homology_data()["class_edges"]]
-
     # -- intersection pairing
 
     def pairing_covector(self, chain):

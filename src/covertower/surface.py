@@ -10,7 +10,7 @@ A word is a tuple of nonzero ints: letter +(i+1) is generator i, letter
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, checked_cache, genus_key
 
 Word = tuple[int, ...]
 
@@ -67,24 +67,56 @@ def substitute(word, images: list[Word]) -> Word:
     return tuple(out)
 
 
-def cyclic_reduce(word) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+@checked_cache(genus_key)
+def _dehn_steps(genus: int) -> dict[int, tuple[tuple[int, Word], ...]]:
+    """For each letter x, along the cyclic relator R and along R^-1 (x occurs
+    once in each): the letter after x, and the 2g - 1 letters after x, each
+    inverted.  Read from the end, these spell the inverse of the complement
+    of a run of 2g + 1 letters that ends at x, which that run equals."""
+    steps: dict[int, tuple[tuple[int, Word], ...]] = {}
+    for r in (surface_relator(genus), inverse_word(surface_relator(genus))):
+        doubled = r + r
+        for k, x in enumerate(r):
+            complement = doubled[k + 1 : k + 2 * genus]
+            steps[x] = steps.get(x, ()) + ((complement[0], tuple(-y for y in complement)),)
+    return steps
 
 
-def are_conjugate(w1, w2) -> bool:
-    """Conjugacy test in the free group on the ambient generators."""
-    c1 = cyclic_reduce(w1)
-    c2 = cyclic_reduce(w2)
-    if len(c1) != len(c2):
-        return False
-    if not c1:
-        return True
-    doubled = c2 + c2
-    n = len(c1)
-    return any(doubled[i : i + n] == c1 for i in range(n))
+def is_trivial(word, genus: int) -> bool:
+    """Whether a word is the identity of the genus-g surface group, by Dehn's
+    algorithm (Lyndon and Schupp, Combinatorial Group Theory, ch. V).
+
+    The presentation is C'(1/7), so a freely reduced word equal to 1 is
+    empty or holds 2g + 1 letters of a cyclic rotation of R or R^-1, which
+    equal the inverse of their complement.  One stack pass keeps the word
+    read so far freely reduced and free of such runs: each stacked letter
+    carries its run along R and along R^-1, and a run of 2g + 1 is popped
+    and the complement's inverse read next.  The word is trivial iff the
+    stack ends empty.
+    """
+    steps = _dehn_steps(genus)
+    half = 2 * genus
+    stack: list[tuple[int, int, int]] = []  # (letter, run along R, run along R^-1)
+    pending = list(reversed(word))  # read from the end
+    while pending:
+        x = pending.pop()
+        if x not in steps:
+            raise DimensionMismatch(f"letter {x} outside genus-{genus} alphabet")
+        run = run_inv = 1
+        if stack:
+            top, top_run, top_run_inv = stack[-1]
+            if top == -x:
+                stack.pop()
+                continue
+            (after, _), (after_inv, _) = steps[top]
+            run += top_run if after == x else 0
+            run_inv += top_run_inv if after_inv == x else 0
+        if run > half or run_inv > half:
+            del stack[len(stack) - half :]
+            pending.extend(steps[x][run <= half][1])
+        else:
+            stack.append((x, run, run_inv))
+    return not stack
 
 
 def abelianized(word, genus: int) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characteristic import SurfaceAutomorphism, _word_table, mod2_homology_cover
+from .characteristic import SurfaceAutomorphism, _check_isomorphism, _word_table
+from .characteristic import mod2_homology_cover
 from .covers import (
     SurfaceCover,
     _induced_cover,
@@ -29,8 +30,7 @@ from .errors import (
     KindMismatch,
 )
 from .errors import checked_cache, genus_key, integer, need
-from .exact_linalg import mat_vec
-from .homology import surface_complex, transfer_along_arrow
+from .homology import transfer_along_arrow
 from .limits import LimitElement, homology_shadow, normalized_pairing
 from .surface import Word, substitute
 
@@ -44,7 +44,6 @@ __all__ = [
     "identity_vaut",
     "vaut_from_automorphism",
     "restrict_vaut",
-    "is_mapping_class_like",
     "pairing_preserved",
     "certified_in_caut",
 ]
@@ -60,30 +59,24 @@ def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
     return substitute(rewrite_in_schreier(cover, word), table)
 
 
-def _homology_map(source: SurfaceCover, target: SurfaceCover, table):
-    """Map a table of Schreier-generator images induces on homology, or None."""
-    cx = surface_complex(target)
-    images = [cx.class_coordinates(target.chain([(w, 0, 1)])) for w in table]
-    return surface_complex(source).loop_map(images)
-
-
 @dataclass(frozen=True)
 class TwoArrowVaut:
     """Two covers with identified total surfaces.
 
     fwd maps each Schreier generator of the left stabilizer to a word in
     the right stabilizer; bwd is the inverse direction.  Construction
-    checks that the tables take values in the right subgroups and that the
-    two induced maps on the homology of the total surface are inverse
-    integer matrices.  That check is a strong necessary condition; word
-    problems beyond it are out of scope.
+    checks that the tables take values in the right subgroups, that each
+    sends every lifted face of its source to 1, and that each undoes the
+    other on every Schreier generator, all exactly in the surface group
+    (see characteristic._check_isomorphism).  Together these say that the
+    tables are inverse isomorphisms of the two stabilizers.
 
     vaut_inverse and restrict_vaut build their results unchecked.  A swap
-    passes exactly the checks its source passed: the two stabilizer checks
-    trade places, and X.Y = I iff Y.X = I for square integer matrices.  A
-    restriction to a cover that factors through the left arrow represents
-    the same virtual automorphism (Biswas-Nag-Sullivan).  The tests rebuild
-    both through this constructor.
+    passes exactly the checks its source passed, as every check is run on
+    both sides alike.  A restriction to a cover that factors through the
+    left arrow represents the same virtual automorphism
+    (Biswas-Nag-Sullivan).  The tests rebuild both through this
+    constructor.
     """
 
     left: SurfaceCover
@@ -116,17 +109,7 @@ class TwoArrowVaut:
                 raise InvalidAutomorphism(
                     "backward image does not lie in the left stabilizer"
                 )
-        x = _homology_map(self.left, self.right, fwd)
-        y = _homology_map(self.right, self.left, bwd)
-        if x is None or y is None:
-            raise InvalidAutomorphism(
-                "identification does not induce a linear map on homology"
-            )
-        # square matrices: a one-sided inverse is two-sided
-        columns = list(zip(*y))
-        for i, row in enumerate(x):
-            if mat_vec(columns, row) != [int(i == j) for j in range(len(x))]:
-                raise InvalidAutomorphism("identification is not invertible on homology")
+        _check_isomorphism(self.left, self.right, fwd, bwd, ("fwd", "bwd"))
 
     @property
     def base_genus(self) -> int:
@@ -234,16 +217,6 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     fwd = tuple(map(vaut.forward_word, finer.loops))
     bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
     return _trusted(TwoArrowVaut, left=finer, right=new_right.cover, fwd=fwd, bwd=bwd)
-
-
-def is_mapping_class_like(vaut: TwoArrowVaut) -> bool:
-    """Whether this representative has pointed-equal arrows.
-
-    Decided after canonical relabeling.  False only means not witnessed by
-    this representative; a finer one may still exhibit it.
-    """
-    need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
-    return vaut.left.canonical() == vaut.right.canonical()
 
 
 def pairing_preserved(

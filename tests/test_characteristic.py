@@ -15,8 +15,9 @@ from covertower.covers import (
 )
 from covertower.documents import parse_automorphisms
 from covertower.errors import BadDegree, CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
-from covertower.surface import abelianized, free_reduce, substitute
-from covertower.vauts import identity_vaut
+from covertower.limits import base_class_element, limit_equal
+from covertower.surface import abelianized, free_reduce, inverse_word, is_trivial, surface_relator
+from covertower.vauts import identity_vaut, vaut_act, vaut_from_automorphism
 from conftest import double_cover_from_signs
 
 
@@ -59,13 +60,19 @@ def test_automorphism_validation():
     ident = ((1,), (2,), (3,), (4,))
     with pytest.raises(InvalidAutomorphism):
         SurfaceAutomorphism(2, ((1,), (2,), (3,)), ident)
-    with pytest.raises(InvalidAutomorphism):
+    with pytest.raises(InvalidAutomorphism, match=r"^inverse_images does not undo images\[0\]$"):
         # claimed inverse does not undo the twist
         SurfaceAutomorphism(2, ((1, 2), (2,), (3,), (4,)), ident)
-    with pytest.raises(InvalidAutomorphism):
-        # swapping a single pair of handles' a-curves breaks the relator
-        swap_a = ((3,), (2,), (1,), (4,))
-        SurfaceAutomorphism(2, swap_a, swap_a)
+    # swapping a single pair of handles' a-curves breaks the relator
+    swap_a = ((3,), (2,), (1,), (4,))
+    with pytest.raises(
+        InvalidAutomorphism, match="^images does not kill the relator lifted at sheet 0$"
+    ):
+        SurfaceAutomorphism(2, swap_a, ident)
+    with pytest.raises(
+        InvalidAutomorphism, match="^inverse_images does not kill the relator lifted at sheet 0$"
+    ):
+        SurfaceAutomorphism(2, ident, swap_a)
 
 
 def test_automorphism_input_errors_name_the_field():
@@ -113,14 +120,53 @@ def test_genus_is_an_integer_at_least_2(build, genus, error):
 
 
 def test_substitution_respects_relator_on_shipped():
-    from covertower.surface import are_conjugate, inverse_word, surface_relator
-
     relator = surface_relator(2)
     for aut in shipped_automorphisms(2):
-        image = substitute(relator, aut.images)
-        assert are_conjugate(image, relator) or are_conjugate(
-            image, inverse_word(relator)
-        )
+        assert is_trivial(aut.apply(relator), 2)
+        assert is_trivial(aut.apply_inverse(relator), 2)
+        for i in range(4):
+            gen = (i + 1,)
+            assert is_trivial(aut.apply_inverse(aut.apply(gen)) + inverse_word(gen), 2)
+
+
+def test_a_correct_table_that_is_not_tame_is_accepted():
+    """a1 -> a1.R is the identity of the surface group, but its relator image
+    is not freely conjugate to R^+-1, so a free-group check rejects it."""
+    relator = surface_relator(2)
+    ident = ((1,), (2,), (3,), (4,))
+    aut = SurfaceAutomorphism(2, ((1,) + relator, (2,), (3,), (4,)), ident, "a1_times_R")
+    assert aut.is_orientation_preserving()
+    v = vaut_from_automorphism(aut)
+    for gen in range(4):
+        unit = tuple(int(i == gen) for i in range(4))
+        assert limit_equal(vaut_act(v, base_class_element(2, unit)), base_class_element(2, unit))
+    flip = next(a for a in shipped_automorphisms(2) if a.name == "ab_flip")
+    assert not flip.is_orientation_preserving()
+
+
+def _chain_map(conjugate_other_handles: bool):
+    """Genus 3: a1 -> b2 b1 a1 and a2 -> b1 b2 a2, b1 and b2 fixed, handle 3
+    conjugated by u = b2 b1 or left alone; and the claimed inverse."""
+    u = (4, 2) if conjugate_other_handles else ()
+    images = ((4, 2, 1), (2,), (2, 4, 3), (4,)) + tuple(
+        u + (x,) + inverse_word(u) for x in (5, 6)
+    )
+    inverses = ((-2, -4, 1), (2,), (-4, -2, 3), (4,)) + tuple(
+        inverse_word(u) + (x,) + u for x in (5, 6)
+    )
+    return images, inverses
+
+
+def test_genus_three_maps_that_are_not_endomorphisms_are_rejected():
+    images, inverses = _chain_map(conjugate_other_handles=True)
+    assert SurfaceAutomorphism(3, images, inverses).is_orientation_preserving()
+    swap = ((3,), (4,), (1,), (2,), (5,), (6,))
+    flip = ((2,), (1,), (4,), (3,), (6,), (5,))
+    for table, inverse in (swap, swap), (flip, flip), _chain_map(conjugate_other_handles=False):
+        with pytest.raises(
+            InvalidAutomorphism, match="^images does not kill the relator lifted at sheet 0$"
+        ):
+            SurfaceAutomorphism(3, table, inverse)
 
 
 def test_trivial_and_mod2_are_characteristic():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from covertower.characteristic import mod2_homology_cover
+from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.cli import main
 from covertower.covers import enumerate_covers
 from covertower.documents import (
@@ -24,7 +24,8 @@ from covertower.documents import (
 from covertower.homology import surface_complex
 from covertower.limits import base_class_element, cycle_element, limit_equal, track_element
 from covertower.traintrack import lift_track, three_branch_example
-from covertower.vauts import identity_vaut, vaut_act
+from covertower.surface import free_reduce, inverse_word
+from covertower.vauts import identity_vaut, restrict_vaut, vaut_act, vaut_from_automorphism
 from conftest import double_cover_from_signs
 
 
@@ -288,6 +289,38 @@ def test_out_of_range_word_letters_exit_2(tmp_path, capsys):
     code, err = run_err(capsys, "lift-track", "--track", track, "--cover", cover)
     assert code == 2
     assert "branch_words[0]" in err
+
+
+def test_a_vaut_that_is_not_an_isomorphism_exits_2(tmp_path, capsys):
+    """A fwd word changed by a commutator keeps the map on homology; the
+    document is refused when read, not on some covers only."""
+    v = restrict_vaut(vaut_from_automorphism(shipped_automorphisms(2)[0]), enumerate_covers(2, 2)[0])
+    w0, w1 = v.fwd[0], v.fwd[1]
+    doc = vaut_document(v)
+    doc["identification"]["fwd"][0] = list(
+        free_reduce(w0 + w1 + inverse_word(w0) + inverse_word(w1) + w0)
+    )
+    vp = write_doc(tmp_path, "vaut.json", doc)
+    ep = write_doc(tmp_path, "elem.json", element_document(base_class_element(2, (1, 0, 0, 0))))
+    code, err = run_err(capsys, "vaut-act", "--vaut", vp, "--elem", ep)
+    assert code == 2
+    assert "fwd does not kill the relator lifted at sheet 0" in err
+
+
+def test_automorphisms_that_are_not_tame_are_read(tmp_path, capsys):
+    """a1 -> a1.R is the identity of the surface group though its relator
+    image is not freely conjugate to R; a table that breaks the relator
+    exits 2."""
+    ident = [[1], [2], [3], [4]]
+    twisted = {"images": [[1, 1, 2, -1, -2, 3, 4, -3, -4], [2], [3], [4]], "inverse_images": ident}
+    cover = write_doc(tmp_path, "cover.json", cover_document(mod2_homology_cover(2)))
+    for items, want in (([twisted], 0), ([{"images": [[3], [2], [1], [4]], "inverse_images": ident}], 2)):
+        auts = write_doc(tmp_path, "auts.json", {
+            "schema": "covertower/1", "type": "automorphisms", "genus": 2, "items": items,
+        })
+        code, err = run_err(capsys, "is-char", "--cover", cover, "--auts", auts)
+        assert code == want, err
+    assert "images does not kill the relator lifted at sheet 0" in err
 
 
 def test_bad_documents_exit_2(tmp_path, capsys):

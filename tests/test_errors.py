@@ -35,8 +35,8 @@ from covertower.limits import (
 from covertower.traintrack import carrying_compose, lift_track, three_branch_example
 from covertower.vauts import (
     identity_vaut,
-    is_mapping_class_like,
     pairing_preserved,
+    vaut_act_track,
     vaut_from_automorphism,
 )
 
@@ -143,7 +143,7 @@ MATRIX = lift_track(three_branch_example(), trivial_cover(2))[1]
     (homology_shadow, (1,), "element must be a LimitElement"),
     (transfer_along_arrow, (1, (0, 0, 0, 0)), "arrow must be a CoverArrow"),
     (vaut_from_automorphism, (1,), "aut must be a SurfaceAutomorphism"),
-    (is_mapping_class_like, ("vaut",), "vaut must be a TwoArrowVaut"),
+    (vaut_act_track, ("vaut", ELEMENT), "vaut must be a TwoArrowVaut"),
     (carrying_compose, (1, MATRIX), "first must be a CarryingMatrix"),
     (carrying_compose, (MATRIX, 1), "second must be a CarryingMatrix"),
 ])

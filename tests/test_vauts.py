@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
+import covertower
 from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.covers import (
     enumerate_covers,
@@ -21,7 +24,6 @@ from covertower.errors import (
     IncompatibleTower,
     InvalidAutomorphism,
     KindMismatch,
-    RelatorNotTrivial,
 )
 from covertower.homology import surface_complex
 from covertower.limits import (
@@ -39,7 +41,6 @@ from covertower.vauts import (
     apply_edge_word_map,
     certified_in_caut,
     identity_vaut,
-    is_mapping_class_like,
     pairing_preserved,
     restrict_vaut,
     vaut_act,
@@ -48,6 +49,7 @@ from covertower.vauts import (
     vaut_from_automorphism,
     vaut_inverse,
 )
+from covertower.documents import parse_vaut, vaut_document
 from conftest import double_cover_from_signs
 
 
@@ -125,10 +127,11 @@ def test_rejects_endpoints_that_are_not_covers(left, right, field):
 
 
 def test_rejects_homologically_singular_tables():
+    # a homomorphism onto <a1>: it kills the relator, and bwd cannot undo it
     cover = trivial_cover(2)
     squash = ((1,),) * 4
     ident = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
-    with pytest.raises(InvalidAutomorphism, match="not invertible on homology"):
+    with pytest.raises(InvalidAutomorphism, match=r"^bwd does not undo fwd\[1\]$"):
         TwoArrowVaut(cover, cover, squash, ident)
 
 
@@ -137,8 +140,80 @@ def test_rejects_tables_without_a_linear_homology_map():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     ident = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
     fwd = (ident[0], ident[0]) + ident[2:]
-    with pytest.raises(InvalidAutomorphism, match="does not induce a linear map"):
+    with pytest.raises(
+        InvalidAutomorphism, match=r"^fwd does not kill the relator lifted at sheet \d$"
+    ):
         TwoArrowVaut(cover, cover, fwd, ident)
+    with pytest.raises(
+        InvalidAutomorphism, match=r"^bwd does not kill the relator lifted at sheet \d$"
+    ):
+        TwoArrowVaut(cover, cover, ident, fwd)
+
+
+def test_one_isomorphism_check():
+    """In the package only _check_isomorphism calls is_trivial, and both
+    constructors of isomorphisms call it."""
+    package = Path(covertower.__file__).resolve().parent
+    users = {}
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            name = getattr(top, "name", None)
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for member in members:
+                owner = name if member is top else f"{name}.{getattr(member, 'name', None)}"
+                for node in ast.walk(member):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        users.setdefault(node.id, set()).add(owner)
+    assert users["is_trivial"] == {"_check_isomorphism"}
+    assert users["_check_isomorphism"] == {
+        "SurfaceAutomorphism.__post_init__", "TwoArrowVaut.__post_init__"
+    }
+
+
+# ---------------------------------------------------------------------------
+# the homology oracle: the map a table induces on homology, solved on the
+# loop classes, and the test X.Y = I that its two directions are inverse
+
+
+def loop_map(cx, images):
+    """Matrix of the homology map that sends each Schreier loop to a class.
+
+    images[k] holds the class coordinates, on the target surface, of the
+    image of the loop through nontree edge k.  A cycle is fixed by its
+    nontree coordinates and the faces span the boundaries, so the images
+    define a map on homology iff they cancel around every face.  Returns
+    None when they do not, else X: the class edges' rows of images, as
+    their loops are the basis.
+    """
+    edges = (cx.edge_index(i, s) for (i, s) in cx.cover.schreier.nontree)
+    image_of = dict(zip(edges, images))
+    for face in cx.faces:
+        signed = [[-c for c in image_of[d >> 1]] if d & 1 else image_of[d >> 1]
+                  for d in face if d >> 1 in image_of]
+        if any(map(sum, zip(*signed))):
+            return None
+    return [list(image_of[e]) for e in cx._homology_data()["class_edges"]]
+
+
+def homology_map(source, target, table):
+    """Map a table of Schreier-generator images induces on homology, or None."""
+    cx = surface_complex(target)
+    images = [cx.class_coordinates(target.chain([(w, 0, 1)])) for w in table]
+    return loop_map(surface_complex(source), images)
+
+
+def homology_invertible(left, right, fwd, bwd):
+    """Whether both tables induce maps on homology, inverse to each other."""
+    x = homology_map(left, right, fwd)
+    y = homology_map(right, left, bwd)
+    if x is None or y is None:
+        return False
+    # square matrices: a one-sided inverse is two-sided
+    n = len(x)
+    return all(sum(x[i][k] * y[k][j] for k in range(n)) == int(i == j)
+               for i in range(n) for j in range(n))
 
 
 def _sympy_loop_map(source, target, table):
@@ -193,7 +268,7 @@ def test_loop_map_matches_sympy_solve():
     for source, target, table in cases:
         dst = surface_complex(target)
         images = [dst.class_coordinates(target.chain([(w, 0, 1)])) for w in table]
-        got = surface_complex(source).loop_map(images)
+        got = loop_map(surface_complex(source), images)
         want = _sympy_loop_map(source, target, table)
         assert got == want
         found.add(got is None)
@@ -361,9 +436,13 @@ def test_track_action_through_the_shadow():
 
 
 def test_mapping_class_like():
-    assert is_mapping_class_like(identity_vaut(2))
+    """A representative with pointed-equal arrows, after canonical relabeling."""
+    def same_arrows(v):
+        return v.left.canonical() == v.right.canonical()
+
+    assert same_arrows(identity_vaut(2))
     for aut in shipped_automorphisms(2):
-        assert is_mapping_class_like(vaut_from_automorphism(aut))
+        assert same_arrows(vaut_from_automorphism(aut))
     swap = vaut_from_automorphism(by_name("handle_swap"))
     restricted = restrict_vaut(swap, double_cover_from_signs(2, (1, 0, 0, 0)))
     # the restricted representative swaps the handles, so its two arrows are
@@ -371,10 +450,10 @@ def test_mapping_class_like():
     assert restricted.right.canonical() == double_cover_from_signs(
         2, (0, 0, 1, 0)
     ).canonical()
-    assert not is_mapping_class_like(restricted)
+    assert not same_arrows(restricted)
     # restriction along a symmetric cover keeps both arrows equal
     sym = restrict_vaut(swap, double_cover_from_signs(2, (1, 0, 1, 0)))
-    assert is_mapping_class_like(sym)
+    assert same_arrows(sym)
 
 
 def test_pairing_preserved():
@@ -513,20 +592,65 @@ def test_caut_certification():
     assert certified_in_caut(restricted, depth=1)
 
 
-def test_relator_check_rejects_a_table_that_is_not_a_homomorphism():
-    """A fwd word changed by a commutator passes the homology check, and only
-    the relator check of the induced cover catches it."""
+def perturbed_twist_restriction():
+    """A restriction of twist_b1_along_a1 and its fwd table with fwd[0]
+    changed by a commutator: the same map on homology, but no homomorphism."""
     twist = vaut_from_automorphism(by_name("twist_b1_along_a1"))
     v = restrict_vaut(twist, enumerate_covers(2, 2)[0])
     w0, w1 = v.fwd[0], v.fwd[1]
     bad = free_reduce(w0 + w1 + inverse_word(w0) + inverse_word(w1) + w0)
-    perturbed = vaut_inverse(TwoArrowVaut(v.left, v.right, (bad,) + v.fwd[1:], v.bwd))
-    rejected = 0
-    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
-    for cover in covers:
-        element = cycle_element(cover, surface_complex(cover).transfer((1, 0, 0, 0)))
-        try:
-            vaut_act(perturbed, element)
-        except RelatorNotTrivial:
-            rejected += 1
-    assert (rejected, len(covers) - rejected) == (36, 200)
+    return v, (bad,) + v.fwd[1:]
+
+
+def test_relator_check_rejects_a_table_that_is_not_a_homomorphism():
+    """The perturbed table passes the homology oracle, and the constructor
+    rejects it, on either side, by the lifted relator."""
+    v, fwd = perturbed_twist_restriction()
+    assert homology_invertible(v.left, v.right, fwd, v.bwd)
+    with pytest.raises(
+        InvalidAutomorphism, match=r"^fwd does not kill the relator lifted at sheet 0$"
+    ):
+        TwoArrowVaut(v.left, v.right, fwd, v.bwd)
+    with pytest.raises(
+        InvalidAutomorphism, match=r"^bwd does not kill the relator lifted at sheet 0$"
+    ):
+        TwoArrowVaut(v.right, v.left, v.bwd, fwd)
+    doc = vaut_document(v)
+    doc["identification"]["fwd"][0] = list(fwd[0])
+    with pytest.raises(InvalidAutomorphism, match="^fwd does not kill"):
+        parse_vaut(doc)
+
+
+def test_the_homology_oracle_agrees_with_the_constructor():
+    """Every shipped, restricted, inverted and composed vaut built here is
+    invertible on homology; a perturbed table that the oracle rejects, the
+    constructor rejects too."""
+    rng = random.Random(59)
+    shipped = [identity_vaut(2)] + [vaut_from_automorphism(a) for a in shipped_automorphisms(2)]
+    covers = [c for d in (1, 2) for c in enumerate_covers(2, d)]
+    covers += rng.sample(enumerate_covers(2, 3), 8) + [mod2_homology_cover(2)]
+    restricted = [restrict_vaut(rng.choice(shipped), c) for c in covers]
+    inverted = [vaut_inverse(v) for v in shipped + restricted]
+    composed = [vaut_compose(rng.choice(shipped), rng.choice(restricted)) for _ in range(6)]
+    composed += [vaut_compose(rng.choice(inverted), rng.choice(composed)) for _ in range(4)]
+    pool = shipped + restricted + inverted + composed
+    for v in pool:
+        assert homology_invertible(v.left, v.right, v.fwd, v.bwd)
+    found = set()
+    for v in pool + [perturbed_twist_restriction()[0]]:
+        if max(v.left.degree, v.right.degree) > 4:
+            continue
+        for _ in range(3):
+            fwd = list(v.fwd)
+            k, j = rng.randrange(len(fwd)), rng.randrange(len(fwd))
+            fwd[k] = rng.choice((fwd[k] + fwd[j], fwd[j], inverse_word(fwd[k]),
+                                 fwd[k] + fwd[j] + inverse_word(fwd[k]) + inverse_word(fwd[j])))
+            oracle = homology_invertible(v.left, v.right, fwd, v.bwd)
+            try:
+                TwoArrowVaut(v.left, v.right, fwd, v.bwd)
+                accepted = True
+            except InvalidAutomorphism:
+                accepted = False
+            assert oracle or not accepted
+            found.add((oracle, accepted))
+    assert (False, False) in found and (True, False) in found
