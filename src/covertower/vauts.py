@@ -71,12 +71,14 @@ class TwoArrowVaut:
     (see characteristic._check_isomorphism).  Together these say that the
     tables are inverse isomorphisms of the two stabilizers.
 
-    vaut_inverse and restrict_vaut build their results unchecked.  A swap
-    passes exactly the checks its source passed, as every check is run on
-    both sides alike.  A restriction to a cover that factors through the
-    left arrow represents the same virtual automorphism
-    (Biswas-Nag-Sullivan).  The tests rebuild both through this
-    constructor.
+    vaut_inverse, restrict_vaut and vaut_from_automorphism build their
+    results unchecked.  A swap passes exactly the checks its source passed,
+    as every check is run on both sides alike.  A restriction to a cover
+    that factors through the left arrow represents the same virtual
+    automorphism (Biswas-Nag-Sullivan).  The trivial cover's Schreier
+    generators are the generators, so a SurfaceAutomorphism's free-reduced
+    tables are the vaut's tables, and its constructor has already run this
+    check on them.  The tests rebuild all three through this constructor.
     """
 
     left: SurfaceCover
@@ -197,9 +199,8 @@ def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
     """Mapping-class-like vaut with both arrows trivial."""
     need(aut, SurfaceAutomorphism, "aut", IncompatibleTower)
     cover = trivial_cover(aut.genus)
-    fwd = tuple(map(aut.apply, cover.loops))
-    bwd = tuple(map(aut.apply_inverse, cover.loops))
-    return TwoArrowVaut(cover, cover, fwd, bwd)
+    fwd, bwd = aut.images, aut.inverse_images
+    return _trusted(TwoArrowVaut, left=cover, right=cover, fwd=fwd, bwd=bwd)
 
 
 def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:

@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 
 from covertower.errors import CovertowerError, DimensionMismatch
 from covertower.orbit import (
+    FOLD_ROWS,
     OrbitConfig,
+    _fold,
     covering_radius,
     orbit_density_experiment,
     projective_normalize,
@@ -88,6 +90,53 @@ def test_covering_radius_hand_case():
     assert covering_radius([(1, 0, 0, 0)], np.array([[-1.0, 0, 0, 0]])) == pytest.approx(
         0.0
     )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0, 0, 0, 0)], [(1, 0, 0, 0), (0, 0, 0, 0)], [], [(1, 0, 0)], [(1, 0, 0, 0), (1, 0, 0)]],
+    ids=["zero", "zero-among-others", "empty", "short", "ragged"],
+)
+def test_covering_radius_rejects_degenerate_points(points):
+    targets = np.eye(4)
+    with pytest.raises(DimensionMismatch):
+        covering_radius(points, targets)
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [(1, 4), (FOLD_ROWS, 4), (FOLD_ROWS + 1, 4), (2 * FOLD_ROWS + 7, 6)],
+    ids=["one", "one-chunk", "one-past-a-chunk", "genus3"],
+)
+def test_fold_matches_brute_force_across_chunk_boundaries(rows, dim):
+    rng = np.random.default_rng(rows)
+    batch = [tuple(int(v) for v in row) for row in rng.integers(-9, 10, size=(rows, dim))]
+    batch = [row if any(row) else (1,) + row[1:] for row in batch]
+    targets = quasi_uniform_targets(rng, 40, dim)
+    best = np.zeros(len(targets))
+    _fold(best, targets, batch)
+    radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
+    assert radius == pytest.approx(covering_radius(batch, targets), abs=1e-12)
+    # folding a batch in two parts reaches the same best vector
+    split = np.zeros(len(targets))
+    _fold(split, targets, batch[: rows // 2])
+    _fold(split, targets, batch[rows // 2 :])
+    assert np.array_equal(split, best)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"start": (10**400, 1, 0, 0)}, "^the start is too large for a float$"),
+        # e1 pairs to 10**200 with the class, so the first twist already
+        # leaves the float range
+        ({"classes": ((0, 10**200, 0, 0),)}, "^a point reached by step 1 is too large for a float$"),
+    ],
+    ids=["huge-start", "huge-images"],
+)
+def test_walk_names_a_point_too_large_for_a_float(kwargs, message):
+    with pytest.raises(CovertowerError, match=message):
+        orbit_density_experiment(OrbitConfig(steps=3, targets=4, **kwargs))
 
 
 def test_targets_are_unit_and_seeded():
@@ -170,11 +219,11 @@ def assert_walk_matches(config, expected):
 
 def test_incremental_radius_matches_brute_force():
     # compare every checkpoint against the replayed walk; late segments hold
-    # hundreds of new points, so the walk folds them in several chunks
+    # more new points than one fold chunk, so the walk folds them in several
     for seed in (0, 3, 7):
         config = OrbitConfig(steps=3000, targets=48, seed=seed)
         expected, _ = replay_walk(config)
-        assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > 256
+        assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > FOLD_ROWS
         assert_walk_matches(config, expected)
 
 
