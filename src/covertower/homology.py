@@ -36,7 +36,7 @@ class CoverComplex:
         self._tails = list(range(d)) * self.n_generators
         self._heads = [t for perm in cover.perms for t in perm]
         self.rotation = self._build_rotation()
-        self.faces = self._lift_faces()
+        self._faces = None
         self._homology = None
 
     # -- indexing helpers
@@ -55,7 +55,7 @@ class CoverComplex:
         Per handle the order of ends around the vertex is: a leaving, b
         arriving, a arriving, b leaving.  This is the one-vertex rotation of
         the 4g-gon whose boundary spells the relator, so the faces traced
-        with it are the lifted relator faces of _lift_faces.
+        with it are the lifted relator faces of `faces`.
         """
         cover = self.cover
         d = cover.degree
@@ -70,6 +70,18 @@ class CoverComplex:
                 darts.append(2 * self.edge_index(b, v))
             rotation.append(darts)
         return rotation
+
+    @property
+    def faces(self):
+        """The lifted relator faces, built on first read and then kept: the
+        genus, transfer and pairing never read them."""
+        if self._faces is None:
+            self._faces = self._lift_faces()
+        return self._faces
+
+    @faces.setter
+    def faces(self, faces):
+        self._faces = faces
 
     def _lift_faces(self):
         """The relator read from each sheet, in darts, started at its smallest
@@ -86,16 +98,18 @@ class CoverComplex:
     def _trace_faces(self):
         """Faces of the rotation system, each from its smallest dart: a dart
         is followed by the dart after its reverse in the rotation."""
-        after = {}
+        after = [0] * (2 * self.n_edges)
         for ring in self.rotation:
-            after.update(zip(ring, ring[1:] + ring[:1]))
-        faces, seen = [], set()
-        for start in range(2 * self.n_edges):
-            if start not in seen:
+            for dart, nxt in zip(ring, ring[1:] + ring[:1]):
+                after[dart] = nxt
+        faces, seen = [], bytearray(len(after))
+        for start in range(len(after)):
+            if not seen[start]:
                 face = [start]
+                seen[start] = 1
                 while (dart := after[face[-1] ^ 1]) != start:
                     face.append(dart)
-                seen.update(face)
+                    seen[dart] = 1
                 faces.append(tuple(face))
         return faces
 

@@ -17,7 +17,9 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .errors import CovertowerError, DimensionMismatch, integer, integers, sequence
+from .covers import search_budget
+from .errors import CovertowerError, DimensionMismatch, SearchBudgetExceeded
+from .errors import integer, integers, sequence
 from .surface import generator_count, symplectic_product
 
 # Points per fold chunk.  In the 100k-step walk (2-core Xeon, numpy 2.4),
@@ -133,13 +135,20 @@ def covering_radius(points, targets) -> float:
     """Largest projective angle from any target to the point set.
 
     Brute force over all pairs; the experiment loop folds the same value in
-    at every checkpoint and is checked against this in tests.
+    at every checkpoint and is checked against this in tests.  A point too
+    large for a float, in an entry or in its norm, raises CovertowerError.
     """
     dim = targets.shape[1]
     if len(points) == 0 or any(len(p) != dim for p in points):
         raise DimensionMismatch(f"points must be a nonempty set of vectors of dimension {dim}")
-    mat = np.array(points, dtype=float)
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    try:
+        with np.errstate(over="raise"):
+            mat = np.array(points, dtype=float)
+            norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    except (OverflowError, FloatingPointError):
+        # the point of largest exact norm is one that left the float range
+        k = max(range(len(points)), key=lambda k: sum(v * v for v in points[k]))
+        raise CovertowerError(f"points[{k}] is too large for a float") from None
     if not norms.all():
         raise DimensionMismatch("zero vector has no direction")
     dots = np.abs(targets @ (mat / norms).T).max(axis=1)
@@ -192,10 +201,18 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     has gcd 1.  One sign flip per step then gives the normalised image.
 
     A start or walked point too large for a float, in an entry or in its
-    norm, raises CovertowerError.
+    norm, raises CovertowerError.  More steps, or more target floats, than
+    `search_budget()` raise SearchBudgetExceeded before anything is drawn.
     """
-    rng = np.random.default_rng(config.seed)
     dim = generator_count(config.genus)
+    limit = search_budget()
+    for count, what in ((config.steps, "steps"), (config.targets * dim, "target floats")):
+        if count > limit:
+            raise SearchBudgetExceeded(
+                f"the walk would draw {count} {what}, more than {limit}; "
+                "raise COVERTOWER_BUDGET to override"
+            )
+    rng = np.random.default_rng(config.seed)
     targets = quasi_uniform_targets(rng, config.targets, dim)
     points = [projective_normalize(config.start)]
     seen = set(points)

@@ -343,6 +343,30 @@ def test_orbit_report(capsys):
 
 
 @pytest.mark.parametrize(
+    "budget, argv, code, message",
+    [
+        (None, ("--targets", "100000000000"), 3, "400000000000 target floats, more than 1000000"),
+        (None, ("--steps", "10000000000000000"), 3, "10000000000000000 steps, more than 1000000"),
+        # 16 targets at genus 2 are 64 floats
+        ("64", ("--steps", "64", "--targets", "16"), 0, ""),
+        ("63", ("--steps", "64", "--targets", "2"), 3, "64 steps, more than 63"),
+        ("63", ("--steps", "8", "--targets", "16"), 3, "64 target floats, more than 63"),
+    ],
+    ids=["huge-targets", "huge-steps", "at-the-budget", "steps-over", "targets-over"],
+)
+def test_orbit_draws_are_gated_by_the_budget(capsys, monkeypatch, budget, argv, code, message):
+    if budget is None:
+        monkeypatch.delenv("COVERTOWER_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("COVERTOWER_BUDGET", budget)
+    assert main(["orbit", *argv]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert f"budget exceeded: the walk would draw {message}" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         (("enumerate", "--genus", "1", "--degree", "2"), "--genus"),

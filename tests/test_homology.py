@@ -151,8 +151,33 @@ def test_complex_counts():
 
 def test_lifted_faces_match_the_traced_faces():
     covers = [c for d in range(1, 5) for c in enumerate_covers(2, d)]
+    covers += [c for d in (1, 2) for c in enumerate_covers(3, d)]
+    assert sum(c.genus == 3 for c in covers) == 64
     for cover in covers + [mod2_homology_cover(2)]:
         check_complex(CoverComplex(cover))
+
+
+def test_faces_are_built_on_first_read_and_kept():
+    cx = CoverComplex(mod2_homology_cover(2))
+    assert cx._faces is None
+    faces = cx.faces
+    assert faces == cx._lift_faces()
+    assert cx.faces is faces
+
+
+def test_genus_never_builds_the_faces(monkeypatch):
+    def refuse(self):
+        raise AssertionError("faces lifted")
+
+    monkeypatch.setattr(CoverComplex, "_lift_faces", refuse)
+    surface_complex.cache_clear()
+    for d in (1, 2, 3):
+        for cover in enumerate_covers(2, d):
+            cx = surface_complex(cover)
+            assert cx.genus == cover.total_genus
+            assert cx._faces is None
+    with pytest.raises(AssertionError, match="faces lifted"):
+        cx.faces
 
 
 def test_complex_oracle_rejects_wrong_faces():

@@ -103,6 +103,16 @@ def test_covering_radius_rejects_degenerate_points(points):
         covering_radius(points, targets)
 
 
+@pytest.mark.parametrize("entry", [10**200, 10**400], ids=["huge-norm", "huge-entry"])
+def test_covering_radius_names_a_point_too_large_for_a_float(entry):
+    # 10**200 converts to a float but its norm does not; 10**400 does neither
+    targets = np.array([[1.0, 0, 0, 0]])
+    with pytest.raises(CovertowerError, match=r"^points\[0\] is too large for a float$"):
+        covering_radius([(entry, 0, 0, 0)], targets)
+    with pytest.raises(CovertowerError, match=r"^points\[1\] is too large for a float$"):
+        covering_radius([(1, 0, 0, 0), (entry, 0, 0, 0), (0, 1, 0, 0)], targets)
+
+
 @pytest.mark.parametrize(
     "rows, dim",
     [(1, 4), (FOLD_ROWS, 4), (FOLD_ROWS + 1, 4), (2 * FOLD_ROWS + 7, 6)],

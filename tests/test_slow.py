@@ -44,6 +44,34 @@ def test_enumerate_degree_5_stream():
     assert digest.hexdigest() == DEGREE_5_CENSUS
 
 
+def test_riemann_hurwitz_to_degree_5():
+    """The riemann-hurwitz suite over all 156,597 covers of degree <= 5, in a
+    child process that reports its own peak memory on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = (
+        "import resource, sys; from covertower.cli import main; code = main(); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "verify", "--suite", "riemann-hurwitz", "--max-degree", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    wall = time.perf_counter() - start
+    peak_kb = int(proc.stderr.split()[-1])
+    print(f"riemann-hurwitz to degree 5: {wall:.2f} s, {peak_kb / 1024:.0f} MB peak")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "suite riemann-hurwitz: ok",
+        *(f"degree {d}: {n} covers checked" for d, n in enumerate((1, 15, 220, 5275, 151_086), 1)),
+    ]
+
+
 def test_inverse_law_on_every_restriction_of_degree_at_most_3():
     """v(v^-1(e)) = e for the a1 class lifted to each restriction's left cover,
     over the six shipped vauts restricted to every cover of degree <= 3."""
