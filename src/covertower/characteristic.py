@@ -93,9 +93,6 @@ class SurfaceAutomorphism:
     def apply(self, word) -> Word:
         return substitute(word, self.images)
 
-    def apply_inverse(self, word) -> Word:
-        return substitute(word, self.inverse_images)
-
     def is_orientation_preserving(self) -> bool:
         """Whether the images of a1 and b1 keep the sign of their
         intersection number; for an automorphism it is +1 or -1."""

@@ -578,18 +578,17 @@ class InducedCover:
 def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCover:
     """Cover whose stabilizer is the table-preimage of target's stabilizer.
 
-    table maps each Schreier edge index of outer to a base word; the induced
-    action moves (t, s) along a generator by moving t in outer and moving s in
-    target by the word of the traversed Schreier loop.  table must represent a
-    homomorphism into the surface group (the relator must die), otherwise
-    construction raises RelatorNotTrivial.
+    table maps each Schreier edge index of outer to a word in the letters of
+    target's base, which may differ from outer's; the induced action moves
+    (t, s) along a generator by moving t in outer and moving s in target by
+    the word of the traversed Schreier loop.  table must represent a
+    homomorphism into target's surface group (the relator must die),
+    otherwise construction raises RelatorNotTrivial.
     """
     need(outer, SurfaceCover, "outer", IncompatibleTower)
     need(target, SurfaceCover, "target", IncompatibleTower)
-    if outer.genus != target.genus:
-        raise BaseMismatch("outer and target covers have different base surfaces")
     table = sequence(table, "table", IncompatibleTower, len(outer.schreier.nontree))
-    table = words(table, "table", outer.genus, IncompatibleTower)
+    table = words(table, "table", target.genus, IncompatibleTower)
     return _induced_cover(outer, table, target)
 
 

@@ -9,9 +9,10 @@ Edges are indexed e = i*d + s for generator i and source sheet s, the
 layout of SurfaceCover.chain, which builds every path chain; the edge
 runs from sheet s to the sheet the generator sends s to.  Each edge has two
 darts, 2e (forward) and 2e+1 (reverse).  The rotation at a vertex lists the
-darts leaving it in the cyclic order inherited from the base polygon; the
-Euler characteristic counts faces traced from it, which keeps the genus an
-independent computation rather than a definition.
+darts leaving it in the cyclic order inherited from the base polygon.  The
+faces are traced from the rotation alone, for the Euler characteristic and
+for the homology alike; the tests check them against the relator read from
+each sheet, so the genus is a computation rather than a definition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import mul
 from .covers import CoverArrow, SurfaceCover, pull_back, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
 from .errors import checked_cache, integrals, need, sequence
-from .surface import generator_count, surface_relator
+from .surface import generator_count
 
 
 class CoverComplex:
@@ -54,8 +55,8 @@ class CoverComplex:
 
         Per handle the order of ends around the vertex is: a leaving, b
         arriving, a arriving, b leaving.  This is the one-vertex rotation of
-        the 4g-gon whose boundary spells the relator, so the faces traced
-        with it are the lifted relator faces of `faces`.
+        the 4g-gon whose boundary spells the relator, so each face traced
+        with it is the relator read from one sheet: the d lifted faces.
         """
         cover = self.cover
         d = cover.degree
@@ -73,31 +74,17 @@ class CoverComplex:
 
     @property
     def faces(self):
-        """The lifted relator faces, built on first read and then kept: the
-        genus, transfer and pairing never read them."""
+        """The faces traced from the rotation, built on first read and then
+        kept: the genus, transfer and pairing never read them."""
         if self._faces is None:
-            self._faces = self._lift_faces()
+            self._faces = self._trace_faces()
         return self._faces
 
-    @faces.setter
-    def faces(self, faces):
-        self._faces = faces
-
-    def _lift_faces(self):
-        """The relator read from each sheet, in darts, started at its smallest
-        dart and sorted by it: the faces of _trace_faces, in its order."""
-        relator, d = surface_relator(self.cover.genus), self.cover.degree
-        faces = []
-        for sheet in range(d):
-            edges, _ = self.cover.walk(relator, sheet)
-            face = [2 * (i * d + s) + (sign < 0) for i, s, sign in edges]
-            k = face.index(min(face))
-            faces.append(tuple(face[k:] + face[:k]))
-        return sorted(faces)
-
     def _trace_faces(self):
-        """Faces of the rotation system, each from its smallest dart: a dart
-        is followed by the dart after its reverse in the rotation."""
+        """Faces of the rotation system, each from its smallest dart and in
+        the order of those darts: a dart is followed by the dart after its
+        reverse in the rotation (Mohar and Thomassen, Graphs on Surfaces).
+        The genus traces them afresh and keeps nothing."""
         after = [0] * (2 * self.n_edges)
         for ring in self.rotation:
             for dart, nxt in zip(ring, ring[1:] + ring[:1]):

@@ -637,6 +637,9 @@ def test_factoring_arrows_compose():
      r"table\[3\] must be a word"),
     (induced_cover, (trivial_cover(2), ((1,), (0,), (3,), (4,)), trivial_cover(2)),
      r"table\[1\] must be a word"),
+    # the table's letters are the target's: 5 is a letter at genus 3, not 2
+    (induced_cover, (trivial_cover(3), ((1,), (2,), (3,), (4,), (-4,), (1, 5)), trivial_cover(2)),
+     r"table\[5\] must be a word in letters 0 < \|x\| <= 4"),
 ])
 def test_cover_builders_name_an_argument_that_is_not_a_cover(build, args, name):
     from covertower.errors import IncompatibleTower
@@ -910,12 +913,17 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
         composed = compose_covers(top, bottom, A1_SWAP_MARKING)
         assert public_arrow(composed.to_outer) == composed.to_outer
     # the composite's stabilizer maps into top's, and has index
-    # bottom.degree * top.degree: it is the composite, by any construction
+    # bottom.degree * top.degree: it is the composite, by any construction;
+    # it is also induced from bottom through the spelled loops, read in the
+    # letters of top's genus-3 base
+    same = factors_through(bottom, bottom)
+    table = [spelled_through(same, A1_SWAP_MARKING, loop) for loop in bottom.loops]
     tops = enumerate_covers(3, 2)
     assert len(tops) == 63
     for top in tops:
         composed = compose_covers(top, bottom, A1_SWAP_MARKING)
         assert composed.cover.degree == bottom.degree * top.degree
+        assert induced_cover(bottom, table, top).cover == composed.cover
         for loop in composed.cover.loops:
             assert top.act(spelled_through(composed.to_outer, A1_SWAP_MARKING, loop), 0) == 0
     # the characteristic refinement comes out of the same unchecked walk

@@ -57,24 +57,48 @@ def test_lattice_check_matches_sympy_smith():
     assert (False, True) in outcomes
 
 
-def test_nullspace_matches_sympy_dimension():
-    cases = []
+def _sympy_nullspace(mat, rows, cols):
+    """sympy's nullspace basis, free coordinate 1 and the others 0, as Fractions."""
+    basis = sympy.Matrix(rows, cols, [x for row in mat for x in row]).nullspace()
+    return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in basis]
+
+
+def test_nullspace_matches_sympy_basis():
+    from covertower.characteristic import mod2_homology_cover
+    from covertower.covers import enumerate_covers
+    from covertower.traintrack import lift_track, three_branch_example
+
+    cases = list(EMPTY_MATRICES)
     for seed, trials, top in ((19, 15, 5), (7, 25, 6)):
         rng = random.Random(seed)
         for _ in range(trials):
-            cases.append(random_matrix(rng, rng.randint(1, top), rng.randint(1, top)))
-    for mat in cases:
-        cols = len(mat[0])
+            rows, cols = rng.randint(1, top), rng.randint(1, top)
+            cases.append((random_matrix(rng, rows, cols), rows, cols))
+    rng = random.Random(23)
+    for _ in range(30):  # Fraction entries, some rank-deficient
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)]
+               for _ in range(rows)]
+        if cols > 1:
+            for row in mat:
+                row[-1] = row[0] / 3 - row[1]
+        cases.append((mat, rows, cols))
+    track = three_branch_example()
+    covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)] + [mod2_homology_cover(2)]
+    for cover in covers:
+        mat = lift_track(track, cover)[0].track.switch_matrix()
+        cases.append((mat, len(mat), len(mat[0])))
+    assert len(covers) == 237
+    for mat, rows, cols in cases:
         basis = rational_nullspace(mat, cols)
-        assert len(basis) == cols - sympy.Matrix(mat).rank()
-        for vec in basis:
-            image = [sum(Fraction(a) * x for a, x in zip(row, vec)) for row in mat]
-            assert all(entry == 0 for entry in image)
+        assert basis == _sympy_nullspace(mat, rows, cols), mat
+        assert all(type(x) is Fraction for vec in basis for x in vec)
     for mat, rows, cols in EMPTY_MATRICES:
-        basis = rational_nullspace(mat, cols)
-        assert len(basis) == cols - sympy.zeros(rows, cols).rank()
         # with no equations the nullspace is the whole space, in unit vectors
+        basis = rational_nullspace(mat, cols)
         assert basis == [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+    # the lifted switch conditions leave a cone of positive dimension
+    assert all(rational_nullspace(mat, cols) for mat, _, cols in cases[-237:])
 
 
 def test_extreme_rays_quadrant():

@@ -33,7 +33,7 @@ from covertower.limits import (
     normalized_pairing,
     track_element,
 )
-from covertower.surface import abelianized, free_reduce, inverse_word
+from covertower.surface import abelianized, free_reduce, inverse_word, substitute
 from covertower.traintrack import three_branch_example
 from covertower.vauts import (
     TwoArrowVaut,
@@ -490,7 +490,7 @@ def checked_from_automorphism(aut):
     through the public constructor."""
     cover = trivial_cover(aut.genus)
     fwd = tuple(map(aut.apply, cover.loops))
-    bwd = tuple(map(aut.apply_inverse, cover.loops))
+    bwd = tuple(substitute(w, aut.inverse_images) for w in cover.loops)
     return TwoArrowVaut(cover, cover, fwd, bwd)
 
 

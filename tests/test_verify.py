@@ -127,18 +127,20 @@ def test_replay_riemann_hurwitz_holds():
     assert replay_counterexample("riemann-hurwitz", data)
 
 
-def test_riemann_hurwitz_never_builds_the_faces(monkeypatch):
-    # the suite reads the genus from the rotation alone; the faces are lifted
-    # on first read, which only the homology data and the boundaries make
-    def refuse(self):
-        raise AssertionError("faces lifted")
-
-    monkeypatch.setattr(CoverComplex, "_lift_faces", refuse)
+def test_riemann_hurwitz_never_builds_the_faces():
+    # the suite traces the faces for the genus and keeps none; the faces are
+    # kept on first read, which only the homology data and the boundaries make
     surface_complex.cache_clear()
     result = run_suite("riemann-hurwitz", 2, 4)
     assert result.ok
     assert result.lines[-1] == "degree 4: 5275 covers checked"
-    assert surface_complex.cache_info().currsize == 1 + 15 + 220 + 5275
+    size = 1 + 15 + 220 + 5275
+    assert surface_complex.cache_info().currsize == size
+    for d in range(1, 5):
+        for cover in enumerate_covers(2, d):
+            assert surface_complex(cover)._faces is None
+    # every complex read above was a cached one
+    assert surface_complex.cache_info().currsize == size
 
 
 def test_riemann_hurwitz_reports_a_corrupted_rotation(monkeypatch):
