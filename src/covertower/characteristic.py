@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .covers import (
     SurfaceCover,
+    _first_live_relator,
     _pointed_orbit,
     enumerate_covers,
     rewrite_in_schreier,
@@ -28,7 +29,6 @@ from .surface import (
     inverse_word,
     is_trivial,
     substitute,
-    surface_relator,
     symplectic_product,
 )
 
@@ -43,20 +43,17 @@ def _check_isomorphism(left: SurfaceCover, right: SurfaceCover, fwd, bwd, names)
     the right stabilizers, are inverse isomorphisms of the stabilizers of
     left and right; names holds the tables' field names, for the messages.
 
-    By Reidemeister-Schreier a stabilizer is presented by its Schreier
-    generators and the lifted faces t_s.R.t_s^-1, one per sheet s.  So a
-    table is a homomorphism iff it sends every lifted face to 1, and two
-    homomorphisms are inverse iff each undoes the other on the generators.
-    Surface groups are Hopfian, so the second undo check follows from the
-    first; both run so that a swapped pair passes iff the pair does.
+    A table is a homomorphism iff it kills the relator lifted at every
+    sheet (covers._first_live_relator), and two homomorphisms are inverse
+    iff each undoes the other on the Schreier generators.  Surface groups
+    are Hopfian, so the second undo check follows from the first; both run
+    so that a swapped pair passes iff the pair does.
     """
-    genus, relator = left.genus, surface_relator(left.genus)
+    genus = left.genus
     sides = ((left, right, fwd, bwd, names), (right, left, bwd, fwd, names[::-1]))
     for source, _, table, _, (name, _) in sides:
-        for s, tree in enumerate(source.schreier.words):
-            face = rewrite_in_schreier(source, tree + relator + inverse_word(tree))
-            if not is_trivial(substitute(face, table), genus):
-                raise InvalidAutomorphism(f"{name} does not kill the relator lifted at sheet {s}")
+        if (s := _first_live_relator(source, table, genus)) is not None:
+            raise InvalidAutomorphism(f"{name} does not kill the relator lifted at sheet {s}")
     for source, target, table, back, (name, back_name) in sides:
         for k, (loop, image) in enumerate(zip(source.loops, table)):
             undone = substitute(rewrite_in_schreier(target, image), back)

@@ -35,7 +35,8 @@ from .errors import (
 )
 from .errors import checked_cache, genus_key, integer, integers, need, sequence, word, words
 from .exact_linalg import generates_integer_lattice
-from .surface import Word, abelianized, free_reduce, generator_count, inverse_word, surface_relator
+from .surface import Word, abelianized, free_reduce, generator_count, inverse_word, is_trivial
+from .surface import substitute, surface_relator
 
 Perm = tuple[int, ...]
 
@@ -421,6 +422,21 @@ def rewrite_in_schreier(cover: SurfaceCover, word) -> tuple[int, ...]:
     return tuple(sign * (index[i, s] + 1) for i, s, sign in edges if (i, s) in index)
 
 
+def _first_live_relator(cover: SurfaceCover, table, genus: int) -> int | None:
+    """First sheet s whose lifted face t_s.R.t_s^-1, rewritten in cover's
+    Schreier generators and sent through table, is not trivial in the genus-g
+    surface group, or None.  By Reidemeister-Schreier these faces and the
+    Schreier generators present cover's stabilizer, so table is a
+    homomorphism into the target's genus-g group iff no face is live.
+    """
+    relator = surface_relator(cover.genus)
+    for s, tree in enumerate(cover.schreier.words):
+        face = rewrite_in_schreier(cover, tree + relator + inverse_word(tree))
+        if not is_trivial(substitute(face, table), genus):
+            return s
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Pointed orbits of product actions
 
@@ -627,13 +643,16 @@ def _induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedC
 def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> InducedCover:
     """Compose a cover of the covering surface with a cover of the base.
 
-    bottom covers the base; its covering surface has genus d*(g-1)+1, and top
-    is a cover of that surface given in a standard marking.  ident supplies
-    the identification: for every Schreier edge (generator index, sheet) of
-    bottom, the word in the marking that spells that lift of the base
-    generator.  Edge-path words must therefore compose; in particular the
-    relator lift at each sheet must spell a trivially-acting word.  The
-    composite is induced from bottom; to_outer is its arrow to bottom.
+    bottom covers the base; its covering surface has genus g' = d*(g-1)+1,
+    and top is a cover of that surface given in a standard marking.  ident
+    supplies the identification: for every Schreier edge (generator index,
+    sheet) of bottom, the word in the marking that spells that lift of the
+    base generator.  The spelled Schreier loops must span H_1 and kill the
+    relator lifted at every sheet.  A homomorphism of genus-g' surface groups
+    onto H_1 is an isomorphism on H_1, the cup-product form then forces
+    degree +-1, and surface groups are Hopfian; so it is an isomorphism, and
+    the composite has bottom.degree * top.degree sheets.  The composite is
+    induced from bottom; to_outer is its arrow to bottom.
     """
     need(top, SurfaceCover, "top", IncompatibleTower)
     need(bottom, SurfaceCover, "bottom", IncompatibleTower)
@@ -658,30 +677,9 @@ def compose_covers(top: SurfaceCover, bottom: SurfaceCover, ident) -> InducedCov
 
     # a tree edge's loop is trivial, so the table needs only the nontree loops
     table = tuple(map(spell, bottom.loops))
-    _check_marking_surjective(top, table)
-    try:
-        composite = _induced_cover(bottom, table, top)
-    except RelatorNotTrivial as exc:
-        raise InvalidIdentification(
-            "identification words do not kill the lifted relator"
-        ) from exc
-    expected = bottom.degree * top.degree
-    if composite.cover.degree != expected:
-        raise InvalidIdentification(
-            f"composite has {composite.cover.degree} sheets, expected {expected}; "
-            "identification words do not generate the covering surface group"
-        )
-    return composite
-
-
-def _check_marking_surjective(top: SurfaceCover, loop_words) -> None:
-    """Necessary homology check on the identification words.
-
-    The Schreier loops generate the covering surface group, so the exponent
-    vectors of their identification words must generate its abelianization.
-    """
-    rows = [abelianized(w, top.genus) for w in loop_words]
+    rows = [abelianized(w, top.genus) for w in table]
     if not generates_integer_lattice(rows, generator_count(top.genus)):
-        raise InvalidIdentification(
-            "identification words do not span the covering surface homology"
-        )
+        raise InvalidIdentification("identification words do not span the covering surface homology")
+    if (s := _first_live_relator(bottom, table, top.genus)) is not None:
+        raise InvalidIdentification(f"identification words do not kill the lifted relator at sheet {s}")
+    return _induced_cover(bottom, table, top)

@@ -21,7 +21,7 @@ from .errors import (
     NegativeWeight,
     SwitchViolation,
 )
-from .errors import integer, integrals, need, rational, sequence, words
+from .errors import integer, integrals, is_int, need, rational, sequence, words
 from .exact_linalg import mat_vec, rational_nullspace
 from .surface import Word
 
@@ -48,13 +48,13 @@ class TrainTrack:
         checked = []
         for k, sw in enumerate(sequence(self.switches, "switches", DimensionMismatch)):
             need(sw, Switch, f"switches[{k}]", DimensionMismatch)
-            try:
-                sides = (tuple(sw.side_a), tuple(sw.side_b))
-                hash(sides)
-            except TypeError:
-                raise DimensionMismatch(
-                    f"switches[{k}] sides must be sequences of hashable half-branches"
-                ) from None
+            sides = tuple(sequence(side, f"switches[{k}] side", DimensionMismatch)
+                          for side in (sw.side_a, sw.side_b))
+            for half in sides[0] + sides[1]:
+                if type(half) is not tuple or len(half) != 2 or not all(map(is_int, half)):
+                    raise DimensionMismatch(
+                        f"switches[{k}] half-branches must be integer pairs, got {half!r:.40}"
+                    )
             checked.append(sw if sides == (sw.side_a, sw.side_b) else Switch(*sides))
         switches = tuple(checked)
         object.__setattr__(self, "switches", switches)
@@ -206,6 +206,8 @@ class CarryingMatrix:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        need(self.source, TrainTrack, "source", IncompatibleTower)
+        need(self.target, TrainTrack, "target", IncompatibleTower)
         rows = sequence(self.matrix, "matrix", DimensionMismatch)
         rows = [sequence(row, f"matrix[{r}]", DimensionMismatch) for r, row in enumerate(rows)]
         matrix = tuple(tuple(integrals(row, f"matrix[{r}]")) for r, row in enumerate(rows))

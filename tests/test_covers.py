@@ -48,7 +48,7 @@ from covertower.errors import (
     SearchBudgetExceeded,
 )
 from covertower.homology import surface_complex
-from covertower.surface import free_reduce, inverse_word, substitute
+from covertower.surface import free_reduce, inverse_word, is_trivial, substitute, surface_relator
 from covertower.vauts import identity_vaut
 from conftest import double_cover_from_signs, induced_corpus
 
@@ -775,15 +775,54 @@ def test_compose_degree2_tops():
     assert len(seen) == 63
 
 
+# a genus-3 cover of degree 3 whose generators act as transpositions and
+# 3-cycles, so words with the same homology can act differently on it
+CYC, SWP, ID3 = (1, 2, 0), (0, 2, 1), (0, 1, 2)
+NONABELIAN_TOP = SurfaceCover(3, 3, (SWP, CYC, CYC, SWP, ID3, ID3))
+
+
+def spelled_table(bottom, ident):
+    """The table compose_covers spells: ident along each Schreier loop."""
+    same = factors_through(bottom, bottom)
+    return [spelled_through(same, ident, loop) for loop in bottom.loops]
+
+
+def test_compose_rejects_a_marking_no_permutation_sees():
+    """Replacing the long b1-word with a bare generator turns the relator
+    lifted at sheet 0 into the commutator [a2~, b2~].  It acts trivially on
+    every degree-2 top, so the cover induced through the spelled loops is
+    built, with the 4 sheets of a composite, but no homomorphism spells it,
+    and compose_covers rejects it."""
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    broken = dict(A1_SWAP_MARKING)
+    broken[(1, 1)] = (2,)
+    table = spelled_table(bottom, broken)
+    tops = enumerate_covers(3, 2)
+    assert len(tops) == 63
+    for top in tops:
+        assert induced_cover(bottom, table, top).cover.degree == 4
+        with pytest.raises(InvalidIdentification, match="kill the lifted relator at sheet 0$"):
+            compose_covers(top, bottom, broken)
+
+
+def test_compose_names_the_sheet_of_the_live_relator():
+    """a1 -> a1.[a1, b1] on the edge leaving sheet 1 keeps the homology and
+    the face at sheet 0, and breaks only the face lifted at sheet 1."""
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    marking = dict(A1_SWAP_MARKING)
+    marking[(0, 1)] = (1, 1, 2, -1, -2)
+    same, relator = factors_through(bottom, bottom), surface_relator(2)
+    faces = [spelled_through(same, marking, t + relator + inverse_word(t))
+             for t in bottom.schreier.words]
+    assert [is_trivial(face, 3) for face in faces] == [True, False]
+    for top in (trivial_cover(3), NONABELIAN_TOP):
+        with pytest.raises(InvalidIdentification, match="kill the lifted relator at sheet 1$"):
+            compose_covers(top, bottom, marking)
+
+
 def test_compose_rejects_bad_marking():
     bottom = double_cover_from_signs(2, (1, 0, 0, 0))
-    # replacing the long b1-word with a bare generator turns the relator lift
-    # at sheet 0 into the commutator [a2~, b2~], which acts nontrivially on a
-    # nonabelian top; degree-2 tops cannot see the sabotage, so use degree 3
-    cyc = (1, 2, 0)
-    swp = (0, 2, 1)
-    ident3 = (0, 1, 2)
-    top = SurfaceCover(3, 3, (swp, cyc, cyc, swp, ident3, ident3))
+    top = NONABELIAN_TOP
     assert compose_covers(top, bottom, A1_SWAP_MARKING).cover.degree == 6
     broken = dict(A1_SWAP_MARKING)
     broken[(1, 1)] = (2,)
@@ -800,28 +839,77 @@ def test_compose_rejects_bad_marking():
             for edge, mark in ident.items()
         }
 
-    # words fixing sheet 0 span homology and kill the relator, but their
-    # composite stays on top's sheet 0: 2 sheets, not 6
-    fixing = acting_within(A1_SWAP_MARKING, {ident3, swp})
-    with pytest.raises(InvalidIdentification, match="2 sheets, expected 6; .* do not generate"):
+    # words fixing sheet 0 span homology and their relator lifts act
+    # trivially, yet the cover induced through them stays on top's sheet 0:
+    # 2 sheets, not 6.  A homomorphism onto H_1 would give 6, so they are
+    # none, and the exact check names the first live face
+    fixing = acting_within(A1_SWAP_MARKING, {ID3, SWP})
+    assert induced_cover(bottom, spelled_table(bottom, fixing), top).cover.degree == 2
+    with pytest.raises(InvalidIdentification, match="kill the lifted relator at sheet 0$"):
         compose_covers(top, bottom, fixing)
     # words in {1, (0 1)}: the walk reaches 4 sheets, and b1's two lifts,
-    # one of them odd, leave the lifted relator acting as (0 1); the relator
-    # is reported first
+    # one of them odd, leave the lifted relator acting as (0 1)
     odd = dict(A1_SWAP_MARKING)
     odd[(1, 1)] = (4, 3, -4, -3, 2, 1)
     with pytest.raises(InvalidIdentification, match="kill the lifted relator"):
-        compose_covers(top, bottom, acting_within(odd, {ident3, (1, 0, 2)}))
+        compose_covers(top, bottom, acting_within(odd, {ID3, (1, 0, 2)}))
     missing = dict(A1_SWAP_MARKING)
     del missing[(3, 1)]
     with pytest.raises(InvalidIdentification):
         compose_covers(top, bottom, missing)
-    # every word a1~: the exponent vectors span one line of Z^6
+    # every word a1~: the exponent vectors span one line of Z^6; the span
+    # is checked before the relator
     collapsed = {edge: (1,) for edge in A1_SWAP_MARKING}
     with pytest.raises(InvalidIdentification, match="do not span"):
         compose_covers(top, bottom, collapsed)
     with pytest.raises(GenusMismatch):
         compose_covers(trivial_cover(2), bottom, A1_SWAP_MARKING)
+
+
+def perturbed(rng, marking, bottom):
+    """marking after one to three seeded perturbations: a letter or a
+    commutator inserted into one word, every word conjugated by a letter,
+    or a letter moved across sheet 1 (left of the words leaving it, right
+    of the words entering it)."""
+    marking = dict(marking)
+    letters = [x for x in range(-6, 7) if x]
+    for _ in range(rng.randint(1, 3)):
+        kind, x, y = rng.randrange(4), rng.choice(letters), rng.choice(letters)
+        if kind < 2:
+            edge = rng.choice(sorted(marking))
+            at = rng.randint(0, len(marking[edge]))
+            bit = (x,) if kind == 0 else (x, y, -x, -y)
+            marking[edge] = marking[edge][:at] + bit + marking[edge][at:]
+        elif kind == 2:
+            marking = {e: (x,) + w + (-x,) for e, w in marking.items()}
+        else:
+            marking = {(i, s): ((x,) if s == 1 else ()) + w
+                       + ((-x,) if bottom.perms[i][s] == 1 else ())
+                       for (i, s), w in marking.items()}
+    return marking
+
+
+def test_compose_accepts_only_what_the_sheet_count_accepted():
+    """Every perturbed marking that compose_covers accepts spans homology,
+    gives a cover that passes the public constructor (its relator acts
+    trivially) and has bottom.degree * top.degree sheets: the checks the
+    exact relator check replaced, so no marking they rejected is accepted."""
+    rng = random.Random(73)
+    bottom = double_cover_from_signs(2, (1, 0, 0, 0))
+    tops = [trivial_cover(3), NONABELIAN_TOP] + rng.sample(enumerate_covers(3, 2), 4)
+    accepted = rejected = 0
+    for _ in range(240):
+        top, marking = rng.choice(tops), perturbed(rng, A1_SWAP_MARKING, bottom)
+        try:
+            composed = compose_covers(top, bottom, marking)
+        except InvalidIdentification:
+            rejected += 1
+            continue
+        accepted += 1
+        assert composed.cover.degree == bottom.degree * top.degree
+        assert public_cover(composed.cover) == composed.cover
+        assert induced_cover(bottom, spelled_table(bottom, marking), top).cover == composed.cover
+    assert accepted >= 40 and rejected >= 40
 
 
 @pytest.mark.parametrize("mark, message", [
@@ -916,8 +1004,7 @@ def test_induced_and_composed_projections_pass_the_public_constructor():
     # bottom.degree * top.degree: it is the composite, by any construction;
     # it is also induced from bottom through the spelled loops, read in the
     # letters of top's genus-3 base
-    same = factors_through(bottom, bottom)
-    table = [spelled_through(same, A1_SWAP_MARKING, loop) for loop in bottom.loops]
+    table = spelled_table(bottom, A1_SWAP_MARKING)
     tops = enumerate_covers(3, 2)
     assert len(tops) == 63
     for top in tops:

@@ -32,7 +32,12 @@ from covertower.limits import (
     normalized_pairing,
     pairing_table,
 )
-from covertower.traintrack import carrying_compose, lift_track, three_branch_example
+from covertower.traintrack import (
+    CarryingMatrix,
+    carrying_compose,
+    lift_track,
+    three_branch_example,
+)
 from covertower.vauts import (
     identity_vaut,
     pairing_preserved,
@@ -146,6 +151,8 @@ MATRIX = lift_track(three_branch_example(), trivial_cover(2))[1]
     (vaut_act_track, ("vaut", ELEMENT), "vaut must be a TwoArrowVaut"),
     (carrying_compose, (1, MATRIX), "first must be a CarryingMatrix"),
     (carrying_compose, (MATRIX, 1), "second must be a CarryingMatrix"),
+    (CarryingMatrix, ("x", MATRIX.target, MATRIX.matrix), "source must be a TrainTrack"),
+    (CarryingMatrix, (MATRIX.source, None, MATRIX.matrix), "target must be a TrainTrack"),
 ])
 def test_public_functions_name_an_argument_of_the_wrong_type(function, args, message):
     """IncompatibleTower names the parameter; no bare AttributeError or TypeError."""

@@ -174,8 +174,12 @@ def test_track_switches_are_stored_as_a_tuple():
         Switch(((0, 0),), ((1, 0), [2, 0])),
         Switch(5, ((1, 0), (2, 0))),
         Switch(((0, 0),), None),
+        Switch(((0.0, 0),), ((1, 0), (2, 0))),
+        Switch(((0, True),), ((1, 0), (2, 0))),
+        Switch(((0, 0, 1),), ((1, 0), (2, 0))),
     ],
-    ids=["unhashable-half-a", "unhashable-half-b", "side-int", "side-None"],
+    ids=["unhashable-half-a", "unhashable-half-b", "side-int", "side-None",
+         "float-branch", "bool-end", "triple"],
 )
 def test_track_rejects_malformed_switch_sides(switch):
     example = three_branch_example()

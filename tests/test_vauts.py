@@ -150,11 +150,30 @@ def test_rejects_tables_without_a_linear_homology_map():
         TwoArrowVaut(cover, cover, ident, fwd)
 
 
+def test_names_the_sheet_of_the_live_relator():
+    """a1 -> a1.[a1, b1] on the edge leaving sheet 1 keeps every word's
+    action and breaks only the face lifted at sheet 1, which is named."""
+    cover = double_cover_from_signs(2, (1, 0, 0, 0))
+    marks = {(i, s): (i + 1,) for i in range(4) for s in range(2)}
+    marks[0, 1] = (1, 1, 2, -1, -2)
+    fwd = tuple(
+        free_reduce([x for i, s, sign in cover.walk(loop, 0)[0]
+                     for x in (marks[i, s] if sign > 0 else inverse_word(marks[i, s]))])
+        for loop in cover.loops
+    )
+    with pytest.raises(InvalidAutomorphism, match="^fwd does not kill the relator lifted at sheet 1$"):
+        TwoArrowVaut(cover, cover, fwd, cover.loops)
+    with pytest.raises(InvalidAutomorphism, match="^bwd does not kill the relator lifted at sheet 1$"):
+        TwoArrowVaut(cover, cover, cover.loops, fwd)
+
+
 def test_one_isomorphism_check():
-    """In the package only _check_isomorphism calls is_trivial, and both
-    constructors of isomorphisms call it."""
+    """In the package one helper, covers._first_live_relator, lifts the
+    relator and decides the lifted faces exactly, for _check_isomorphism and
+    compose_covers; is_trivial is called there and in _check_isomorphism's
+    undo loop alone, and both constructors of isomorphisms call the check."""
     package = Path(covertower.__file__).resolve().parent
-    users = {}
+    users, calls = {}, {}
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if isinstance(top, (ast.Import, ast.ImportFrom)):
@@ -166,7 +185,15 @@ def test_one_isomorphism_check():
                 for node in ast.walk(member):
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                         users.setdefault(node.id, set()).add(owner)
-    assert users["is_trivial"] == {"_check_isomorphism"}
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        calls.setdefault((owner, node.func.id), []).append(node)
+    # _check_relator reads the relator's permutation on the base and
+    # _dehn_steps builds Dehn's rules from it; only the helper lifts it
+    assert users["surface_relator"] == {"_check_relator", "_dehn_steps", "_first_live_relator"}
+    assert users["_first_live_relator"] == {"_check_isomorphism", "compose_covers"}
+    assert users["is_trivial"] == {"_first_live_relator", "_check_isomorphism"}
+    undo = calls["_check_isomorphism", "is_trivial"]
+    assert [ast.unparse(call.args[0]) for call in undo] == ["undone + inverse_word(loop)"]
     assert users["_check_isomorphism"] == {
         "SurfaceAutomorphism.__post_init__", "TwoArrowVaut.__post_init__"
     }
