@@ -14,10 +14,11 @@ import numpy as np
 from covertower import OrbitConfig, orbit_density_experiment
 from covertower.cli import _int_at_least
 from covertower.orbit import (
+    CLASSES,
+    START,
     covering_radius,
     projective_normalize,
     quasi_uniform_targets,
-    shipped_transvection_classes,
     transvection,
 )
 
@@ -25,17 +26,17 @@ from covertower.orbit import (
 def brute_force_radii(config: OrbitConfig):
     """Re-run the walk, recomputing the radius from scratch per checkpoint."""
     rng = np.random.default_rng(config.seed)
-    targets = quasi_uniform_targets(rng, config.targets, len(config.start))
-    points = [projective_normalize(config.start)]
+    targets = quasi_uniform_targets(rng, config.targets, len(START))
+    points = [projective_normalize(START)]
     seen = set(points)
     picks = rng.random(config.steps)
-    which = rng.integers(0, len(config.classes), size=config.steps)
+    which = rng.integers(0, len(CLASSES), size=config.steps)
     signs = rng.integers(0, 2, size=config.steps)
     radii = {0: covering_radius(points, targets)}
     for step in range(config.steps):
         x = points[int(picks[step] * len(points))]
         y = projective_normalize(
-            transvection(config.classes[which[step]], x, 1 if signs[step] else -1)
+            transvection(CLASSES[which[step]], x, 1 if signs[step] else -1)
         )
         if y not in seen:
             seen.add(y)

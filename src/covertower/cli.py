@@ -23,12 +23,12 @@ from .characteristic import (
 )
 from .covers import enumerate_covers, fiber_product
 from .documents import (
-    SCHEMA,
     DocumentError,
     cover_document,
     cycle_document,
     dumps_canonical,
     element_document,
+    fiber_product_document,
     lifted_track_document,
     parse_automorphisms,
     parse_counterexample,
@@ -88,14 +88,7 @@ def _cmd_genus(args) -> int:
 def _cmd_fiber_product(args) -> int:
     first = parse_cover(_read_json(args.first))
     second = parse_cover(_read_json(args.second))
-    fp = fiber_product(first, second)
-    doc = {
-        "schema": SCHEMA,
-        "type": "fiber-product",
-        "cover": cover_document(fp.cover),
-        "to_first": [s + 1 for s in fp.to_first.sheet_map],
-        "to_second": [s + 1 for s in fp.to_second.sheet_map],
-    }
+    doc = fiber_product_document(fiber_product(first, second))
     sys.stdout.write(dumps_canonical(doc))
     return 0
 

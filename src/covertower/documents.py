@@ -12,8 +12,8 @@ import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .covers import SurfaceCover
-from .errors import CovertowerError, integer, integers, words
+from .covers import FiberProduct, SurfaceCover
+from .errors import CovertowerError, integer, integers, need, words
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
 from .surface import free_reduce, inverse_word
@@ -91,6 +91,16 @@ def parse_cover(doc) -> SurfaceCover:
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad cover document: {exc}") from exc
     return SurfaceCover(genus, degree, perms)
+
+
+def fiber_product_document(fp: FiberProduct) -> dict:
+    return {
+        "schema": SCHEMA,
+        "type": "fiber-product",
+        "cover": cover_document(fp.cover),
+        "to_first": [s + 1 for s in fp.to_first.sheet_map],
+        "to_second": [s + 1 for s in fp.to_second.sheet_map],
+    }
 
 
 # -- cycle elements
@@ -298,7 +308,7 @@ def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
                 genus,
                 words(item["images"], f"items[{j}].images", genus, DocumentError),
                 words(item["inverse_images"], f"items[{j}].inverse_images", genus, DocumentError),
-                str(item.get("name", "")),
+                need(item.get("name", ""), str, f"items[{j}].name", DocumentError),
             )
             for j, item in enumerate(items)
         )

@@ -1,10 +1,10 @@
 """Qualitative density experiment for the transvection action on directions.
 
 The homological shadow of the tower action is probed on the projectivized
-base homology sphere: a starting class is moved by random symplectic
-transvections along a fixed set of curve classes, and the covering radius
-of the orbit against quasi-uniform target directions is recorded at
-doubling step counts.
+genus-2 homology sphere: the class START is moved by random symplectic
+transvections along the curve classes CLASSES, and the covering radius of
+the orbit against quasi-uniform target directions is recorded at doubling
+step counts.
 """
 
 from __future__ import annotations
@@ -12,21 +12,27 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, pairwise
+from typing import ClassVar
 
 import numpy as np
 
 from .covers import search_budget
-from .errors import CovertowerError, DimensionMismatch, SearchBudgetExceeded
-from .errors import integer, integers, sequence
-from .surface import generator_count, symplectic_product
+from .errors import CovertowerError, DimensionMismatch, SearchBudgetExceeded, integer
+from .surface import symplectic_product
 
 # Points per fold chunk.  In the 100k-step walk (2-core Xeon, numpy 2.4),
 # 128 and 256 rows fold equally fast and 64 rows about a fifth slower, while
 # each doubling adds about 0.7 MB of peak memory (46.7, 47.1, 47.8 and
 # 48.5 MB at 64, 128, 256 and 512 rows).
 FOLD_ROWS = 128
+
+START = (1, 0, 0, 0)
+# The standard curves a1, b1, a2, b2 and the mixer b1 - b2: transvections
+# along basis curves alone never couple the handle planes, so the mixer is
+# what makes the walk mix.
+CLASSES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, -1))
 
 
 def transvection(curve, x, sign: int = 1):
@@ -48,22 +54,6 @@ def projective_normalize(vec):
     return tuple([v // g for v in vec])
 
 
-def shipped_transvection_classes(genus: int = 2) -> tuple[tuple[int, ...], ...]:
-    """Twist classes: the standard curves plus one cross-handle mixer.
-
-    Transvections along basis curves alone never couple the handle planes,
-    so the difference class b1 - b2 is included to make the walk mix; it
-    needs genus at least 2, which `OrbitConfig` checks.
-    """
-    n = generator_count(genus)
-    classes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    mixer = [0] * n
-    mixer[1] = 1
-    mixer[3] = -1
-    classes.append(tuple(mixer))
-    return tuple(classes)
-
-
 def transvection_set_hash(classes) -> str:
     text = json.dumps([list(c) for c in classes], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -71,33 +61,16 @@ def transvection_set_hash(classes) -> str:
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    genus: int = 2
+    """Size and seed of the walk on genus-2 homology from START along CLASSES."""
+
+    genus: ClassVar[int] = 2
     steps: int = 100_000
     targets: int = 256
     seed: int = 0
-    start: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-    classes: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name, low in (("genus", 2), ("steps", 0), ("targets", 1), ("seed", 0)):
+        for name, low in (("steps", 0), ("targets", 1), ("seed", 0)):
             integer(getattr(self, name), name, CovertowerError, low=low)
-        n = generator_count(self.genus)
-        start = (1,) + (0,) * (n - 1) if self.start is None else self.start
-        classes = shipped_transvection_classes(self.genus) if self.classes is None else self.classes
-        classes = sequence(classes, "classes", CovertowerError)
-        if not classes:
-            raise CovertowerError("classes must hold at least one transvection class")
-        named = [("start", start), *((f"classes[{k}]", c) for k, c in enumerate(classes))]
-        vecs = []
-        for name, vec in named:
-            vec = sequence(vec, name, CovertowerError)
-            if len(vec) != n:
-                raise DimensionMismatch(f"{name} has the wrong dimension")
-            if not any(integers(vec, name, CovertowerError)):
-                raise CovertowerError(f"{name} must be a nonzero class")
-            vecs.append(vec)
-        object.__setattr__(self, "start", vecs[0])
-        object.__setattr__(self, "classes", tuple(vecs[1:]))
 
 
 @dataclass(frozen=True)
@@ -106,18 +79,14 @@ class OrbitResult:
     checkpoints: tuple[tuple[int, int, float], ...]
 
     @property
-    def transvection_hash(self) -> str:
-        return transvection_set_hash(self.config.classes)
-
-    @property
     def final_radius(self) -> float:
         return self.checkpoints[-1][2]
 
     def report(self) -> str:
         lines = [
             f"# seed\t{self.config.seed}",
-            f"# start\t{','.join(str(v) for v in self.config.start)}",
-            f"# transvections\t{self.transvection_hash}",
+            f"# start\t{','.join(str(v) for v in START)}",
+            f"# transvections\t{transvection_set_hash(CLASSES)}",
             "steps\torbit_size\tcovering_radius",
         ]
         for steps, size, radius in self.checkpoints:
@@ -195,16 +164,17 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     The points found between two checkpoints are folded into the radius
     together, FOLD_ROWS at a time, each chunk read into floats in one pass.
 
-    Only the start is normalised with `projective_normalize`.  A transvection
-    x -> x + <x, c>c lies in Sp(2g, Z): its inverse x - <x, c>c is integral
+    The start e1 is already primitive with a positive lead.  A transvection
+    x -> x + <x, c>c lies in Sp(4, Z): its inverse x - <x, c>c is integral
     too, so it maps primitive vectors to primitive vectors, and every step
-    has gcd 1.  One sign flip per step then gives the normalised image.
+    has gcd 1.  One sign flip per step then gives the normalised image,
+    with no `projective_normalize`.
 
-    A start or walked point too large for a float, in an entry or in its
-    norm, raises CovertowerError.  More steps, or more target floats, than
+    A walked point too large for a float, in an entry or in its norm,
+    raises CovertowerError.  More steps, or more target floats, than
     `search_budget()` raise SearchBudgetExceeded before anything is drawn.
     """
-    dim = generator_count(config.genus)
+    dim = len(START)
     limit = search_budget()
     for count, what in ((config.steps, "steps"), (config.targets * dim, "target floats")):
         if count > limit:
@@ -214,22 +184,22 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
             )
     rng = np.random.default_rng(config.seed)
     targets = quasi_uniform_targets(rng, config.targets, dim)
-    points = [projective_normalize(config.start)]
+    points = [START]
     seen = set(points)
     best = np.zeros(config.targets)
 
     picks = rng.random(config.steps)
     # move 2k + sign twists along class k, by -c for sign 0 and +c for sign 1;
-    # the narrowed index holds a byte a step for up to 128 classes
-    moves = rng.integers(0, len(config.classes), size=config.steps)
+    # the narrowed index holds a byte a step
+    moves = rng.integers(0, len(CLASSES), size=config.steps)
     moves *= 2
     moves += rng.integers(0, 2, size=config.steps)
-    moves = moves.astype(np.min_scalar_type(2 * len(config.classes) - 1))
+    moves = moves.astype(np.uint8)
 
     # (sign * c, Jc) per move, with Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k],
     # each as the (index, entry) pairs of its nonzero entries
     twists = []
-    for c in config.classes:
+    for c in CLASSES:
         jc = [v for k in range(0, dim, 2) for v in (c[k + 1], -c[k])]
         cov = [(j, v) for j, v in enumerate(jc) if v]
         plus = [(j, v) for j, v in enumerate(c) if v]
@@ -260,8 +230,8 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
         try:
             _fold(best, targets, points[folded:])
         except (OverflowError, FloatingPointError):
-            where = "the start" if hi == 0 else f"a point reached by step {hi}"
-            raise CovertowerError(f"{where} is too large for a float") from None
+            # COVERTOWER_BUDGET can raise the steps past where points fit a float
+            raise CovertowerError(f"a point reached by step {hi} is too large for a float") from None
         folded = n
         radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
         checkpoints.append((hi, n, radius))

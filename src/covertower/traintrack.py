@@ -153,6 +153,12 @@ class LiftedTrack:
     base: TrainTrack
     cover: SurfaceCover
 
+    def __post_init__(self) -> None:
+        need(self.base, TrainTrack, "base", BaseMismatch)
+        need(self.cover, SurfaceCover, "cover", BaseMismatch)
+        if self.base.genus != self.cover.genus:
+            raise BaseMismatch("track and cover have different base surfaces")
+
     @property
     def branches(self) -> tuple[tuple[int, int], ...]:
         d = self.cover.degree
@@ -268,9 +274,6 @@ def lift_track(track: TrainTrack, cover: SurfaceCover):
     ones.
     """
     need(track, TrainTrack, "track", BaseMismatch)
-    need(cover, SurfaceCover, "cover", BaseMismatch)
-    if track.genus != cover.genus:
-        raise BaseMismatch("track and cover have different base surfaces")
     lifted = LiftedTrack(base=track, cover=cover)
     return lifted, _gather(track, lifted.track, [b for b, _ in lifted.branches])
 

@@ -240,20 +240,17 @@ def _restricts_to(left: SurfaceCover, right: SurfaceCover, table, characteristic
 def certified_in_caut(vaut: TwoArrowVaut, depth: int = 1) -> bool:
     """Depth-bounded certificate that the vaut descends to characteristic covers.
 
-    Depth 0 checks the trivial cover, depth 1 adds the mod-2 homology
-    cover; no deeper level is implemented.  True certifies a representative
-    over each tested characteristic cover in both directions; False is
-    inconclusive beyond the tested depth.
+    Depth 0 is the trivial cover, which every cover factors through, so it
+    holds without a check; depth 1 adds the mod-2 homology cover; no deeper
+    level is implemented.  True certifies a representative over each tested
+    characteristic cover in both directions; False is inconclusive beyond
+    the tested depth.
     """
     need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
     if integer(depth, "depth", IncompatibleTower, low=0) > 1:
         raise IncompatibleTower(f"depth must be 0 or 1, got {depth}")
-    candidates = [trivial_cover(vaut.base_genus)]
-    if depth == 1:
-        candidates.append(mod2_homology_cover(vaut.base_genus))
-    for cover in candidates:
-        if not _restricts_to(vaut.left, vaut.right, vaut.bwd, cover):
-            return False
-        if not _restricts_to(vaut.right, vaut.left, vaut.fwd, cover):
-            return False
-    return True
+    if depth == 0:
+        return True
+    cover = mod2_homology_cover(vaut.base_genus)
+    forth = _restricts_to(vaut.left, vaut.right, vaut.bwd, cover)
+    return forth and _restricts_to(vaut.right, vaut.left, vaut.fwd, cover)

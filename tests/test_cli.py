@@ -323,6 +323,19 @@ def test_automorphisms_that_are_not_tame_are_read(tmp_path, capsys):
     assert "images does not kill the relator lifted at sheet 0" in err
 
 
+def test_automorphism_name_that_is_not_a_string_exits_2(tmp_path, capsys):
+    ident = [[1], [2], [3], [4]]
+    cover = write_doc(tmp_path, "cover.json", cover_document(mod2_homology_cover(2)))
+    auts = write_doc(tmp_path, "auts.json", {
+        "schema": "covertower/1", "type": "automorphisms", "genus": 2,
+        "items": [{"name": ["x"], "images": ident, "inverse_images": ident}],
+    })
+    code, err = run_err(capsys, "is-char", "--cover", cover, "--auts", auts)
+    assert code == 2
+    assert "items[0].name must be a str" in err
+    assert "Traceback" not in err
+
+
 def test_bad_documents_exit_2(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -329,6 +330,17 @@ def test_automorphisms_round_trip():
 
     with pytest.raises(InvalidAutomorphism):
         parse_automorphisms(broken)
+
+
+@pytest.mark.parametrize("name", [["x"], None, 5])
+def test_automorphism_names_are_strings(name):
+    doc = automorphisms_document(shipped_automorphisms(2))
+    del doc["items"][1]["name"]  # a missing name reads as ""
+    assert parse_automorphisms(doc)[1].name == ""
+    doc["items"][0]["name"] = name
+    message = rf"^items\[0\]\.name must be a str, got {re.escape(repr(name))}$"
+    with pytest.raises(DocumentError, match=message):
+        parse_automorphisms(doc)
 
 
 def test_counterexample_round_trip():

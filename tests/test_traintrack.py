@@ -315,6 +315,24 @@ def test_lift_rejects_wrong_base():
         lift_track(track, trivial_cover(3))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda ex: LiftedTrack("x", trivial_cover(2)), r"^base must be a TrainTrack, got 'x'$"),
+        (lambda ex: LiftedTrack(ex, None), r"^cover must be a SurfaceCover, got None$"),
+        # a genus-2 track over a genus-3 cover has no lift, not a 6-branch one
+        (
+            lambda ex: LiftedTrack(ex, enumerate_covers(3, 2)[0]),
+            r"^track and cover have different base surfaces$",
+        ),
+    ],
+    ids=["base-str", "cover-None", "genus-3-cover"],
+)
+def test_lifted_track_checks_its_fields(make, message):
+    with pytest.raises(BaseMismatch, match=message):
+        make(three_branch_example())
+
+
 def test_carrying_validation():
     track = three_branch_example()
     with pytest.raises(ConeViolation):

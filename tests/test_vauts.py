@@ -636,6 +636,20 @@ def test_caut_certification():
     assert certified_in_caut(restricted, depth=1)
 
 
+def test_depth_zero_certificate_builds_no_cover():
+    """Every cover factors through the trivial one, so depth 0 holds
+    without a fiber product, here on a restricted vaut that no cache holds."""
+    restricted = restrict_vaut(
+        vaut_from_automorphism(by_name("twist_b1_along_a1")), enumerate_covers(2, 3)[5]
+    )
+    before = fiber_product.cache_info()
+    assert certified_in_caut(restricted, depth=0)
+    assert fiber_product.cache_info() == before
+    # the step it skips holds in both directions, as the oracle still checks
+    assert oracle_restricts_to(restricted, trivial_cover(2))
+    assert oracle_restricts_to(checked_inverse(restricted), trivial_cover(2))
+
+
 def perturbed_twist_restriction():
     """A restriction of twist_b1_along_a1 and its fwd table with fwd[0]
     changed by a commutator: the same map on homology, but no homomorphism."""
