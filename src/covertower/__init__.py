@@ -10,13 +10,12 @@ from .covers import (
     factors_through,
     fiber_product,
     induced_cover,
+    mod2_homology_cover,
     trivial_cover,
 )
 from .characteristic import (
-    SurfaceAutomorphism,
     characteristic_refinement,
     is_characteristic,
-    mod2_homology_cover,
     shipped_automorphisms,
 )
 from .errors import (
@@ -69,7 +68,6 @@ from .vauts import (
     vaut_act,
     vaut_act_track,
     vaut_compose,
-    vaut_from_automorphism,
     vaut_inverse,
 )
 

@@ -242,6 +242,15 @@ def trivial_cover(genus: int) -> SurfaceCover:
     return SurfaceCover(genus, 1, ((0,),) * generator_count(genus))
 
 
+@checked_cache(genus_key)
+def mod2_homology_cover(genus: int) -> SurfaceCover:
+    """Regular cover with deck group (Z/2)^2g: sheets are mod-2 class vectors."""
+    n = generator_count(genus)
+    degree = 1 << n
+    perms = tuple(tuple(s ^ (1 << i) for s in range(degree)) for i in range(n))
+    return SurfaceCover(genus, degree, perms).canonical()
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 

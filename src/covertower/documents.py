@@ -12,14 +12,13 @@ import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .covers import FiberProduct, SurfaceCover
-from .errors import CovertowerError, integer, integers, need, words
+from .covers import FiberProduct, SurfaceCover, trivial_cover
+from .errors import CovertowerError, integer, integers, need, sequence, words
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
 from .surface import free_reduce, inverse_word
 from .traintrack import LiftedTrack, Switch, TrainTrack
 from .vauts import TwoArrowVaut
-from .characteristic import SurfaceAutomorphism
 
 SCHEMA = "covertower/1"
 
@@ -298,22 +297,30 @@ def parse_vaut(doc) -> TwoArrowVaut:
 
 # -- automorphism lists
 
-def parse_automorphisms(doc) -> tuple[SurfaceAutomorphism, ...]:
+def _generator_table(item, j: int, key: str, genus: int):
+    """items[j][key] as one word per generator, read before any cover is built."""
+    name = f"items[{j}].{key}"
+    table = sequence(item[key], name, DocumentError, length=2 * genus)
+    return words(table, name, genus, DocumentError)
+
+
+def parse_automorphisms(doc) -> tuple[TwoArrowVaut, ...]:
+    """The listed automorphisms, as degree-1 vauts."""
     _expect(doc, "automorphisms")
     try:
-        genus = integer(doc["genus"], "genus", DocumentError)
-        items = doc["items"]
-        return tuple(
-            SurfaceAutomorphism(
-                genus,
-                words(item["images"], f"items[{j}].images", genus, DocumentError),
-                words(item["inverse_images"], f"items[{j}].inverse_images", genus, DocumentError),
+        genus = integer(doc["genus"], "genus", DocumentError, low=2)
+        items = [
+            (
+                _generator_table(item, j, "images", genus),
+                _generator_table(item, j, "inverse_images", genus),
                 need(item.get("name", ""), str, f"items[{j}].name", DocumentError),
             )
-            for j, item in enumerate(items)
-        )
+            for j, item in enumerate(doc["items"])
+        ]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad automorphisms document: {exc}") from exc
+    cover = trivial_cover(genus) if items else None
+    return tuple(TwoArrowVaut(cover, cover, *item) for item in items)
 
 
 # -- counterexamples

@@ -259,4 +259,4 @@ def transfer_along_arrow(arrow, chain):
     d = arrow.target.degree
     if len(chain) != len(arrow.target.perms) * d:
         raise DimensionMismatch("chain does not fit the arrow's target")
-    return pull_back(arrow, chain)
+    return pull_back(arrow, integrals(chain, "chain"))

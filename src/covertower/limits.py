@@ -27,7 +27,7 @@ from .covers import (
 )
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
 from .errors import integrals, need, sequence
-from .homology import surface_complex, transfer_along_arrow
+from .homology import surface_complex
 from .traintrack import LiftedTrack, TrainTrack
 
 Chain = tuple[int, ...]
@@ -63,10 +63,6 @@ class LimitElement:
         elif self.kind == "track":
             track, weights = sequence(self.payload, "payload", KindMismatch, length=2)
             need(track, TrainTrack, "payload[0]", KindMismatch)
-            if track.genus != self.cover.genus:
-                raise BaseMismatch(
-                    f"track has genus {track.genus}, cover has base genus {self.cover.genus}"
-                )
             weights = LiftedTrack(track, self.cover).track.validate_weights(weights)
             object.__setattr__(self, "payload", (track, weights))
         else:
@@ -99,7 +95,7 @@ def lift_element(element: LimitElement, arrow: CoverArrow) -> LimitElement:
     if arrow.target != element.cover:
         raise IncompatibleTower("arrow target is not the element's cover")
     if element.kind == "cycle":
-        chain = tuple(transfer_along_arrow(arrow, element.payload))
+        chain = tuple(pull_back(arrow, element.payload))
         return _trusted(LimitElement, kind="cycle", cover=arrow.source, payload=chain)
     track, weights = element.payload
     lifted = tuple(pull_back(arrow, weights))

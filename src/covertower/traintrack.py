@@ -157,7 +157,9 @@ class LiftedTrack:
         need(self.base, TrainTrack, "base", BaseMismatch)
         need(self.cover, SurfaceCover, "cover", BaseMismatch)
         if self.base.genus != self.cover.genus:
-            raise BaseMismatch("track and cover have different base surfaces")
+            raise BaseMismatch(
+                f"track has genus {self.base.genus}, cover has base genus {self.cover.genus}"
+            )
 
     @property
     def branches(self) -> tuple[tuple[int, int], ...]:

@@ -3,21 +3,25 @@
 A virtual automorphism is an isomorphism between the stabilizers of two
 covers with the same total surface.  It is stored as the two covers plus
 the isomorphism in both directions, each direction given by one image word
-per Schreier generator of the source stabilizer.
+per Schreier generator of the source stabilizer.  An automorphism of the
+surface group is the vaut of degree 1: both covers are trivial, and the
+Schreier generators are the generators.  The one exact check that two
+tables are inverse isomorphisms lives here, behind the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .characteristic import SurfaceAutomorphism, _check_isomorphism, _word_table
-from .characteristic import mod2_homology_cover
 from .covers import (
     SurfaceCover,
+    _first_live_relator,
     _induced_cover,
     _trusted,
     factors_through,
     fiber_product,
+    mod2_homology_cover,
+    pull_back,
     rewrite_in_schreier,
     trivial_cover,
 )
@@ -29,10 +33,10 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
-from .errors import checked_cache, genus_key, integer, need
-from .homology import transfer_along_arrow
+from .errors import checked_cache, genus_key, integer, need, words
 from .limits import LimitElement, homology_shadow, normalized_pairing
-from .surface import Word, substitute
+from .surface import Word, abelianized, free_reduce, inverse_word, is_trivial, substitute
+from .surface import symplectic_product
 
 __all__ = [
     "TwoArrowVaut",
@@ -42,11 +46,38 @@ __all__ = [
     "vaut_compose",
     "vaut_inverse",
     "identity_vaut",
-    "vaut_from_automorphism",
     "restrict_vaut",
     "pairing_preserved",
     "certified_in_caut",
 ]
+
+
+def _word_table(table, name: str, genus: int) -> tuple[Word, ...]:
+    """The table's words, free-reduced; InvalidAutomorphism names a bad entry."""
+    return tuple(map(free_reduce, words(table, name, genus, InvalidAutomorphism)))
+
+
+def _check_isomorphism(left: SurfaceCover, right: SurfaceCover, fwd, bwd) -> None:
+    """Raise InvalidAutomorphism unless two tables, whose words already lie in
+    the right stabilizers, are inverse isomorphisms of the stabilizers of
+    left and right.
+
+    A table is a homomorphism iff it kills the relator lifted at every
+    sheet (covers._first_live_relator), and two homomorphisms are inverse
+    iff each undoes the other on the Schreier generators.  Surface groups
+    are Hopfian, so the second undo check follows from the first; both run
+    so that a swapped pair passes iff the pair does.
+    """
+    genus = left.genus
+    sides = ((left, right, fwd, bwd, "fwd", "bwd"), (right, left, bwd, fwd, "bwd", "fwd"))
+    for source, _, table, _, name, _ in sides:
+        if (s := _first_live_relator(source, table, genus)) is not None:
+            raise InvalidAutomorphism(f"{name} does not kill the relator lifted at sheet {s}")
+    for source, target, table, back, name, back_name in sides:
+        for k, (loop, image) in enumerate(zip(source.loops, table)):
+            undone = substitute(rewrite_in_schreier(target, image), back)
+            if not is_trivial(undone + inverse_word(loop), genus):
+                raise InvalidAutomorphism(f"{back_name} does not undo {name}[{k}]")
 
 
 def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
@@ -68,27 +99,29 @@ class TwoArrowVaut:
     checks that the tables take values in the right subgroups, that each
     sends every lifted face of its source to 1, and that each undoes the
     other on every Schreier generator, all exactly in the surface group
-    (see characteristic._check_isomorphism).  Together these say that the
-    tables are inverse isomorphisms of the two stabilizers.
+    (see _check_isomorphism).  Together these say that the tables are
+    inverse isomorphisms of the two stabilizers.  Over the trivial cover
+    the tables are the images of the generators and their inverses, which
+    is how an automorphism is given.  name is a label only: it plays no
+    part in equality or hashing.
 
-    vaut_inverse, restrict_vaut and vaut_from_automorphism build their
-    results unchecked.  A swap passes exactly the checks its source passed,
-    as every check is run on both sides alike.  A restriction to a cover
-    that factors through the left arrow represents the same virtual
-    automorphism (Biswas-Nag-Sullivan).  The trivial cover's Schreier
-    generators are the generators, so a SurfaceAutomorphism's free-reduced
-    tables are the vaut's tables, and its constructor has already run this
-    check on them.  The tests rebuild all three through this constructor.
+    vaut_inverse and restrict_vaut build their results unchecked.  A swap
+    passes exactly the checks its source passed, as every check is run on
+    both sides alike.  A restriction to a cover that factors through the
+    left arrow represents the same virtual automorphism
+    (Biswas-Nag-Sullivan).  The tests rebuild both through this constructor.
     """
 
     left: SurfaceCover
     right: SurfaceCover
     fwd: tuple[Word, ...]
     bwd: tuple[Word, ...]
+    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         need(self.left, SurfaceCover, "left", IncompatibleTower)
         need(self.right, SurfaceCover, "right", IncompatibleTower)
+        need(self.name, str, "name", IncompatibleTower)
         if self.left.genus != self.right.genus:
             raise BaseMismatch("arrows must cover the same base surface")
         if self.left.total_genus != self.right.total_genus:
@@ -111,7 +144,7 @@ class TwoArrowVaut:
                 raise InvalidAutomorphism(
                     "backward image does not lie in the left stabilizer"
                 )
-        _check_isomorphism(self.left, self.right, fwd, bwd, ("fwd", "bwd"))
+        _check_isomorphism(self.left, self.right, fwd, bwd)
 
     @property
     def base_genus(self) -> int:
@@ -120,6 +153,16 @@ class TwoArrowVaut:
     @property
     def total_genus(self) -> int:
         return self.left.total_genus
+
+    def is_orientation_preserving(self) -> bool:
+        """Whether the images of a1 and b1 keep the sign of their
+        intersection number, which is +1 or -1 for an automorphism; only a
+        vaut of degree 1 is an automorphism."""
+        if self.left.degree != 1:
+            degree = self.left.degree
+            raise IncompatibleTower(f"orientation needs a degree-1 vaut, got degree {degree}")
+        a, b = (abelianized(w, self.base_genus) for w in self.fwd[:2])
+        return symplectic_product(a, b) == 1
 
     def forward_word(self, word) -> Word:
         """Image of a left-stabilizer word under the identification."""
@@ -144,7 +187,7 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     if element.base_genus != vaut.base_genus:
         raise BaseMismatch("element and vaut live over different bases")
     w = fiber_product(element.cover, vaut.left)
-    chain = transfer_along_arrow(w.to_first, element.payload)
+    chain = pull_back(w.to_first, element.payload)
     image = _induced_cover(vaut.right, vaut.bwd, w.cover).cover
     d = w.cover.degree
     coeffs = (chain[i * d + s] for i, s in w.cover.schreier.nontree)
@@ -195,12 +238,13 @@ def identity_vaut(genus: int) -> TwoArrowVaut:
     return TwoArrowVaut(cover, cover, cover.loops, cover.loops)
 
 
-def vaut_from_automorphism(aut: SurfaceAutomorphism) -> TwoArrowVaut:
-    """Mapping-class-like vaut with both arrows trivial."""
-    need(aut, SurfaceAutomorphism, "aut", IncompatibleTower)
-    cover = trivial_cover(aut.genus)
-    fwd, bwd = aut.images, aut.inverse_images
-    return _trusted(TwoArrowVaut, left=cover, right=cover, fwd=fwd, bwd=bwd)
+def vaut_from_automorphism(aut: TwoArrowVaut) -> TwoArrowVaut:
+    """aut itself, once it is a vaut of degree 1, which is how an
+    automorphism is given.  Kept only for the benchmark's tower job, which
+    still converts; ROADMAP item 1a removes it."""
+    if not isinstance(aut, TwoArrowVaut) or aut.left.degree != 1:
+        raise IncompatibleTower(f"aut must be a degree-1 TwoArrowVaut, got {aut!r:.40}")
+    return aut
 
 
 def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:

@@ -51,7 +51,6 @@ from .vauts import (
     restrict_vaut,
     vaut_act,
     vaut_compose,
-    vaut_from_automorphism,
     vaut_inverse,
 )
 
@@ -199,8 +198,7 @@ def _law_pool(genus: int, max_degree: int, seed: int):
     acting on the base classes, their transfers and 20 seeded triples."""
     vauts = [identity_vaut(genus)]
     if genus == 2:
-        for aut in shipped_automorphisms(2):
-            vauts.append(vaut_from_automorphism(aut))
+        vauts += shipped_automorphisms(2)
     covers = enumerate_covers(genus, min(2, max_degree))[:2]
     unrestricted = vauts[-1]
     for cover in covers:
@@ -267,9 +265,7 @@ def _preservation_pool(genus: int, max_degree: int, seed: int):
     vauts = [identity_vaut(genus)]
     if genus == 2:
         # the pairing is only preserved by orientation-preserving elements
-        for aut in shipped_automorphisms(2):
-            if aut.is_orientation_preserving():
-                vauts.append(vaut_from_automorphism(aut))
+        vauts += (v for v in shipped_automorphisms(2) if v.is_orientation_preserving())
         vauts.append(restrict_vaut(vauts[-1], enumerate_covers(2, min(2, max_degree))[0]))
     return {"vaut-preservation": [(v, e1, e2) for v in vauts]}
 

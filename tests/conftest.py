@@ -3,10 +3,10 @@ from functools import lru_cache
 from hypothesis import settings
 
 from covertower.characteristic import shipped_automorphisms
-from covertower.covers import SurfaceCover, enumerate_covers, induced_cover
+from covertower.covers import SurfaceCover, enumerate_covers, induced_cover, trivial_cover
 from covertower.surface import generator_count
 from covertower.traintrack import CarryingMatrix, TrainTrack, _gather
-from covertower.vauts import restrict_vaut, vaut_from_automorphism
+from covertower.vauts import TwoArrowVaut, restrict_vaut
 
 settings.register_profile("covertower", deadline=None)
 settings.load_profile("covertower")
@@ -18,6 +18,12 @@ def double_cover_from_signs(genus: int, signs) -> SurfaceCover:
     assert len(signs) == generator_count(genus) and any(signs), signs
     swap, ident = (1, 0), (0, 1)
     return SurfaceCover(genus, 2, tuple(swap if b else ident for b in signs))
+
+
+def automorphism(genus, images, inverse_images, name="") -> TwoArrowVaut:
+    """The automorphism with these generator images: the degree-1 vaut."""
+    cover = trivial_cover(genus)
+    return TwoArrowVaut(cover, cover, images, inverse_images, name)
 
 
 def identity_carrying(track: TrainTrack) -> CarryingMatrix:
@@ -40,7 +46,7 @@ def induced_corpus():
     degree-2 cover, induced through its backward table over every cover of
     degree <= 3: 90 tables, 21,240 induced covers."""
     vauts = [
-        restrict_vaut(vaut_from_automorphism(aut), cover)
+        restrict_vaut(aut, cover)
         for aut in shipped_automorphisms(2)
         for cover in enumerate_covers(2, 2)
     ]

@@ -44,7 +44,6 @@ from covertower.vauts import (
     restrict_vaut,
     vaut_act,
     vaut_compose,
-    vaut_from_automorphism,
     vaut_inverse,
 )
 from conftest import double_cover_from_signs
@@ -146,11 +145,7 @@ def test_criterion_4_normalized_pairing_invariance():
 
     # every tested orientation-preserving vaut preserves the pairing
     vauts = [identity_vaut(GENUS)]
-    vauts += [
-        vaut_from_automorphism(a)
-        for a in shipped_automorphisms(GENUS)
-        if a.name != "ab_flip"
-    ]
+    vauts += [a for a in shipped_automorphisms(GENUS) if a.name != "ab_flip"]
     vauts.append(
         restrict_vaut(vauts[1], double_cover_from_signs(GENUS, (0, 0, 1, 1)))
     )
@@ -215,8 +210,8 @@ def test_criterion_6_limit_equivalence_and_vaut_laws():
     # acting through any representative of the class gives the same class
     pool = [
         identity_vaut(GENUS),
-        vaut_from_automorphism(shipped_automorphisms(GENUS)[0]),
-        vaut_from_automorphism(shipped_automorphisms(GENUS)[4]),
+        shipped_automorphisms(GENUS)[0],
+        shipped_automorphisms(GENUS)[4],
     ]
     for vaut in pool:
         for reps in classes:
@@ -225,7 +220,7 @@ def test_criterion_6_limit_equivalence_and_vaut_laws():
                 assert limit_equal(images[0], img)
 
     # group laws on seeded triples, up to limit equality of the action
-    named = [vaut_from_automorphism(a) for a in shipped_automorphisms(GENUS)]
+    named = list(shipped_automorphisms(GENUS))
     rng = random.Random(6)
     probes = [base_class_element(GENUS, (1, 0, 0, 0)), classes[1][0]]
     e = identity_vaut(GENUS)

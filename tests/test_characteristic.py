@@ -1,7 +1,8 @@
+import dataclasses
+
 import pytest
 
 from covertower.characteristic import (
-    SurfaceAutomorphism,
     characteristic_refinement,
     is_characteristic,
     mod2_homology_cover,
@@ -13,8 +14,15 @@ from covertower.covers import (
     factors_through,
     trivial_cover,
 )
-from covertower.documents import parse_automorphisms
-from covertower.errors import BadDegree, CovertowerError, InvalidAutomorphism, SearchBudgetExceeded
+from covertower.documents import DocumentError, parse_automorphisms
+from covertower.errors import (
+    BadDegree,
+    CovertowerError,
+    DimensionMismatch,
+    IncompatibleTower,
+    InvalidAutomorphism,
+    SearchBudgetExceeded,
+)
 from covertower.limits import base_class_element, limit_equal
 from covertower.surface import (
     abelianized,
@@ -24,19 +32,63 @@ from covertower.surface import (
     substitute,
     surface_relator,
 )
-from covertower.vauts import identity_vaut, vaut_act, vaut_from_automorphism
-from conftest import double_cover_from_signs
+from covertower.vauts import (
+    TwoArrowVaut,
+    identity_vaut,
+    restrict_vaut,
+    vaut_act,
+    vaut_from_automorphism,
+)
+from conftest import automorphism, double_cover_from_signs
 
 
 def test_shipped_list():
+    """Six named degree-1 vauts, at genus 2 only."""
     auts = shipped_automorphisms(2)
-    assert len(auts) == 6
-    names = [a.name for a in auts]
-    assert len(set(names)) == 6
-    assert "handle_swap" in names
-    assert "ab_flip" in names
+    assert [a.name for a in auts] == [
+        "twist_b1_along_a1",
+        "twist_a1_along_b1",
+        "twist_b2_along_a2",
+        "twist_a2_along_b2",
+        "handle_swap",
+        "ab_flip",
+    ]
+    for a in auts:
+        assert type(a) is TwoArrowVaut
+        assert a.left == a.right == trivial_cover(2)
+        assert vaut_from_automorphism(a) is a
     with pytest.raises(InvalidAutomorphism):
         shipped_automorphisms(3)
+
+
+def test_names_play_no_part_in_equality():
+    for a in shipped_automorphisms(2):
+        renamed = dataclasses.replace(a, name="renamed")
+        assert renamed.name == "renamed"
+        assert renamed == a and hash(renamed) == hash(a)
+    with pytest.raises(IncompatibleTower, match="^name must be a str, got 3$"):
+        dataclasses.replace(shipped_automorphisms(2)[0], name=3)
+
+
+def test_a_higher_degree_vaut_is_no_automorphism():
+    swap = shipped_automorphisms(2)[4]
+    restricted = restrict_vaut(swap, enumerate_covers(2, 2)[0])
+    with pytest.raises(IncompatibleTower, match="^orientation needs a degree-1 vaut, got degree 2$"):
+        restricted.is_orientation_preserving()
+    with pytest.raises(
+        InvalidAutomorphism,
+        match=r"^automorphisms\[1\] must be a degree-1 vaut of genus 2, got degree 2 over genus 2$",
+    ):
+        is_characteristic(trivial_cover(2), [swap, restricted])
+    other = identity_vaut(3)
+    with pytest.raises(
+        InvalidAutomorphism,
+        match=r"^automorphisms\[0\] must be a degree-1 vaut of genus 2, got degree 1 over genus 3$",
+    ):
+        is_characteristic(trivial_cover(2), [other])
+    for bad in (restricted, None, "aut"):
+        with pytest.raises(IncompatibleTower, match="^aut must be a degree-1 TwoArrowVaut, got "):
+            vaut_from_automorphism(bad)
 
 
 def test_orientation_split():
@@ -47,7 +99,7 @@ def test_orientation_split():
 
 def test_twist_abelian_matrix():
     twist = next(a for a in shipped_automorphisms(2) if a.name == "twist_b1_along_a1")
-    assert [list(abelianized(w, 2)) for w in twist.images] == [
+    assert [list(abelianized(w, 2)) for w in twist.fwd] == [
         [1, 0, 0, 0],
         [1, 1, 0, 0],
         [0, 0, 1, 0],
@@ -59,46 +111,49 @@ def test_apply_round_trip():
     words = [(1, 2, -3), (4, 4, 1), (-2, -1, 3, 4)]
     for aut in shipped_automorphisms(2):
         for w in words:
-            assert free_reduce(substitute(aut.apply(w), aut.inverse_images)) == free_reduce(w)
-            assert free_reduce(aut.apply(substitute(w, aut.inverse_images))) == free_reduce(w)
+            there = substitute(w, aut.fwd)
+            assert free_reduce(substitute(there, aut.bwd)) == free_reduce(w)
+            assert free_reduce(substitute(substitute(w, aut.bwd), aut.fwd)) == free_reduce(w)
 
 
 def test_automorphism_validation():
     ident = ((1,), (2,), (3,), (4,))
-    with pytest.raises(InvalidAutomorphism):
-        SurfaceAutomorphism(2, ((1,), (2,), (3,)), ident)
-    with pytest.raises(InvalidAutomorphism, match=r"^inverse_images does not undo images\[0\]$"):
+    with pytest.raises(DimensionMismatch, match="^need one image per left Schreier generator$"):
+        automorphism(2, ((1,), (2,), (3,)), ident)
+    with pytest.raises(DimensionMismatch, match="^need one image per right Schreier generator$"):
+        automorphism(2, ident, ident + ((1,),))
+    with pytest.raises(InvalidAutomorphism, match=r"^bwd does not undo fwd\[0\]$"):
         # claimed inverse does not undo the twist
-        SurfaceAutomorphism(2, ((1, 2), (2,), (3,), (4,)), ident)
+        automorphism(2, ((1, 2), (2,), (3,), (4,)), ident)
     # swapping a single pair of handles' a-curves breaks the relator
     swap_a = ((3,), (2,), (1,), (4,))
     with pytest.raises(
-        InvalidAutomorphism, match="^images does not kill the relator lifted at sheet 0$"
+        InvalidAutomorphism, match="^fwd does not kill the relator lifted at sheet 0$"
     ):
-        SurfaceAutomorphism(2, swap_a, ident)
+        automorphism(2, swap_a, ident)
     with pytest.raises(
-        InvalidAutomorphism, match="^inverse_images does not kill the relator lifted at sheet 0$"
+        InvalidAutomorphism, match="^bwd does not kill the relator lifted at sheet 0$"
     ):
-        SurfaceAutomorphism(2, ident, swap_a)
+        automorphism(2, ident, swap_a)
 
 
 def test_automorphism_input_errors_name_the_field():
     ident = ((1,), (2,), (3,), (4,))
     cases = [
-        ((2, ((1.0,), (2,), (3,), (4,)), ident), r"images\[0\]"),
-        ((2, ((True,), (2,), (3,), (4,)), ident), r"images\[0\]"),
-        ((2, ident, ((1,), (2,), (0,), (4,))), r"inverse_images\[2\]"),
-        ((2, ((1,), (2,), (3,), (9,)), ident), r"images\[3\]"),
-        ((2.0, ident, ident), r"genus"),
-        ((True, ident, ident), r"genus"),
-        ((2, 5, ident), r"images must be a sequence"),
-        ((2, ident, None), r"inverse_images must be a sequence"),
-        ((0, (), ()), r"^genus must be an integer at least 2, got 0$"),
-        ((1, ((1,), (2,)), ((1,), (2,))), r"^genus must be an integer at least 2, got 1$"),
+        ((2, ((1.0,), (2,), (3,), (4,)), ident), r"^fwd\[0\]"),
+        ((2, ((True,), (2,), (3,), (4,)), ident), r"^fwd\[0\]"),
+        ((2, ident, ((1,), (2,), (0,), (4,))), r"^bwd\[2\]"),
+        ((2, ((1,), (2,), (3,), (9,)), ident), r"^fwd\[3\]"),
+        ((2, 5, ident), r"^fwd must be a sequence"),
+        ((2, ident, None), r"^bwd must be a sequence"),
     ]
     for args, field in cases:
         with pytest.raises(InvalidAutomorphism, match=field):
-            SurfaceAutomorphism(*args)
+            automorphism(*args)
+    # the genus is the trivial cover's
+    for genus, table in ((2.0, ident), (True, ident), (0, ()), (1, ((1,), (2,)))):
+        with pytest.raises(BadDegree, match=rf"^genus must be an integer at least 2, got {genus!r}$"):
+            automorphism(genus, table, table)
 
 
 def _automorphisms_at(genus):
@@ -118,7 +173,7 @@ def _automorphisms_at(genus):
     (shipped_automorphisms, True, InvalidAutomorphism),
     (identity_vaut, 2.0, BadDegree),
     (identity_vaut, "2", BadDegree),
-    (_automorphisms_at, 1, InvalidAutomorphism),
+    (_automorphisms_at, 1, DocumentError),
 ])
 def test_genus_is_an_integer_at_least_2(build, genus, error):
     build(2)  # the cached builders must not answer a float or bool genus from the cache
@@ -129,11 +184,11 @@ def test_genus_is_an_integer_at_least_2(build, genus, error):
 def test_substitution_respects_relator_on_shipped():
     relator = surface_relator(2)
     for aut in shipped_automorphisms(2):
-        assert is_trivial(aut.apply(relator), 2)
-        assert is_trivial(substitute(relator, aut.inverse_images), 2)
+        assert is_trivial(substitute(relator, aut.fwd), 2)
+        assert is_trivial(substitute(relator, aut.bwd), 2)
         for i in range(4):
             gen = (i + 1,)
-            back = substitute(aut.apply(gen), aut.inverse_images)
+            back = substitute(substitute(gen, aut.fwd), aut.bwd)
             assert is_trivial(back + inverse_word(gen), 2)
 
 
@@ -142,9 +197,8 @@ def test_a_correct_table_that_is_not_tame_is_accepted():
     is not freely conjugate to R^+-1, so a free-group check rejects it."""
     relator = surface_relator(2)
     ident = ((1,), (2,), (3,), (4,))
-    aut = SurfaceAutomorphism(2, ((1,) + relator, (2,), (3,), (4,)), ident, "a1_times_R")
-    assert aut.is_orientation_preserving()
-    v = vaut_from_automorphism(aut)
+    v = automorphism(2, ((1,) + relator, (2,), (3,), (4,)), ident, "a1_times_R")
+    assert v.is_orientation_preserving()
     for gen in range(4):
         unit = tuple(int(i == gen) for i in range(4))
         assert limit_equal(vaut_act(v, base_class_element(2, unit)), base_class_element(2, unit))
@@ -167,14 +221,14 @@ def _chain_map(conjugate_other_handles: bool):
 
 def test_genus_three_maps_that_are_not_endomorphisms_are_rejected():
     images, inverses = _chain_map(conjugate_other_handles=True)
-    assert SurfaceAutomorphism(3, images, inverses).is_orientation_preserving()
+    assert automorphism(3, images, inverses).is_orientation_preserving()
     swap = ((3,), (4,), (1,), (2,), (5,), (6,))
     flip = ((2,), (1,), (4,), (3,), (6,), (5,))
     for table, inverse in (swap, swap), (flip, flip), _chain_map(conjugate_other_handles=False):
         with pytest.raises(
-            InvalidAutomorphism, match="^images does not kill the relator lifted at sheet 0$"
+            InvalidAutomorphism, match="^fwd does not kill the relator lifted at sheet 0$"
         ):
-            SurfaceAutomorphism(3, table, inverse)
+            automorphism(3, table, inverse)
 
 
 def test_trivial_and_mod2_are_characteristic():

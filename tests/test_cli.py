@@ -25,7 +25,7 @@ from covertower.homology import surface_complex
 from covertower.limits import base_class_element, cycle_element, limit_equal, track_element
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.surface import free_reduce, inverse_word
-from covertower.vauts import identity_vaut, restrict_vaut, vaut_act, vaut_from_automorphism
+from covertower.vauts import identity_vaut, restrict_vaut, vaut_act
 from conftest import double_cover_from_signs
 
 
@@ -294,7 +294,7 @@ def test_out_of_range_word_letters_exit_2(tmp_path, capsys):
 def test_a_vaut_that_is_not_an_isomorphism_exits_2(tmp_path, capsys):
     """A fwd word changed by a commutator keeps the map on homology; the
     document is refused when read, not on some covers only."""
-    v = restrict_vaut(vaut_from_automorphism(shipped_automorphisms(2)[0]), enumerate_covers(2, 2)[0])
+    v = restrict_vaut(shipped_automorphisms(2)[0], enumerate_covers(2, 2)[0])
     w0, w1 = v.fwd[0], v.fwd[1]
     doc = vaut_document(v)
     doc["identification"]["fwd"][0] = list(
@@ -320,7 +320,30 @@ def test_automorphisms_that_are_not_tame_are_read(tmp_path, capsys):
         })
         code, err = run_err(capsys, "is-char", "--cover", cover, "--auts", auts)
         assert code == want, err
-    assert "images does not kill the relator lifted at sheet 0" in err
+    assert "fwd does not kill the relator lifted at sheet 0" in err
+
+
+def test_automorphisms_of_a_huge_genus_exit_2_without_building_a_cover(tmp_path):
+    """A one-word table at genus 10**9 is refused by its length, under a
+    1 GB address-space limit that the trivial cover of that genus breaks."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    cover = write_doc(tmp_path, "cover.json", cover_document(mod2_homology_cover(2)))
+    auts = write_doc(tmp_path, "auts.json", {
+        "schema": "covertower/1", "type": "automorphisms", "genus": 10**9,
+        "items": [{"images": [[1]], "inverse_images": [[1]]}],
+    })
+    child = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from covertower.cli import main; sys.exit(main())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "is-char", "--cover", cover, "--auts", auts],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "expected 2000000000 items[0].images, got 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_automorphism_name_that_is_not_a_string_exits_2(tmp_path, capsys):

@@ -662,7 +662,7 @@ CHECKED_CACHES = {
     mod2_homology_cover: (BadDegree, "an integer at least 2", (2,),
                           "(genus: 'int') -> 'SurfaceCover'"),
     shipped_automorphisms: (InvalidAutomorphism, "an integer at least 2", (),
-                            "(genus: 'int' = 2) -> 'tuple[SurfaceAutomorphism, ...]'"),
+                            "(genus: 'int' = 2) -> 'tuple[TwoArrowVaut, ...]'"),
     identity_vaut: (BadDegree, "an integer at least 2", (2,), "(genus: 'int') -> 'TwoArrowVaut'"),
 }
 
@@ -987,12 +987,12 @@ def spelled_through(arrow, ident, loop):
 
 
 def test_induced_and_composed_projections_pass_the_public_constructor():
-    from covertower.vauts import restrict_vaut, vaut_from_automorphism
+    from covertower.vauts import restrict_vaut
 
     rng = random.Random(61)
     doubles = enumerate_covers(2, 2)
     for aut in shipped_automorphisms(2):
-        vaut = restrict_vaut(vaut_from_automorphism(aut), rng.choice(doubles))
+        vaut = restrict_vaut(aut, rng.choice(doubles))
         for target in rng.sample(doubles, 3):
             induced = induced_cover(vaut.right, vaut.bwd, target)
             assert public_arrow(induced.to_outer) == induced.to_outer

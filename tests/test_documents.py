@@ -41,7 +41,6 @@ from covertower.vauts import (
     identity_vaut,
     restrict_vaut,
     vaut_act,
-    vaut_from_automorphism,
 )
 from covertower.verify import SUITES, replay_counterexample
 from conftest import double_cover_from_signs
@@ -230,7 +229,7 @@ def test_lifted_track_document():
 
 
 def test_vaut_word_table_round_trip():
-    twist = vaut_from_automorphism(shipped_automorphisms(2)[0])
+    twist = shipped_automorphisms(2)[0]
     doc = vaut_document(twist)
     assert set(doc["identification"]) == {"fwd", "bwd"}
     back = parse_vaut(doc)
@@ -307,12 +306,12 @@ def automorphisms_document(automorphisms) -> dict:
     return {
         "schema": "covertower/1",
         "type": "automorphisms",
-        "genus": automorphisms[0].genus,
+        "genus": automorphisms[0].base_genus,
         "items": [
             {
                 "name": aut.name,
-                "images": [list(w) for w in aut.images],
-                "inverse_images": [list(w) for w in aut.inverse_images],
+                "images": [list(w) for w in aut.fwd],
+                "inverse_images": [list(w) for w in aut.bwd],
             }
             for aut in automorphisms
         ],
@@ -328,8 +327,22 @@ def test_automorphisms_round_trip():
     broken["items"][0]["inverse_images"] = broken["items"][1]["inverse_images"]
     from covertower.errors import InvalidAutomorphism
 
-    with pytest.raises(InvalidAutomorphism):
+    with pytest.raises(InvalidAutomorphism, match=r"^bwd does not undo fwd\[0\]$"):
         parse_automorphisms(broken)
+
+
+def test_automorphism_tables_are_read_before_any_cover():
+    """A table of the wrong length is named before the trivial cover of the
+    document's genus is built, which at genus 10**9 would not fit in memory."""
+    item = {"images": [[1]], "inverse_images": [[1]]}
+    doc = {"schema": "covertower/1", "type": "automorphisms", "genus": 10**9, "items": [item]}
+    with pytest.raises(DocumentError, match=r"^expected 2000000000 items\[0\]\.images, got 1$"):
+        parse_automorphisms(doc)
+    doc = automorphisms_document(shipped_automorphisms(2))
+    doc["items"][2]["inverse_images"].pop()
+    with pytest.raises(DocumentError, match=r"^expected 4 items\[2\]\.inverse_images, got 3$"):
+        parse_automorphisms(doc)
+    assert parse_automorphisms(dict(doc, items=[])) == ()
 
 
 @pytest.mark.parametrize("name", [["x"], None, 5])
@@ -426,7 +439,7 @@ def _seed_documents():
     """Valid documents of every kind the parsers and replays read."""
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     cx = surface_complex(cover)
-    twist = vaut_from_automorphism(shipped_automorphisms(2)[0])
+    twist = shipped_automorphisms(2)[0]
     e = base_class_element(2, (1, 0, 0, 0))
     c1 = cycle_document(cycle_element(cover, cx.transfer((1, 0, 0, 0))))
     c2 = cycle_document(cycle_element(cover, cx.transfer((0, 1, 0, 0))))

@@ -23,7 +23,7 @@ from covertower.errors import (
     sequence,
     words,
 )
-from covertower.covers import arrow_to_trivial, trivial_cover
+from covertower.covers import arrow_to_trivial, enumerate_covers, trivial_cover
 from covertower.homology import surface_complex, transfer_along_arrow
 from covertower.limits import (
     base_class_element,
@@ -147,7 +147,7 @@ MATRIX = lift_track(three_branch_example(), trivial_cover(2))[1]
     (pairing_preserved, (VAUT, ELEMENT, [1]), "e2 must be a LimitElement"),
     (homology_shadow, (1,), "element must be a LimitElement"),
     (transfer_along_arrow, (1, (0, 0, 0, 0)), "arrow must be a CoverArrow"),
-    (vaut_from_automorphism, (1,), "aut must be a SurfaceAutomorphism"),
+    (vaut_from_automorphism, (1,), "aut must be a degree-1 TwoArrowVaut"),
     (vaut_act_track, ("vaut", ELEMENT), "vaut must be a TwoArrowVaut"),
     (carrying_compose, (1, MATRIX), "first must be a CarryingMatrix"),
     (carrying_compose, (MATRIX, 1), "second must be a CarryingMatrix"),
@@ -163,6 +163,23 @@ def test_public_functions_name_an_argument_of_the_wrong_type(function, args, mes
 def test_a_chain_that_is_not_a_sequence_is_named():
     with pytest.raises(DimensionMismatch, match="^chain must be a sequence, got 5$"):
         transfer_along_arrow(arrow_to_trivial(trivial_cover(2)), 5)
+
+
+def test_transfer_along_arrow_names_a_chain_entry_that_is_not_an_integer():
+    """Each entry is read as an integer, never copied through as it is."""
+    arrow = arrow_to_trivial(enumerate_covers(2, 2)[0])
+    assert transfer_along_arrow(arrow, [1, 2.0, 0, -1]) == [1, 1, 2, 2, 0, 0, -1, -1]
+    cases = [
+        (0, True, r"chain\[0\] must be a number, got True"),
+        (1, 0.5, r"chain\[1\] must be an integer, got 0\.5"),
+        (2, "x", r"chain\[2\] must be a number, got 'x'"),
+        (3, None, r"chain\[3\] must be a number, got None"),
+    ]
+    for k, bad, message in cases:
+        chain = [0, 0, 0, 0]
+        chain[k] = bad
+        with pytest.raises(NonIntegerWeights, match=f"^{message}$"):
+            transfer_along_arrow(arrow, chain)
 
 
 @pytest.mark.parametrize("chain, error, message", [

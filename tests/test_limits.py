@@ -42,7 +42,7 @@ from covertower.traintrack import (
     lift_track,
     three_branch_example,
 )
-from covertower.vauts import restrict_vaut, vaut_act, vaut_from_automorphism
+from covertower.vauts import restrict_vaut, vaut_act
 from conftest import double_cover_from_signs
 from test_homology import random_loop_cycle, strand_intersection
 from test_traintrack import homology_class
@@ -366,7 +366,7 @@ def test_trusted_products_pass_the_public_checks():
             lifted_track,
             lift_element(lifted_track, fp.to_first),
         ]
-    vauts = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    vauts = list(shipped_automorphisms(2))
     vauts.append(restrict_vaut(vauts[-1], covers[3]))
     for vaut in vauts:
         for cover in rng.sample(covers, 4) + [base]:

@@ -323,7 +323,7 @@ def test_lift_rejects_wrong_base():
         # a genus-2 track over a genus-3 cover has no lift, not a 6-branch one
         (
             lambda ex: LiftedTrack(ex, enumerate_covers(3, 2)[0]),
-            r"^track and cover have different base surfaces$",
+            r"^track has genus 2, cover has base genus 3$",
         ),
     ],
     ids=["base-str", "cover-None", "genus-3-cover"],

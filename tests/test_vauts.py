@@ -46,7 +46,6 @@ from covertower.vauts import (
     vaut_act,
     vaut_act_track,
     vaut_compose,
-    vaut_from_automorphism,
     vaut_inverse,
 )
 from covertower.documents import parse_vaut, vaut_document
@@ -171,14 +170,16 @@ def test_one_isomorphism_check():
     """In the package one helper, covers._first_live_relator, lifts the
     relator and decides the lifted faces exactly, for _check_isomorphism and
     compose_covers; is_trivial is called there and in _check_isomorphism's
-    undo loop alone, and both constructors of isomorphisms call the check."""
+    undo loop alone, and _check_isomorphism, with the table reader beside it
+    in vauts.py, has one caller: the one constructor of isomorphisms."""
     package = Path(covertower.__file__).resolve().parent
-    users, calls = {}, {}
+    users, calls, defined = {}, {}, {}
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if isinstance(top, (ast.Import, ast.ImportFrom)):
                 continue
             name = getattr(top, "name", None)
+            defined.setdefault(name, []).append(path.name)
             members = top.body if isinstance(top, ast.ClassDef) else [top]
             for member in members:
                 owner = name if member is top else f"{name}.{getattr(member, 'name', None)}"
@@ -194,9 +195,9 @@ def test_one_isomorphism_check():
     assert users["is_trivial"] == {"_first_live_relator", "_check_isomorphism"}
     undo = calls["_check_isomorphism", "is_trivial"]
     assert [ast.unparse(call.args[0]) for call in undo] == ["undone + inverse_word(loop)"]
-    assert users["_check_isomorphism"] == {
-        "SurfaceAutomorphism.__post_init__", "TwoArrowVaut.__post_init__"
-    }
+    assert defined["_check_isomorphism"] == defined["_word_table"] == ["vauts.py"]
+    assert users["_check_isomorphism"] == users["_word_table"] == {"TwoArrowVaut.__post_init__"}
+    assert len(calls["TwoArrowVaut.__post_init__", "_check_isomorphism"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def _sympy_loop_map(source, target, table):
 
 
 def test_loop_map_matches_sympy_solve():
-    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    shipped = list(shipped_automorphisms(2))
     covers = enumerate_covers(2, 2)
     rng = random.Random(41)
     vauts = [restrict_vaut(v, rng.choice(covers)) for v in shipped for _ in range(2)]
@@ -355,18 +356,17 @@ def test_identity_acts_trivially():
 
 
 def test_automorphism_vaut_matches_abelianization():
-    for aut in shipped_automorphisms(2):
-        v = vaut_from_automorphism(aut)
+    for v in shipped_automorphisms(2):
         for gen in range(4):
             src = [0, 0, 0, 0]
             src[gen] = 1
             moved = vaut_act(v, base_class_element(2, src))
-            expected = base_class_element(2, abelianized(aut.images[gen], 2))
+            expected = base_class_element(2, abelianized(v.fwd[gen], 2))
             assert limit_equal(moved, expected)
 
 
 def test_action_is_linear_on_classes():
-    v = vaut_from_automorphism(by_name("twist_b1_along_a1"))
+    v = by_name("twist_b1_along_a1")
     a = vaut_act(v, base_class_element(2, (1, 2, 0, 0)))
     parts = [
         vaut_act(v, base_class_element(2, (1, 0, 0, 0))),
@@ -389,8 +389,7 @@ def test_action_is_linear_on_classes():
 def test_inverse_law():
     rng = random.Random(2)
     pool = element_pool()
-    for aut in shipped_automorphisms(2)[:4]:
-        v = vaut_from_automorphism(aut)
+    for v in shipped_automorphisms(2)[:4]:
         w = vaut_inverse(v)
         e = rng.choice(pool)
         assert limit_equal(vaut_act(w, vaut_act(v, e)), e)
@@ -400,7 +399,7 @@ def test_inverse_law():
 
 def test_composition_law():
     rng = random.Random(7)
-    vauts = [vaut_from_automorphism(a) for a in shipped_automorphisms(2)]
+    vauts = list(shipped_automorphisms(2))
     pool = element_pool()
     for _ in range(6):
         outer = rng.choice(vauts)
@@ -413,7 +412,7 @@ def test_composition_law():
 
 def test_composition_associative_in_action():
     rng = random.Random(15)
-    vauts = [vaut_from_automorphism(a) for a in shipped_automorphisms(2)[:5]]
+    vauts = list(shipped_automorphisms(2)[:5])
     pool = element_pool()
     for _ in range(4):
         v1, v2, v3 = (rng.choice(vauts) for _ in range(3))
@@ -424,7 +423,7 @@ def test_composition_associative_in_action():
 
 
 def test_restriction_acts_identically():
-    twist = vaut_from_automorphism(by_name("twist_a1_along_b1"))
+    twist = by_name("twist_a1_along_b1")
     cover = double_cover_from_signs(2, (0, 0, 1, 1))
     restricted = restrict_vaut(twist, cover)
     assert restricted.left == cover
@@ -449,7 +448,7 @@ def test_act_rejects_wrong_kinds():
 
 
 def test_track_action_through_the_shadow():
-    v = vaut_from_automorphism(by_name("handle_swap"))
+    v = by_name("handle_swap")
     track = track_element(three_branch_example(), trivial_cover(2), (2, 1, 1))
     moved = vaut_act_track(v, track)
     assert moved.kind == "cycle"
@@ -469,8 +468,8 @@ def test_mapping_class_like():
 
     assert same_arrows(identity_vaut(2))
     for aut in shipped_automorphisms(2):
-        assert same_arrows(vaut_from_automorphism(aut))
-    swap = vaut_from_automorphism(by_name("handle_swap"))
+        assert same_arrows(aut)
+    swap = by_name("handle_swap")
     restricted = restrict_vaut(swap, double_cover_from_signs(2, (1, 0, 0, 0)))
     # the restricted representative swaps the handles, so its two arrows are
     # genuinely different covers and this witness cannot certify it
@@ -486,9 +485,8 @@ def test_mapping_class_like():
 def test_pairing_preserved():
     u = base_class_element(2, (1, 0, 0, 0))
     v = base_class_element(2, (0, 1, 0, 0))
-    for aut in shipped_automorphisms(2):
-        vt = vaut_from_automorphism(aut)
-        if aut.is_orientation_preserving():
+    for vt in shipped_automorphisms(2):
+        if vt.is_orientation_preserving():
             assert pairing_preserved(vt, u, v)
         else:
             # the flip reverses orientation and negates the pairing
@@ -512,15 +510,6 @@ def checked_inverse(vaut):
     return TwoArrowVaut(vaut.right, vaut.left, vaut.bwd, vaut.fwd)
 
 
-def checked_from_automorphism(aut):
-    """The automorphism pushed through the trivial cover's loops, built
-    through the public constructor."""
-    cover = trivial_cover(aut.genus)
-    fwd = tuple(map(aut.apply, cover.loops))
-    bwd = tuple(substitute(w, aut.inverse_images) for w in cover.loops)
-    return TwoArrowVaut(cover, cover, fwd, bwd)
-
-
 def oracle_restricts_to(vaut, characteristic):
     """The certificate's step as a full checked restriction."""
     refined = fiber_product(vaut.left, characteristic).cover
@@ -537,17 +526,19 @@ def oracle_certified_in_caut(vaut, depth):
 
 
 def test_automorphism_vauts_pass_the_public_checks():
-    for aut in shipped_automorphisms(2):
-        v = vaut_from_automorphism(aut)
-        assert v == checked_from_automorphism(aut)
-        assert (v.fwd, v.bwd) == (aut.images, aut.inverse_images)
+    """A shipped automorphism is the vaut whose tables send the trivial
+    cover's loops, the generators, to their images."""
+    cover = trivial_cover(2)
+    for v in shipped_automorphisms(2):
+        fwd, bwd = (tuple(substitute(w, t) for w in cover.loops) for t in (v.fwd, v.bwd))
+        assert v == TwoArrowVaut(cover, cover, fwd, bwd)
+        assert (v.left, v.right) == (cover, cover)
 
 
 def test_trusted_restrictions_and_inverses_pass_the_public_checks():
     covers = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)]
     count = 0
-    for aut in shipped_automorphisms(2):
-        v = vaut_from_automorphism(aut)
+    for v in shipped_automorphisms(2):
         assert vaut_inverse(v) == checked_inverse(v)
         for cover in covers:
             restricted = restrict_vaut(v, cover)
@@ -569,7 +560,7 @@ def test_trusted_vaut_builders_skip_the_check(monkeypatch):
     checked_inverse(identity_vaut(2))
     assert len(calls) == 1  # the counter sees the public constructor
     calls.clear()
-    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    shipped = list(shipped_automorphisms(2))
     covers = enumerate_covers(2, 2)
     for k, v in enumerate(shipped):
         restricted = restrict_vaut(v, covers[k])
@@ -580,7 +571,7 @@ def test_trusted_vaut_builders_skip_the_check(monkeypatch):
 
 def test_certificate_matches_the_checked_restriction_oracle():
     rng = random.Random(53)
-    shipped = [vaut_from_automorphism(aut) for aut in shipped_automorphisms(2)]
+    shipped = list(shipped_automorphisms(2))
     covers = enumerate_covers(2, 2)
     restricted = [restrict_vaut(v, rng.choice(covers)) for v in shipped]
     composites = [vaut_compose(rng.choice(shipped), rng.choice(restricted)) for _ in range(3)]
@@ -626,11 +617,10 @@ def test_trusted_vaut_builders_name_a_bad_argument(build, args, name):
 
 def test_caut_certification():
     assert certified_in_caut(identity_vaut(2), depth=0)
-    for aut in shipped_automorphisms(2):
-        v = vaut_from_automorphism(aut)
+    for v in shipped_automorphisms(2):
         assert certified_in_caut(v, depth=1)
     restricted = restrict_vaut(
-        vaut_from_automorphism(by_name("handle_swap")),
+        by_name("handle_swap"),
         double_cover_from_signs(2, (1, 0, 0, 0)),
     )
     assert certified_in_caut(restricted, depth=1)
@@ -640,7 +630,7 @@ def test_depth_zero_certificate_builds_no_cover():
     """Every cover factors through the trivial one, so depth 0 holds
     without a fiber product, here on a restricted vaut that no cache holds."""
     restricted = restrict_vaut(
-        vaut_from_automorphism(by_name("twist_b1_along_a1")), enumerate_covers(2, 3)[5]
+        by_name("twist_b1_along_a1"), enumerate_covers(2, 3)[5]
     )
     before = fiber_product.cache_info()
     assert certified_in_caut(restricted, depth=0)
@@ -653,7 +643,7 @@ def test_depth_zero_certificate_builds_no_cover():
 def perturbed_twist_restriction():
     """A restriction of twist_b1_along_a1 and its fwd table with fwd[0]
     changed by a commutator: the same map on homology, but no homomorphism."""
-    twist = vaut_from_automorphism(by_name("twist_b1_along_a1"))
+    twist = by_name("twist_b1_along_a1")
     v = restrict_vaut(twist, enumerate_covers(2, 2)[0])
     w0, w1 = v.fwd[0], v.fwd[1]
     bad = free_reduce(w0 + w1 + inverse_word(w0) + inverse_word(w1) + w0)
@@ -684,7 +674,7 @@ def test_the_homology_oracle_agrees_with_the_constructor():
     invertible on homology; a perturbed table that the oracle rejects, the
     constructor rejects too."""
     rng = random.Random(59)
-    shipped = [identity_vaut(2)] + [vaut_from_automorphism(a) for a in shipped_automorphisms(2)]
+    shipped = [identity_vaut(2)] + list(shipped_automorphisms(2))
     covers = [c for d in (1, 2) for c in enumerate_covers(2, d)]
     covers += rng.sample(enumerate_covers(2, 3), 8) + [mod2_homology_cover(2)]
     restricted = [restrict_vaut(rng.choice(shipped), c) for c in covers]

@@ -36,7 +36,7 @@ from covertower.limits import (
     normalized_pairing,
 )
 from covertower.surface import standard_symplectic
-from covertower.vauts import restrict_vaut, vaut_from_automorphism
+from covertower.vauts import restrict_vaut
 from covertower.verify import SUITES, replay_counterexample, run_suite
 from conftest import double_cover_from_signs
 
@@ -191,7 +191,7 @@ def test_replay_vaut_laws():
     with pytest.raises(DocumentError, match="'law'"):
         replay_counterexample("vaut-laws", {"element": element_document(e)})
 
-    auts = {a.name: vaut_from_automorphism(a) for a in shipped_automorphisms(2)}
+    auts = {a.name: a for a in shipped_automorphisms(2)}
     twist = auts["twist_b1_along_a1"]
     swap = auts["handle_swap"]
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
@@ -228,7 +228,7 @@ def test_replay_theorem3_detects_orientation_reversal():
     flip = next(a for a in shipped_automorphisms(2) if a.name == "ab_flip")
     data = {
         "what": "vaut-preservation",
-        "vaut": vaut_document(vaut_from_automorphism(flip)),
+        "vaut": vaut_document(flip),
         "e1": element_document(base_class_element(2, (1, 0, 0, 0))),
         "e2": element_document(base_class_element(2, (0, 1, 0, 0))),
     }
