@@ -177,7 +177,14 @@ class SurfaceCover:
             new_of_old[old] = new
         return self.relabel(tuple(new_of_old))
 
-    def relabel(self, new_of_old: tuple[int, ...]) -> "SurfaceCover":
+    def relabel(self, new_of_old) -> "SurfaceCover":
+        """The cover with sheet s renamed new_of_old[s], a permutation of
+        0..d-1; one that moves sheet 0 changes the basepoint."""
+        new_of_old = integers(new_of_old, "new_of_old", BadDegree)
+        if sorted(new_of_old) != list(range(self.degree)):
+            raise BadDegree(
+                f"new_of_old must hold each of 0..{self.degree - 1} once, got {new_of_old!r:.40}"
+            )
         perms = []
         for p in self.perms:
             q = [0] * self.degree
@@ -528,17 +535,29 @@ def pull_back(arrow: CoverArrow, values) -> list:
 def factors_through(fine: SurfaceCover, coarse: SurfaceCover) -> CoverArrow | None:
     """The unique pointed arrow fine -> coarse, or None.
 
-    Exists iff every Schreier generator of fine's basepoint stabilizer also
-    stabilizes coarse's basepoint; the map transports sheet 0 along tree words.
+    It exists iff fine's basepoint stabilizer lies in coarse's, that is iff
+    a pointed equivariant sheet map exists.  One walk from sheet 0 along
+    the forward generators, which reach every sheet of a finite transitive
+    action, builds it: the first edge into a sheet fixes its image, and
+    every later edge must agree.
     """
     need(fine, SurfaceCover, "fine", IncompatibleTower)
     need(coarse, SurfaceCover, "coarse", IncompatibleTower)
     if fine.genus != coarse.genus:
         raise BaseMismatch("covers have different base surfaces")
-    if not all(map(coarse.stabilizes_basepoint, fine.loops)):
-        return None
-    sheet_map = tuple(coarse.act(w, 0) for w in fine.schreier.words)
-    return _trusted(CoverArrow, source=fine, target=coarse, sheet_map=sheet_map)
+    sheet_map = [0] + [None] * (fine.degree - 1)
+    pairs = tuple(zip(fine.perms, coarse.perms))
+    order = [0]
+    for s in order:  # the walk appends to order as it reaches sheets
+        image = sheet_map[s]
+        for p, q in pairs:
+            t, u = p[s], q[image]
+            if sheet_map[t] is None:
+                sheet_map[t] = u
+                order.append(t)
+            elif sheet_map[t] != u:
+                return None
+    return _trusted(CoverArrow, source=fine, target=coarse, sheet_map=tuple(sheet_map))
 
 
 def arrow_to_trivial(cover: SurfaceCover) -> CoverArrow:
@@ -607,19 +626,24 @@ def induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCo
     target's base, which may differ from outer's; the induced action moves
     (t, s) along a generator by moving t in outer and moving s in target by
     the word of the traversed Schreier loop.  table must represent a
-    homomorphism into target's surface group (the relator must die),
-    otherwise construction raises RelatorNotTrivial.
+    homomorphism into target's surface group (the relator must die): this
+    is the one place that checks it, on the walked cover, and raises
+    RelatorNotTrivial otherwise.
     """
     need(outer, SurfaceCover, "outer", IncompatibleTower)
     need(target, SurfaceCover, "target", IncompatibleTower)
     table = sequence(table, "table", IncompatibleTower, len(outer.schreier.nontree))
     table = words(table, "table", target.genus, IncompatibleTower)
-    return _induced_cover(outer, table, target)
+    induced = _induced_cover(outer, table, target)
+    _check_relator(induced.cover)
+    return induced
 
 
 def _induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedCover:
-    """induced_cover for a checked table: one word per Schreier generator of
-    outer, over the base of target.  Only the relator can fail.
+    """induced_cover for a checked table that is a homomorphism: one word
+    per Schreier generator of outer, over the base of target.  The caller
+    answers for the relator: a vaut's tables are checked when it is built,
+    and compose_covers checks its table with _first_live_relator.
 
     The walk moves (outer sheet, target sheet) pairs.  A generator moves the
     outer sheet by outer's action and the target sheet by the table word of
@@ -642,7 +666,6 @@ def _induced_cover(outer: SurfaceCover, table, target: SurfaceCover) -> InducedC
         return (p[i][t], moves[i][t][s]), (t2, backs[i][t2][s])
 
     cover, states = _pointed_orbit(outer.genus, step)
-    _check_relator(cover)
     return InducedCover(cover, tuple(states), _projection(cover, states, 0, outer))
 
 

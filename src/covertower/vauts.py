@@ -105,11 +105,13 @@ class TwoArrowVaut:
     is how an automorphism is given.  name is a label only: it plays no
     part in equality or hashing.
 
-    vaut_inverse and restrict_vaut build their results unchecked.  A swap
-    passes exactly the checks its source passed, as every check is run on
-    both sides alike.  A restriction to a cover that factors through the
-    left arrow represents the same virtual automorphism
-    (Biswas-Nag-Sullivan).  The tests rebuild both through this constructor.
+    vaut_inverse, restrict_vaut and vaut_compose build their results
+    unchecked.  A swap passes exactly the checks its source passed, as
+    every check is run on both sides alike.  A restriction to a cover that
+    factors through the left arrow represents the same virtual automorphism
+    (Biswas-Nag-Sullivan).  A composite composes restrictions of inverse
+    isomorphisms, and substitute free-reduces as this constructor does.
+    The tests rebuild all three through this constructor.
     """
 
     left: SurfaceCover
@@ -218,7 +220,8 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
 
     The fiber product of outer's left cover with inner's right cover is a
     common total surface; both identifications transport its stabilizer,
-    giving the two arrows of the composite.
+    giving the two arrows of the composite.  The result is built unchecked
+    (see TwoArrowVaut).
     """
     need(outer, TwoArrowVaut, "outer", IncompatibleTower)
     need(inner, TwoArrowVaut, "inner", IncompatibleTower)
@@ -229,7 +232,7 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     new_right = _induced_cover(outer.right, outer.bwd, mid.cover)
     fwd = tuple(outer.forward_word(inner.forward_word(w)) for w in new_left.cover.loops)
     bwd = tuple(inner.backward_word(outer.backward_word(w)) for w in new_right.cover.loops)
-    return TwoArrowVaut(new_left.cover, new_right.cover, fwd, bwd)
+    return _trusted(TwoArrowVaut, left=new_left.cover, right=new_right.cover, fwd=fwd, bwd=bwd)
 
 
 @checked_cache(genus_key)

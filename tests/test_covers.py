@@ -347,6 +347,29 @@ def test_canonical_collapses_basepoint_fixing_relabelings():
             assert moved.canonical() is not moved
 
 
+@pytest.mark.parametrize("new_of_old, message", [
+    ((0,), r"^new_of_old must hold each of 0\.\.2 once, got \(0,\)$"),
+    (("a", "b", "c"), r"^new_of_old\[0\] must be an integer, got 'a'$"),
+    ((0, 1, 2, 3), r"^new_of_old must hold each of 0\.\.2 once, got \(0, 1, 2, 3\)$"),
+    ((0, 1, True), r"^new_of_old\[2\] must be an integer, got True$"),
+    ((0, 0, 0), r"^new_of_old must hold each of 0\.\.2 once, got \(0, 0, 0\)$"),
+    (5, r"^new_of_old must be a sequence, got 5$"),
+])
+def test_relabel_names_a_bad_relabeling(new_of_old, message):
+    with pytest.raises(BadDegree, match=message):
+        enumerate_covers(2, 3)[7].relabel(new_of_old)
+
+
+def test_relabel_that_moves_sheet_zero_changes_the_basepoint():
+    """Sheet 1 renamed 0 is the basepoint of the relabeled cover: a word
+    lifts to a loop there iff it lifts to a loop at sheet 1 before."""
+    cover = enumerate_covers(2, 3)[7]
+    moved = cover.relabel((1, 0, 2))
+    assert moved.degree == 3 and moved.canonical() != cover
+    for w in ((1,), (2,), (1, 1), (1, -2), (3, 4, -3)):
+        assert moved.stabilizes_basepoint(w) == (cover.act(w, 1) == 1)
+
+
 @pytest.mark.parametrize(
     "genus, degree, message",
     [
@@ -601,6 +624,41 @@ def test_factoring_respects_stabilizers():
                 )
                 if fine.stabilizes_basepoint(w):
                     assert coarse.stabilizes_basepoint(w)
+
+
+def oracle_factors_through(fine, coarse):
+    """The loop test: the arrow exists iff every Schreier loop of fine
+    stabilizes coarse's basepoint, and then it sends the end of each tree
+    word to the end of its lift in coarse.  Built through the public
+    constructor."""
+    if not all(map(coarse.stabilizes_basepoint, fine.loops)):
+        return None
+    return CoverArrow(fine, coarse, tuple(coarse.act(w, 0) for w in fine.schreier.words))
+
+
+def test_factoring_walk_matches_the_loop_oracle():
+    fines = [c for d in (1, 2, 3) for c in enumerate_covers(2, d)] + [mod2_homology_cover(2)]
+    coarses = [c for d in (1, 2) for c in enumerate_covers(2, d)]
+    factored = 0
+    for fine in fines:
+        for coarse in coarses:
+            arrow = factors_through(fine, coarse)
+            assert arrow == oracle_factors_through(fine, coarse)
+            factored += arrow is not None
+    # every fine maps to the trivial cover, a degree-2 cover to itself
+    # alone, a degree-3 cover to no degree-2 cover, and the mod-2 cover to
+    # all 15: 237 + 15 + 15
+    assert (len(fines), len(coarses), factored) == (237, 16, 267)
+
+
+def test_factoring_builds_no_transversal():
+    rng = random.Random(31)
+    fines = rng.sample(enumerate_covers(2, 3), 5) + [mod2_homology_cover(2)]
+    for cover in fines:
+        fine = SurfaceCover(cover.genus, cover.degree, cover.perms)
+        for coarse in enumerate_covers(2, 2)[:4]:
+            factors_through(fine, coarse)
+        assert "schreier" not in vars(fine) and "loops" not in vars(fine)
 
 
 def test_factoring_arrows_compose():
@@ -1049,6 +1107,15 @@ def test_induced_cover_rejects_a_table_that_is_not_a_homomorphism():
         except RelatorNotTrivial:
             failures += 1
     assert failures == 27  # of 220, as the full constructor checks found
+    # the unchecked builder walks the same covers, and the public
+    # constructor rejects exactly those, for the relator
+    rejected = 0
+    for target in enumerate_covers(2, 3):
+        try:
+            public_cover(covers._induced_cover(outer, table, target).cover)
+        except RelatorNotTrivial:
+            rejected += 1
+    assert rejected == 27
 
 
 def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch):

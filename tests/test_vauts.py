@@ -10,7 +10,6 @@ import covertower
 from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.covers import (
     enumerate_covers,
-    factors_through,
     fiber_product,
     induced_cover,
     rewrite_in_schreier,
@@ -49,7 +48,9 @@ from covertower.vauts import (
     vaut_inverse,
 )
 from covertower.documents import parse_vaut, vaut_document
+from covertower.verify import _law_pool
 from conftest import double_cover_from_signs
+from test_covers import oracle_factors_through
 
 
 def by_name(name):
@@ -497,8 +498,8 @@ def test_pairing_preserved():
 
 
 def checked_restriction(vaut, finer):
-    """restrict_vaut's body, built through the public constructor."""
-    if factors_through(finer, vaut.left) is None:
+    """restrict_vaut's body, built through the public constructors."""
+    if oracle_factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = induced_cover(vaut.right, vaut.bwd, finer)
     fwd = tuple(map(vaut.forward_word, finer.loops))
@@ -514,7 +515,7 @@ def oracle_restricts_to(vaut, characteristic):
     """The certificate's step as a full checked restriction."""
     refined = fiber_product(vaut.left, characteristic).cover
     restricted = checked_restriction(vaut, refined)
-    return factors_through(restricted.right, characteristic) is not None
+    return oracle_factors_through(restricted.right, characteristic) is not None
 
 
 def oracle_certified_in_caut(vaut, depth):
@@ -548,6 +549,48 @@ def test_trusted_restrictions_and_inverses_pass_the_public_checks():
     assert count == 1416
 
 
+def test_trusted_composites_pass_the_public_checks():
+    """Every composite of the seeded vaut-laws triples, and of each shipped
+    vaut with its restriction to each degree-2 cover, rebuilt through the
+    constructor."""
+    pairs = [
+        (v1, v2)
+        for seed in (0, 1, 2)
+        for v1, v2, _ in _law_pool(2, 2, seed)["composition"]
+    ]
+    pairs += [
+        (v, restrict_vaut(v, cover))
+        for v in shipped_automorphisms(2)
+        for cover in enumerate_covers(2, 2)
+    ]
+    for outer, inner in pairs:
+        composite = vaut_compose(outer, inner)
+        public = TwoArrowVaut(composite.left, composite.right, composite.fwd, composite.bwd)
+        assert public == composite
+    assert len(pairs) == 150
+
+
+def test_unchecked_vauts_come_from_the_three_derived_builders():
+    """Vauts skip the constructor only as inverses, restrictions and
+    composites, the three builders the tests rebuild through it."""
+    package = Path(covertower.__file__).resolve().parent
+    trusted = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_trusted"
+                    and getattr(node.args[0], "id", None) == "TwoArrowVaut"
+                ):
+                    trusted.add((path.name, getattr(top, "name", None)))
+    assert trusted == {
+        ("vauts.py", "vaut_inverse"),
+        ("vauts.py", "restrict_vaut"),
+        ("vauts.py", "vaut_compose"),
+    }
+
+
 def test_trusted_vaut_builders_skip_the_check(monkeypatch):
     calls = []
     checks = TwoArrowVaut.__post_init__
@@ -565,6 +608,8 @@ def test_trusted_vaut_builders_skip_the_check(monkeypatch):
     for k, v in enumerate(shipped):
         restricted = restrict_vaut(v, covers[k])
         vaut_inverse(restricted)
+        vaut_compose(v, restricted)
+        vaut_compose(restricted, shipped[k - 1])
         assert certified_in_caut(restricted, depth=k % 2)
     assert calls == []
 
