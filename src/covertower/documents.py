@@ -82,14 +82,16 @@ def parse_cover(doc) -> SurfaceCover:
     _expect(doc, "cover")
     try:
         genus = integer(doc["genus"], "genus", DocumentError)
-        degree = integer(doc["degree"], "degree", DocumentError)
-        perms = tuple(
-            tuple(s - 1 for s in integers(p, f"perms[{i}]", DocumentError))
-            for i, p in enumerate(doc["perms"])
-        )
+        degree = integer(doc["degree"], "degree", DocumentError, low=1)
+        rows = [integers(p, f"perms[{i}]", DocumentError) for i, p in enumerate(doc["perms"])]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"bad cover document: {exc}") from exc
-    return SurfaceCover(genus, degree, perms)
+    for i, row in enumerate(rows):
+        if len(row) != degree or sorted(row) != list(range(1, degree + 1)):
+            raise DocumentError(
+                f"perms[{i}] must be a permutation of 1..{degree}, got {list(row)!r:.40}"
+            )
+    return SurfaceCover(genus, degree, tuple(tuple(s - 1 for s in row) for row in rows))
 
 
 def fiber_product_document(fp: FiberProduct) -> dict:

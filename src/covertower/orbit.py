@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .covers import search_budget
+from .covers import _collector_paused, search_budget
 from .errors import CovertowerError, DimensionMismatch, SearchBudgetExceeded, integer
 from .surface import symplectic_product
 
@@ -208,31 +208,34 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
 
     checkpoints = []
     n, folded = len(points), 0
-    for lo, hi in pairwise([0, *_checkpoint_schedule(config.steps)]):
-        # memoryviews yield Python floats and ints one at a time, where
-        # tolist() would hold the whole segment's draws as objects at once
-        for pick, move in zip(memoryview(picks[lo:hi]), memoryview(moves[lo:hi])):
-            x = points[int(pick * n)]
-            curve, cov = twists[move]
-            p = 0
-            for j, v in cov:
-                p += x[j] * v
-            y = list(x)
-            for j, v in curve:
-                y[j] += p * v
-            # x is primitive, so y is too (see the docstring): only the sign
-            # needs fixing, and y < zero iff its first nonzero entry is negative
-            y = tuple([-v for v in y]) if y < zero else tuple(y)
-            seen.add(y)
-            if len(seen) > n:
-                points.append(y)
-                n += 1
-        try:
-            _fold(best, targets, points[folded:])
-        except (OverflowError, FloatingPointError):
-            # COVERTOWER_BUDGET can raise the steps past where points fit a float
-            raise CovertowerError(f"a point reached by step {hi} is too large for a float") from None
-        folded = n
-        radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
-        checkpoints.append((hi, n, radius))
+    # the walk builds int tuples and folds them into floats: no cycles to find
+    with _collector_paused():
+        for lo, hi in pairwise([0, *_checkpoint_schedule(config.steps)]):
+            # memoryviews yield Python floats and ints one at a time, where
+            # tolist() would hold the whole segment's draws as objects at once
+            for pick, move in zip(memoryview(picks[lo:hi]), memoryview(moves[lo:hi])):
+                x = points[int(pick * n)]
+                curve, cov = twists[move]
+                p = 0
+                for j, v in cov:
+                    p += x[j] * v
+                y = list(x)
+                for j, v in curve:
+                    y[j] += p * v
+                # x is primitive, so y is too (see the docstring): only the sign
+                # needs fixing, and y < zero iff its first nonzero entry is negative
+                y = tuple([-v for v in y]) if y < zero else tuple(y)
+                seen.add(y)
+                if len(seen) > n:
+                    points.append(y)
+                    n += 1
+            try:
+                _fold(best, targets, points[folded:])
+            except (OverflowError, FloatingPointError):
+                # COVERTOWER_BUDGET can raise the steps past where points fit a float
+                message = f"a point reached by step {hi} is too large for a float"
+                raise CovertowerError(message) from None
+            folded = n
+            radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
+            checkpoints.append((hi, n, radius))
     return OrbitResult(config, tuple(checkpoints))

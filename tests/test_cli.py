@@ -9,7 +9,7 @@ import pytest
 
 from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
 from covertower.cli import main
-from covertower.covers import enumerate_covers
+from covertower.covers import enumerate_covers, trivial_cover
 from covertower.documents import (
     counterexample_document,
     cover_document,
@@ -369,6 +369,14 @@ def test_bad_documents_exit_2(tmp_path, capsys):
     wrong = write_doc(tmp_path, "wrong.json", {"schema": "covertower/1", "type": "mystery"})
     code, _ = run(capsys, "genus", "--cover", wrong)
     assert code == 2
+
+
+def test_a_cover_row_that_is_no_permutation_exits_2(tmp_path, capsys):
+    doc = dict(cover_document(trivial_cover(2)), perms=[[0], [1], [1], [1]])
+    code, err = run_err(capsys, "genus", "--cover", write_doc(tmp_path, "cover.json", doc))
+    assert code == 2
+    assert "perms[0] must be a permutation of 1..1, got [0]" in err
+    assert "Traceback" not in err
 
 
 def test_orbit_report(capsys):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import itertools
 import math
@@ -1143,18 +1144,140 @@ def test_enumeration_and_fiber_products_skip_the_constructor_checks(monkeypatch)
     assert calls == []
 
 
+def _names_cover(node) -> bool:
+    return any(getattr(n, "id", None) == "SurfaceCover" for n in ast.walk(node))
+
+
+def _is_new(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__new__"
+
+
+def unchecked_cover_builds(source: str) -> set[tuple[str, str | None]]:
+    """The ("trusted", f) and ("new", f) pairs of a module's source: f is the
+    top-level def holding a _trusted(SurfaceCover, ...) call, or a __new__
+    that makes a SurfaceCover, called on it or mapped over it."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            name = getattr(top, "name", None)
+            func = node.func
+            if getattr(func, "id", None) == "_trusted" and _names_cover(node.args[0]):
+                found.add(("trusted", name))
+            elif _is_new(func) and (_names_cover(func) or any(map(_names_cover, node.args))):
+                found.add(("new", name))
+            elif (
+                getattr(func, "id", None) == "map"
+                and _is_new(node.args[0])
+                and any(map(_names_cover, node.args))
+            ):
+                found.add(("new", name))
+    return found
+
+
 def test_walked_covers_come_from_the_one_orbit_builder():
-    """Covers skip their checks only in the enumeration and in _pointed_orbit,
-    so a new walked cover goes through the builder and its projections."""
+    """Covers skip their checks only in _pointed_orbit and in the one-pass
+    build of the enumeration, so a new walked cover goes through the
+    builder and its projections."""
     package = Path(covers.__file__).resolve().parent
-    trusted = set()
+    found = set()
     for path in sorted(package.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "_trusted"
-                    and getattr(node.args[0], "id", None) == "SurfaceCover"
-                ):
-                    trusted.add((path.name, getattr(top, "name", None)))
-    assert trusted == {("covers.py", "_enumerate_cached"), ("covers.py", "_pointed_orbit")}
+        found |= {(path.name, kind, name) for kind, name in unchecked_cover_builds(path.read_text())}
+    assert found == {
+        ("covers.py", "new", "_enumerate_cached"),
+        ("covers.py", "trusted", "_pointed_orbit"),
+    }
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(n):\n    return map(object.__new__, itertools.repeat(SurfaceCover, n))",
+     {("new", "f")}),
+    ("def f():\n    return object.__new__(SurfaceCover)", {("new", "f")}),
+    ("def f():\n    return SurfaceCover.__new__(SurfaceCover)", {("new", "f")}),
+    ("def f(p):\n    return _trusted(SurfaceCover, genus=2, degree=1, perms=p)",
+     {("trusted", "f")}),
+    ("def _enumerate_cached():\n    return _trusted(SurfaceCover, genus=2)",
+     {("trusted", "_enumerate_cached")}),
+    ("class C:\n    def m(self):\n        return object.__new__(SurfaceCover)", {("new", "C")}),
+    ("def f(cls):\n    return object.__new__(cls)", set()),
+    ("def f(p):\n    return _trusted(CoverArrow, sheet_map=p)", set()),
+], ids=["mapped-new", "new", "class-new", "trusted", "trusted-in-enumeration", "method",
+        "generic-new", "arrow"])
+def test_the_unchecked_build_guard_sees_every_form(source, found):
+    assert unchecked_cover_builds(source) == found
+
+
+def test_enumerated_covers_hold_only_their_fields():
+    """The one-pass build writes the three fields and nothing else: before
+    first use, no cached property and no stray key sits in a cover.  Degree
+    1 is the trivial cover, built by the public constructor."""
+    _enumerate_cached.cache_clear()
+    assert enumerate_covers(2, 1) == (trivial_cover(2),)
+    for d in range(2, 5):
+        for cover in enumerate_covers(2, d):
+            assert type(cover) is SurfaceCover
+            assert vars(cover).keys() == {"genus", "degree", "perms"}
+
+
+def test_mod2_cover_is_the_checked_xor_cover():
+    """The one walk gives the cover that the checked constructor and the
+    canonical relabeling give from the XOR action."""
+    for genus in (2, 3):
+        n = 2 * genus
+        perms = tuple(tuple(s ^ (1 << i) for s in range(1 << n)) for i in range(n))
+        checked = SurfaceCover(genus, 1 << n, perms).canonical()
+        walked = mod2_homology_cover.__wrapped__(genus)
+        assert walked == checked and walked.perms == checked.perms
+        assert public_cover(walked) == walked
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_paused_restores_the_callers_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with covers._collector_paused():
+            assert not gc.isenabled()
+            with covers._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == enabled
+        with pytest.raises(ZeroDivisionError):
+            with covers._collector_paused():
+                1 / 0
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_enumeration_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        _enumerate_cached.cache_clear()
+        assert len(enumerate_covers(2, 3)) == 220
+        assert gc.isenabled() == enabled
+
+        def fail(genus, degree):
+            raise SearchBudgetExceeded("stopped")
+
+        monkeypatch.setattr(covers, "_canonical_tuples", fail)
+        _enumerate_cached.cache_clear()
+        with pytest.raises(SearchBudgetExceeded, match="stopped"):
+            enumerate_covers(2, 2)
+        assert gc.isenabled() == enabled
+    finally:
+        _enumerate_cached.cache_clear()
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("perms, message", [
+    (((-1,), (0,), (0,), (0,)), r"^perms\[0\] must be a permutation of 0\.\.0, got \(-1,\)$"),
+    (((0, 1), (1, 1), (0, 1), (0, 1)), r"^perms\[1\] must be a permutation of 0\.\.1, got \(1, 1\)$"),
+    (((0, 1), (1, 0), (0, 1), (0,)), r"^perms\[3\] must be a permutation of 0\.\.1, got \(0,\)$"),
+])
+def test_cover_names_a_row_that_is_no_permutation(perms, message):
+    with pytest.raises(BadDegree, match=message):
+        SurfaceCover(2, len(perms[0]), perms)

@@ -147,6 +147,22 @@ def test_parse_cover_rejects_malformed():
         parse_cover([1, 2, 3])
 
 
+@pytest.mark.parametrize("degree, perms, message", [
+    (1, [[0], [1], [1], [1]], r"^perms\[0\] must be a permutation of 1\.\.1, got \[0\]$"),
+    (1, [[1], [1], [-1], [1]], r"^perms\[2\] must be a permutation of 1\.\.1, got \[-1\]$"),
+    (2, [[2, 1], [2, 2], [1, 2], [1, 2]], r"^perms\[1\] must be a permutation of 1\.\.2, got \[2, 2\]$"),
+    (2, [[2, 1], [1, 2], [1, 2], [1, 2, 3]],
+     r"^perms\[3\] must be a permutation of 1\.\.2, got \[1, 2, 3\]$"),
+    (10**30, [[1], [1], [1], [1]], r"^perms\[0\] must be a permutation of 1\.\.10{30}, got \[1\]$"),
+    (0, [[], [], [], []], r"^degree must be an integer at least 1, got 0$"),
+], ids=["zero", "negative", "repeat", "long", "huge-degree", "zero-degree"])
+def test_parse_cover_names_a_row_that_is_no_permutation(degree, perms, message):
+    """Rows are read as the 1-based wire values they are, and named."""
+    doc = dict(cover_document(trivial_cover(2)), degree=degree, perms=perms)
+    with pytest.raises(DocumentError, match=message):
+        parse_cover(doc)
+
+
 def test_cycle_round_trip():
     cover = double_cover_from_signs(2, (1, 0, 0, 0))
     cx = surface_complex(cover)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -152,6 +153,27 @@ def test_walk_names_a_point_too_large_for_a_float(monkeypatch, classes, message)
     monkeypatch.setattr(orbit, "CLASSES", classes)
     with pytest.raises(CovertowerError, match=message):
         orbit_density_experiment(OrbitConfig(steps=3, targets=4))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_walk_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    """The walk pauses the cyclic collector and restores the caller's state,
+    also when a point leaves the float range."""
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        orbit_density_experiment(OrbitConfig(steps=64, targets=16))
+        assert gc.isenabled() == enabled
+
+        def overflow(best, targets, batch):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(orbit, "_fold", overflow)
+        with pytest.raises(CovertowerError, match="^a point reached by step 0 is too large"):
+            orbit_density_experiment(OrbitConfig(steps=64, targets=16))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_targets_are_unit_and_seeded():

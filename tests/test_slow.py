@@ -44,6 +44,27 @@ def test_enumerate_degree_5_stream():
     assert digest.hexdigest() == DEGREE_5_CENSUS
 
 
+def test_enumerate_covers_to_degree_5():
+    """The degree-5 census in a child process, which reports its wall time,
+    its peak memory and the collector's state after the call."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = (
+        "import gc, resource, time; from covertower.covers import enumerate_covers; "
+        "start = time.perf_counter(); covers = enumerate_covers(2, 5); "
+        "wall = time.perf_counter() - start; "
+        "print(len(covers), gc.isenabled(), wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, enabled, wall, peak_kb = proc.stdout.split()
+    print(f"enumerate_covers(2, 5): {float(wall):.2f} s, {int(peak_kb) / 1024:.0f} MB peak")
+    assert int(count) == 151_086
+    assert enabled == "True"
+
+
 def test_riemann_hurwitz_to_degree_5():
     """The riemann-hurwitz suite over all 156,597 covers of degree <= 5, in a
     child process that reports its own peak memory on stderr."""
