@@ -36,7 +36,7 @@ from .errors import (
     SearchBudgetExceeded,
     SwitchViolation,
 )
-from .homology import CoverComplex, surface_complex, transfer_along_arrow
+from .homology import CoverComplex, surface_complex
 from .limits import (
     LimitElement,
     base_class_element,

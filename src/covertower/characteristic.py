@@ -13,7 +13,7 @@ from .covers import (
     SurfaceCover,
     _pointed_orbit,
     enumerate_covers,
-    mod2_homology_cover,  # re-exported: callers still read characteristic.mod2_homology_cover
+    mod2_homology_cover,  # re-exported for perfbench's cache table, its only reader
     search_budget,
     trivial_cover,
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .covers import CoverArrow, SurfaceCover, pull_back, schreier_loop
+from .covers import SurfaceCover, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
 from .errors import checked_cache, integrals, need, sequence
 from .surface import generator_count
@@ -250,13 +250,3 @@ class CoverComplex:
 @checked_cache(lambda cover: (need(cover, SurfaceCover, "cover", IncompatibleTower),))
 def surface_complex(cover: SurfaceCover) -> CoverComplex:
     return CoverComplex(cover)
-
-
-def transfer_along_arrow(arrow, chain):
-    """Pull a chain on the arrow's target back to the full preimage chain."""
-    need(arrow, CoverArrow, "arrow", IncompatibleTower)
-    chain = sequence(chain, "chain", DimensionMismatch)
-    d = arrow.target.degree
-    if len(chain) != len(arrow.target.perms) * d:
-        raise DimensionMismatch("chain does not fit the arrow's target")
-    return pull_back(arrow, integrals(chain, "chain"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from typing import ClassVar
@@ -19,8 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .covers import _collector_paused, search_budget
-from .errors import CovertowerError, DimensionMismatch, SearchBudgetExceeded, integer
-from .surface import symplectic_product
+from .errors import CovertowerError, SearchBudgetExceeded, integer
 
 # Points per fold chunk.  In the 100k-step walk (2-core Xeon, numpy 2.4),
 # 128 and 256 rows fold equally fast and 64 rows about a fifth slower, while
@@ -33,25 +31,6 @@ START = (1, 0, 0, 0)
 # along basis curves alone never couple the handle planes, so the mixer is
 # what makes the walk mix.
 CLASSES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, -1))
-
-
-def transvection(curve, x, sign: int = 1):
-    """x + sign * <x, curve> * curve, the twist action on classes."""
-    pairing = symplectic_product(x, curve)
-    return tuple(xi + sign * pairing * ci for xi, ci in zip(x, curve))
-
-
-def projective_normalize(vec):
-    """Primitive integer representative with positive leading entry."""
-    g = math.gcd(*vec)
-    if g == 0:
-        raise DimensionMismatch("zero vector has no direction")
-    for v in vec:
-        if v:
-            if v < 0:
-                g = -g
-            break
-    return tuple([v // g for v in vec])
 
 
 def transvection_set_hash(classes) -> str:
@@ -100,30 +79,6 @@ def quasi_uniform_targets(rng: np.random.Generator, count: int, dim: int):
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
-def covering_radius(points, targets) -> float:
-    """Largest projective angle from any target to the point set.
-
-    Brute force over all pairs; the experiment loop folds the same value in
-    at every checkpoint and is checked against this in tests.  A point too
-    large for a float, in an entry or in its norm, raises CovertowerError.
-    """
-    dim = targets.shape[1]
-    if len(points) == 0 or any(len(p) != dim for p in points):
-        raise DimensionMismatch(f"points must be a nonempty set of vectors of dimension {dim}")
-    try:
-        with np.errstate(over="raise"):
-            mat = np.array(points, dtype=float)
-            norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    except (OverflowError, FloatingPointError):
-        # the point of largest exact norm is one that left the float range
-        k = max(range(len(points)), key=lambda k: sum(v * v for v in points[k]))
-        raise CovertowerError(f"points[{k}] is too large for a float") from None
-    if not norms.all():
-        raise DimensionMismatch("zero vector has no direction")
-    dots = np.abs(targets @ (mat / norms).T).max(axis=1)
-    return float(np.arccos(np.clip(dots.min(), -1.0, 1.0)))
-
-
 def _fold(best, targets, batch) -> None:
     """Raise best[t] to max |<target t, p/|p|>| over batch, FOLD_ROWS points at a time.
 
@@ -168,7 +123,7 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     x -> x + <x, c>c lies in Sp(4, Z): its inverse x - <x, c>c is integral
     too, so it maps primitive vectors to primitive vectors, and every step
     has gcd 1.  One sign flip per step then gives the normalised image,
-    with no `projective_normalize`.
+    with no gcd taken.
 
     A walked point too large for a float, in an entry or in its norm,
     raises CovertowerError.  More steps, or more target floats, than

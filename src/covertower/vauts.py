@@ -33,23 +33,10 @@ from .errors import (
     InvalidAutomorphism,
     KindMismatch,
 )
-from .errors import checked_cache, genus_key, integer, need, words
+from .errors import checked_cache, genus_key, integer, need, word, words
 from .limits import LimitElement, homology_shadow, normalized_pairing
 from .surface import Word, abelianized, free_reduce, inverse_word, is_trivial, substitute
 from .surface import symplectic_product
-
-__all__ = [
-    "TwoArrowVaut",
-    "apply_edge_word_map",
-    "vaut_act",
-    "vaut_act_track",
-    "vaut_compose",
-    "vaut_inverse",
-    "identity_vaut",
-    "restrict_vaut",
-    "pairing_preserved",
-    "certified_in_caut",
-]
 
 
 def _word_table(table, name: str, genus: int) -> tuple[Word, ...]:
@@ -75,19 +62,28 @@ def _check_isomorphism(left: SurfaceCover, right: SurfaceCover, fwd, bwd) -> Non
             raise InvalidAutomorphism(f"{name} does not kill the relator lifted at sheet {s}")
     for source, target, table, back, name, back_name in sides:
         for k, (loop, image) in enumerate(zip(source.loops, table)):
-            undone = substitute(rewrite_in_schreier(target, image), back)
+            undone = _push_word(target, back, image)
             if not is_trivial(undone + inverse_word(loop), genus):
                 raise InvalidAutomorphism(f"{back_name} does not undo {name}[{k}]")
 
 
-def apply_edge_word_map(cover: SurfaceCover, table, word) -> Word:
+def _push_word(cover: SurfaceCover, table, word) -> Word:
     """Push a stabilizer word through a Schreier-generator substitution.
 
-    The word must stabilize the cover's basepoint; it is rewritten in the
-    cover's Schreier generators and each generator is replaced by its table
-    entry.
+    The word is rewritten in the cover's Schreier generators and each
+    generator is replaced by its table entry.  Unchecked: the word must fix
+    the cover's basepoint, as the Schreier loops the package passes do.
     """
     return substitute(rewrite_in_schreier(cover, word), table)
+
+
+def _stabilizer_word(cover: SurfaceCover, value, side: str) -> Word:
+    """value, once it is a word in the base's letters that fixes the cover's
+    basepoint; IncompatibleTower names word otherwise."""
+    w = word(value, "word", cover.genus, IncompatibleTower)
+    if not cover.stabilizes_basepoint(w):
+        raise IncompatibleTower(f"word must fix the {side} cover's basepoint, got {w!r:.40}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -168,10 +164,13 @@ class TwoArrowVaut:
 
     def forward_word(self, word) -> Word:
         """Image of a left-stabilizer word under the identification."""
-        return apply_edge_word_map(self.left, self.fwd, word)
+        word = _stabilizer_word(self.left, word, "left")
+        return _push_word(self.left, self.fwd, word)
 
     def backward_word(self, word) -> Word:
-        return apply_edge_word_map(self.right, self.bwd, word)
+        """Image of a right-stabilizer word under the inverse identification."""
+        word = _stabilizer_word(self.right, word, "right")
+        return _push_word(self.right, self.bwd, word)
 
 
 def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
@@ -193,7 +192,8 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     image = _induced_cover(vaut.right, vaut.bwd, w.cover).cover
     d = w.cover.degree
     coeffs = (chain[i * d + s] for i, s in w.cover.schreier.nontree)
-    terms = [(vaut.forward_word(loop), 0, c) for c, loop in zip(coeffs, w.cover.loops) if c]
+    kept = ((c, loop) for c, loop in zip(coeffs, w.cover.loops) if c)
+    terms = [(_push_word(vaut.left, vaut.fwd, loop), 0, c) for c, loop in kept]
     return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(image.chain(terms)))
 
 
@@ -230,8 +230,10 @@ def vaut_compose(outer: TwoArrowVaut, inner: TwoArrowVaut) -> TwoArrowVaut:
     mid = fiber_product(outer.left, inner.right)
     new_left = _induced_cover(inner.left, inner.fwd, mid.cover)
     new_right = _induced_cover(outer.right, outer.bwd, mid.cover)
-    fwd = tuple(outer.forward_word(inner.forward_word(w)) for w in new_left.cover.loops)
-    bwd = tuple(inner.backward_word(outer.backward_word(w)) for w in new_right.cover.loops)
+    fwd = (_push_word(inner.left, inner.fwd, w) for w in new_left.cover.loops)
+    fwd = tuple(_push_word(outer.left, outer.fwd, w) for w in fwd)
+    bwd = (_push_word(outer.right, outer.bwd, w) for w in new_right.cover.loops)
+    bwd = tuple(_push_word(inner.right, inner.bwd, w) for w in bwd)
     return _trusted(TwoArrowVaut, left=new_left.cover, right=new_right.cover, fwd=fwd, bwd=bwd)
 
 
@@ -262,8 +264,8 @@ def restrict_vaut(vaut: TwoArrowVaut, finer: SurfaceCover) -> TwoArrowVaut:
     if factors_through(finer, vaut.left) is None:
         raise IncompatibleTower("cover does not factor through the vaut's left arrow")
     new_right = _induced_cover(vaut.right, vaut.bwd, finer)
-    fwd = tuple(map(vaut.forward_word, finer.loops))
-    bwd = tuple(map(vaut.backward_word, new_right.cover.loops))
+    fwd = tuple(_push_word(vaut.left, vaut.fwd, w) for w in finer.loops)
+    bwd = tuple(_push_word(vaut.right, vaut.bwd, w) for w in new_right.cover.loops)
     return _trusted(TwoArrowVaut, left=finer, right=new_right.cover, fwd=fwd, bwd=bwd)
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from covertower.characteristic import (
     characteristic_refinement,
     is_characteristic,
-    mod2_homology_cover,
     shipped_automorphisms,
 )
 from covertower.covers import (
@@ -22,6 +21,7 @@ from covertower.covers import (
     enumerate_covers,
     factors_through,
     fiber_product,
+    mod2_homology_cover,
     trivial_cover,
 )
 from covertower.homology import surface_complex

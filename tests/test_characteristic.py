@@ -5,13 +5,13 @@ import pytest
 from covertower.characteristic import (
     characteristic_refinement,
     is_characteristic,
-    mod2_homology_cover,
     shipped_automorphisms,
 )
 from covertower.covers import (
     SurfaceCover,
     enumerate_covers,
     factors_through,
+    mod2_homology_cover,
     trivial_cover,
 )
 from covertower.documents import DocumentError, parse_automorphisms

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
+from covertower.characteristic import shipped_automorphisms
 from covertower.cli import main
-from covertower.covers import enumerate_covers, trivial_cover
+from covertower.covers import enumerate_covers, mod2_homology_cover, trivial_cover
 from covertower.documents import (
     counterexample_document,
     cover_document,

@@ -13,7 +13,6 @@ import pytest
 from covertower.characteristic import (
     characteristic_refinement,
     is_characteristic,
-    mod2_homology_cover,
     shipped_automorphisms,
 )
 from covertower import covers
@@ -30,6 +29,7 @@ from covertower.covers import (
     factors_through,
     fiber_product,
     induced_cover,
+    mod2_homology_cover,
     perm_inverse,
     perm_mul,
     rewrite_in_schreier,
@@ -786,8 +786,6 @@ def test_fiber_product_is_the_meet():
     a = double_cover_from_signs(2, (1, 0, 0, 0))
     b = double_cover_from_signs(2, (0, 1, 0, 0))
     fp = fiber_product(a, b).cover
-    from covertower.characteristic import mod2_homology_cover
-
     k = mod2_homology_cover(2)
     # k refines both factors, so it must refine their fiber product
     assert factors_through(k, a) is not None

@@ -23,8 +23,8 @@ from covertower.errors import (
     sequence,
     words,
 )
-from covertower.covers import arrow_to_trivial, enumerate_covers, trivial_cover
-from covertower.homology import surface_complex, transfer_along_arrow
+from covertower.covers import trivial_cover
+from covertower.homology import surface_complex
 from covertower.limits import (
     base_class_element,
     homology_shadow,
@@ -41,9 +41,11 @@ from covertower.traintrack import (
 from covertower.vauts import (
     identity_vaut,
     pairing_preserved,
+    restrict_vaut,
     vaut_act_track,
     vaut_from_automorphism,
 )
+from conftest import double_cover_from_signs
 
 # an isinstance test against bool, or an exact type test against int
 POLICY = re.compile(r"isinstance\(.*\bbool\b|\btype\(.*\)\s+is\s+(not\s+)?int\b")
@@ -146,7 +148,7 @@ MATRIX = lift_track(three_branch_example(), trivial_cover(2))[1]
     (pairing_preserved, (VAUT, 1, ELEMENT), "e1 must be a LimitElement"),
     (pairing_preserved, (VAUT, ELEMENT, [1]), "e2 must be a LimitElement"),
     (homology_shadow, (1,), "element must be a LimitElement"),
-    (transfer_along_arrow, (1, (0, 0, 0, 0)), "arrow must be a CoverArrow"),
+    (VAUT.forward_word, (5,), "word must be a sequence"),
     (vaut_from_automorphism, (1,), "aut must be a degree-1 TwoArrowVaut"),
     (vaut_act_track, ("vaut", ELEMENT), "vaut must be a TwoArrowVaut"),
     (carrying_compose, (1, MATRIX), "first must be a CarryingMatrix"),
@@ -160,26 +162,20 @@ def test_public_functions_name_an_argument_of_the_wrong_type(function, args, mes
         function(*args)
 
 
-def test_a_chain_that_is_not_a_sequence_is_named():
-    with pytest.raises(DimensionMismatch, match="^chain must be a sequence, got 5$"):
-        transfer_along_arrow(arrow_to_trivial(trivial_cover(2)), 5)
+# a1 moves sheet 0 of the left cover, so the word (1,) is no stabilizer word
+RESTRICTED = restrict_vaut(VAUT, double_cover_from_signs(2, (1, 0, 0, 0)))
 
 
-def test_transfer_along_arrow_names_a_chain_entry_that_is_not_an_integer():
-    """Each entry is read as an integer, never copied through as it is."""
-    arrow = arrow_to_trivial(enumerate_covers(2, 2)[0])
-    assert transfer_along_arrow(arrow, [1, 2.0, 0, -1]) == [1, 1, 2, 2, 0, 0, -1, -1]
-    cases = [
-        (0, True, r"chain\[0\] must be a number, got True"),
-        (1, 0.5, r"chain\[1\] must be an integer, got 0\.5"),
-        (2, "x", r"chain\[2\] must be a number, got 'x'"),
-        (3, None, r"chain\[3\] must be a number, got None"),
-    ]
-    for k, bad, message in cases:
-        chain = [0, 0, 0, 0]
-        chain[k] = bad
-        with pytest.raises(NonIntegerWeights, match=f"^{message}$"):
-            transfer_along_arrow(arrow, chain)
+@pytest.mark.parametrize("word, message", [
+    ((0,), r"word must be a word in letters 0 < \|x\| <= 4, got \(0,\)"),
+    ((9,), r"word must be a word in letters 0 < \|x\| <= 4, got \(9,\)"),
+    ((1,), r"word must fix the {side} cover's basepoint, got \(1,\)"),
+], ids=["letter-zero", "letter-out-of-range", "not-a-stabilizer-word"])
+def test_vaut_words_name_a_word_they_cannot_push(word, message):
+    """Never read as another letter, an IndexError or a bare ValueError."""
+    for push, side in ((RESTRICTED.forward_word, "left"), (RESTRICTED.backward_word, "right")):
+        with pytest.raises(IncompatibleTower, match=f"^{message.format(side=side)}$"):
+            push(word)
 
 
 @pytest.mark.parametrize("chain, error, message", [

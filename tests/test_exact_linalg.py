@@ -64,8 +64,7 @@ def _sympy_nullspace(mat, rows, cols):
 
 
 def test_nullspace_matches_sympy_basis():
-    from covertower.characteristic import mod2_homology_cover
-    from covertower.covers import enumerate_covers
+    from covertower.covers import enumerate_covers, mod2_homology_cover
     from covertower.traintrack import lift_track, three_branch_example
 
     cases = list(EMPTY_MATRICES)

@@ -20,12 +20,13 @@ import random
 
 import pytest
 
-from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
+from covertower.characteristic import shipped_automorphisms
 from covertower.cli import main
 from covertower.covers import (
     SurfaceCover,
     compose_covers,
     enumerate_covers,
+    mod2_homology_cover,
     trivial_cover,
 )
 from covertower.homology import surface_complex

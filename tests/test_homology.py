@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from covertower.characteristic import mod2_homology_cover
 from covertower.covers import (
     enumerate_covers,
     factors_through,
     fiber_product,
+    mod2_homology_cover,
+    pull_back,
     schreier_loop,
     trivial_cover,
 )
 from covertower.errors import ComplexMismatch, DimensionMismatch, NonIntegerWeights
-from covertower.homology import CoverComplex, surface_complex, transfer_along_arrow
+from covertower.homology import CoverComplex, surface_complex
 from covertower.surface import standard_symplectic, surface_relator
 from conftest import double_cover_from_signs, face_boundary_chain
 
@@ -410,7 +411,7 @@ def test_transfer_functorial_along_towers():
     for gen in range(4):
         cls = [1 if k == gen else 0 for k in range(4)]
         direct = cx_w.transfer(cls)
-        staged = transfer_along_arrow(arrow, cx_a.transfer(cls))
+        staged = pull_back(arrow, cx_a.transfer(cls))
         assert list(direct) == list(staged)
 
 

@@ -22,7 +22,7 @@ from covertower.errors import (
     NonIntegerWeights,
     SwitchViolation,
 )
-from covertower.homology import surface_complex, transfer_along_arrow
+from covertower.homology import surface_complex
 from covertower.limits import (
     LimitElement,
     base_class_element,
@@ -95,7 +95,8 @@ def test_cycle_payloads_take_integral_numbers_as_integers():
 
 
 def old_transfer_along_arrow(arrow, chain):
-    """transfer_along_arrow's gather before it moved into pull_back."""
+    """The chain gather of the removed transfer_along_arrow, before it moved
+    into pull_back."""
     d = arrow.target.degree
     return [chain[i + t] for i in range(0, len(chain), d) for t in arrow.sheet_map]
 
@@ -117,7 +118,6 @@ def test_pull_back_matches_the_per_entry_gathers():
             n = len(arrow.target.perms) * arrow.target.degree
             chain = [rng.randint(-5, 5) for _ in range(n)]
             assert pull_back(arrow, chain) == old_transfer_along_arrow(arrow, chain)
-            assert transfer_along_arrow(arrow, chain) == old_transfer_along_arrow(arrow, chain)
             lifted = LiftedTrack(track, arrow.target)
             under = old_branches_under(lifted, arrow)
             assert pull_back(arrow, range(len(lifted.branches))) == under
@@ -300,8 +300,8 @@ def _oracle_pairing(e1, e2):
     """The pairing on the fiber product, counted strand by strand."""
     fp = fiber_product(e1.cover, e2.cover)
     cx = surface_complex(fp.cover)
-    lift1 = transfer_along_arrow(fp.to_first, e1.payload)
-    lift2 = transfer_along_arrow(fp.to_second, e2.payload)
+    lift1 = pull_back(fp.to_first, e1.payload)
+    lift2 = pull_back(fp.to_second, e2.payload)
     return Fraction(strand_intersection(cx, lift1, lift2), fp.cover.total_genus - 1)
 
 

@@ -20,14 +20,12 @@ from covertower.orbit import (
     START,
     OrbitConfig,
     _fold,
-    covering_radius,
     orbit_density_experiment,
-    projective_normalize,
     quasi_uniform_targets,
-    symplectic_product,
-    transvection,
     transvection_set_hash,
 )
+from covertower.surface import symplectic_product
+from orbit_oracle import covering_radius, projective_normalize, transvection
 
 SHIPPED_HASH = "1b3b590e68a64231"
 
@@ -258,9 +256,10 @@ def test_incremental_radius_matches_brute_force():
     # compare every checkpoint against the replayed walk; late segments hold
     # more new points than one fold chunk, so the walk folds them in several,
     # and some steps twist a point along a class it pairs to zero with (e1
-    # along a1 = e1, say), so the walk meets images it has already seen
-    for seed in (0, 3, 7):
-        config = OrbitConfig(steps=3000, targets=48, seed=seed)
+    # along a1 = e1, say), so the walk meets images it has already seen.
+    # The last config is the case the calibration script used to check.
+    configs = [OrbitConfig(steps=3000, targets=48, seed=seed) for seed in (0, 3, 7)]
+    for config in [*configs, OrbitConfig(steps=512, targets=64, seed=0)]:
         expected, fixed = replay_walk(config)
         assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > FOLD_ROWS
         assert fixed > 0
@@ -280,7 +279,9 @@ def run_calibration(*argv):
 
 
 def test_calibration_script_runs():
-    # the script holds its own walk-vs-oracle assert
+    # the script only sweeps seeds; its old walk-vs-oracle case (512 steps,
+    # 64 targets, seed 0) is an input of the replay in
+    # test_incremental_radius_matches_brute_force
     proc = run_calibration("--steps", "2000", "--seeds", "0", "1")
     assert proc.returncode == 0, proc.stderr
 

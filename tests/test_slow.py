@@ -24,6 +24,11 @@ pytestmark = pytest.mark.slow
 # sha256 of `covertower enumerate --genus 2 --degree 5`, one line per cover
 DEGREE_5_CENSUS = "9b9172c92393e6355556dcbaa2a4116b83185f1dc4b3d45b3669a0deb9589501"
 
+# A child's own peak resident memory in kB, as an expression it evaluates.
+# VmHWM belongs to the child's address space, which exec starts afresh;
+# ru_maxrss would carry the forked pytest process's high-water mark over.
+PEAK_KB = "next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM:'))"
+
 
 def test_enumerate_degree_5_stream():
     src = Path(__file__).resolve().parents[1] / "src"
@@ -50,10 +55,10 @@ def test_enumerate_covers_to_degree_5():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     child = (
-        "import gc, resource, time; from covertower.covers import enumerate_covers; "
+        "import gc, time; from covertower.covers import enumerate_covers; "
         "start = time.perf_counter(); covers = enumerate_covers(2, 5); "
         "wall = time.perf_counter() - start; "
-        "print(len(covers), gc.isenabled(), wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        f"print(len(covers), gc.isenabled(), wall, {PEAK_KB})"
     )
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=600
@@ -71,9 +76,8 @@ def test_riemann_hurwitz_to_degree_5():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     child = (
-        "import resource, sys; from covertower.cli import main; code = main(); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-        "sys.exit(code)"
+        "import sys; from covertower.cli import main; code = main(); "
+        f"print({PEAK_KB}, file=sys.stderr); sys.exit(code)"
     )
     start = time.perf_counter()
     proc = subprocess.run(

@@ -7,11 +7,10 @@ from itertools import combinations
 import pytest
 import sympy
 
-from covertower.characteristic import mod2_homology_cover
-
 from covertower.covers import (
     enumerate_covers,
     fiber_product,
+    mod2_homology_cover,
     trivial_cover,
 )
 from covertower.errors import (

@@ -7,11 +7,12 @@ import pytest
 import sympy
 
 import covertower
-from covertower.characteristic import mod2_homology_cover, shipped_automorphisms
+from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
     enumerate_covers,
     fiber_product,
     induced_cover,
+    mod2_homology_cover,
     rewrite_in_schreier,
     schreier_loop,
     trivial_cover,
@@ -37,7 +38,7 @@ from covertower.traintrack import three_branch_example
 from covertower.vauts import (
     TwoArrowVaut,
     _restricts_to,
-    apply_edge_word_map,
+    _push_word,
     certified_in_caut,
     identity_vaut,
     pairing_preserved,
@@ -313,8 +314,8 @@ def test_rejects_mismatched_covers():
 
 
 def old_apply_edge_word_map(cover, table, word):
-    """apply_edge_word_map's extend-then-reduce body before it became one
-    substitute."""
+    """The extend-then-reduce body of apply_edge_word_map, now the private
+    vauts._push_word, before it became one substitute."""
     out = []
     for symbol in rewrite_in_schreier(cover, word):
         piece = table[abs(symbol) - 1]
@@ -333,7 +334,7 @@ def test_apply_edge_word_map_matches_the_extend_then_reduce_oracle():
         for _ in range(3):
             word = tuple(rng.choices(letters, k=rng.randint(0, 8)))
             word += inverse_word(cover.schreier.words[cover.act(word, 0)])
-            assert apply_edge_word_map(cover, table, word) == old_apply_edge_word_map(
+            assert _push_word(cover, table, word) == old_apply_edge_word_map(
                 cover, table, word
             )
 
@@ -343,7 +344,7 @@ def test_apply_edge_word_map_identity():
     table = tuple(schreier_loop(cover, e) for e in cover.schreier.nontree)
     for e in cover.schreier.nontree:
         loop = schreier_loop(cover, e)
-        assert apply_edge_word_map(cover, table, loop) == loop
+        assert _push_word(cover, table, loop) == loop
 
 
 # ---------------------------------------------------------------------------
