@@ -112,12 +112,14 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
 
     Deterministic for a given config: all randomness comes from one seeded
     generator, targets drawn first, then the per-step choices in bulk.  The
-    class k and sign of a step are folded into one move index 2k + sign.
-    Each class c is held with its pairing covector Jc, so <x, c> = x . Jc,
-    both as (index, entry) pairs of their nonzero entries.  A step probes
-    the seen set once, adding the image and keeping it if the set grew.
-    The points found between two checkpoints are folded into the radius
-    together, FOLD_ROWS at a time, each chunk read into floats in one pass.
+    class k and sign of a step are folded into one move index 2k + sign,
+    held as one flat tuple of the signed class c and its pairing covector
+    Jc, so <x, c> = x . Jc.  A step is straight-line code on the point's
+    four entries: four products give the pairing, and the image is one
+    tuple that keeps x's own int wherever c is 0.  It probes the seen set
+    once, adding the image and keeping it if the set grew.  The points
+    found between two checkpoints are folded into the radius together,
+    FOLD_ROWS at a time, each chunk read into floats in one pass.
 
     The start e1 is already primitive with a positive lead.  A transvection
     x -> x + <x, c>c lies in Sp(4, Z): its inverse x - <x, c>c is integral
@@ -151,15 +153,12 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
     moves += rng.integers(0, 2, size=config.steps)
     moves = moves.astype(np.uint8)
 
-    # (sign * c, Jc) per move, with Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k],
-    # each as the (index, entry) pairs of its nonzero entries
+    # move 2k + sign is the 8-tuple (sign * c, Jc): Jc[2k] = c[2k+1], Jc[2k+1] = -c[2k]
     twists = []
     for c in CLASSES:
-        jc = [v for k in range(0, dim, 2) for v in (c[k + 1], -c[k])]
-        cov = [(j, v) for j, v in enumerate(jc) if v]
-        plus = [(j, v) for j, v in enumerate(c) if v]
-        twists += [([(j, -v) for j, v in plus], cov), (plus, cov)]
-    zero = [0] * dim
+        jc = tuple(v for k in range(0, dim, 2) for v in (c[k + 1], -c[k]))
+        twists += [tuple(-v for v in c) + jc, tuple(c) + jc]
+    zero = (0,) * dim
 
     checkpoints = []
     n, folded = len(points), 0
@@ -169,17 +168,21 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
             # memoryviews yield Python floats and ints one at a time, where
             # tolist() would hold the whole segment's draws as objects at once
             for pick, move in zip(memoryview(picks[lo:hi]), memoryview(moves[lo:hi])):
-                x = points[int(pick * n)]
-                curve, cov = twists[move]
-                p = 0
-                for j, v in cov:
-                    p += x[j] * v
-                y = list(x)
-                for j, v in curve:
-                    y[j] += p * v
+                # written for the 4-vectors of genus 2, as START and CLASSES are
+                x0, x1, x2, x3 = points[int(pick * n)]
+                c0, c1, c2, c3, j0, j1, j2, j3 = twists[move]
+                p = x0 * j0 + x1 * j1 + x2 * j2 + x3 * j3
+                # an entry that c leaves alone stays x's own int object
+                y = (
+                    x0 + p * c0 if c0 else x0,
+                    x1 + p * c1 if c1 else x1,
+                    x2 + p * c2 if c2 else x2,
+                    x3 + p * c3 if c3 else x3,
+                )
                 # x is primitive, so y is too (see the docstring): only the sign
                 # needs fixing, and y < zero iff its first nonzero entry is negative
-                y = tuple([-v for v in y]) if y < zero else tuple(y)
+                if y < zero:
+                    y = (-y[0], -y[1], -y[2], -y[3])
                 seen.add(y)
                 if len(seen) > n:
                     points.append(y)
@@ -193,4 +196,6 @@ def orbit_density_experiment(config: OrbitConfig = OrbitConfig()) -> OrbitResult
             folded = n
             radius = float(np.arccos(np.clip(best.min(), -1.0, 1.0)))
             checkpoints.append((hi, n, radius))
+        # freed while paused, or the first pass after it would scan every point
+        del points, seen
     return OrbitResult(config, tuple(checkpoints))

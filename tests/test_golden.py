@@ -113,6 +113,8 @@ GOLDEN = {
 # (steps, targets, seed) -> sha256 of the orbit report
 ORBIT_GOLDEN = {
     (100_000, 256, 0): "cc92caf7e347020591024f4b53ad9f8eae6387fb52f6574535b781e6e787f41f",
+    # `perfbench/run.py --workload orbit --seed 1` walks this config
+    (100_000, 256, 1): "3a49215d8228dee8790046173a4c6f1696ece3518db11c5e897e226269d3a59d",
     (20_000, 64, 1): "acf030e434fbc35d53541b43ce3c11bf1bd3a753556932c4b8d58f92c6bdfe8a",
     (20_000, 256, 7): "610604b32cd12474cef5954ba442a86b091f2a3b5d70eabdd74d3a1890e9bc5c",
 }

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import gc
 import math
@@ -83,6 +84,9 @@ def test_shipped_classes_and_hash():
     )
     assert CLASSES[4] == (0, 1, 0, -1)
     assert transvection_set_hash(CLASSES) == SHIPPED_HASH
+    # the walk's step is straight-line code on exactly this many entries
+    dim = 2 * OrbitConfig.genus
+    assert len(START) == dim and all(len(c) == dim for c in CLASSES)
 
 
 def test_covering_radius_hand_case():
@@ -212,10 +216,11 @@ def test_checkpoint_schedule_and_monotone_radius():
     assert result.final_radius == radii[-1]
 
 
-def replay_walk(config):
-    """The walk's checkpoints replayed step by step with `transvection` and
-    the full `projective_normalize`, and the all-pairs radius at each one;
-    also the number of steps whose class pairs to zero with the point.
+def replay_walk(config, classes=CLASSES):
+    """The walk's checkpoints replayed step by step along `classes` with
+    `transvection` and the full `projective_normalize`, and the all-pairs
+    radius at each one; also the number of steps whose class pairs to zero
+    with the point, and the number of images whose sign was flipped.
 
     Every unnormalised image must already be primitive: the walk takes its
     start as it is and then fixes the sign alone.
@@ -224,25 +229,26 @@ def replay_walk(config):
     rng = np.random.default_rng(config.seed)
     targets = quasi_uniform_targets(rng, config.targets, 2 * config.genus)
     picks = rng.random(steps)
-    which = rng.integers(0, len(CLASSES), size=steps)
+    which = rng.integers(0, len(classes), size=steps)
     signs = rng.integers(0, 2, size=steps)
     points = [projective_normalize(START)]
     seen = set(points)
-    fixed = 0
+    fixed = flipped = 0
     expected = [(0, 1, covering_radius(points, targets))]
     for step in range(steps):
         x = points[int(picks[step] * len(points))]
-        image = transvection(CLASSES[which[step]], x, 1 if signs[step] else -1)
+        image = transvection(classes[which[step]], x, 1 if signs[step] else -1)
         assert math.gcd(*image) == 1, (x, image)
         fixed += image == x
         y = projective_normalize(image)
+        flipped += y != image
         if y not in seen:
             seen.add(y)
             points.append(y)
         done = step + 1
         if done & (done - 1) == 0 or done == steps:
             expected.append((done, len(points), covering_radius(points, targets)))
-    return expected, fixed
+    return expected, fixed, flipped
 
 
 def assert_walk_matches(config, expected):
@@ -252,18 +258,48 @@ def assert_walk_matches(config, expected):
         assert radius == pytest.approx(oracle, abs=1e-12)
 
 
-def test_incremental_radius_matches_brute_force():
+def test_incremental_radius_matches_brute_force(monkeypatch):
     # compare every checkpoint against the replayed walk; late segments hold
     # more new points than one fold chunk, so the walk folds them in several,
     # and some steps twist a point along a class it pairs to zero with (e1
     # along a1 = e1, say), so the walk meets images it has already seen.
-    # The last config is the case the calibration script used to check.
-    configs = [OrbitConfig(steps=3000, targets=48, seed=seed) for seed in (0, 3, 7)]
-    for config in [*configs, OrbitConfig(steps=512, targets=64, seed=0)]:
-        expected, fixed = replay_walk(config)
+    # The 512-step config is the case the calibration script used to check.
+    # The step keeps x's own entry where the class is 0 and adds p * c_k
+    # elsewhere; the shipped classes are mostly 0, so the last walk runs
+    # along a dense set, nonzero in every coordinate somewhere, which takes
+    # the other path of each entry, with sign flips and large entries.
+    dense = ((1, 1, 1, 1), (1, -2, 0, 3), (0, 1, 0, -1), (-2, 0, 1, 1))
+    for k in range(4):
+        assert any(c[k] for c in dense) and not all(c[k] for c in CLASSES)
+    runs = [(OrbitConfig(steps=3000, targets=48, seed=seed), CLASSES) for seed in (0, 3, 7)]
+    runs.append((OrbitConfig(steps=512, targets=64, seed=0), CLASSES))
+    runs.append((OrbitConfig(steps=600, targets=16, seed=2), dense))
+    for config, classes in runs:
+        monkeypatch.setattr(orbit, "CLASSES", classes)
+        expected, fixed, flipped = replay_walk(config, classes)
         assert max(b[1] - a[1] for a, b in zip(expected, expected[1:])) > FOLD_ROWS
-        assert fixed > 0
+        assert fixed > 0 and flipped > 0
         assert_walk_matches(config, expected)
+
+
+def test_walk_frees_its_points_before_the_collector_resumes(monkeypatch):
+    """Point tuples still alive when the collector comes back on would all
+    be scanned by the first generation-0 pass after the walk."""
+    paused = orbit._collector_paused
+    left = []
+
+    @contextlib.contextmanager
+    def spy():
+        with paused():
+            yield
+            young = gc.get_objects(generation=0)
+            left.append(sum(type(o) is tuple and len(o) == 4 and gc.is_tracked(o) for o in young))
+
+    monkeypatch.setattr(orbit, "_collector_paused", spy)
+    gc.collect()
+    result = orbit_density_experiment(OrbitConfig(steps=4096, targets=16))
+    assert result.checkpoints[-1][1] > 1000
+    assert len(left) == 1 and left[0] < 100
 
 
 def run_calibration(*argv):
