@@ -125,6 +125,8 @@ class CoverComplex:
         return out
 
     def is_cycle(self, chain) -> bool:
+        if len(chain) != self.n_edges:
+            raise ComplexMismatch("chain has wrong length")
         return not any(self.chain_boundary(chain))
 
     def transfer(self, base_class):
@@ -240,8 +242,6 @@ class CoverComplex:
         phi_y(2e+1) = -y_e turns it into -B_x . y with pairing_covector's B_x.
         """
         for chain in (chain1, chain2):
-            if len(chain) != self.n_edges:
-                raise ComplexMismatch("chain has wrong length")
             if not self.is_cycle(chain):
                 raise ComplexMismatch("chain is not a cycle")
         return -sum(map(mul, self.pairing_covector(chain1), chain2))

@@ -288,6 +288,9 @@ def test_cycles_and_boundaries():
     assert not cx.is_cycle(path)
     loop = cx.cover.chain([((1, 1), 0, 1)])
     assert cx.is_cycle(loop)
+    for length in (0, 7, 9):  # never truncated to the 8 edges and read as a cycle
+        with pytest.raises(ComplexMismatch, match="^chain has wrong length$"):
+            cx.is_cycle([0] * length)
 
 
 def test_word_path_pushforward():

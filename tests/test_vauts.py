@@ -13,6 +13,7 @@ from covertower.covers import (
     fiber_product,
     induced_cover,
     mod2_homology_cover,
+    pull_back,
     rewrite_in_schreier,
     schreier_loop,
     trivial_cover,
@@ -457,6 +458,74 @@ def test_track_action_through_the_shadow():
     assert all(isinstance(c, int) for c in moved.payload)
     # the example track carries 3 a1, and the swap sends a1 to a2
     assert limit_equal(moved, base_class_element(2, (0, 0, 3, 0)))
+
+
+def oracle_vaut_act(vaut, element):
+    """The action by Schreier loops: read the lifted cycle on the nontree
+    edges of the refinement W, push each of W's Schreier loops through the
+    forward table, and lift the pushed words from sheet 0 of the induced
+    cover.  Returns the image cover and payload."""
+    w = fiber_product(element.cover, vaut.left)
+    chain = pull_back(w.to_first, element.payload)
+    image = induced_cover(vaut.right, vaut.bwd, w.cover).cover
+    d = w.cover.degree
+    coeffs = (chain[i * d + s] for i, s in w.cover.schreier.nontree)
+    kept = ((c, loop) for c, loop in zip(coeffs, w.cover.loops) if c)
+    terms = [(_push_word(vaut.left, vaut.fwd, loop), 0, c) for c, loop in kept]
+    return image, tuple(image.chain(terms))
+
+
+def oracle_corpus():
+    """Vauts of degree 1, their restrictions, composites and genus-3
+    restrictions, and elements over every cover of degree at most 3, a
+    sample at degree 4 and the mod-2 cover, each paired with a seeded
+    sample of the other side."""
+    rng = random.Random(38)
+    auts = shipped_automorphisms(2)
+    mod2 = mod2_homology_cover(2)
+    vauts = list(auts) + [vaut_inverse(a) for a in auts]
+    vauts += [restrict_vaut(a, c) for a in auts for c in enumerate_covers(2, 2) + (mod2,)]
+    for seed in range(3):
+        vauts += [vaut_compose(a, b) for a, b, _ in _law_pool(2, 2, seed)["composition"]]
+    vauts += [restrict_vaut(identity_vaut(3), c) for c in enumerate_covers(3, 2)[:3]]
+    covers = {2: [c for d in (1, 2, 3) for c in enumerate_covers(2, d)], 3: []}
+    covers[2] += rng.sample(enumerate_covers(2, 4), 12) + [mod2, mod2]
+    covers[3] += enumerate_covers(3, 1) + enumerate_covers(3, 2)[:6]
+    elements = {2: [], 3: []}
+    for genus, pool in covers.items():
+        for k, cover in enumerate(pool):
+            cx = surface_complex(cover)
+            if k % 2:
+                chain = cx.transfer([rng.randint(-2, 2) for _ in range(2 * genus)])
+            else:
+                chain = [0] * cx.n_edges
+                for basis_chain in cx.homology_basis():
+                    x = rng.randint(-2, 2)
+                    chain = [a + x * b for a, b in zip(chain, basis_chain)]
+            elements[genus].append(cycle_element(cover, chain))
+    pairs = []
+    for genus, pool in elements.items():
+        on_base = [v for v in vauts if v.base_genus == genus]
+        pairs += [(on_base[k % len(on_base)], e) for k, e in enumerate(pool)]
+        pairs += [(v, e) for v in on_base for e in rng.sample(pool, 6)]
+    return pairs
+
+
+def test_action_matches_the_schreier_loop_oracle():
+    pairs = oracle_corpus()
+    assert len(pairs) > 1000
+    for vaut, element in pairs:
+        moved = vaut_act(vaut, element)
+        assert (moved.cover, moved.payload) == oracle_vaut_act(vaut, element)
+
+
+def test_action_builds_no_transversal_on_the_refinement():
+    restricted = restrict_vaut(by_name("handle_swap"), double_cover_from_signs(2, (1, 0, 0, 0)))
+    for cover in (double_cover_from_signs(2, (0, 1, 0, 0)), mod2_homology_cover(2)):
+        fiber_product.cache_clear()
+        vaut_act(restricted, transfer_element(cover, (1, 0, 1, 0)))
+        refinement = fiber_product(cover, restricted.left).cover
+        assert "schreier" not in vars(refinement) and "loops" not in vars(refinement)
 
 
 # ---------------------------------------------------------------------------
