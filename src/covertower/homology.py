@@ -10,19 +10,62 @@ layout of SurfaceCover.chain, which builds every path chain; the edge
 runs from sheet s to the sheet the generator sends s to.  Each edge has two
 darts, 2e (forward) and 2e+1 (reverse).  The rotation at a vertex lists the
 darts leaving it in the cyclic order inherited from the base polygon.  The
-faces are traced from the rotation alone, for the Euler characteristic and
-for the homology alike; the tests check them against the relator read from
-each sheet, so the genus is a computation rather than a definition.
+faces come from the rotation alone: block_genera counts them, a block of
+covers at a time, for the genus, and the complex traces them for the
+homology; the tests check both against the relator read from each sheet, so
+the genus is a computation rather than a definition.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+import numpy as np
+
 from .covers import SurfaceCover, schreier_loop
 from .errors import ComplexMismatch, DimensionMismatch, IncompatibleTower
 from .errors import checked_cache, integrals, need, sequence
 from .surface import generator_count
+
+
+def _handle_darts(d: int, k: int, v, into_a, into_b):
+    """The one rotation rule: darts of handle k at sheet v of a degree-d cover,
+    in the order of the relator's 4g-gon: a = 2k leaving, b = 2k + 1 arriving
+    from into_b, a arriving from into_a, b leaving; on ints or arrays of sheets."""
+    a, b = 2 * k * d, (2 * k + 1) * d
+    return 2 * (a + v), 2 * (b + into_b) + 1, 2 * (a + into_a) + 1, 2 * (b + v)
+
+
+def _rotation_block(covers) -> np.ndarray:
+    """[n, d, 4g] rotations of covers of one genus and degree, as CoverComplex's."""
+    g, d = covers[0].genus, covers[0].degree
+    perms = np.array([c.perms for c in covers], dtype=np.intp)
+    sheet, into = np.arange(d), np.empty_like(perms)
+    np.put_along_axis(into, perms, np.broadcast_to(sheet, perms.shape), axis=2)
+    handles = (_handle_darts(d, k, sheet, into[:, 2 * k], into[:, 2 * k + 1]) for k in range(g))
+    return np.stack(np.broadcast_arrays(*(darts for handle in handles for darts in handle)), axis=2)
+
+
+def block_genera(covers) -> list[int]:
+    """Genus of each cover's surface, for covers of one genus and degree, from
+    its rotation's faces: min-label pointer doubling (Wyllie 1979) on the face
+    successor dart -> after[dart ^ 1] labels each dart with the least of its
+    face in ceil(log2 4gd) rounds, and a face counts at the dart it labels."""
+    ring = _rotation_block(covers)
+    n, d, m = ring.shape
+    darts = d * m
+    # Flat indices stay below n * 4gd, twice the 2gd permutation entries of each
+    # cover, which the search budget gates in a census: intp cannot overflow.
+    after = np.zeros((n, darts), dtype=np.intp)
+    np.put_along_axis(after, ring.reshape(n, darts), np.roll(ring, -1, 2).reshape(n, darts), 1)
+    succ = (after[:, np.arange(darts) ^ 1] + darts * np.arange(n)[:, None]).ravel()
+    label = own = np.arange(n * darts)
+    for _ in range((darts - 1).bit_length()):
+        label, succ = np.minimum(label, label[succ]), succ[succ]
+    chi = d - darts // 2 + (label == own).reshape(n, darts).sum(axis=1)
+    if (odd := np.flatnonzero(chi % 2)).size:
+        raise ComplexMismatch(f"odd Euler characteristic {chi[odd[0]]}")
+    return ((2 - chi) // 2).tolist()
 
 
 class CoverComplex:
@@ -36,7 +79,10 @@ class CoverComplex:
         self.n_edges = self.n_generators * d
         self._tails = list(range(d)) * self.n_generators
         self._heads = [t for perm in cover.perms for t in perm]
-        self.rotation = self._build_rotation()
+        into = cover.inverse_perms  # into[i][v]: the sheet that generator i sends to v
+        rings = ([_handle_darts(d, k, v, into[2 * k][v], into[2 * k + 1][v]) for k in range(g)]
+                 for v in range(d))
+        self.rotation = [[dart for handle in ring for dart in handle] for ring in rings]
         self._faces = None
         self._homology = None
 
@@ -50,28 +96,6 @@ class CoverComplex:
 
     # -- cell structure
 
-    def _build_rotation(self):
-        """Darts leaving each vertex, in the cyclic order of the base polygon.
-
-        Per handle the order of ends around the vertex is: a leaving, b
-        arriving, a arriving, b leaving.  This is the one-vertex rotation of
-        the 4g-gon whose boundary spells the relator, so each face traced
-        with it is the relator read from one sheet: the d lifted faces.
-        """
-        cover = self.cover
-        d = cover.degree
-        rotation = []
-        for v in range(d):
-            darts = []
-            for k in range(cover.genus):
-                a, b = 2 * k, 2 * k + 1
-                darts.append(2 * self.edge_index(a, v))
-                darts.append(2 * self.edge_index(b, cover.inverse_perms[b][v]) + 1)
-                darts.append(2 * self.edge_index(a, cover.inverse_perms[a][v]) + 1)
-                darts.append(2 * self.edge_index(b, v))
-            rotation.append(darts)
-        return rotation
-
     @property
     def faces(self):
         """The faces traced from the rotation, built on first read and then
@@ -81,10 +105,9 @@ class CoverComplex:
         return self._faces
 
     def _trace_faces(self):
-        """Faces of the rotation system, each from its smallest dart and in
-        the order of those darts: a dart is followed by the dart after its
-        reverse in the rotation (Mohar and Thomassen, Graphs on Surfaces).
-        The genus traces them afresh and keeps nothing."""
+        """Faces of the rotation system, each from its smallest dart and in their
+        order: a dart is followed by the dart after its reverse in the rotation
+        (Mohar and Thomassen, Graphs on Surfaces); block_genera only counts them."""
         after = [0] * (2 * self.n_edges)
         for ring in self.rotation:
             for dart, nxt in zip(ring, ring[1:] + ring[:1]):
@@ -102,14 +125,11 @@ class CoverComplex:
 
     @property
     def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + len(self._trace_faces())
+        return 2 - 2 * self.genus
 
     @property
     def genus(self) -> int:
-        chi = self.euler_characteristic
-        if chi % 2 != 0:
-            raise ComplexMismatch(f"odd Euler characteristic {chi}")
-        return (2 - chi) // 2
+        return block_genera((self.cover,))[0]
 
     # -- chains
 
@@ -125,8 +145,11 @@ class CoverComplex:
         return out
 
     def is_cycle(self, chain) -> bool:
-        if len(chain) != self.n_edges:
-            raise ComplexMismatch("chain has wrong length")
+        try:
+            if len(chain) != self.n_edges:
+                raise ComplexMismatch("chain has wrong length")
+        except TypeError:
+            raise ComplexMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
         return not any(self.chain_boundary(chain))
 
     def transfer(self, base_class):
@@ -187,8 +210,11 @@ class CoverComplex:
 
     def class_coordinates(self, chain):
         """Coordinates of a cycle's homology class in the homology_basis."""
-        if len(chain) != self.n_edges:
-            raise DimensionMismatch("chain has wrong length")
+        try:
+            if len(chain) != self.n_edges:
+                raise DimensionMismatch("chain has wrong length")
+        except TypeError:
+            raise DimensionMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
         if not self.is_cycle(chain):
             raise ComplexMismatch("chain is not a cycle")
         data = self._homology_data()
@@ -205,8 +231,11 @@ class CoverComplex:
     def pairing_covector(self, chain):
         """B_x[e] = x_e + R_x(2e) - R_x(2e+1), R_x(dart) the running sum of phi_x
         before the dart in its rotation; intersection(x, y) = -B_x . y for cycles."""
-        if len(chain) != self.n_edges:
-            raise ComplexMismatch("chain has wrong length")
+        try:
+            if len(chain) != self.n_edges:
+                raise ComplexMismatch("chain has wrong length")
+        except TypeError:
+            raise ComplexMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
         before = [0] * (2 * self.n_edges)
         for ring in self.rotation:
             run = 0

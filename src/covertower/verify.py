@@ -1,13 +1,14 @@
 """Verification sweeps over enumerated covers, with replayable counterexamples.
 
 A suite is an ordered tuple of stages in ``SUITES``.  A stage draws its
-cases from the census (every cover up to the degree bound, one report line
-per degree) or from a fixed pool (one report line), and runs its check on
-each.  A check returns counterexample data, or None when the property
-holds.  ``run_suite`` stops at the first failure (in enumeration order, so
-deterministic) and writes each of the check's arguments by its kind (cover,
-cycle, element or vaut, one writer and reader each in ``_KINDS``), and in a
-suite of several stages the stage's name under the suite's key in ``_TAGS``;
+cases from the census (each degree's covers at once, so that a stage can
+work on blocks of them, one report line per degree) or from a fixed pool
+(one report line), and runs its check on each.  A check returns
+counterexample data, or None when the property holds.  ``run_suite`` stops
+at the first failure (in enumeration order, so deterministic) and writes
+each of the check's arguments by its kind (cover, cycle, element or vaut,
+one writer and reader each in ``_KINDS``), and in a suite of several stages
+the stage's name under the suite's key in ``_TAGS``;
 ``replay_counterexample`` picks the stage by that name, reads the arguments
 back by kind and reruns the check.
 """
@@ -36,7 +37,7 @@ from .documents import (
     DocumentError,
 )
 from .errors import BadDegree, CovertowerError, integer
-from .homology import surface_complex
+from .homology import block_genera, surface_complex
 from .limits import (
     base_class_element,
     cycle_element,
@@ -74,16 +75,17 @@ class Stage:
     returns None when the property holds, else data to add to the written
     case (an entry may replace a written argument).
 
-    fields gives the key and kind of each check argument.  A census stage
-    (pool None) takes cases(cover, seed) for every cover; a pool stage takes
-    pool(genus, max_degree, seed)[name], the pool built once per run for all
-    stages that share it, and reports line with {n} its case count.
+    fields gives the key and kind of each check argument; a case may end in
+    unwritten values, which a replay leaves the check to compute.  A census
+    stage (pool None) takes cases(covers, seed) for each degree's covers; a
+    pool stage takes pool(genus, max_degree, seed)[name], built once per run
+    for all stages that share it, and reports line with {n} its case count.
     """
 
     name: str
     check: Callable
     fields: tuple[tuple[str, str], ...]
-    cases: Callable = lambda cover, seed: ((cover,),)
+    cases: Callable = lambda covers, seed: ((cover,) for cover in covers)
     constants: Callable = lambda genus: {}
     pool: Callable | None = None
     line: str = ""
@@ -104,8 +106,17 @@ def _base_elements(genus: int) -> list:
 
 # -- riemann-hurwitz
 
-def _rh_one(cover):
-    got = surface_complex(cover).genus
+_RH_BLOCK = 4096  # covers per block_genera call of the riemann-hurwitz stage
+
+
+def _rh_cases(covers, seed):
+    """Each cover and its genus, counted a block at a time; _rh_one counts a replay's."""
+    for block in (covers[i : i + _RH_BLOCK] for i in range(0, len(covers), _RH_BLOCK)):
+        yield from zip(block, block_genera(block))
+
+
+def _rh_one(cover, got=None):
+    got = block_genera((cover,))[0] if got is None else got
     if got != cover.total_genus:
         return {"expected_genus": cover.total_genus, "got_genus": got}
     return None
@@ -163,17 +174,18 @@ def _random_boundary(cx, rng):
     return chain
 
 
-def _pi_cases(cover, seed):
-    """Three seeded pairs of cycles on the cover, each moved by a boundary."""
-    cx = surface_complex(cover)
-    rng = random.Random(f"{seed}:{cover.genus}:{cover.perms}")
-    basis = [[(k, v) for k, v in enumerate(row) if v] for row in cx.homology_basis()]
-    for _ in range(3):
-        c1 = _random_cycle(cx, rng, basis)
-        c2 = _random_cycle(cx, rng, basis)
-        p1 = _random_boundary(cx, rng)
-        p2 = _random_boundary(cx, rng)
-        yield cover, c1, c2, [a + b for a, b in zip(c1, p1)], [a + b for a, b in zip(c2, p2)]
+def _pi_cases(covers, seed):
+    """Three seeded pairs of cycles on each cover, each moved by a boundary."""
+    for cover in covers:
+        cx = surface_complex(cover)
+        rng = random.Random(f"{seed}:{cover.genus}:{cover.perms}")
+        basis = [[(k, v) for k, v in enumerate(row) if v] for row in cx.homology_basis()]
+        for _ in range(3):
+            c1 = _random_cycle(cx, rng, basis)
+            c2 = _random_cycle(cx, rng, basis)
+            p1 = _random_boundary(cx, rng)
+            p2 = _random_boundary(cx, rng)
+            yield cover, c1, c2, [a + b for a, b in zip(c1, p1)], [a + b for a, b in zip(c2, p2)]
 
 
 def _pi_one(cover, c1, c2, moved1, moved2):
@@ -279,7 +291,7 @@ def _law(name: str, check, fields, line: str) -> Stage:
 
 
 SUITES = {
-    "riemann-hurwitz": (Stage("riemann-hurwitz", _rh_one, _COVER),),
+    "riemann-hurwitz": (Stage("riemann-hurwitz", _rh_one, _COVER, cases=_rh_cases),),
     "transfer-scaling": (
         Stage("transfer-scaling", _ts_one, _COVER, constants=_ts_constants),
     ),
@@ -322,8 +334,7 @@ def _rounds(stage: Stage, genus: int, max_degree: int, seed: int, pools: dict):
     if stage.pool is None:
         for degree in range(1, max_degree + 1):
             covers = enumerate_covers(genus, degree)
-            cases = (case for cover in covers for case in stage.cases(cover, seed))
-            yield (cases, f"degree {degree}: {len(covers)} covers checked",
+            yield (stage.cases(covers, seed), f"degree {degree}: {len(covers)} covers checked",
                    (f"degree {degree}: counterexample found",))
         return
     if stage.pool not in pools:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from covertower.covers import (
     schreier_loop,
     trivial_cover,
 )
+from covertower import homology
 from covertower.errors import ComplexMismatch, DimensionMismatch, NonIntegerWeights
-from covertower.homology import CoverComplex, surface_complex
+from covertower.homology import CoverComplex, _rotation_block, block_genera, surface_complex
+from covertower.verify import _RH_BLOCK, _rh_cases
 from covertower.surface import standard_symplectic, surface_relator
 from conftest import double_cover_from_signs, face_boundary_chain
 
@@ -171,6 +174,56 @@ def test_lifted_faces_match_the_traced_faces():
         check_complex(CoverComplex(cover))
 
 
+def _face_count_covers():
+    """Covers of the block oracles: genus 2 to degree 4 (degree 4's 5,275
+    covers span a block boundary), genus 3 to degree 2, and the mod-2
+    covers of genus 2 and 3 (degree 16 and 64)."""
+    degrees = [enumerate_covers(2, d) for d in range(1, 5)]
+    degrees += [enumerate_covers(3, d) for d in (1, 2)]
+    return degrees + [(mod2_homology_cover(2),), (mod2_homology_cover(3),)]
+
+
+def test_block_face_counts_match_the_traced_faces():
+    """The block count, in the riemann-hurwitz stage's blocks, against the
+    face list traced cover by cover: F = chi - d + 2gd, chi = 2 - 2 genus."""
+    counted = 0
+    for covers in _face_count_covers():
+        for cover, genus in _rh_cases(covers, 0):
+            g, d = cover.genus, cover.degree
+            assert 2 - 2 * genus - d + 2 * g * d == len(CoverComplex(cover)._trace_faces())
+            counted += 1
+    assert counted == 5511 + 64 + 2
+    # 4gd = 768 darts: flat dart indices of the degree-64 cover fit intp
+    assert block_genera((mod2_homology_cover(3),)) == [129]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))), ids=str)
+def test_block_face_counts_match_on_reordered_rotations(monkeypatch, order):
+    """A valid cover has d faces and d vertices, so a count of the rotation's
+    own cycles would pass the oracle above: with each handle's four darts in
+    another order the faces change, and the count must follow the trace."""
+    rule = homology._handle_darts
+
+    def reordered(d, k, v, into_a, into_b):
+        darts = rule(d, k, v, into_a, into_b)
+        return tuple(darts[i] for i in order)
+
+    monkeypatch.setattr(homology, "_handle_darts", reordered)
+    for covers in (enumerate_covers(2, d) for d in (1, 2, 3)):
+        traced = [len(CoverComplex(c)._trace_faces()) for c in covers]
+        d = covers[0].degree
+        assert [2 - 2 * g - d + 4 * d for g in block_genera(covers)] == traced
+
+
+def test_block_rotation_matches_the_complex():
+    for covers in _face_count_covers():
+        for start in range(0, len(covers), _RH_BLOCK):
+            block = covers[start : start + _RH_BLOCK]
+            rings = _rotation_block(block)
+            assert rings.shape == (len(block), block[0].degree, 4 * block[0].genus)
+            assert rings.tolist() == [CoverComplex(c).rotation for c in block]
+
+
 def test_faces_are_built_on_first_read_and_kept():
     cx = CoverComplex(mod2_homology_cover(2))
     assert cx.genus == 17
@@ -291,6 +344,21 @@ def test_cycles_and_boundaries():
     for length in (0, 7, 9):  # never truncated to the 8 edges and read as a cycle
         with pytest.raises(ComplexMismatch, match="^chain has wrong length$"):
             cx.is_cycle([0] * length)
+
+
+@pytest.mark.parametrize("chain", [None, 5], ids=["none", "int"])
+def test_a_chain_that_is_not_a_sequence_is_named(chain):
+    """Never a bare TypeError from len: each reader names the chain."""
+    cx = CoverComplex(double_cover_from_signs(2, (1, 0, 0, 0)))
+    message = f"^chain must be a sequence, got {chain}$"
+    for read in (cx.is_cycle, cx.pairing_covector):
+        with pytest.raises(ComplexMismatch, match=message):
+            read(chain)
+    with pytest.raises(DimensionMismatch, match=message):
+        cx.class_coordinates(chain)
+    for pair in ((chain, cx.zero_chain()), (cx.zero_chain(), chain)):
+        with pytest.raises(ComplexMismatch, match=message):
+            cx.intersection(*pair)
 
 
 def test_word_path_pushforward():
@@ -481,3 +549,22 @@ def test_surface_complex_cache_and_validation():
     with pytest.raises(ComplexMismatch):
         # open paths are not cycles, so they have no intersection number
         cx.intersection(cx.cover.chain([((2,), 0, 1)]), cx.zero_chain())
+
+
+def test_transfer_covector_is_the_base_covector_repeated():
+    """pairing_covector(transfer(x)) is the base complex's covector of x with
+    each generator's entry repeated on its d sheets, on every cover: a chain
+    constant on sheets has the same phi pattern at every vertex.  So the
+    transfer-scaling pairing check, -B . transfer(y) = d x.y, is one identity
+    that does not depend on the cover."""
+    for genus, max_degree in ((2, 3), (3, 2)):
+        base = CoverComplex(trivial_cover(genus))
+        n = 2 * genus
+        classes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        classes.append(tuple(range(-2, n - 2)))
+        for d in range(1, max_degree + 1):
+            for cover in enumerate_covers(genus, d):
+                cx = CoverComplex(cover)
+                for x in classes:
+                    want = [b for b in base.pairing_covector(x) for _ in range(d)]
+                    assert cx.pairing_covector(cx.transfer(x)) == want

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from covertower import verify
+from covertower import homology, verify
 
 from covertower.characteristic import shipped_automorphisms
 from covertower.covers import (
@@ -27,7 +27,7 @@ from covertower.documents import (
     rational_str,
     vaut_document,
 )
-from covertower.errors import BadDegree, CovertowerError
+from covertower.errors import BadDegree, ComplexMismatch, CovertowerError
 from covertower.homology import CoverComplex, surface_complex
 from covertower.limits import (
     base_class_element,
@@ -100,7 +100,8 @@ def test_sweep_stops_at_first_failure(monkeypatch):
     order = list(enumerate_covers(2, 1) + enumerate_covers(2, 2))
     calls = []
 
-    def check(cover):
+    def check(cover, *counted):
+        # counted: the genus the stage's block counted, which is not written
         calls.append(cover)
         return {} if len(calls) == 4 else None
 
@@ -128,37 +129,56 @@ def test_replay_riemann_hurwitz_holds():
 
 
 def test_riemann_hurwitz_never_builds_the_faces():
-    # the suite traces the faces for the genus and keeps none; the faces are
-    # kept on first read, which only the homology data and the boundaries make
+    # the suite counts the faces of blocks of covers as arrays: it builds no
+    # complex, so it neither traces nor keeps a face list
     surface_complex.cache_clear()
     result = run_suite("riemann-hurwitz", 2, 4)
     assert result.ok
     assert result.lines[-1] == "degree 4: 5275 covers checked"
-    size = 1 + 15 + 220 + 5275
-    assert surface_complex.cache_info().currsize == size
-    for d in range(1, 5):
-        for cover in enumerate_covers(2, d):
-            assert surface_complex(cover)._faces is None
-    # every complex read above was a cached one
-    assert surface_complex.cache_info().currsize == size
+    assert surface_complex.cache_info().currsize == 0
 
 
 def test_riemann_hurwitz_reports_a_corrupted_rotation(monkeypatch):
-    # the genus is traced from the rotation system, not read off the lifted
+    # the genus is counted from the rotation system, not read off the lifted
     # faces, so a wrong rotation is a counterexample and not a definition
+    rule = homology._handle_darts
+
+    def swapped(d, k, v, into_a, into_b):
+        # the first two darts of handle 0 trade places, at degree 2 only
+        darts = rule(d, k, v, into_a, into_b)
+        return (darts[1], darts[0], *darts[2:]) if d == 2 and k == 0 else darts
+
+    monkeypatch.setattr(homology, "_handle_darts", swapped)
     cover = enumerate_covers(2, 2)[0]
-    cx = surface_complex(cover)
-    ring = list(cx.rotation[0])
-    ring[0], ring[1] = ring[1], ring[0]
-    monkeypatch.setattr(cx, "rotation", [ring, *cx.rotation[1:]])
-    assert cx.genus != cover.total_genus
+    cx = CoverComplex(cover)
+    # the complex and the block count read the same corrupted rule
+    assert len(cx._trace_faces()) == 6
+    assert cx.genus == 1 != cover.total_genus
     result = run_suite("riemann-hurwitz", genus=2, max_degree=2)
     assert not result.ok
-    data = {"cover": cover_document(cover), "expected_genus": 3, "got_genus": cx.genus}
+    assert result.lines == ("degree 1: 1 covers checked", "degree 2: counterexample found")
+    data = {"cover": cover_document(cover), "expected_genus": 3, "got_genus": 1}
     assert result.counterexample == counterexample_document("riemann-hurwitz", data)
     assert not replay_counterexample("riemann-hurwitz", data)
     monkeypatch.undo()
     assert replay_counterexample("riemann-hurwitz", data)
+
+
+def test_riemann_hurwitz_raises_on_an_odd_euler_characteristic(monkeypatch):
+    # a rule that repeats a dart leaves the rotation no permutation: the count
+    # then ends, and an odd Euler characteristic is an error, not a genus
+    rule = homology._handle_darts
+
+    def repeated(d, k, v, into_a, into_b):
+        darts = rule(d, k, v, into_a, into_b)
+        return (darts[0], darts[0], *darts[2:]) if k == 0 else darts
+
+    monkeypatch.setattr(homology, "_handle_darts", repeated)
+    cover = enumerate_covers(2, 1)[0]
+    with pytest.raises(ComplexMismatch, match="^odd Euler characteristic -1$"):
+        run_suite("riemann-hurwitz", genus=2, max_degree=1)
+    with pytest.raises(ComplexMismatch, match="^odd Euler characteristic -1$"):
+        replay_counterexample("riemann-hurwitz", {"cover": cover_document(cover)})
 
 
 def test_replay_transfer_scaling_holds():
