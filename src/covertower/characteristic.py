@@ -13,7 +13,7 @@ from .covers import (
     SurfaceCover,
     _pointed_orbit,
     enumerate_covers,
-    mod2_homology_cover,  # re-exported for perfbench's cache table, its only reader
+    mod2_homology_cover,  # re-exported for perfbench's cache table and tower job
     search_budget,
     trivial_cover,
 )

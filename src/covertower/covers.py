@@ -545,11 +545,15 @@ class CoverArrow:
             raise IncompatibleTower("arrow must preserve the basepoint sheet")
         if self.source.degree % self.target.degree != 0:
             raise IncompatibleTower("source degree not a multiple of target degree")
-        for i, p in enumerate(self.source.perms):
-            q = self.target.perms[i]
-            for s in range(self.source.degree):
-                if self.sheet_map[p[s]] != q[self.sheet_map[s]]:
-                    raise IncompatibleTower("sheet map is not equivariant")
+        if not _equivariant(self.source, self.target, self.sheet_map):
+            raise IncompatibleTower("sheet map is not equivariant")
+
+
+def _equivariant(source: SurfaceCover, target: SurfaceCover, sheet_map) -> bool:
+    """Whether sheet_map, one target sheet per source sheet, commutes with
+    each generator's action: sheet_map[p[s]] == q[sheet_map[s]]."""
+    return all(sheet_map[p[s]] == q[t] for p, q in zip(source.perms, target.perms)
+               for s, t in enumerate(sheet_map))
 
 
 def pull_back(arrow: CoverArrow, values) -> list:

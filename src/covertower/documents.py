@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .covers import FiberProduct, SurfaceCover, trivial_cover
+from .covers import FiberProduct, SurfaceCover, _equivariant, trivial_cover
 from .errors import CovertowerError, integer, integers, need, sequence, words
 from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
@@ -261,12 +261,8 @@ def _tables_from_sheet_map(left: SurfaceCover, right: SurfaceCover, sheet_map):
     same_shape = (left.genus, left.degree) == (right.genus, right.degree)
     if not same_shape or sorted(sheet_map) != list(range(left.degree)):
         raise DocumentError("identification list is not a sheet bijection")
-    for i in range(len(left.perms)):
-        for s in range(left.degree):
-            if right.perms[i][sheet_map[s]] != sheet_map[left.perms[i][s]]:
-                raise DocumentError(
-                    "identification list does not commute with the actions"
-                )
+    if not _equivariant(left, right, sheet_map):
+        raise DocumentError("identification list does not commute with the actions")
     conj = right.schreier.words[sheet_map[0]]
     conj_inv = inverse_word(conj)
     fwd = tuple(free_reduce(conj + w + conj_inv) for w in left.loops)

@@ -18,7 +18,7 @@ the genus is a computation rather than a definition.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import countOf, mul
 
 import numpy as np
 
@@ -136,36 +136,35 @@ class CoverComplex:
     def zero_chain(self):
         return [0] * self.n_edges
 
-    def chain_boundary(self, chain):
+    def _chain(self, chain, error, name="chain", length=None):
+        """The one chain reader: chain as ints, length (n_edges by default) of them;
+        error for a non-sequence or a wrong length, NonIntegerWeights naming name[k]
+        for an entry that is not integral.  Plain ints pass in one count of types."""
+        items = sequence(chain, name, error)
+        if len(items) != (self.n_edges if length is None else length):
+            raise error(f"{name} has wrong length")
+        return items if countOf(map(type, items), int) == len(items) else integrals(items, name)
+
+    def _closed(self, chain) -> bool:
+        """Whether a read chain has zero boundary."""
         out = [0] * self.n_vertices
         for coeff, tail, head in zip(chain, self._tails, self._heads):
             if coeff:
                 out[head] += coeff
                 out[tail] -= coeff
-        return out
+        return not any(out)
 
     def is_cycle(self, chain) -> bool:
-        try:
-            if len(chain) != self.n_edges:
-                raise ComplexMismatch("chain has wrong length")
-        except TypeError:
-            raise ComplexMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
-        return not any(self.chain_boundary(chain))
+        return self._closed(self._chain(chain, ComplexMismatch))
 
     def transfer(self, base_class):
         """Sum of all lifts of each base generator loop, as a cycle."""
-        base_class = sequence(base_class, "base_class", DimensionMismatch)
-        if len(base_class) != self.n_generators:
-            raise DimensionMismatch("base class has wrong length")
-        base_class = integrals(base_class, "base_class")
+        base_class = self._chain(base_class, DimensionMismatch, "base_class", self.n_generators)
         return [coeff for coeff in base_class for _ in range(self.cover.degree)]
 
     def pushforward(self, chain):
         """Image of a cover chain in the base: forget the sheet of every edge."""
-        chain = sequence(chain, "chain", DimensionMismatch)
-        if len(chain) != self.n_edges:
-            raise DimensionMismatch("chain has wrong length")
-        chain = integrals(chain, "chain")
+        chain = self._chain(chain, DimensionMismatch)
         d = self.cover.degree
         return [sum(chain[e : e + d]) for e in range(0, self.n_edges, d)]
 
@@ -210,13 +209,13 @@ class CoverComplex:
 
     def class_coordinates(self, chain):
         """Coordinates of a cycle's homology class in the homology_basis."""
-        try:
-            if len(chain) != self.n_edges:
-                raise DimensionMismatch("chain has wrong length")
-        except TypeError:
-            raise DimensionMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
-        if not self.is_cycle(chain):
+        chain = self._chain(chain, DimensionMismatch)
+        if not self._closed(chain):
             raise ComplexMismatch("chain is not a cycle")
+        return self._coordinates(chain)
+
+    def _coordinates(self, chain):
+        """class_coordinates of a read cycle."""
         data = self._homology_data()
         x = list(chain)
         for p, sign, face in data["steps"]:
@@ -231,19 +230,20 @@ class CoverComplex:
     def pairing_covector(self, chain):
         """B_x[e] = x_e + R_x(2e) - R_x(2e+1), R_x(dart) the running sum of phi_x
         before the dart in its rotation; intersection(x, y) = -B_x . y for cycles."""
-        try:
-            if len(chain) != self.n_edges:
-                raise ComplexMismatch("chain has wrong length")
-        except TypeError:
-            raise ComplexMismatch(f"chain must be a sequence, got {chain!r:.40}") from None
-        before = [0] * (2 * self.n_edges)
+        return self._covector(self._chain(chain, ComplexMismatch))[0]
+
+    def _covector(self, chain):
+        """(pairing_covector, whether it is a cycle) of a read chain: a ring's sum
+        is the chain's net outflow at its vertex, 0 at every vertex for a cycle."""
+        before, ends = [0] * (2 * self.n_edges), 0
         for ring in self.rotation:
             run = 0
             for dart in ring:
                 before[dart] = run
                 run += -chain[dart >> 1] if dart & 1 else chain[dart >> 1]
+            ends |= run  # 0 while every ring's sum is 0
         darts = iter(before)  # R_x(2e), then R_x(2e+1), for each edge e
-        return [c + fwd - rev for c, fwd, rev in zip(chain, darts, darts)]
+        return [c + fwd - rev for c, fwd, rev in zip(chain, darts, darts)], not ends
 
     def intersection(self, chain1, chain2) -> int:
         """Signed crossing count of two cycles, pushing the second off the first.
@@ -270,10 +270,11 @@ class CoverComplex:
         phi_x gives the form above.  Collecting y_e from phi_y(2e) = y_e and
         phi_y(2e+1) = -y_e turns it into -B_x . y with pairing_covector's B_x.
         """
-        for chain in (chain1, chain2):
-            if not self.is_cycle(chain):
-                raise ComplexMismatch("chain is not a cycle")
-        return -sum(map(mul, self.pairing_covector(chain1), chain2))
+        x, y = self._chain(chain1, ComplexMismatch), self._chain(chain2, ComplexMismatch)
+        covector, closed = self._covector(x)
+        if not (closed and self._closed(y)):
+            raise ComplexMismatch("chain is not a cycle")
+        return -sum(map(mul, covector, y))
 
 
 @checked_cache(lambda cover: (need(cover, SurfaceCover, "cover", IncompatibleTower),))

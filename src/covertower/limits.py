@@ -26,7 +26,7 @@ from .covers import (
     trivial_cover,
 )
 from .errors import BaseMismatch, IncompatibleTower, KindMismatch
-from .errors import integrals, need, sequence
+from .errors import need, sequence
 from .homology import surface_complex
 from .traintrack import LiftedTrack, TrainTrack
 
@@ -53,11 +53,8 @@ class LimitElement:
         need(self.cover, SurfaceCover, "cover", IncompatibleTower)
         if self.kind == "cycle":
             cx = surface_complex(self.cover)
-            entries = sequence(self.payload, "payload", KindMismatch)
-            chain = tuple(integrals(entries, "payload"))
-            if len(chain) != cx.n_edges:
-                raise KindMismatch("chain length does not match the cover")
-            if not cx.is_cycle(chain):
+            chain = tuple(cx._chain(self.payload, KindMismatch, "payload"))
+            if not cx._closed(chain):
                 raise KindMismatch("payload chain has nonzero boundary")
             object.__setattr__(self, "payload", chain)
         elif self.kind == "track":
@@ -152,7 +149,7 @@ def limit_equal(e1: LimitElement, e2: LimitElement) -> bool:
     f1, f2 = _common_refinement(e1, e2)
     if e1.kind == "cycle":
         cx = surface_complex(f1.cover)
-        return cx.class_coordinates(f1.payload) == cx.class_coordinates(f2.payload)
+        return cx._coordinates(f1.payload) == cx._coordinates(f2.payload)
     return f1.payload[1] == f2.payload[1]
 
 
@@ -177,7 +174,7 @@ def pairing_table(rows, cols) -> list[list[Fraction]]:
             cx, scale = surface_complex(cover), cover.total_genus - 1
             lifts = [_lift(cols[j], to_col).payload for j in col_at]
             for i in row_at:
-                covector = cx.pairing_covector(_lift(rows[i], to_row).payload)
+                covector = cx._covector(_lift(rows[i], to_row).payload)[0]
                 for j, chain in zip(col_at, lifts):
                     table[i][j] = Fraction(-sum(map(mul, covector, chain)), scale)
     return table

@@ -346,7 +346,7 @@ def _rounds(stage: Stage, genus: int, max_degree: int, seed: int, pools: dict):
 def run_suite(
     suite: str, genus: int = 2, max_degree: int = 3, seed: int = 0, jobs: int = 1
 ) -> SuiteResult:
-    """Run one suite serially; ``jobs`` must be 1, and only perfbench's tower job passes it."""
+    """Run one suite serially; ``jobs`` must be 1, as perfbench's sweep and tower jobs pass it."""
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}: sweeps run serially")
     if suite not in SUITES:

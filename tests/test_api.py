@@ -16,6 +16,9 @@ README = PACKAGE.parents[1] / "README.md"
 # export, each with its one reader outside src/.
 EXEMPT = {"vauts.vaut_from_automorphism": "perfbench tower job; ROADMAP 1a"}
 
+# Names a module imports and never uses, each with its one reader outside src/.
+REEXPORTS = {"characteristic.mod2_homology_cover": "perfbench cache table and tower job"}
+
 
 def package_exports(source: str) -> dict[str, set[str]]:
     """The names an __init__ imports, by the module they come from."""
@@ -62,6 +65,26 @@ def unreferenced(sources: dict[str, str], exports: dict[str, set[str]]) -> set[s
     }
 
 
+def unused_imports(sources: dict[str, str]) -> set[str]:
+    """The "module.name" of each name a module imports and never names; the
+    package's __init__ is its exports, and __future__ imports are switches."""
+    found = set()
+    for module, source in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(source)
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {f"{module}.{name}" for name in imported - named}
+    return found
+
+
 def _sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -91,6 +114,22 @@ def test_every_public_definition_is_exported_or_used():
         "exported"])
 def test_the_api_guard_sees_a_planted_orphan(sources, found):
     assert unreferenced(sources, {"e": {"exported"}}) == found
+
+
+def test_every_import_is_used():
+    assert unused_imports(_sources()) == set(REEXPORTS)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .errors import need, sequence\nneed(1)\n", {"m.sequence"}),
+    ("import numpy as np\n", {"m.np"}),
+    ("import os.path\nos.sep\n", set()),
+    ("from __future__ import annotations\n", set()),
+    ("def f():\n    from .x import y\n", {"m.y"}),
+    ("from .x import y\n\ndef f(a: y):\n    pass\n", set()),
+], ids=["from-import", "alias", "dotted", "future", "nested", "annotation"])
+def test_the_import_guard_sees_a_planted_unused_name(source, found):
+    assert unused_imports({"m": source, "__init__": "from .m import f\n"}) == found
 
 
 def test_the_readme_reader_takes_the_last_cell():

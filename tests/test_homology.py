@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -346,19 +347,46 @@ def test_cycles_and_boundaries():
             cx.is_cycle([0] * length)
 
 
+def chain_readers(cx):
+    """Each method that reads a chain argument, as (read, the error for a bad
+    shape, the argument's name, a valid argument with entries 2): intersection
+    once for each side."""
+    loop = [2 * c for c in cx.cover.chain([((1, 1), 0, 1)])]
+    return [
+        (cx.is_cycle, ComplexMismatch, "chain", loop),
+        (cx.class_coordinates, DimensionMismatch, "chain", loop),
+        (cx.pairing_covector, ComplexMismatch, "chain", loop),
+        (lambda c: cx.intersection(c, loop), ComplexMismatch, "chain", loop),
+        (lambda c: cx.intersection(loop, c), ComplexMismatch, "chain", loop),
+        (cx.transfer, DimensionMismatch, "base_class", [2, 0, -2, 0]),
+        (cx.pushforward, DimensionMismatch, "chain", loop),
+    ]
+
+
 @pytest.mark.parametrize("chain", [None, 5], ids=["none", "int"])
 def test_a_chain_that_is_not_a_sequence_is_named(chain):
     """Never a bare TypeError from len: each reader names the chain."""
     cx = CoverComplex(double_cover_from_signs(2, (1, 0, 0, 0)))
-    message = f"^chain must be a sequence, got {chain}$"
-    for read in (cx.is_cycle, cx.pairing_covector):
-        with pytest.raises(ComplexMismatch, match=message):
+    for read, error, name, _ in chain_readers(cx):
+        with pytest.raises(error, match=f"^{name} must be a sequence, got {chain}$"):
             read(chain)
-    with pytest.raises(DimensionMismatch, match=message):
-        cx.class_coordinates(chain)
-    for pair in ((chain, cx.zero_chain()), (cx.zero_chain(), chain)):
-        with pytest.raises(ComplexMismatch, match=message):
-            cx.intersection(*pair)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be a number, got True"),
+    ("a", "must be a number, got 'a'"),
+], ids=["float", "bool", "str"])
+def test_every_chain_reader_names_an_entry_that_is_not_an_integer(bad, message):
+    """One reader behind every method: never a float answer, a bool read as 1
+    or a bare TypeError; an integral number reads as that integer."""
+    cx = CoverComplex(double_cover_from_signs(2, (1, 0, 0, 0)))
+    for read, _, name, good in chain_readers(cx):
+        chain = list(good)
+        chain[1] = bad
+        with pytest.raises(NonIntegerWeights, match=re.escape(f"{name}[1] {message}") + "$"):
+            read(chain)
+        assert repr(read([float(c) for c in good])) == repr(read(good))
 
 
 def test_word_path_pushforward():

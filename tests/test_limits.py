@@ -22,7 +22,7 @@ from covertower.errors import (
     NonIntegerWeights,
     SwitchViolation,
 )
-from covertower.homology import surface_complex
+from covertower.homology import CoverComplex, surface_complex
 from covertower.limits import (
     LimitElement,
     base_class_element,
@@ -342,6 +342,37 @@ def test_pairing_table_checks_every_element():
         pairing_table((u,), (u, base_class_element(3, (1,) + (0,) * 5)))
     assert pairing_table((), (u,)) == []
     assert pairing_table((u,), ()) == [[]]
+
+
+def test_checked_payloads_are_not_read_again(monkeypatch):
+    """LimitElement checks a cycle payload once; equality and the pairing read
+    it through the complex's kernels, never its public chain readers."""
+    first = double_cover_from_signs(2, (1, 0, 0, 0))
+    second = double_cover_from_signs(2, (0, 1, 0, 0))
+    elements = [
+        base_class_element(2, (1, 0, 0, 0)),
+        transfer_element(first, (1, 0, 0, 0)),
+        transfer_element(first, (0, 1, 0, 0)),
+        transfer_element(second, (1, 0, 0, 0)),
+    ]
+
+    def answers():
+        pairs = list(itertools.product(elements, repeat=2))
+        return (
+            [limit_equal(e1, e2) for e1, e2 in pairs],
+            pairing_table(elements, elements),
+            [normalized_pairing(e1, e2) for e1, e2 in pairs],
+        )
+
+    want = answers()
+    assert any(want[0][1:]) and any(x for row in want[1] for x in row)
+
+    def refuse(self, chain):
+        raise AssertionError("a checked payload was read again")
+
+    for name in ("is_cycle", "class_coordinates", "pairing_covector"):
+        monkeypatch.setattr(CoverComplex, name, refuse)
+    assert answers() == want
 
 
 def test_trusted_products_pass_the_public_checks():
