@@ -5,12 +5,15 @@ automorphism of the surface group.  An automorphism is a degree-1 vaut
 (vauts.TwoArrowVaut over the trivial cover), and testing is relative to a
 supplied list of them; the shipped genus-2 list contains the four one-handle
 twist substitutions, the handle swap, and an orientation-reversing flip.
+The characteristic refinement folds the pair walk of fiber_product over
+every cover of degree up to the given one.
 """
 
 from __future__ import annotations
 
 from .covers import (
     SurfaceCover,
+    _pair_moves,
     _pointed_orbit,
     enumerate_covers,
     mod2_homology_cover,  # re-exported for perfbench's cache table and tower job
@@ -93,32 +96,24 @@ def characteristic_refinement(
 ) -> SurfaceCover:
     """Intersection of all stabilizers of index up to the cover's degree.
 
-    Realized as the pointed component of the diagonal action on the product
-    of every coset space of degree 2..d.  The family is automorphism-stable,
-    so the result is characteristic; it factors through the input because the
-    input is one of the factors.
+    From the trivial cover, each cover of degree 2..d in turn is attached by
+    the pair walk of fiber_product; each walk's orbit is a quotient of the
+    last, so one exceeds the budget iff the result would.  The family is
+    automorphism-stable, so the result is characteristic; it factors through
+    the input because the input is one of the factors.
     """
     need(cover, SurfaceCover, "cover", IncompatibleTower)
     limit = search_budget(budget)
-    d = cover.degree
-    if d == 1:
-        return trivial_cover(cover.genus)
-    family: list[SurfaceCover] = []
-    for deg in range(2, d + 1):
-        family.extend(enumerate_covers(cover.genus, deg, budget=limit))
-    orbit = _pointed_orbit(
-        cover.genus,
-        lambda i, state: (
-            tuple(c.perms[i][s] for c, s in zip(family, state)),
-            tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
-        ),
-        budget=limit,
-        start=(0,) * len(family),
-    )
-    if orbit is None:
-        raise SearchBudgetExceeded(
-            f"characteristic refinement exceeded {limit} sheets; "
-            "raise COVERTOWER_BUDGET or pass a larger budget"
-        )
-    # every factor kills the relator, so their diagonal orbit does too
-    return orbit[0].canonical()
+    degrees = range(2, cover.degree + 1)
+    family = [c for deg in degrees for c in enumerate_covers(cover.genus, deg, budget=limit)]
+    refinement = trivial_cover(cover.genus)
+    for factor in family:
+        # every factor kills the relator, so each pair orbit does too
+        orbit = _pointed_orbit(cover.genus, _pair_moves(refinement, factor), budget=limit)
+        if orbit is None:
+            raise SearchBudgetExceeded(
+                f"characteristic refinement exceeded {limit} sheets; "
+                "raise COVERTOWER_BUDGET or pass a larger budget"
+            )
+        refinement = orbit[0]
+    return refinement.canonical()

@@ -608,6 +608,12 @@ def _projection(cover: SurfaceCover, states, k: int, target: SurfaceCover) -> Co
     return _trusted(CoverArrow, source=cover, target=target, sheet_map=sheet_map)
 
 
+def _pair_moves(first: SurfaceCover, second: SurfaceCover):
+    """Moves of the diagonal action on (first sheet, second sheet) pairs."""
+    p, q, p_inv, q_inv = first.perms, second.perms, first.inverse_perms, second.inverse_perms
+    return lambda i, pair: ((p[i][pair[0]], q[i][pair[1]]), (p_inv[i][pair[0]], q_inv[i][pair[1]]))
+
+
 @dataclass(frozen=True)
 class FiberProduct:
     cover: SurfaceCover
@@ -630,13 +636,8 @@ def fiber_product(first: SurfaceCover, second: SurfaceCover) -> FiberProduct:
     """
     if first.genus != second.genus:
         raise BaseMismatch("covers have different base surfaces")
-    p, q = first.perms, second.perms
-    p_inv, q_inv = first.inverse_perms, second.inverse_perms
     # a pointed orbit of two relator-killing actions is a cover over both
-    cover, states = _pointed_orbit(
-        first.genus,
-        lambda i, pair: ((p[i][pair[0]], q[i][pair[1]]), (p_inv[i][pair[0]], q_inv[i][pair[1]])),
-    )
+    cover, states = _pointed_orbit(first.genus, _pair_moves(first, second))
     to_first = _projection(cover, states, 0, first)
     return FiberProduct(cover, to_first, _projection(cover, states, 1, second))
 

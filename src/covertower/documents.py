@@ -14,7 +14,6 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .covers import FiberProduct, SurfaceCover, _equivariant, trivial_cover
 from .errors import CovertowerError, integer, integers, need, sequence, words
-from .homology import surface_complex
 from .limits import LimitElement, cycle_element, track_element
 from .surface import free_reduce, inverse_word
 from .traintrack import LiftedTrack, Switch, TrainTrack
@@ -109,11 +108,11 @@ def fiber_product_document(fp: FiberProduct) -> dict:
 def cycle_document(element: LimitElement) -> dict:
     if element.kind != "cycle":
         raise DocumentError("cycle document needs a cycle-kind element")
-    cx = surface_complex(element.cover)
+    d = element.cover.degree
     edges = []
     for e, coeff in enumerate(element.payload):
         if coeff:
-            i, s = cx.edge_of_index(e)
+            i, s = divmod(e, d)
             edges.append([i + 1, s + 1, int(coeff)])
     return {
         "schema": SCHEMA,
@@ -126,14 +125,14 @@ def cycle_document(element: LimitElement) -> dict:
 def parse_cycle(doc) -> LimitElement:
     _expect(doc, "cycle")
     cover = parse_cover(doc.get("cover"))
-    cx = surface_complex(cover)
-    chain = cx.zero_chain()
+    d = cover.degree
+    chain = [0] * (2 * cover.genus * d)
     try:
         for k, edge in enumerate(doc["edges"]):
             i, s, coeff = integers(edge, f"edges[{k}]", DocumentError)
-            if not (0 < i <= cx.n_generators and 0 < s <= cover.degree):
+            if not (0 < i <= 2 * cover.genus and 0 < s <= d):
                 raise DocumentError(f"edges[{k}]: generator {i} or sheet {s} out of range")
-            chain[cx.edge_index(i - 1, s - 1)] += coeff
+            chain[(i - 1) * d + s - 1] += coeff
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad cycle document: {exc}") from exc
     return cycle_element(cover, chain)

@@ -7,7 +7,7 @@ per Schreier generator of the source stabilizer.  An automorphism of the
 surface group is the vaut of degree 1: both covers are trivial, and the
 Schreier generators are the generators.  The one exact check that two
 tables are inverse isomorphisms lives here, behind the constructor.  The
-action sends each edge of a cycle to a table word and pushes no loop.
+action sends each edge of a cycle to a table word: no loop, no sheet walk.
 """
 
 from __future__ import annotations
@@ -178,17 +178,18 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     """Action on a cycle-kind tower element, edge by edge.
 
     The cycle z is lifted to W, the fiber product of its cover with the left
-    cover L, and moved to the cover I induced through the right arrow.  Edge
-    (i, s) of W lies over edge (i, l(s)) of L, whose word F is fwd[k] for
-    L's k-th Schreier edge and empty on a tree edge.  sigma(s), a sheet of
-    I, is where the pushed image of any path from sheet 0 to s ends; one
-    walk of W's forward generators finds it, as it is in general neither a
-    bijection nor I's projection.  The image is the sum over W's edges of
-    z(i, s) times X(i, s), the chain of F lifted from sigma(s).  That is the
-    chain of z's Schreier loops pushed through fwd: the loop of a nontree
-    edge s -> t pushes to the chain A(s) + X(i, s) - A(t), A the chain of a
-    pushed tree word, and as z is a cycle its A terms add up to its X terms
-    on W's tree edges.
+    cover L, and moved to the cover I induced through the right arrow R.
+    Edge (i, s) of W lies over edge (i, l(s)) of L, whose word F is fwd[k]
+    for L's k-th Schreier edge and empty on a tree edge.  sigma(s), a sheet
+    of I, is where the pushed image of a path p from sheet 0 to s ends.  As
+    L's tree word u to l(s) pushes to nothing, that image is fwd(p u^-1): it
+    fixes R's sheet and moves W's by bwd(fwd(p u^-1)) = p u^-1, so sigma(s)
+    is I's state (0, W.act(u^-1, s)).  The image is the sum over W's edges
+    of z(i, s) times X(i, s), the chain of F lifted from sigma(s).  That is
+    the chain of z's Schreier loops pushed through fwd: the loop of a
+    nontree edge s -> t pushes to the chain A(s) + X(i, s) - A(t), A the
+    chain of a pushed tree word, and as z is a cycle its A terms add up to
+    its X terms on W's tree edges.
     """
     need(vaut, TwoArrowVaut, "vaut", IncompatibleTower)
     need(element, LimitElement, "element", IncompatibleTower)
@@ -197,18 +198,17 @@ def vaut_act(vaut: TwoArrowVaut, element: LimitElement) -> LimitElement:
     if element.base_genus != vaut.base_genus:
         raise BaseMismatch("element and vaut live over different bases")
     w = fiber_product(element.cover, vaut.left)
-    z = pull_back(w.to_first, element.payload)
-    image = _induced_cover(vaut.right, vaut.bwd, w.cover).cover
-    index, d = vaut.left.schreier.index, w.cover.degree
-    below = [(i, l) for i in range(len(w.cover.perms)) for l in w.to_second.sheet_map]
-    words = [vaut.fwd[index[e]] if e in index else () for e in below]  # F, in z's layout
-    sigma, order = [0] + [None] * (d - 1), [0]
-    for s in order:  # the walk appends to order as it reaches sheets
-        for i, p in enumerate(w.cover.perms):
-            if sigma[t := p[s]] is None:
-                sigma[t] = image.act(words[i * d + s], sigma[s])
-                order.append(t)
-    terms = [(words[e], sigma[e % d], c) for e, c in enumerate(z) if c]
+    induced = _induced_cover(vaut.right, vaut.bwd, w.cover)
+    label = {state: k for k, state in enumerate(induced.states)}
+    trees, index, below = vaut.left.schreier.words, vaut.left.schreier.index, w.to_second.sheet_map
+    terms = []
+    for e, c in enumerate(pull_back(w.to_first, element.payload)):
+        if c:
+            i, s = divmod(e, w.cover.degree)
+            k = index.get((i, below[s]))
+            sigma = label[0, w.cover.act(inverse_word(trees[below[s]]), s)]
+            terms.append((() if k is None else vaut.fwd[k], sigma, c))
+    image = induced.cover
     return _trusted(LimitElement, kind="cycle", cover=image, payload=tuple(image.chain(terms)))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -9,9 +10,11 @@ from covertower.characteristic import (
 )
 from covertower.covers import (
     SurfaceCover,
+    _pointed_orbit,
     enumerate_covers,
     factors_through,
     mod2_homology_cover,
+    search_budget,
     trivial_cover,
 )
 from covertower.documents import DocumentError, parse_automorphisms
@@ -273,11 +276,83 @@ def test_refinement_of_every_double_cover_is_mod2():
         assert is_characteristic(refined, auts)
 
 
+def reference_refinement(cover: SurfaceCover, budget: int | None = None) -> SurfaceCover:
+    """The refinement as one pointed orbit of the diagonal action on tuples
+    holding one sheet of every cover of degree 2..d, the oracle of the fold
+    of pair walks.  Each state holds the whole family: 235 entries at d = 3
+    and 5,510 at d = 4."""
+    limit = search_budget(budget)
+    d = cover.degree
+    if d == 1:
+        return trivial_cover(cover.genus)
+    family: list[SurfaceCover] = []
+    for deg in range(2, d + 1):
+        family.extend(enumerate_covers(cover.genus, deg, budget=limit))
+    orbit = _pointed_orbit(
+        cover.genus,
+        lambda i, state: (
+            tuple(c.perms[i][s] for c, s in zip(family, state)),
+            tuple(c.inverse_perms[i][s] for c, s in zip(family, state)),
+        ),
+        budget=limit,
+        start=(0,) * len(family),
+    )
+    if orbit is None:
+        raise SearchBudgetExceeded(
+            f"characteristic refinement exceeded {limit} sheets; "
+            "raise COVERTOWER_BUDGET or pass a larger budget"
+        )
+    return orbit[0].canonical()
+
+
+def _raised(build, cover, budget) -> tuple[type, str]:
+    with pytest.raises(CovertowerError) as exc:
+        build(cover, budget=budget)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_fold_matches_the_family_tuple_orbit(genus, degree):
+    """Same cover and same labels on every cover, and the same budget edge:
+    both pass at a budget equal to the refinement's degree and raise the
+    same error one below it (a budget of 0 is no budget at all, for both).
+    The family depends on the genus and degree alone, so the edge is tried
+    on the first and last cover of each census."""
+    census = enumerate_covers(genus, degree)
+    for cover in census:
+        refined, expected = characteristic_refinement(cover), reference_refinement(cover)
+        assert refined == expected and refined.perms == expected.perms
+        assert refined.degree == (1 if degree == 1 else 1 << 2 * genus)
+    for cover in {census[0], census[-1]}:
+        for build in characteristic_refinement, reference_refinement:
+            assert build(cover, budget=refined.degree) == refined
+        below = refined.degree - 1
+        raised = _raised(characteristic_refinement, cover, below)
+        assert raised == _raised(reference_refinement, cover, below)
+        assert raised[0] is (CovertowerError if degree == 1 else SearchBudgetExceeded)
+
+
+def test_refinement_over_degree_4_walks_small_states():
+    """The walk states are sheet pairs, not tuples over the 5,510 covers of
+    degree <= 4: reaching a 5,000-sheet budget stays far under 20 MB of
+    traced allocation (the family-tuple walk takes about 243 MB)."""
+    cover = enumerate_covers(2, 4)[-1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded, match="^characteristic refinement exceeded 5000 sheets"):
+            characteristic_refinement(cover, budget=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+
+
 def test_refinement_at_degree3_exceeds_any_desk_budget():
-    # the diagonal orbit over all 235 coset spaces of degree <= 3 blows up:
-    # with only a third of the degree-3 factors attached the orbit already
-    # passes 900000 sheets, so the default budget cannot complete either.
-    # A small explicit budget keeps the failure fast.
+    # the fold attaches the 235 covers of degree <= 3 one pair walk at a
+    # time, and the refinement blows up: with only a third of the degree-3
+    # factors attached it already passes 900000 sheets, so the default
+    # budget cannot complete either.  A small explicit budget keeps the
+    # failure fast.
     cover = enumerate_covers(2, 3)[0]
     with pytest.raises(SearchBudgetExceeded):
         characteristic_refinement(cover, budget=5000)

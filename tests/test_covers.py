@@ -1206,6 +1206,63 @@ def test_the_unchecked_build_guard_sees_every_form(source, found):
     assert unchecked_cover_builds(source) == found
 
 
+def _moves_name(node) -> str:
+    """A moves argument as the guard names it: the builder it calls, the
+    name it passes, or the kind of node."""
+    if isinstance(node, ast.Call):
+        return _moves_name(node.func)
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", type(node).__name__.lower())
+
+
+def pointed_orbit_calls(source: str) -> set[tuple[str | None, str | None]]:
+    """The (f, moves) pairs of a module's source: f is the top-level def
+    holding a call of _pointed_orbit, moves the name of its moves argument
+    (None when it passes none)."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) != "_pointed_orbit":
+                continue
+            moves = node.args[1:2] + [k.value for k in node.keywords if k.arg == "moves"]
+            found.add((getattr(top, "name", None), _moves_name(moves[0]) if moves else None))
+    return found
+
+
+def test_pointed_orbits_have_four_callers():
+    """_pointed_orbit builds the mod-2 cover, fiber products, induced covers
+    and the characteristic refinement, whose fold walks the pair moves of
+    fiber_product and no other product action."""
+    package = Path(covers.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found |= {(path.name, f, moves) for f, moves in pointed_orbit_calls(path.read_text())}
+    assert found == {
+        ("covers.py", "mod2_homology_cover", "lambda"),
+        ("covers.py", "fiber_product", "_pair_moves"),
+        ("covers.py", "_induced_cover", "step"),
+        ("characteristic.py", "characteristic_refinement", "_pair_moves"),
+    }
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(g, a, b):\n    return _pointed_orbit(g, _pair_moves(a, b))", {("f", "_pair_moves")}),
+    ("def f(g, m):\n    return _pointed_orbit(g, moves=m, budget=9)", {("f", "m")}),
+    ("def f(g):\n    return _pointed_orbit(g, lambda i, s: (s, s), start=(0,) * 9)",
+     {("f", "lambda")}),
+    ("def f(g, m):\n    return covers._pointed_orbit(g, m)", {("f", "m")}),
+    ("class C:\n    def m(self, g, a, b):\n        return _pointed_orbit(g, _pair_moves(a, b))",
+     {("C", "_pair_moves")}),
+    ("def f(g):\n    return _pointed_orbit(g)", {("f", None)}),
+    ("def f(g, m):\n    return _schreier_walk(g, m)", set()),
+], ids=["pair-moves", "keyword", "tuple-lambda", "attribute", "method", "no-moves", "other-walk"])
+def test_the_pointed_orbit_guard_sees_every_form(source, found):
+    assert pointed_orbit_calls(source) == found
+
+
 def test_enumerated_covers_hold_only_their_fields():
     """The one-pass build writes the three fields and nothing else: before
     first use, no cached property and no stray key sits in a cover.  Degree

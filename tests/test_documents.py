@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from covertower import documents
 from covertower.characteristic import is_characteristic, shipped_automorphisms
-from covertower.covers import enumerate_covers, trivial_cover
+from covertower.covers import arrow_to_trivial, enumerate_covers, trivial_cover
 from covertower.documents import (
     DocumentError,
     counterexample_document,
@@ -35,7 +35,13 @@ from covertower.documents import (
 )
 from covertower.errors import CovertowerError
 from covertower.homology import surface_complex
-from covertower.limits import base_class_element, cycle_element, limit_equal, track_element
+from covertower.limits import (
+    base_class_element,
+    cycle_element,
+    lift_element,
+    limit_equal,
+    track_element,
+)
 from covertower.traintrack import lift_track, three_branch_example
 from covertower.vauts import (
     identity_vaut,
@@ -175,6 +181,18 @@ def test_cycle_round_trip():
     assert back.cover == cover
     assert back.payload == element.payload
     assert limit_equal(back, element)
+
+
+def test_cycle_document_builds_no_complex():
+    """Edges are indexed by the cover's own degree, so writing a cycle, such
+    as the image of vaut_act, builds no complex of its cover."""
+    cover = enumerate_covers(2, 3)[5]
+    element = lift_element(base_class_element(2, (0, -2, 0, 0)), arrow_to_trivial(cover))
+    surface_complex.cache_clear()
+    doc = cycle_document(element)
+    assert surface_complex.cache_info().currsize == 0
+    assert doc["edges"] == [[2, s, -2] for s in (1, 2, 3)]
+    assert parse_cycle(doc) == element
 
 
 def test_cycle_document_rejects_open_chains():

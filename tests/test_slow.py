@@ -70,6 +70,38 @@ def test_enumerate_covers_to_degree_5():
     assert enabled == "True"
 
 
+def test_refinement_of_a_degree_4_cover_to_its_budget():
+    """characteristic_refinement of a degree-4 cover at a 200,000-sheet
+    budget, in a child process that reports its wall time and peak memory.
+    The walk states are sheet pairs, so the peak stays under 200 MB; a walk
+    of tuples over the 5,510 covers of degree <= 4 takes about 49 KB a
+    state, some 10 GB at this budget."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = (
+        "import time; from covertower.characteristic import characteristic_refinement; "
+        "from covertower.covers import enumerate_covers; "
+        "from covertower.errors import SearchBudgetExceeded; "
+        "cover = enumerate_covers(2, 4)[-1]; start = time.perf_counter()\n"
+        "try: characteristic_refinement(cover, budget=200_000)\n"
+        "except SearchBudgetExceeded as exc: print(exc)\n"
+        f"print(time.perf_counter() - start, {PEAK_KB})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    message, times = proc.stdout.splitlines()
+    wall, peak_kb = times.split()
+    print(f"characteristic_refinement of a degree-4 cover to 200,000 sheets: "
+          f"{float(wall):.2f} s, {int(peak_kb) / 1024:.0f} MB peak")
+    assert message == (
+        "characteristic refinement exceeded 200000 sheets; "
+        "raise COVERTOWER_BUDGET or pass a larger budget"
+    )
+    assert int(peak_kb) < 200 * 1024
+
+
 def test_riemann_hurwitz_to_degree_5():
     """The riemann-hurwitz suite over all 156,597 covers of degree <= 5, in a
     child process that reports its own peak memory on stderr.  The suite
